@@ -13,7 +13,6 @@ from .funcspace import (
     Interval,
     antiderivative,
     differentiate,
-    evaluate,
     graph_inner,
     graph_norm,
     l2_inner,
@@ -57,12 +56,10 @@ from .blockop import (
     bd_project,
     bd_space,
     block_resolve,
-    d_bd,
     g_bd,
     lift_f_to_h,
     pi1_block,
     pi_minus1_block,
-    realization_domain_test,
     reduce_h_to_f,
     st_domain,
 )

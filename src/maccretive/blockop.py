@@ -5,35 +5,37 @@ single derivative. Its boundary-data space is two-dimensional,
 
     BD = span{e^t, e^{-t}},   |w|_BD^2 = cp^2 (e^{2b}-e^{2a}) + cm^2 (e^{-2a}-e^{-2b}),
 
-and every m-accretive realization admits four equivalent descriptions:
+and the graph-orthogonal projection onto it is read off endpoint values.
+Every m-accretive realization admits four equivalent descriptions:
 a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
-operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. This module builds
-any of them from any other and solves the associated resolvent
-equations exactly in the function algebra.
+operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. A realization stores
+one of them and derives the others on demand; this module solves the
+associated resolvent equations exactly in the function algebra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .derivative import DerivativeContext
+from .derivative import DerivativeContext, pi_minus_coeff, pi_plus_coeff
 from .errors import RootNotFound
 from .funcspace import (
     ExpPoly,
     Interval,
+    _first_order_coeffs,
+    _horner,
+    _poly_integral,
     absorb_rate_shift,
     differentiate,
-    graph_inner,
     l2_inner,
 )
 from .relations import (
-    CayleyRelation,
     ContractionMap,
     InnerSpace,
     LinearRelation,
@@ -41,6 +43,7 @@ from .relations import (
     cayley_to_relation,
     is_m_accretive_linear,
     operator_norm,
+    st_relation,
 )
 
 __all__ = [
@@ -50,13 +53,11 @@ __all__ = [
     "bd_space",
     "bd_project",
     "g_bd",
-    "d_bd",
     "pi1_block",
     "pi_minus1_block",
     "boundary_data",
     "reduce_h_to_f",
     "lift_f_to_h",
-    "realization_domain_test",
     "block_resolve",
     "st_domain",
     "apply_block",
@@ -161,65 +162,25 @@ def bd_space(ctx: DerivativeContext) -> InnerSpace:
     return InnerSpace(2, np.diag([ctx.denom_plus, ctx.denom_minus]))
 
 
-@lru_cache(maxsize=64)
-def _product_gram(ctx: DerivativeContext) -> np.ndarray:
-    return np.kron(np.eye(2), bd_space(ctx).gram)
-
-
-_KERNEL_PLUS = ExpPoly.exponential(1.0)
-_KERNEL_MINUS = ExpPoly.exponential(-1.0)
-
-
-@lru_cache(maxsize=64)
-def _bd_gram(ctx: DerivativeContext) -> np.ndarray:
-    iv = ctx.interval
-    return np.array(
-        [
-            [
-                graph_inner(_KERNEL_PLUS, _KERNEL_PLUS, iv),
-                graph_inner(_KERNEL_PLUS, _KERNEL_MINUS, iv),
-            ],
-            [
-                graph_inner(_KERNEL_MINUS, _KERNEL_PLUS, iv),
-                graph_inner(_KERNEL_MINUS, _KERNEL_MINUS, iv),
-            ],
-        ]
-    )
-
-
-@lru_cache(maxsize=16384)
-def _bd_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, float]:
-    # graph pairings against the kernel elements, using that the kernel
-    # derivatives are +-themselves
-    iv = ctx.interval
-    du = differentiate(u)
-    rhs = np.array(
-        [
-            l2_inner(u, _KERNEL_PLUS, iv) + l2_inner(du, _KERNEL_PLUS, iv),
-            l2_inner(u, _KERNEL_MINUS, iv) - l2_inner(du, _KERNEL_MINUS, iv),
-        ]
-    )
-    cp, cm = np.linalg.solve(_bd_gram(ctx), rhs)
-    return float(cp), float(cm)
-
-
 def bd_project(ctx: DerivativeContext, u: ExpPoly) -> BDVector:
     """Graph-orthogonal projection of ``u`` onto the BD span.
 
-    Solved through the 2x2 Gram system; the residual ``u - result``
-    vanishes at both endpoints.
+    The H1 pairings with the kernel elements are endpoint values,
+    ``<u, e^t> = u(b) e^b - u(a) e^a`` and
+    ``<u, e^{-t}> = u(a) e^{-a} - u(b) e^{-b}``, and ``e^t``, ``e^{-t}``
+    are H1-orthogonal, so the coefficients are those of the deficiency
+    projections; the residual ``u - result`` vanishes at both endpoints.
     """
-    return BDVector(ctx, *_bd_coeffs(ctx, u))
+    return BDVector(ctx, pi_plus_coeff(ctx, u), pi_minus_coeff(ctx, u))
 
 
 def g_bd(x: BDVector) -> BDVector:
-    """Differentiation within BD: ``(cp, cm) -> (cp, -cm)``; norm-preserving."""
+    """Differentiation within BD: ``(cp, cm) -> (cp, -cm)``.
+
+    Norm-preserving and its own inverse, so it also takes ``v_BD`` to
+    ``Dv_BD``.
+    """
     return BDVector(x.ctx, x.cp, -x.cm)
-
-
-def d_bd(y: BDVector) -> BDVector:
-    """Inverse of :func:`g_bd` (the same coefficient rule)."""
-    return BDVector(y.ctx, y.cp, -y.cm)
 
 
 def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[BDVector, BDVector]:
@@ -230,7 +191,7 @@ def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[BDVector, 
     them.
     """
     u_bd = bd_project(ctx, state.u)
-    dv_bd = d_bd(bd_project(ctx, state.v))
+    dv_bd = g_bd(bd_project(ctx, state.v))
     return 0.5 * (u_bd + dv_bd), 0.5 * (u_bd - dv_bd)
 
 
@@ -239,7 +200,7 @@ def pi1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
     derivative of the first."""
     u_bd = bd_project(ctx, state.u)
     v_bd = bd_project(ctx, state.v)
-    first = 0.5 * (u_bd + d_bd(v_bd))
+    first = 0.5 * (u_bd + g_bd(v_bd))
     second = 0.5 * (g_bd(u_bd) + v_bd)
     return BlockState(first.to_exppoly(), second.to_exppoly())
 
@@ -248,7 +209,7 @@ def pi_minus1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
     """Projection onto ``ker(1 + A)``."""
     u_bd = bd_project(ctx, state.u)
     v_bd = bd_project(ctx, state.v)
-    first = 0.5 * (u_bd - d_bd(v_bd))
+    first = 0.5 * (u_bd - g_bd(v_bd))
     second = 0.5 * (v_bd - g_bd(u_bd))
     return BlockState(first.to_exppoly(), second.to_exppoly())
 
@@ -292,104 +253,46 @@ def reduce_h_to_f(
 # ----------------------------------------------------------------------
 
 
-def _perp_projector(space: InnerSpace, relation: LinearRelation) -> np.ndarray:
-    """Orthogonal projector onto the complement of the relation span,
-    in the product Gram metric."""
-    w = np.kron(np.eye(2), space.gram)
-    k = relation.dim
-    eye = np.eye(2 * space.dim)
-    if k == 0:
-        return eye
-    basis = relation.basis.reshape(k, -1).T  # columns span M
-    proj = basis @ np.linalg.solve(basis.T @ w @ basis, basis.T @ w)
-    return eye - proj
-
-
-def _relation_to_pair(space: InnerSpace, relation: LinearRelation) -> OperatorPair:
-    """Closed-subspace description ``Su = Tv`` of a linear relation."""
-    perp = _perp_projector(space, relation)
+def _product_norm(space: InnerSpace, z: np.ndarray) -> float:
+    """Norm of ``z = (u, v)`` in ``X x X``."""
     d = space.dim
-    s_mat = perp[:, :d]
-    t_mat = -perp[:, d:]
-    w = np.kron(np.eye(2), space.gram)
-    return OperatorPair(space, s_mat, t_mat, codomain_norm=w)
+    return math.sqrt(max(space.inner(z[:d], z[:d]) + space.inner(z[d:], z[d:]), 0.0))
 
 
-def _relation_resolvent_matrix(space: InnerSpace, relation: LinearRelation) -> np.ndarray:
-    """Matrix of ``(1 + M)^{-1}`` for a linear m-accretive relation."""
-    k = relation.dim
-    sums = (relation.basis[:, 0, :] + relation.basis[:, 1, :]).T  # dim x k
-    if k != space.dim:
-        raise np.linalg.LinAlgError("relation is not everywhere solvable")
-    coeffs = np.linalg.solve(sums, np.eye(space.dim))
-    return relation.basis[:, 0, :].T @ coeffs
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockRealization:
-    """One restriction of the block operator, in up to four descriptions.
+    """One restriction of the block operator, stored in one description.
 
-    Whichever description is supplied, the others are materialised
-    through the equivalence formulas where they exist (``f`` only when
-    the relation is m-accretive, ``pair`` only in the linear case). A
-    construction-time sample check asserts the stored descriptions
-    agree on membership.
+    ``description`` is the relation ``M`` on BD coefficients whenever the
+    realization is linear, otherwise its nonexpansive map ``f``.
+    Membership tests and resolvents read that description alone. The
+    other views are derived from it on first use, for
+    :meth:`domain_test_all`: ``f`` (when ``M`` is m-accretive), the
+    relation (the Cayley relation of a nonlinear ``f``), the operator
+    pair ``(S, T)`` (linear case) and the deficiency map ``h``. Nothing
+    is sampled at construction.
     """
 
     ctx: DerivativeContext
-    f: Optional[ContractionMap] = None
-    relation: Optional[object] = None  # LinearRelation | CayleyRelation
-    pair: Optional[OperatorPair] = None
-    h: Optional[BlockMap] = None
-    _perp_cache: Optional[np.ndarray] = None
+    description: Union[LinearRelation, ContractionMap]
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_f(cls, ctx: DerivativeContext, f: ContractionMap) -> "BlockRealization":
-        cayley = cayley_to_relation(f)
-        relation = cayley.linear if cayley.linear is not None else cayley
-        pair = None
-        if cayley.linear is not None:
-            pair = _relation_to_pair(bd_space(ctx), cayley.linear)
-        real = cls(ctx, f=f, relation=relation, pair=pair, h=lift_f_to_h(ctx, f))
-        real._consistency_check()
-        return real
+        return cls(ctx, cayley_to_relation(f).linear if f.is_linear else f)
 
     @classmethod
     def from_relation(
         cls, ctx: DerivativeContext, relation: LinearRelation
     ) -> "BlockRealization":
-        space = bd_space(ctx)
-        pair = _relation_to_pair(space, relation)
-        f = None
-        h = None
-        if is_m_accretive_linear(relation):
-            resolvent = _relation_resolvent_matrix(space, relation)
-            f = ContractionMap.from_matrix(space, 2.0 * resolvent - np.eye(2))
-            h = lift_f_to_h(ctx, f)
-        real = cls(ctx, f=f, relation=relation, pair=pair, h=h)
-        real._consistency_check()
-        return real
+        return cls(ctx, relation)
 
     @classmethod
     def from_st(
         cls, ctx: DerivativeContext, pair: OperatorPair
     ) -> "BlockRealization":
-        from .relations import st_relation
-
-        relation = st_relation(pair)
-        f = None
-        h = None
-        if is_m_accretive_linear(relation):
-            resolvent = _relation_resolvent_matrix(bd_space(ctx), relation)
-            f = ContractionMap.from_matrix(
-                bd_space(ctx), 2.0 * resolvent - np.eye(2)
-            )
-            h = lift_f_to_h(ctx, f)
-        real = cls(ctx, f=f, relation=relation, pair=pair, h=h)
-        real._consistency_check()
-        return real
+        return cls(ctx, st_relation(pair))
 
     @classmethod
     def from_h(
@@ -397,87 +300,114 @@ class BlockRealization:
     ) -> "BlockRealization":
         return cls.from_f(ctx, reduce_h_to_f(ctx, h, lipschitz_cert))
 
-    # -- membership -----------------------------------------------------
+    # -- derived views ----------------------------------------------------
 
     @property
     def is_m_accretive(self) -> bool:
-        if isinstance(self.relation, LinearRelation):
-            return is_m_accretive_linear(self.relation)
-        return self.f is not None
+        if isinstance(self.description, LinearRelation):
+            return is_m_accretive_linear(self.description)
+        return True
 
-    def _memberships(self, state: BlockState, tol: float) -> dict:
-        ctx = self.ctx
-        x, y = boundary_data(ctx, state)
-        u_bd = x + y
-        dv_bd = x - y
-        scale = 1.0 + u_bd.norm() + dv_bd.norm()
-        out = {}
+    @cached_property
+    def f(self) -> Optional[ContractionMap]:
+        """The nonexpansive map on BD; ``None`` if ``M`` is not m-accretive."""
+        if isinstance(self.description, ContractionMap):
+            return self.description
+        if not self.is_m_accretive:
+            return None
+        # f = 2 (1 + M)^{-1} - 1; an m-accretive M has dim X basis pairs
+        space = bd_space(self.ctx)
+        basis = self.description.basis
+        sums = (basis[:, 0, :] + basis[:, 1, :]).T
+        resolvent = basis[:, 0, :].T @ np.linalg.solve(sums, np.eye(space.dim))
+        return ContractionMap.from_matrix(space, 2.0 * resolvent - np.eye(2))
+
+    @cached_property
+    def relation(self):
+        """``M`` itself, or the Cayley relation of a nonlinear ``f``."""
+        if isinstance(self.description, LinearRelation):
+            return self.description
+        return cayley_to_relation(self.description)
+
+    @cached_property
+    def pair(self) -> Optional[OperatorPair]:
+        """``Su = Tv`` with ``(S, -T)`` the column blocks of the projector
+        onto the complement of ``M``."""
+        if not isinstance(self.description, LinearRelation):
+            return None
+        space = bd_space(self.ctx)
+        d = space.dim
+        return OperatorPair(
+            space,
+            self._perp[:, :d],
+            -self._perp[:, d:],
+            codomain_norm=partial(_product_norm, space),
+        )
+
+    @cached_property
+    def h(self) -> Optional[BlockMap]:
+        return None if self.f is None else lift_f_to_h(self.ctx, self.f)
+
+    @cached_property
+    def _perp(self) -> np.ndarray:
+        """Orthogonal projector onto the complement of a linear ``M``, in
+        the product Gram metric."""
+        space = bd_space(self.ctx)
+        k = self.description.dim
+        eye = np.eye(2 * space.dim)
+        if k == 0:
+            return eye
+        w = np.kron(np.eye(2), space.gram)
+        basis = self.description.basis.reshape(k, -1).T  # columns span M
+        return eye - basis @ np.linalg.solve(basis.T @ w @ basis, basis.T @ w)
+
+    # -- membership -----------------------------------------------------
+
+    def domain_test(self, state: BlockState, tol: float = 1e-9) -> bool:
+        """Membership decided by the stored description."""
+        x, y = boundary_data(self.ctx, state)
+        if isinstance(self.description, LinearRelation):
+            return self._relation_member(x + y, x - y, tol)
+        return _f_member(self.description, x, y, tol)
+
+    def _relation_member(self, u_bd: BDVector, dv_bd: BDVector, tol: float) -> bool:
+        if not isinstance(self.description, LinearRelation):
+            return self.relation.contains(u_bd.coeffs, dv_bd.coeffs, tol)
+        resid = self._perp @ np.concatenate([u_bd.coeffs, dv_bd.coeffs])
+        defect = _product_norm(bd_space(self.ctx), resid)
+        return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+
+    def domain_test_all(self, state: BlockState, tol: float = 1e-9) -> dict:
+        """Membership under each available view, keyed by its name."""
+        x, y = boundary_data(self.ctx, state)
+        u_bd, dv_bd = x + y, x - y
+        views = {}
         if self.f is not None:
-            defect = BDVector.from_coeffs(ctx, self.f(x.coeffs)) - y
-            out["f"] = defect.norm() <= tol * scale
-        if isinstance(self.relation, LinearRelation):
-            vec = np.concatenate([u_bd.coeffs, dv_bd.coeffs])
-            resid = self._perp_projector() @ vec
-            w = _product_gram(ctx)
-            out["relation"] = math.sqrt(max(resid @ w @ resid, 0.0)) <= tol * scale
-        elif isinstance(self.relation, CayleyRelation):
-            out["relation"] = self.relation.contains(u_bd.coeffs, dv_bd.coeffs, tol)
+            views["f"] = _f_member(self.f, x, y, tol)
+        views["relation"] = self._relation_member(u_bd, dv_bd, tol)
         if self.pair is not None:
-            defect_y = self.pair.codomain_norm_of(
-                self.pair.S @ u_bd.coeffs - self.pair.T @ dv_bd.coeffs
-            )
-            out["pair"] = defect_y <= tol * scale
+            views["pair"] = _pair_member(self.pair, u_bd, dv_bd, tol)
         if self.h is not None:
             # h maps into ker(1+A), whose elements (w, -Gw) carry the
             # BD norm of w; the defect can be measured there.
-            plus_part = BlockState(x.to_exppoly(), g_bd(x).to_exppoly())
-            image = self.h(plus_part)
-            z = bd_project(ctx, image.u)
-            out["h"] = (z - y).norm() <= tol * scale
-        return out
-
-    def _perp_projector(self) -> np.ndarray:
-        if self._perp_cache is None:
-            self._perp_cache = _perp_projector(bd_space(self.ctx), self.relation)
-        return self._perp_cache
-
-    def domain_test(self, state: BlockState, tol: float = 1e-9) -> bool:
-        views = self._memberships(state, tol)
-        return next(iter(views.values()))
-
-    def domain_test_all(self, state: BlockState, tol: float = 1e-9) -> dict:
-        return self._memberships(state, tol)
-
-    def _consistency_check(self, points: int = 20, tol: float = 1e-9) -> None:
-        rng = np.random.default_rng(0)
-        for _ in range(points):
-            state = _random_state(rng)
-            views = self._memberships(state, tol)
-            if len(set(views.values())) > 1:
-                raise ValueError(f"stored descriptions disagree: {views}")
-
-    # -- resolvent --------------------------------------------------------
-
-    def resolve(self, rhs: BlockState, tau: float) -> BlockState:
-        return block_resolve(self, rhs, tau)
+            image = self.h(BlockState(x.to_exppoly(), g_bd(x).to_exppoly()))
+            defect = bd_project(self.ctx, image.u) - y
+            views["h"] = defect.norm() <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+        return views
 
 
-def _random_state(rng: np.random.Generator) -> BlockState:
-    def poly() -> ExpPoly:
-        terms = []
-        for _ in range(rng.integers(1, 3)):
-            mu = float(rng.integers(-2, 3))
-            deg = int(rng.integers(0, 3))
-            terms.append((mu, tuple(rng.uniform(-1.5, 1.5, size=deg + 1))))
-        return ExpPoly(tuple(terms))
-
-    return BlockState(poly(), poly())
+def _f_member(f: ContractionMap, x: BDVector, y: BDVector, tol: float) -> bool:
+    """Cayley form of membership: ``f(x) = y`` on the deficiency data."""
+    defect = BDVector.from_coeffs(x.ctx, f(x.coeffs)) - y
+    return defect.norm() <= tol * (1.0 + (x + y).norm() + (x - y).norm())
 
 
-def realization_domain_test(
-    realization: BlockRealization, state: BlockState, tol: float = 1e-9
+def _pair_member(
+    pair: OperatorPair, u_bd: BDVector, dv_bd: BDVector, tol: float
 ) -> bool:
-    return realization.domain_test(state, tol)
+    """``S u_BD = T Dv_BD`` in the declared Y norm."""
+    defect = pair.codomain_norm_of(pair.S @ u_bd.coeffs - pair.T @ dv_bd.coeffs)
+    return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
 
 
 def st_domain(
@@ -488,41 +418,12 @@ def st_domain(
 ) -> bool:
     """Membership test ``S u_BD = T Dv_BD`` in the declared Y norm."""
     u_bd = bd_project(ctx, state.u)
-    dv_bd = d_bd(bd_project(ctx, state.v))
-    defect = pair.codomain_norm_of(pair.S @ u_bd.coeffs - pair.T @ dv_bd.coeffs)
-    scale = 1.0 + u_bd.norm() + dv_bd.norm()
-    return defect <= tol * scale
+    return _pair_member(pair, u_bd, g_bd(bd_project(ctx, state.v)), tol)
 
 
 # ----------------------------------------------------------------------
 # Resolvent
 # ----------------------------------------------------------------------
-
-
-def _poly_antiderivative(p) -> list:
-    q = [0.0] * (len(p) + 1)
-    for k in range(1, len(p) + 1):
-        q[k] = p[k - 1] / k
-    return q
-
-
-def _poly_eval(p, t: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * t + c
-    return acc
-
-
-def _exp_antiderivative_coeffs(p, nu: float) -> list:
-    """Coefficients ``q`` with ``(q e^{nu t})' = p e^{nu t}``, ``nu != 0``."""
-    n = len(p)
-    q = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        acc = p[k]
-        if k + 1 < n:
-            acc -= (k + 1) * q[k + 1]
-        q[k] = acc / nu
-    return q
 
 
 def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> ExpPoly:
@@ -568,25 +469,25 @@ def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> 
         near = absorb_rate_shift(p, beta, t_scale)  # p times truncated e^{beta t}
         if sign < 0:
             # mu near -sigma: anchored integral from a on the low side
-            p_poly = _poly_antiderivative(near)
+            p_poly = _poly_integral(near)
             low_main = absorb_rate_shift(p_poly, -beta, t_scale)
             out.append((mu, [half * c for c in low_main]))
-            out.append((-sigma, (-half * _poly_eval(p_poly, ctx.a),)))
+            out.append((-sigma, (-half * _horner(p_poly, ctx.a),)))
             # high side: integrand rate mu - sigma is far from zero
             nu2 = mu - sigma
-            q2 = _exp_antiderivative_coeffs(p, nu2)
-            out.append((sigma, (half * _poly_eval(q2, ctx.b) * math.exp(nu2 * ctx.b),)))
+            q2 = _first_order_coeffs(p, 1.0, nu2)
+            out.append((sigma, (half * _horner(q2, ctx.b) * math.exp(nu2 * ctx.b),)))
             out.append((mu, [-half * c for c in q2]))
         else:
             # mu near +sigma: anchored integral from b on the high side
-            p_poly = _poly_antiderivative(near)
+            p_poly = _poly_integral(near)
             high_main = absorb_rate_shift(p_poly, -beta, t_scale)
             out.append((mu, [-half * c for c in high_main]))
-            out.append((sigma, (half * _poly_eval(p_poly, ctx.b),)))
+            out.append((sigma, (half * _horner(p_poly, ctx.b),)))
             nu2 = mu + sigma
-            q2 = _exp_antiderivative_coeffs(p, nu2)
+            q2 = _first_order_coeffs(p, 1.0, nu2)
             out.append((mu, [half * c for c in q2]))
-            out.append((-sigma, (-half * _poly_eval(q2, ctx.a) * math.exp(nu2 * ctx.a),)))
+            out.append((-sigma, (-half * _horner(q2, ctx.a) * math.exp(nu2 * ctx.a),)))
     return ExpPoly(tuple(out))
 
 
@@ -626,7 +527,7 @@ def block_resolve(
 
     h_u, h_dv = _homogeneous_frames(ctx, tau)
     u_bd0 = bd_project(ctx, u_part).coeffs
-    dv_bd0 = d_bd(bd_project(ctx, v_part)).coeffs
+    dv_bd0 = g_bd(bd_project(ctx, v_part)).coeffs
 
     coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, h_u, h_dv)
 
@@ -647,12 +548,12 @@ def _solve_boundary_coeffs(
     h_u: np.ndarray,
     h_dv: np.ndarray,
 ) -> np.ndarray:
-    ctx = realization.ctx
-    space = bd_space(ctx)
+    space = bd_space(realization.ctx)
+    description = realization.description
 
-    if isinstance(realization.relation, LinearRelation):
+    if isinstance(description, LinearRelation):
         # (u_BD, Dv_BD) in M: project the affine family onto M-perp.
-        perp = realization._perp_projector()
+        perp = realization._perp
         stacked = perp @ np.vstack([h_u, h_dv])
         target = -perp @ np.concatenate([u_bd0, dv_bd0])
         coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
@@ -664,9 +565,7 @@ def _solve_boundary_coeffs(
             )
         return coeffs
 
-    f = realization.f
-    if f is None:
-        raise RootNotFound("realization carries no usable boundary description")
+    f = description
 
     # f-form: f(x_p + L C) = y_p + N C with x, y the deficiency data.
     l_mat = 0.5 * (h_u + h_dv)

@@ -43,8 +43,13 @@ from .derivative import (
     pi_zero,
     resolve,
 )
-from .errors import RootNotFound, SchemaError
-from .evolution import SchemeConfig, evolve, trajectory_postprocessor
+from .errors import ContractionViolated, EvolutionStepFailed, RootNotFound, SchemaError
+from .evolution import (
+    SchemeConfig,
+    contraction_report,
+    evolve,
+    trajectory_postprocessor,
+)
 from .funcspace import (
     ExpPoly,
     Interval,
@@ -66,6 +71,7 @@ from .relations import (
     OperatorPair,
     cayley_to_relation,
     is_m_accretive_linear,
+    operator_norm,
     relation_to_cayley,
     st_criterion,
     st_relation,
@@ -418,8 +424,6 @@ def _suite_cayley(spec: RunSpec):
             raise SchemaError(f"f_matrix is not a contraction: {exc}") from exc
     else:
         raw = rng.standard_normal((dim, dim))
-        from .relations import operator_norm
-
         f = ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
     relation = cayley_to_relation(f)
     back = relation_to_cayley(space, relation.resolvent)
@@ -500,8 +504,6 @@ def _suite_block_equivalence(spec: RunSpec):
         realization = _block_realization(ctx, spec.params["realization"])
     else:
         raw = rng.standard_normal((2, 2))
-        from .relations import operator_norm
-
         space = bd_space(ctx)
         realization = BlockRealization.from_f(
             ctx, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
@@ -552,7 +554,7 @@ def _suite_block_equivalence(spec: RunSpec):
 
 def _suite_wave_impedance(spec: RunSpec):
     _require_keys(
-        spec.params, {"interval", "K", "tau", "steps", "u0", "v0"}, spec.command
+        spec.params, {"interval", "K", "tau", "steps", "u0"}, spec.command
     )
     iv = _interval(spec.params)
     ctx = DerivativeContext(iv)
@@ -702,22 +704,26 @@ def _suite_evolve(spec: RunSpec):
     else:
         raise SchemaError(f"evolve: unknown kind {kind!r}")
 
-    record = evolve(resolvent, u0, cfg, norm)
+    run_failed_at = None
+    try:
+        record = evolve(resolvent, u0, cfg, norm)
+    except EvolutionStepFailed as exc:
+        run_failed_at, record = exc.step, exc.record
     distances = None
     monotone = None
     failures = []
     if v0 is not None:
-        from .errors import ContractionViolated
-
         try:
-            from .evolution import contraction_report
-
-            distances = contraction_report(resolvent, u0, v0, cfg, dist)
+            distances = contraction_report(resolvent, record.states, v0, cfg, dist)
             monotone = True
         except ContractionViolated as exc:
             monotone = False
             failures.append("distance_monotonicity")
             distances = [math.nan] * (exc.step + 1)
+        except EvolutionStepFailed as exc:
+            run_failed_at = exc.step
+    if run_failed_at is not None:
+        failures.insert(0, "run_failed")
     report = {
         "command": spec.command,
         "seed": spec.seed,
@@ -731,6 +737,8 @@ def _suite_evolve(spec: RunSpec):
         "passed": not failures,
         "first_failure": failures[0] if failures else None,
     }
+    if run_failed_at is not None:
+        report["run_failed_at_step"] = run_failed_at
     rows = []
     for i, (t, n) in enumerate(zip(record.timestamps, record.norms)):
         if distances is not None and i < len(distances):

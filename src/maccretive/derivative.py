@@ -30,6 +30,8 @@ from .errors import NotAViolation, OutOfRange, RootNotFound
 from .funcspace import (
     ExpPoly,
     Interval,
+    _first_order_coeffs,
+    _poly_integral,
     absorb_rate_shift,
     differentiate,
     l2_inner,
@@ -313,18 +315,6 @@ def in_domain(realization: Realization1D, u: ExpPoly, tol: float = 1e-9) -> bool
     return defect <= tol * scale
 
 
-def _poly_antiderivative_anchored(p, anchor: float) -> list:
-    """Polynomial antiderivative vanishing at ``anchor``."""
-    q = [0.0] * (len(p) + 1)
-    for k in range(1, len(p) + 1):
-        q[k] = p[k - 1] / k
-    shift = 0.0
-    for k in range(len(p), 0, -1):
-        shift = shift * anchor + q[k]
-    q[0] = -shift * anchor
-    return q
-
-
 def _particular_first_order(
     f: ExpPoly, tau: float, anchor: float, t_scale: float
 ) -> ExpPoly:
@@ -346,19 +336,13 @@ def _particular_first_order(
     out = []
     for mu, p in f.terms:
         alpha = 1.0 + tau * mu
-        n = len(p)
         if abs(alpha) <= 0.1:
             beta = mu + sigma
             lifted = absorb_rate_shift(p, beta, t_scale)
-            anchored = _poly_antiderivative_anchored(lifted, anchor)
+            anchored = _poly_integral(lifted, anchor)
             q = [c / tau for c in absorb_rate_shift(anchored, -beta, t_scale)]
         else:
-            q = [0.0] * n
-            for k in range(n - 1, -1, -1):
-                acc = p[k]
-                if k + 1 < n:
-                    acc -= tau * (k + 1) * q[k + 1]
-                q[k] = acc / alpha
+            q = _first_order_coeffs(p, tau, alpha)
         out.append((mu, q))
     return ExpPoly(tuple(out))
 

@@ -44,11 +44,14 @@ class ContractionViolated(MaccretiveError):
 class EvolutionStepFailed(MaccretiveError):
     """A resolvent call inside a time-stepping loop failed.
 
-    ``step`` is the index of the step that could not be completed.
+    ``step`` is the index of the step that could not be completed;
+    ``record``, when the loop keeps one, holds the trajectory up to the
+    step before it.
     """
 
-    def __init__(self, step: int, cause: Exception):
+    def __init__(self, step: int, cause: Exception, record=None):
         self.step = step
+        self.record = record
         super().__init__(f"resolvent failed at step {step}: {cause}")
 
 

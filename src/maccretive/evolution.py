@@ -99,7 +99,8 @@ def evolve(
     """Run ``steps`` implicit-Euler steps from ``u0``.
 
     ``resolvent(state, tau)`` must solve ``(1 + tau*B) out = state``.
-    Failures are re-raised with the failing step index attached.
+    Failures are re-raised with the failing step index and the partial
+    record attached.
     """
     record = TrajectoryRecord()
     record.append(u0, norm(u0), 0.0)
@@ -108,7 +109,7 @@ def evolve(
         try:
             state = resolvent(state, cfg.tau)
         except Exception as exc:  # noqa: BLE001 - annotate and rethrow
-            raise EvolutionStepFailed(k + 1, exc) from exc
+            raise EvolutionStepFailed(k + 1, exc, record) from exc
         if postprocess is not None:
             state = postprocess(state)
         record.append(state, norm(state), (k + 1) * cfg.tau)
@@ -117,21 +118,24 @@ def evolve(
 
 def contraction_report(
     resolvent: Callable[[State, float], State],
-    u0: State,
+    u_states: Sequence[State],
     v0: State,
     cfg: SchemeConfig,
     norm_of_difference: Callable[[State, State], float],
 ) -> list[float]:
-    """Pairwise distances ``d_k`` along two trajectories.
+    """Pairwise distances ``d_k`` between a recorded trajectory and the
+    trajectory from ``v0``.
 
-    Raises :class:`ContractionViolated` at the first step whose distance
+    ``u_states`` are the states of a run already taken, such as
+    ``evolve(...).states``; the second trajectory takes one step of
+    ``cfg.tau`` per recorded state after the first. Raises
+    :class:`ContractionViolated` at the first step whose distance
     exceeds the previous one by more than ``cfg.tol``.
     """
-    distances = [norm_of_difference(u0, v0)]
-    u, v = u0, v0
-    for k in range(cfg.steps):
+    distances = [norm_of_difference(u_states[0], v0)]
+    v = v0
+    for k, u in enumerate(u_states[1:]):
         try:
-            u = resolvent(u, cfg.tau)
             v = resolvent(v, cfg.tau)
         except Exception as exc:  # noqa: BLE001
             raise EvolutionStepFailed(k + 1, exc) from exc

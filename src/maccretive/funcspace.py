@@ -25,7 +25,6 @@ __all__ = [
     "Interval",
     "ExpPoly",
     "differentiate",
-    "evaluate",
     "antiderivative",
     "absorb_rate_shift",
     "l2_inner",
@@ -251,11 +250,6 @@ def differentiate(f: ExpPoly) -> ExpPoly:
     return ExpPoly(tuple(out))
 
 
-def evaluate(f: ExpPoly, t: float) -> float:
-    """Numeric value of ``f`` at ``t``."""
-    return f(t)
-
-
 def absorb_rate_shift(
     coeffs: Sequence[float], nu: float, t_scale: float, tol: float = 1e-18
 ) -> tuple[float, ...]:
@@ -288,21 +282,46 @@ def antiderivative(f: ExpPoly, rate_tol: float = 1e-10) -> ExpPoly:
     """
     out = []
     for nu, p in f.terms:
-        n = len(p)
         if abs(nu) <= rate_tol:
-            q = [0.0] * (n + 1)
-            for k in range(1, n + 1):
-                q[k] = p[k - 1] / k
-            out.append((0.0, q))
+            out.append((0.0, _poly_integral(p)))
         else:
-            q = [0.0] * n
-            for k in range(n - 1, -1, -1):
-                acc = p[k]
-                if k + 1 < n:
-                    acc -= (k + 1) * q[k + 1]
-                q[k] = acc / nu
-            out.append((nu, q))
+            out.append((nu, _first_order_coeffs(p, 1.0, nu)))
     return ExpPoly(tuple(out))
+
+
+def _horner(coeffs: Sequence[float], t: float) -> float:
+    """Value at ``t`` of the polynomial with ascending ``coeffs``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _poly_integral(p: Sequence[float], anchor: float = 0.0) -> list:
+    """Antiderivative of the polynomial ``p`` that vanishes at ``anchor``."""
+    q = [0.0] * (len(p) + 1)
+    for k in range(1, len(p) + 1):
+        q[k] = p[k - 1] / k
+    if anchor:
+        q[0] = -_horner(q[1:], anchor) * anchor
+    return q
+
+
+def _first_order_coeffs(p: Sequence[float], s: float, d: float) -> list:
+    """Polynomial ``q`` with ``d*q + s*q' = p``, by back substitution.
+
+    ``q_k = (p_k - s*(k+1)*q_{k+1}) / d``. With ``(s, d) = (1, nu)`` it
+    gives ``(q e^{nu t})' = p e^{nu t}``; with ``(tau, 1 + tau*mu)`` the
+    rate-``mu`` term of ``u + tau*u' = p e^{mu t}``.
+    """
+    n = len(p)
+    q = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        acc = p[k]
+        if k + 1 < n:
+            acc -= s * (k + 1) * q[k + 1]
+        q[k] = acc / d
+    return q
 
 
 # ----------------------------------------------------------------------

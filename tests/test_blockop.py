@@ -11,19 +11,17 @@ from maccretive.blockop import (
     bd_project,
     bd_space,
     block_resolve,
-    d_bd,
     g_bd,
     lift_f_to_h,
     pi1_block,
     pi_minus1_block,
-    realization_domain_test,
     reduce_h_to_f,
     st_domain,
     state_graph_inner,
     state_l2_norm,
 )
 from maccretive.derivative import DerivativeContext
-from maccretive.funcspace import ExpPoly, Interval, differentiate, l2_norm
+from maccretive.funcspace import ExpPoly, Interval, differentiate, graph_inner, l2_norm
 from maccretive.relations import (
     ContractionMap,
     LinearRelation,
@@ -89,6 +87,21 @@ def test_bd_project_of_endpoint_free_function_is_zero():
     assert proj.coeffs == pytest.approx([0.0, 0.0], abs=1e-13)
 
 
+def test_bd_project_matches_graph_gram_solve():
+    # reference: the 2x2 H1 Gram system against e^t and e^{-t}
+    rng = np.random.default_rng(13)
+    kernel = (ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0))
+    for a, b in ((0.0, 1.0), (0.4, 2.1), (-0.8, 0.6), (-1.5, 0.2), (-2.3, -0.4)):
+        ctx = DerivativeContext(Interval(a, b))
+        gram = np.array([[graph_inner(p, q, ctx.interval) for q in kernel] for p in kernel])
+        for _ in range(200):
+            u = random_state(rng).u
+            rhs = [graph_inner(u, q, ctx.interval) for q in kernel]
+            expected = np.linalg.solve(gram, rhs)
+            got = bd_project(ctx, u).coeffs
+            assert np.abs(got - expected).max() <= 1e-11 * (1.0 + np.abs(expected).max())
+
+
 def test_bd_vector_norm_is_diagonal():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -103,6 +116,7 @@ def test_bd_vector_norm_is_diagonal():
 
 
 def test_g_bd_and_d_bd():
+    # g_bd is its own inverse: it also maps v_BD to Dv_BD
     x = BDVector(CTX, 1.0, 0.0)
     assert g_bd(x).coeffs == pytest.approx([1.0, 0.0])
     y = BDVector(CTX, 0.0, 1.0)
@@ -110,7 +124,7 @@ def test_g_bd_and_d_bd():
     rng = np.random.default_rng(1)
     for _ in range(10):
         w = BDVector(CTX, *rng.uniform(-2, 2, size=2))
-        assert d_bd(g_bd(w)).coeffs == pytest.approx(w.coeffs, rel=1e-15)
+        assert g_bd(g_bd(w)) == w
         assert g_bd(w).norm() == pytest.approx(w.norm(), rel=1e-12)
     # g_bd really is differentiation of the represented function
     w = BDVector(CTX, 0.3, -1.2)
@@ -243,9 +257,9 @@ def test_dirichlet_from_negated_identity():
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
         ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
     )
-    assert realization_domain_test(real, BlockState(bump, ExpPoly.exponential(2.0)))
-    assert not realization_domain_test(
-        real, BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(2.0))
+    assert real.domain_test(BlockState(bump, ExpPoly.exponential(2.0)))
+    assert not real.domain_test(
+        BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(2.0))
     )
 
 
@@ -254,16 +268,16 @@ def test_neumann_from_identity():
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
         ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
     )
-    assert realization_domain_test(real, BlockState(ExpPoly.constant(1.0), bump))
-    assert not realization_domain_test(
-        real, BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(2.0))
+    assert real.domain_test(BlockState(ExpPoly.constant(1.0), bump))
+    assert not real.domain_test(
+        BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(2.0))
     )
 
 
 def test_zero_f_membership_example():
     real = BlockRealization.from_f(CTX, ContractionMap.zero(SPACE))
     s = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
-    assert realization_domain_test(real, s)
+    assert real.domain_test(s)
 
 
 def test_four_descriptions_agree():
@@ -279,6 +293,45 @@ def test_four_descriptions_agree():
         member = block_resolve(real, random_state(rng), 0.8)
         views = real.domain_test_all(member, tol=1e-7)
         assert all(views.values())
+
+
+def bd_member(real: BlockRealization, rng: np.random.Generator) -> BlockState:
+    """Member built from the relation's basis, plus endpoint-free parts."""
+    basis = real.relation.basis
+    c = rng.uniform(-2.0, 2.0, size=len(basis))
+    u_bd = BDVector.from_coeffs(CTX, c @ basis[:, 0, :])
+    dv_bd = BDVector.from_coeffs(CTX, c @ basis[:, 1, :])
+    bump = ExpPoly.polynomial([0.0, 1.0]) * (
+        ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
+    )
+    return BlockState(
+        u_bd.to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+        g_bd(dv_bd).to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+    )
+
+
+def test_views_agree_for_relation_and_st_realizations():
+    rng = np.random.default_rng(14)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        if rng.uniform() < 0.5:
+            m = rng.standard_normal((2, 2))
+            basis = np.array([np.stack([e, m @ e]) for e in np.eye(2)])
+            real = BlockRealization.from_relation(CTX, LinearRelation(SPACE, basis))
+        else:
+            pair = OperatorPair(SPACE, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+            real = BlockRealization.from_st(CTX, pair)
+        accretive = real.is_m_accretive
+        seen[accretive] += 1
+        expected = {"f", "relation", "pair", "h"} if accretive else {"relation", "pair"}
+        for _ in range(20):
+            views = real.domain_test_all(random_state(rng))
+            assert set(views) == expected
+            assert len(set(views.values())) == 1
+        for _ in range(5):
+            views = real.domain_test_all(bd_member(real, rng))
+            assert set(views) == expected and all(views.values())
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_cayley_coherence_f_to_relation_to_f():
@@ -335,7 +388,7 @@ def test_block_resolve_residuals_and_membership():
         scale = 1.0 + state_l2_norm(rhs, UNIT)
         assert l2_norm(res1, UNIT) <= 1e-9 * scale
         assert l2_norm(res2, UNIT) <= 1e-9 * scale
-        assert realization_domain_test(real, out, tol=1e-7)
+        assert real.domain_test(out, tol=1e-7)
 
 
 def test_block_resolve_resonant_rhs():
@@ -378,7 +431,7 @@ def test_block_resolve_nonlinear_f():
         res2 = out.v + tau * differentiate(out.u) - rhs.v
         assert l2_norm(res1, UNIT) <= 1e-9 * (1 + state_l2_norm(rhs, UNIT))
         assert l2_norm(res2, UNIT) <= 1e-9 * (1 + state_l2_norm(rhs, UNIT))
-        assert realization_domain_test(real, out, tol=1e-7)
+        assert real.domain_test(out, tol=1e-7)
 
 
 # ----------------------------------------------------------------------

@@ -221,3 +221,69 @@ def test_input_file_merging(tmp_path):
     code, out = run_cli(tmp_path, spec)
     assert code == 0
     assert load_report(out)["criterion"]["holds"] is True
+
+
+def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
+    import maccretive.cli as cli
+
+    calls = []
+    resolve = cli.resolve
+
+    def counting_resolve(realization, rhs, tau):
+        calls.append(tau)
+        return resolve(realization, rhs, tau)
+
+    monkeypatch.setattr(cli, "resolve", counting_resolve)
+    spec = {
+        "command": "evolve",
+        "params": {
+            "kind": "derivative",
+            "g": {"kind": "linear", "slope": 0.5},
+            "u0": [{"rate": 1.0, "coeffs": [1.0]}],
+            "v0": [{"rate": -1.0, "coeffs": [0.5]}],
+            "tau": 0.25,
+            "steps": 8,
+        },
+    }
+    code, out = run_cli(tmp_path, spec)
+    assert code == 0
+    assert load_report(out)["distance_monotone"] is True
+    assert len(calls) == 2 * 8
+
+
+def test_evolve_step_failure_writes_report(tmp_path):
+    # resonant steps raise the degree by one each, until the cap stops the run
+    spec = {
+        "command": "evolve",
+        "params": {
+            "interval": {"a": 0, "b": 1},
+            "kind": "derivative",
+            "g": {"kind": "linear", "slope": 0.5},
+            "tau": 0.01,
+            "steps": 200,
+        },
+    }
+    code, out = run_cli(tmp_path, spec)
+    assert code == 1
+    report = load_report(out)
+    assert report["passed"] is False
+    assert report["first_failure"] == "run_failed"
+    step = report["run_failed_at_step"]
+    assert 1 <= step <= 200
+    lines = (out / "data.csv").read_text().strip().splitlines()
+    assert lines[0] == "step,time,norm"
+    assert len(lines) == 1 + step  # steps 0 .. step-1 completed
+
+
+def test_wave_impedance_rejects_v0(tmp_path):
+    spec = {
+        "command": "wave-impedance",
+        "params": {
+            "K": [[1.0, 0.0], [0.0, 1.0]],
+            "steps": 5,
+            "v0": {"u": [{"rate": 0.0, "coeffs": [1.0]}], "v": []},
+        },
+    }
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert not (out / "report.json").exists()

@@ -50,6 +50,12 @@ def state_dist(x: BlockState, y: BlockState) -> float:
     return state_l2_norm(x - y, UNIT)
 
 
+def pair_distances(resolvent, u0, v0, cfg: SchemeConfig, dist) -> list[float]:
+    """Distances between the trajectories from ``u0`` and ``v0``."""
+    states = evolve(resolvent, u0, cfg, norm=lambda s: 0.0).states
+    return contraction_report(resolvent, states, v0, cfg, dist)
+
+
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
@@ -138,6 +144,23 @@ def test_evolution_step_failure_carries_index():
     assert err.value.step == 1
 
 
+def test_evolution_step_failure_carries_partial_record():
+    def fails_at_third(state, tau):
+        if state.terms[0][1][0] < 0.85:  # 1/1.1^2 = 0.83 enters step 3
+            raise RuntimeError("boom")
+        return (1.0 / (1.0 + tau)) * state
+
+    with pytest.raises(EvolutionStepFailed) as err:
+        evolve(
+            fails_at_third,
+            ExpPoly.constant(1.0),
+            SchemeConfig(tau=0.1, steps=5),
+            norm=lambda s: l2_norm(s, UNIT),
+        )
+    assert err.value.step == 3
+    assert len(err.value.record) == 3  # the initial state and two steps
+
+
 def test_postprocessor_prunes_only_above_cap():
     clean = trajectory_postprocessor(UNIT, cap=4)
     small = ExpPoly.polynomial([1.0, 1.0])
@@ -161,7 +184,7 @@ def test_contraction_report_monotone_for_admissible_g():
     for _ in range(3):
         u0 = ExpPoly(((float(rng.integers(-2, 3)), tuple(rng.uniform(-1, 1, 2))),))
         v0 = ExpPoly(((float(rng.integers(-2, 3)), tuple(rng.uniform(-1, 1, 2))),))
-        distances = contraction_report(
+        distances = pair_distances(
             derivative_resolvent(r), u0, v0, SchemeConfig(tau=0.3, steps=12), l2_dist
         )
         assert all(b <= a + 1e-8 for a, b in zip(distances, distances[1:]))
@@ -170,7 +193,7 @@ def test_contraction_report_monotone_for_admissible_g():
 def test_contraction_report_identical_states():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u0 = ExpPoly.exponential(1.0)
-    distances = contraction_report(
+    distances = pair_distances(
         derivative_resolvent(r), u0, u0, SchemeConfig(tau=0.5, steps=5), l2_dist
     )
     assert all(d <= 1e-13 for d in distances)
@@ -182,7 +205,7 @@ def test_contraction_violated_for_witness_pair():
     witness = accretivity_witness(CTX, g, 1.0, 0.0)
     r = Realization1D(CTX, g)
     with pytest.raises(ContractionViolated) as err:
-        contraction_report(
+        pair_distances(
             derivative_resolvent(r),
             witness.u,
             witness.v,

@@ -11,7 +11,6 @@ from maccretive.funcspace import (
     absorb_rate_shift,
     antiderivative,
     differentiate,
-    evaluate,
     graph_inner,
     l2_inner,
     l2_norm,
@@ -99,10 +98,10 @@ def test_constant_derivative_vanishes():
 
 def test_evaluate_examples():
     f = ExpPoly(((-1.0, (0.0, 1.0)),))
-    assert evaluate(f, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-    assert evaluate(ExpPoly.exponential(1.0), 0.0) == 1.0
+    assert f(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert ExpPoly.exponential(1.0)(0.0) == 1.0
     g = ExpPoly.constant(1.0) - ExpPoly.exponential(-1.0, E / (E + 1))
-    assert evaluate(g, 0.0) == pytest.approx(1.0 / (E + 1), abs=1e-15)
+    assert g(0.0) == pytest.approx(1.0 / (E + 1), abs=1e-15)
 
 
 # ----------------------------------------------------------------------

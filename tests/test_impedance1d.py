@@ -9,6 +9,7 @@ from maccretive.blockop import (
     apply_block,
     bd_project,
     block_resolve,
+    g_bd,
     state_l2_inner,
     state_l2_norm,
 )
@@ -24,6 +25,7 @@ from maccretive.impedance1d import (
     is_K_accretive,
     kappa,
     kappa_adjoint,
+    kappa_adjoint_matrix,
     trace_norm,
 )
 
@@ -47,7 +49,7 @@ def member_state(ctx, k: ImpedanceK, rng: np.random.Generator) -> BlockState:
     u = random_poly(rng)
     u_bd = bd_project(ctx, u).coeffs
     phi_coeffs = w @ u_bd
-    phi_bd = BDVector.from_coeffs(ctx, [phi_coeffs[0], -phi_coeffs[1]])  # undo d_bd
+    phi_bd = BDVector.from_coeffs(ctx, [phi_coeffs[0], -phi_coeffs[1]])  # undo g_bd
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
         ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
     )
@@ -201,6 +203,26 @@ def test_energy_identity_on_members():
             tr = gamma0(CTX, s.u).coeffs
             rhs = float((k.matrix @ tr) @ tr)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
+
+
+def test_trace_and_boundary_data_defects_agree():
+    # K gamma0 u - gammaN phi, lifted by kappa^*, is the boundary-data
+    # defect W u_BD - Dphi_BD of the stored relation
+    rng = np.random.default_rng(6)
+    for ctx in (CTX, DerivativeContext(Interval(-2.0, -0.5))):
+        adj = kappa_adjoint_matrix(ctx)
+        for k_mat in (np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], -np.eye(2), [[0.5, 2.0], [0.0, -1.0]]):
+            k = ImpedanceK.from_matrix(k_mat)
+            w = impedance_map_matrix(ctx, k)
+            real = impedance_realization(ctx, k)
+            for _ in range(20):
+                u, phi = random_poly(rng), random_poly(rng)
+                trace_defect = k.matrix @ gamma0(ctx, u).coeffs - gammaN(ctx, phi).coeffs
+                lifted = adj @ trace_defect
+                bd_defect = w @ bd_project(ctx, u).coeffs - g_bd(bd_project(ctx, phi)).coeffs
+                assert np.abs(lifted).max() > 1e-6
+                assert not real.domain_test(BlockState(u, phi))
+                assert np.abs(bd_defect - lifted).max() <= 1e-10 * (1 + np.abs(lifted).max())
 
 
 def test_equivalence_accretive_K_sampled():
