@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .derivative import DerivativeContext, pi_minus_coeff, pi_plus_coeff
+from .derivative import DerivativeContext, _pi_coeffs
 from .errors import RootNotFound
 from .funcspace import (
     ExpPoly,
@@ -171,7 +171,7 @@ def bd_project(ctx: DerivativeContext, u: ExpPoly) -> BDVector:
     are H1-orthogonal, so the coefficients are those of the deficiency
     projections; the residual ``u - result`` vanishes at both endpoints.
     """
-    return BDVector(ctx, pi_plus_coeff(ctx, u), pi_minus_coeff(ctx, u))
+    return BDVector(ctx, *_pi_coeffs(ctx, u(ctx.a), u(ctx.b)))
 
 
 def g_bd(x: BDVector) -> BDVector:

@@ -33,13 +33,13 @@ from .blockop import (
     state_l2_norm,
 )
 from .derivative import (
+    BoundaryFunction,
     DerivativeContext,
     Realization1D,
+    _pi_coeffs,
     boundary_function_from_jsonable,
     check_lipschitz_transfer,
     in_domain,
-    pi_minus_coeff,
-    pi_plus_coeff,
     pi_zero,
     resolve,
 )
@@ -51,6 +51,7 @@ from .evolution import (
     trajectory_postprocessor,
 )
 from .funcspace import (
+    DEGREE_CAP,
     ExpPoly,
     Interval,
     differentiate,
@@ -210,11 +211,46 @@ def _interval(params: dict) -> Interval:
         raise SchemaError(f"bad interval: {exc}") from exc
 
 
+def _count(params: dict, name: str, default: int, low: int = 1, high=None) -> int:
+    """Integer parameter ``name`` within ``[low, high]``."""
+    value = params.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise SchemaError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+def _finite(value) -> bool:
+    """Whether every float in nested lists, tuples and dicts is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _exppoly(data, name: str) -> ExpPoly:
     try:
-        return ExpPoly.from_jsonable(data)
+        f = ExpPoly.from_jsonable(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {name}: {exc}") from exc
+    if not _finite(f.terms):
+        raise SchemaError(f"bad {name}: rates and coefficients must be finite")
+    return f
+
+
+def _boundary_function(data) -> BoundaryFunction:
+    try:
+        g = boundary_function_from_jsonable(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad boundary function 'g': {exc!r}") from exc
+    if not _finite((g.lipschitz_cert, g.descriptor)):
+        raise SchemaError("bad boundary function 'g': numbers must be finite")
+    return g
 
 
 def _matrix(data, name: str, shape=None) -> np.ndarray:
@@ -265,8 +301,8 @@ def _block_realization(ctx: DerivativeContext, data: dict) -> BlockRealization:
 def _suite_check_decomposition(spec: RunSpec):
     _require_keys(spec.params, {"interval", "samples", "max_degree"}, spec.command)
     iv = _interval(spec.params)
-    samples = int(spec.params.get("samples", 500))
-    max_degree = int(spec.params.get("max_degree", 4))
+    samples = _count(spec.params, "samples", 500)
+    max_degree = _count(spec.params, "max_degree", 4, low=0, high=DEGREE_CAP)
     tol = spec.tol if spec.tol is not None else 1e-10
     ctx = DerivativeContext(iv)
     rng = np.random.default_rng(spec.seed)
@@ -278,8 +314,8 @@ def _suite_check_decomposition(spec: RunSpec):
     max_recon = max_ortho = max_identity = max_oracle = 0.0
     for _ in range(samples):
         u = _random_exppoly(rng, max_degree)
-        c1 = pi_plus_coeff(ctx, u)
-        cm = pi_minus_coeff(ctx, u)
+        ua, ub = u(iv.a), u(iv.b)
+        c1, cm = _pi_coeffs(ctx, ua, ub)
         p0 = pi_zero(ctx, u)
         scale = 1.0 + graph_norm(u, iv)
         recon = graph_norm(p0 + c1 * ep + cm * em - u, iv)
@@ -293,7 +329,7 @@ def _suite_check_decomposition(spec: RunSpec):
         )
         lhs = l2_inner(differentiate(u), u, iv)
         mid = c1**2 * ctx.denom_plus / 2.0 - cm**2 * ctx.denom_minus / 2.0
-        rhs = (u(iv.b) ** 2 - u(iv.a) ** 2) / 2.0
+        rhs = (ub**2 - ua**2) / 2.0
         max_identity = max(
             max_identity, abs(lhs - mid) / (1 + abs(rhs)), abs(lhs - rhs) / (1 + abs(rhs))
         )
@@ -332,8 +368,8 @@ def _suite_lipschitz_transfer(spec: RunSpec):
     ctx = DerivativeContext(iv)
     if "g" not in spec.params:
         raise SchemaError("lipschitz-transfer: missing boundary function 'g'")
-    g = boundary_function_from_jsonable(spec.params["g"])
-    samples = int(spec.params.get("samples", 64))
+    g = _boundary_function(spec.params["g"])
+    samples = _count(spec.params, "samples", 64)
     tol = spec.tol if spec.tol is not None else 1e-11
     rng = np.random.default_rng(spec.seed)
     pairs = [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(samples)]
@@ -370,7 +406,7 @@ def _suite_resolve(spec: RunSpec):
     ctx = DerivativeContext(iv)
     if "g" not in spec.params or "rhs" not in spec.params:
         raise SchemaError("resolve: needs 'g' and 'rhs'")
-    g = boundary_function_from_jsonable(spec.params["g"])
+    g = _boundary_function(spec.params["g"])
     rhs = _exppoly(spec.params["rhs"], "rhs")
     tau = float(spec.params.get("tau", 1.0))
     tol = spec.tol if spec.tol is not None else 1e-9
@@ -403,7 +439,7 @@ def _suite_resolve(spec: RunSpec):
 
 def _suite_cayley(spec: RunSpec):
     _require_keys(spec.params, {"dim", "gram", "f_matrix", "points"}, spec.command)
-    dim = int(spec.params.get("dim", 2))
+    dim = _count(spec.params, "dim", 2)
     gram = (
         _matrix(spec.params["gram"], "gram", (dim, dim))
         if "gram" in spec.params
@@ -413,7 +449,7 @@ def _suite_cayley(spec: RunSpec):
         space = InnerSpace(dim, gram)
     except ValueError as exc:
         raise SchemaError(f"bad gram: {exc}") from exc
-    points = int(spec.params.get("points", 100))
+    points = _count(spec.params, "points", 100)
     tol = spec.tol if spec.tol is not None else 1e-9
     rng = np.random.default_rng(spec.seed)
     if "f_matrix" in spec.params:
@@ -458,7 +494,7 @@ def _suite_cayley(spec: RunSpec):
 
 def _suite_st_criterion(spec: RunSpec):
     _require_keys(spec.params, {"dim", "gram", "S", "T"}, spec.command)
-    dim = int(spec.params.get("dim", 2))
+    dim = _count(spec.params, "dim", 2)
     gram = (
         _matrix(spec.params["gram"], "gram", (dim, dim))
         if "gram" in spec.params
@@ -508,7 +544,7 @@ def _suite_block_equivalence(spec: RunSpec):
         realization = BlockRealization.from_f(
             ctx, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
         )
-    states = int(spec.params.get("states", 200))
+    states = _count(spec.params, "states", 200)
     tau = float(spec.params.get("tau", 0.8))
     disagreements = 0
     for _ in range(states):
@@ -562,7 +598,7 @@ def _suite_wave_impedance(spec: RunSpec):
         raise SchemaError("wave-impedance: needs 'K'")
     k = ImpedanceK.from_matrix(_matrix(spec.params["K"], "K", (2, 2)))
     tau = float(spec.params.get("tau", 0.2))
-    steps = int(spec.params.get("steps", 50))
+    steps = _count(spec.params, "steps", 50)
     tol = spec.tol if spec.tol is not None else 1e-9
     rng = np.random.default_rng(spec.seed)
     realization = impedance_realization(ctx, k)
@@ -664,7 +700,7 @@ def _suite_evolve(spec: RunSpec):
     iv = _interval(spec.params)
     ctx = DerivativeContext(iv)
     tau = float(spec.params.get("tau", 0.1))
-    steps = int(spec.params.get("steps", 10))
+    steps = _count(spec.params, "steps", 10)
     tol = spec.tol if spec.tol is not None else 1e-8
     cfg = SchemeConfig(tau=tau, steps=steps, tol=tol)
     kind = spec.params.get("kind", "derivative")
@@ -673,7 +709,7 @@ def _suite_evolve(spec: RunSpec):
     if kind == "derivative":
         if "g" not in spec.params:
             raise SchemaError("evolve: derivative kind needs 'g'")
-        g = boundary_function_from_jsonable(spec.params["g"])
+        g = _boundary_function(spec.params["g"])
         realization = Realization1D(ctx, g)
         u0 = (
             _exppoly(spec.params["u0"], "u0")

@@ -178,16 +178,23 @@ def kernel_element(ctx: DerivativeContext, sign: int, c: float) -> ExpPoly:
     return ExpPoly.exponential(-float(sign), c)
 
 
+def _pi_coeffs(ctx: DerivativeContext, ua: float, ub: float) -> tuple[float, float]:
+    """``(pi_plus, pi_minus)`` coefficients from the endpoint values ``u(a), u(b)``."""
+    iv = ctx.interval
+    return (
+        (ub * iv.exp_b - ua * iv.exp_a) / ctx.denom_plus,
+        (ua * iv.exp_neg_a - ub * iv.exp_neg_b) / ctx.denom_minus,
+    )
+
+
 def pi_plus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
     """Coefficient of ``e^t`` in the projection onto ``ker(1 - d/dt)``."""
-    iv = ctx.interval
-    return (u(iv.b) * iv.exp_b - u(iv.a) * iv.exp_a) / ctx.denom_plus
+    return _pi_coeffs(ctx, u(ctx.a), u(ctx.b))[0]
 
 
 def pi_minus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
     """Coefficient of ``e^{-t}`` in the projection onto ``ker(1 + d/dt)``."""
-    iv = ctx.interval
-    return (u(iv.a) * iv.exp_neg_a - u(iv.b) * iv.exp_neg_b) / ctx.denom_minus
+    return _pi_coeffs(ctx, u(ctx.a), u(ctx.b))[1]
 
 
 def pi_plus(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
@@ -200,7 +207,8 @@ def pi_minus(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
 
 def pi_zero(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
     """Component with vanishing endpoint values (the minimal-domain part)."""
-    return u - pi_plus(ctx, u) - pi_minus(ctx, u)
+    c_plus, c_minus = _pi_coeffs(ctx, u(ctx.a), u(ctx.b))
+    return u - ExpPoly.exponential(1.0, c_plus) - ExpPoly.exponential(-1.0, c_minus)
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +316,10 @@ def in_domain(realization: Realization1D, u: ExpPoly, tol: float = 1e-9) -> bool
     enters.
     """
     ctx = realization.ctx
-    defect = abs(
-        pi_minus_coeff(ctx, u) - realization.g(pi_plus_coeff(ctx, u))
-    )
-    scale = 1.0 + abs(u(ctx.a)) + abs(u(ctx.b))
+    ua, ub = u(ctx.a), u(ctx.b)
+    c_plus, c_minus = _pi_coeffs(ctx, ua, ub)
+    defect = abs(c_minus - realization.g(c_plus))
+    scale = 1.0 + abs(ua) + abs(ub)
     return defect <= tol * scale
 
 
@@ -417,10 +425,8 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     particular = _particular_first_order(f, tau, anchor=ctx.a, t_scale=t_scale)
     hom = ExpPoly.exponential(-1.0 / tau)
 
-    alpha_plus = pi_plus_coeff(ctx, particular)
-    alpha_minus = pi_minus_coeff(ctx, particular)
-    beta_plus = pi_plus_coeff(ctx, hom)
-    beta_minus = pi_minus_coeff(ctx, hom)
+    alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))
+    beta_plus, beta_minus = _pi_coeffs(ctx, hom(ctx.a), hom(ctx.b))
 
     def defect(c: float) -> float:
         return alpha_minus + c * beta_minus - g(alpha_plus + c * beta_plus)
@@ -534,9 +540,9 @@ def maximality_probe(
     Members (equality direction) are reported inconclusive.
     """
     ctx, g = realization.ctx, realization.g
-    c1 = pi_plus_coeff(ctx, u)
-    cm = pi_minus_coeff(ctx, u)
-    if abs(cm - g(c1)) <= tol * (1.0 + abs(u(ctx.a)) + abs(u(ctx.b))):
+    ua, ub = u(ctx.a), u(ctx.b)
+    c1, cm = _pi_coeffs(ctx, ua, ub)
+    if abs(cm - g(c1)) <= tol * (1.0 + abs(ua) + abs(ub)):
         return MaximalityProbe(u, 0.0, conclusive=False)
     v = pi_zero(ctx, u) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
     diff = u - v

@@ -12,13 +12,21 @@ and a lower-incomplete-gamma series for ``nu < 0``). Both are free of
 cancellation, which keeps high polynomial degrees (as produced by long
 implicit-Euler runs) at machine precision; the textbook
 integration-by-parts recurrence loses all digits beyond degree ~20.
+Each :class:`Interval` keeps these moments as one row per rate,
+``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown on demand and
+freed with the interval.
+
+Results that are normal by construction (negation, scaling,
+differentiation) skip the public constructor's coercion and merge
+through ``ExpPoly._trusted``; its invariant is that ``terms`` is
+already exactly what ``ExpPoly(terms)`` would store.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -80,6 +88,21 @@ class Interval:
     def exp_neg_b(self) -> float:
         return math.exp(-self.b)
 
+    @cached_property
+    def _moment_rows(self) -> dict:
+        return {}
+
+    def _moments(self, nu: float, n: int) -> list:
+        """``[int_a^b t**k e^{nu t} dt for k < n]``, possibly longer.
+
+        The row for ``nu`` is kept on the interval and extended when a
+        longer one is asked for; entries are never recomputed.
+        """
+        row = self._moment_rows.setdefault(nu, [])
+        for k in range(len(row), n):
+            row.append(_power_exp_integral(k, nu, self.a, self.b))
+        return row
+
     def to_jsonable(self) -> dict:
         return {"a": self.a, "b": self.b}
 
@@ -89,16 +112,23 @@ class Interval:
 
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0.0:
-        out.pop()
-    return tuple(float(c) for c in out)
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0.0:
+        n -= 1
+    return tuple(coeffs[:n])
 
 
 def _normalise(terms: Iterable[tuple[float, Sequence[float]]]):
+    """Coerce to floats, then :func:`_merge`."""
+    return _merge(
+        (float(rate), [float(c) for c in coeffs]) for rate, coeffs in terms
+    )
+
+
+def _merge(terms: Iterable[tuple[float, Sequence[float]]]):
+    """Sort by rate, merge close rates, trim, drop zeros, check the cap."""
     by_rate: list[tuple[float, list[float]]] = []
     for rate, coeffs in sorted(terms, key=lambda t: t[0]):
-        rate = float(rate)
         coeffs = list(coeffs)
         if by_rate and abs(rate - by_rate[-1][0]) <= RATE_MERGE_TOL:
             acc = by_rate[-1][1]
@@ -135,6 +165,19 @@ class ExpPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _normalise(self.terms))
+
+    @classmethod
+    def _trusted(cls, terms) -> "ExpPoly":
+        """Wrap ``terms`` that are already in normal form, unchecked.
+
+        Normal form: float rates sorted ascending and more than
+        ``RATE_MERGE_TOL`` apart, each with a non-empty float
+        coefficient tuple whose last entry is non-zero and whose degree
+        is within ``DEGREE_CAP``.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -180,10 +223,10 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return ExpPoly(self.terms + other.terms)
+        return ExpPoly._trusted(_merge(self.terms + other.terms))
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly(
+        return ExpPoly._trusted(
             tuple((rate, tuple(-c for c in coeffs)) for rate, coeffs in self.terms)
         )
 
@@ -198,12 +241,12 @@ class ExpPoly:
             for r1, c1 in self.terms:
                 for r2, c2 in other.terms:
                     prods.append((r1 + r2, _conv(c1, c2)))
-            return ExpPoly(tuple(prods))
+            return ExpPoly._trusted(_merge(prods))
         if isinstance(other, (int, float)):
             s = float(other)
-            return ExpPoly(
-                tuple((rate, tuple(s * c for c in coeffs)) for rate, coeffs in self.terms)
-            )
+            return ExpPoly._trusted(_trim_terms(
+                (rate, [s * c for c in coeffs]) for rate, coeffs in self.terms
+            ))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -236,6 +279,20 @@ def _conv(p: Sequence[float], q: Sequence[float]) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _trim_terms(terms) -> tuple:
+    """Trim each term of a normal term list whose coefficients changed.
+
+    Rates are left as they are, so terms stay sorted and apart; only
+    trailing zeros and terms that became zero are dropped.
+    """
+    out = []
+    for rate, coeffs in terms:
+        trimmed = _trim(coeffs)
+        if trimmed:
+            out.append((rate, trimmed))
+    return tuple(out)
+
+
 def differentiate(f: ExpPoly) -> ExpPoly:
     """Derivative of ``f``, term by term through the product rule."""
     out = []
@@ -247,7 +304,7 @@ def differentiate(f: ExpPoly) -> ExpPoly:
             if k + 1 < n:
                 new[k] += (k + 1) * coeffs[k + 1]
         out.append((rate, new))
-    return ExpPoly(tuple(out))
+    return ExpPoly._trusted(_trim_terms(out))
 
 
 def absorb_rate_shift(
@@ -375,7 +432,6 @@ def _from_zero(k: int, nu: float, length: float) -> float:
     return _series_gamma(k, nu, length)
 
 
-@lru_cache(maxsize=65536)
 def _power_exp_integral(k: int, nu: float, a: float, b: float) -> float:
     """Integral of ``t**k * exp(nu*t)`` over ``[a, b]``.
 
@@ -396,19 +452,19 @@ def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
     total = 0.0
     for r1, c1 in f.terms:
         for r2, c2 in g.terms:
-            nu = r1 + r2
             conv = _conv(c1, c2)
-            for k, c in enumerate(conv):
+            row = interval._moments(r1 + r2, len(conv))
+            for c, m in zip(conv, row):
                 if c != 0.0:
-                    total += c * _power_exp_integral(k, nu, interval.a, interval.b)
+                    total += c * m
     return total
 
 
 def graph_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
     """H1 pairing: ``l2_inner(f, g) + l2_inner(f', g')``."""
-    return l2_inner(f, g, interval) + l2_inner(
-        differentiate(f), differentiate(g), interval
-    )
+    df = differentiate(f)
+    dg = df if g is f else differentiate(g)
+    return l2_inner(f, g, interval) + l2_inner(df, dg, interval)
 
 
 def l2_norm(f: ExpPoly, interval: Interval) -> float:

@@ -287,3 +287,56 @@ def test_wave_impedance_rejects_v0(tmp_path):
     code, out = run_cli(tmp_path, spec)
     assert code == 2
     assert not (out / "report.json").exists()
+
+
+LINEAR_G = {"kind": "linear", "slope": 0.5}
+RHS = [{"rate": 0.0, "coeffs": [1.0]}]
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        # counts below 1 used to give a vacuous PASS
+        ("check-decomposition", {"samples": -3}),
+        ("check-decomposition", {"samples": 0}),
+        ("lipschitz-transfer", {"g": LINEAR_G, "samples": -3}),
+        ("block-equivalence", {"states": -3}),
+        ("cayley", {"points": 0}),
+        ("evolve", {"g": LINEAR_G, "steps": 0}),
+        # degrees outside [0, DEGREE_CAP] and non-integer counts used to crash
+        ("check-decomposition", {"max_degree": -1}),
+        ("check-decomposition", {"max_degree": 80}),
+        ("check-decomposition", {"samples": "many"}),
+        ("check-decomposition", {"samples": 2.5}),
+        ("check-decomposition", {"samples": True}),
+        # malformed boundary functions used to raise ValueError / KeyError
+        ("resolve", {"g": {"kind": "cubic"}, "rhs": RHS}),
+        ("resolve", {"g": {"kind": "linear"}, "rhs": RHS}),
+        ("resolve", {"g": [], "rhs": RHS}),
+        ("lipschitz-transfer", {"g": {"kind": "table", "knots": [[0.0, 1.0]]}}),
+        ("evolve", {"g": {"kind": "constant"}}),
+        # non-finite numbers used to be accepted
+        ("resolve", {"g": LINEAR_G, "rhs": [{"rate": math.nan, "coeffs": [1.0]}]}),
+        ("resolve", {"g": LINEAR_G, "rhs": [{"rate": 0.0, "coeffs": [1.0, math.inf]}]}),
+        ("resolve", {"g": {"kind": "linear", "slope": math.nan}, "rhs": RHS}),
+        ("evolve", {"g": LINEAR_G, "u0": [{"rate": 1.0, "coeffs": [-math.inf]}]}),
+    ],
+)
+def test_malformed_parameters_are_schema_errors(tmp_path, command, params):
+    code, out = run_cli(tmp_path, {"command": command, "params": params})
+    assert code == 2
+    assert not (out / "report.json").exists()
+
+
+def test_count_and_degree_limits_are_inclusive(tmp_path):
+    spec = {
+        "command": "check-decomposition",
+        "params": {"samples": 1, "max_degree": 64},
+    }
+    code, out = run_cli(tmp_path, spec)
+    assert code in (0, 1)
+    assert load_report(out)["samples"] == 1
+    spec["params"] = {"samples": 3.0, "max_degree": 0}
+    code, out = run_cli(tmp_path, spec, name="b.json")
+    assert code == 0
+    assert load_report(out)["samples"] == 3

@@ -138,6 +138,31 @@ def test_pi_zero_of_kernel_element_vanishes():
     assert pi_zero(CTX, ExpPoly.exponential(1.0)).is_zero
 
 
+def test_boundary_formulas_evaluate_each_endpoint_once(monkeypatch):
+    from maccretive.blockop import bd_project
+
+    calls = []
+    evaluate = ExpPoly.__call__
+
+    def counting(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ExpPoly, "__call__", counting)
+    u = ExpPoly(((1.0, (1.0, 2.0)), (0.0, (0.5,))))
+    realization = Realization1D(CTX, BoundaryFunction.linear(0.5))
+    for fn, expected in [
+        (lambda: bd_project(CTX, u), 2),
+        (lambda: in_domain(realization, u), 2),
+        (lambda: pi_zero(CTX, u), 2),
+        # u(a), u(b) of the particular part and of e^{-t/tau}, then in_domain
+        (lambda: resolve(realization, u, 0.5), 6),
+    ]:
+        calls.clear()
+        fn()
+        assert len(calls) == expected
+
+
 def test_decomposition_and_orthogonality():
     rng = np.random.default_rng(7)
     ep = ExpPoly.exponential(1.0)

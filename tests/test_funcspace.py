@@ -1,13 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maccretive.funcspace import (
+    DEGREE_CAP,
+    RATE_MERGE_TOL,
     ExpPoly,
     Interval,
+    _conv,
+    _power_exp_integral,
     absorb_rate_shift,
     antiderivative,
     differentiate,
@@ -246,3 +251,175 @@ def test_prune_preserves_values():
     f = ExpPoly(((2.0, (0.5, 0.25)), (-1.0, (1.0,))))
     g = prune(f, UNIT)
     assert l2_norm(f - g, UNIT) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# kernels against their reference forms
+# ----------------------------------------------------------------------
+
+
+def reference_terms(terms) -> tuple:
+    """Normal form as the fully normalising constructor computes it."""
+    by_rate = []
+    for rate, coeffs in sorted(terms, key=lambda t: t[0]):
+        rate = float(rate)
+        coeffs = list(coeffs)
+        if by_rate and abs(rate - by_rate[-1][0]) <= RATE_MERGE_TOL:
+            acc = by_rate[-1][1]
+            if len(coeffs) > len(acc):
+                acc.extend([0.0] * (len(coeffs) - len(acc)))
+            for k, c in enumerate(coeffs):
+                acc[k] += c
+        else:
+            by_rate.append((rate, coeffs))
+    out = []
+    for rate, coeffs in by_rate:
+        while coeffs and coeffs[-1] == 0.0:
+            coeffs.pop()
+        if not coeffs:
+            continue
+        if len(coeffs) - 1 > DEGREE_CAP:
+            raise ValueError("degree cap")
+        out.append((rate, tuple(float(c) for c in coeffs)))
+    return tuple(out)
+
+
+def reference_differentiate(f: ExpPoly) -> tuple:
+    out = []
+    for rate, coeffs in f.terms:
+        n = len(coeffs)
+        new = [0.0] * n
+        for k in range(n):
+            new[k] += rate * coeffs[k]
+            if k + 1 < n:
+                new[k] += (k + 1) * coeffs[k + 1]
+        out.append((rate, new))
+    return reference_terms(out)
+
+
+def reference_l2_inner(f_terms, g_terms, iv: Interval) -> float:
+    """One ``_power_exp_integral`` evaluation per moment, in the same order."""
+    total = 0.0
+    for r1, c1 in f_terms:
+        for r2, c2 in g_terms:
+            nu = r1 + r2
+            for k, c in enumerate(_conv(c1, c2)):
+                if c != 0.0:
+                    total += c * _power_exp_integral(k, nu, iv.a, iv.b)
+    return total
+
+
+def reference_graph_inner(f: ExpPoly, g: ExpPoly, iv: Interval) -> float:
+    return reference_l2_inner(f.terms, g.terms, iv) + reference_l2_inner(
+        reference_differentiate(f), reference_differentiate(g), iv
+    )
+
+
+def scaled_terms(f: ExpPoly, s: float) -> tuple:
+    """Terms of ``s * f`` before normalisation; ``s = -1.0`` gives ``-f``."""
+    return tuple((rate, tuple(s * c for c in coeffs)) for rate, coeffs in f.terms)
+
+
+def same(x, y) -> bool:
+    """Bit-for-bit equality, telling ``-0.0`` from ``0.0``."""
+    return repr(x) == repr(y)
+
+
+# integer rates moved by multiples of 0.4e-14, so some merge and some do not
+near_rate = st.tuples(
+    st.integers(min_value=-2, max_value=2), st.integers(min_value=-3, max_value=3)
+).map(lambda p: p[0] + p[1] * 0.4 * RATE_MERGE_TOL)
+coeff_or_zero = st.one_of(st.just(0.0), st.just(-0.0), coeff)
+KERNEL_INTERVALS = [(0.0, 1.0), (-1.2, 0.9), (-2.0, -0.5)]
+# shared across examples, so their moment rows are grown and reused
+WARM_INTERVALS = [Interval(a, b) for a, b in KERNEL_INTERVALS]
+
+
+@st.composite
+def high_degree_exppolys(draw) -> ExpPoly:
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        deg = draw(st.integers(min_value=0, max_value=DEGREE_CAP))
+        coeffs = draw(st.lists(coeff_or_zero, min_size=deg + 1, max_size=deg + 1))
+        terms.append((draw(near_rate), coeffs))
+    return ExpPoly(tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=high_degree_exppolys(),
+    g=high_degree_exppolys(),
+    which=st.integers(min_value=0, max_value=len(KERNEL_INTERVALS) - 1),
+)
+def test_pairings_match_reference_bit_for_bit(f, g, which):
+    for iv in (Interval(*KERNEL_INTERVALS[which]), WARM_INTERVALS[which]):
+        assert same(l2_inner(f, g, iv), reference_l2_inner(f.terms, g.terms, iv))
+        assert same(graph_inner(f, g, iv), reference_graph_inner(f, g, iv))
+        assert same(graph_inner(f, f, iv), reference_graph_inner(f, f, iv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=high_degree_exppolys(),
+    g=high_degree_exppolys(),
+    s=st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e300]), coeff),
+)
+def test_trusted_results_match_normalising_constructor(f, g, s):
+    assert same((-f).terms, reference_terms(scaled_terms(f, -1.0)))
+    assert same((s * f).terms, reference_terms(scaled_terms(f, s)))
+    assert same(differentiate(f).terms, reference_differentiate(f))
+    assert same((f + g).terms, reference_terms(f.terms + g.terms))
+    assert same((f - g).terms, reference_terms(f.terms + scaled_terms(g, -1.0)))
+    prods = [(r1 + r2, _conv(c1, c2)) for r1, c1 in f.terms for r2, c2 in g.terms]
+    try:
+        expected = reference_terms(prods)
+    except ValueError:
+        with pytest.raises(ValueError):
+            f * g
+    else:
+        assert same((f * g).terms, expected)
+
+
+def test_zero_scaling_gives_zero():
+    f = ExpPoly(((1.0, (2.0, 3.0)), (-1.0, (1.0,))))
+    assert (0.0 * f).is_zero
+    assert (f * 0.0).terms == ()
+    tiny = ExpPoly(((0.0, (1.0, 1e-200)),))
+    assert (1e-200 * tiny).terms == ((0.0, (1e-200,)),)
+
+
+def _moment_from_zero(k: int, nu: float, length: float):
+    """``int_0^length r**k e^{nu r} dr`` through Kummer's function 1F1."""
+    L = mpmath.mpf(length)
+    return L ** (k + 1) / (k + 1) * mpmath.hyp1f1(k + 1, k + 2, nu * L)
+
+
+def _moment_pieces(k: int, nu: float, a: float, b: float) -> list:
+    """The moment over ``[a, b]``, split at 0 so each piece keeps one sign."""
+    pieces = []
+    if a < 0.0:
+        pieces.append(
+            (-1) ** k
+            * (_moment_from_zero(k, -nu, -a) - _moment_from_zero(k, -nu, -min(b, 0.0)))
+        )
+    if b > 0.0:
+        pieces.append(_moment_from_zero(k, nu, b) - _moment_from_zero(k, nu, max(a, 0.0)))
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (-3.0, 2.0), (-1.5, 0.0), (-2.0, -0.5), (-4.0, -1.0)],
+)
+def test_moment_rows_match_50_digit_reference(a, b):
+    iv = Interval(a, b)
+    nus = [float(n) for n in range(-4, 5)] + [0.5, -0.5]
+    with mpmath.workdps(50):
+        for nu in nus:
+            iv._moments(nu, 3)  # a short row first, so the check covers growth
+            row = iv._moments(nu, 2 * DEGREE_CAP + 1)
+            for k, moment in enumerate(row):
+                pieces = _moment_pieces(k, nu, a, b)
+                # the pieces' magnitudes sum to the integral of |t**k e^{nu t}|
+                scale = sum(abs(p) for p in pieces)
+                assert abs(moment - sum(pieces)) <= 1e-13 * scale, (k, nu)
