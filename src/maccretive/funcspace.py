@@ -118,6 +118,20 @@ def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(coeffs[:n])
 
 
+def _trim_terms(terms) -> tuple:
+    """Trim trailing zeros of each term and drop terms that become zero.
+
+    Rates are left as they are, so a normal term list whose
+    coefficients alone changed stays sorted and apart.
+    """
+    out = []
+    for rate, coeffs in terms:
+        trimmed = _trim(coeffs)
+        if trimmed:
+            out.append((rate, trimmed))
+    return tuple(out)
+
+
 def _normalise(terms: Iterable[tuple[float, Sequence[float]]]):
     """Coerce to floats, then :func:`_merge`."""
     return _merge(
@@ -138,17 +152,13 @@ def _merge(terms: Iterable[tuple[float, Sequence[float]]]):
                 acc[k] += c
         else:
             by_rate.append((rate, coeffs))
-    out = []
-    for rate, coeffs in by_rate:
-        trimmed = _trim(coeffs)
-        if not trimmed:
-            continue
-        if len(trimmed) - 1 > DEGREE_CAP:
+    out = _trim_terms(by_rate)
+    for _, coeffs in out:
+        if len(coeffs) - 1 > DEGREE_CAP:
             raise ValueError(
-                f"polynomial degree {len(trimmed) - 1} exceeds cap {DEGREE_CAP}"
+                f"polynomial degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}"
             )
-        out.append((rate, trimmed))
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -276,20 +286,6 @@ def _conv(p: Sequence[float], q: Sequence[float]) -> tuple[float, ...]:
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return tuple(out)
-
-
-def _trim_terms(terms) -> tuple:
-    """Trim each term of a normal term list whose coefficients changed.
-
-    Rates are left as they are, so terms stay sorted and apart; only
-    trailing zeros and terms that became zero are dropped.
-    """
-    out = []
-    for rate, coeffs in terms:
-        trimmed = _trim(coeffs)
-        if trimmed:
-            out.append((rate, trimmed))
     return tuple(out)
 
 

@@ -302,6 +302,7 @@ RHS = [{"rate": 0.0, "coeffs": [1.0]}]
         ("lipschitz-transfer", {"g": LINEAR_G, "samples": -3}),
         ("block-equivalence", {"states": -3}),
         ("cayley", {"points": 0}),
+        ("cayley", {"dim": 0}),
         ("evolve", {"g": LINEAR_G, "steps": 0}),
         # degrees outside [0, DEGREE_CAP] and non-integer counts used to crash
         ("check-decomposition", {"max_degree": -1}),
