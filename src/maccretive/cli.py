@@ -7,6 +7,11 @@ floats are printed with 17 significant digits, and all randomness is
 driven by the seed in the spec, so identical specs produce
 byte-identical reports.
 
+Every command's parameters are declared once, in :data:`COMMANDS`, and
+are checked by :func:`_parse` before the suite runs. :func:`run` adds
+the envelope every report shares: ``command``, ``seed``, ``interval``
+(when the command takes one), ``passed`` and ``first_failure``.
+
 Exit codes: 0 all verdicts pass, 1 a verdict failed (the report names
 the first failing check), 2 the spec or its inputs do not parse.
 """
@@ -19,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,6 +71,8 @@ from .impedance1d import (
     is_K_accretive,
 )
 from .relations import (
+    NORM_TOL,
+    SPECTRAL_RTOL,
     ContractionMap,
     InnerSpace,
     LinearRelation,
@@ -78,23 +85,16 @@ from .relations import (
     st_relation,
 )
 
-COMMANDS = (
-    "check-decomposition",
-    "lipschitz-transfer",
-    "resolve",
-    "cayley",
-    "st-criterion",
-    "block-equivalence",
-    "wave-impedance",
-    "evolve",
-)
-
 _RUNSPEC_KEYS = {"command", "seed", "tol", "params", "input"}
 
 
 @dataclass
 class RunSpec:
-    """Parsed run request: command, seed, tolerance override, parameters."""
+    """Run request: command, seed, tolerance override, parameters.
+
+    ``seed``, ``tol`` and ``params`` are checked by :func:`_parse` when
+    the spec is run, so command-line overrides obey the same rules.
+    """
 
     command: str
     seed: int = 42
@@ -109,9 +109,11 @@ class RunSpec:
         if unknown:
             raise SchemaError(f"unknown run spec fields: {sorted(unknown)}")
         command = data.get("command")
-        if command not in COMMANDS:
+        if not isinstance(command, str) or command not in COMMANDS:
             raise SchemaError(f"unknown command: {command!r}")
-        params = dict(data.get("params", {}))
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaError("params must be a JSON object")
         if "input" in data:
             path = base_dir / str(data["input"])
             try:
@@ -121,13 +123,7 @@ class RunSpec:
             if not isinstance(loaded, dict):
                 raise SchemaError("input file must hold a JSON object")
             params = {**loaded, **params}
-        seed = data.get("seed", 42)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SchemaError("seed must be an integer")
-        tol = data.get("tol")
-        if tol is not None:
-            tol = float(tol)
-        return cls(command=str(command), seed=seed, tol=tol, params=params)
+        return cls(command, data.get("seed", 42), data.get("tol"), dict(params))
 
 
 # ----------------------------------------------------------------------
@@ -193,27 +189,23 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 
 # ----------------------------------------------------------------------
-# shared input parsing
+# parameter converters: ``convert(value, name)`` returns the parsed
+# value or raises ``SchemaError``
 # ----------------------------------------------------------------------
 
 
-def _require_keys(params: dict, allowed: set, command: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise SchemaError(f"{command}: unknown parameters {sorted(unknown)}")
-
-
-def _interval(params: dict) -> Interval:
-    data = params.get("interval", {"a": 0.0, "b": 1.0})
+def _interval(data, name: str) -> Interval:
     try:
-        return Interval.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad interval: {exc}") from exc
+        iv = Interval.from_jsonable(data)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {name}: {exc}") from exc
+    if not (math.isfinite(iv.a) and math.isfinite(iv.b)):
+        raise SchemaError(f"bad {name}: endpoints must be finite")
+    return iv
 
 
-def _count(params: dict, name: str, default: int, low: int = 1, high=None) -> int:
+def _count(value, name: str, low: int = 1, high=None) -> int:
     """Integer parameter ``name`` within ``[low, high]``."""
-    value = params.get(name, default)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -222,6 +214,21 @@ def _count(params: dict, name: str, default: int, low: int = 1, high=None) -> in
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise SchemaError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def _degree(value, name: str) -> int:
+    return _count(value, name, low=0, high=DEGREE_CAP)
+
+
+def _positive(value, name: str) -> float:
+    """Positive finite number (``tau``, ``tol``)."""
+    try:
+        x = float(value)
+    except (OverflowError, TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not (math.isfinite(x) and x > 0.0):
+        raise SchemaError(f"{name} must be a positive finite number, got {value!r}")
+    return x
 
 
 def _finite(value) -> bool:
@@ -236,31 +243,73 @@ def _finite(value) -> bool:
 def _exppoly(data, name: str) -> ExpPoly:
     try:
         f = ExpPoly.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {name}: {exc}") from exc
     if not _finite(f.terms):
         raise SchemaError(f"bad {name}: rates and coefficients must be finite")
     return f
 
 
-def _boundary_function(data) -> BoundaryFunction:
+def _block_state(data, name: str) -> BlockState:
+    if not isinstance(data, dict) or set(data) != {"u", "v"}:
+        raise SchemaError(f"bad {name}: expected an object with keys 'u' and 'v'")
+    return BlockState(_exppoly(data["u"], f"{name}.u"), _exppoly(data["v"], f"{name}.v"))
+
+
+def _boundary_function(data, name: str) -> BoundaryFunction:
     try:
         g = boundary_function_from_jsonable(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad boundary function 'g': {exc!r}") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad boundary function {name!r}: {exc!r}") from exc
     if not _finite((g.lipschitz_cert, g.descriptor)):
-        raise SchemaError("bad boundary function 'g': numbers must be finite")
+        raise SchemaError(f"bad boundary function {name!r}: numbers must be finite")
     return g
 
 
 def _matrix(data, name: str, shape=None) -> np.ndarray:
     try:
         m = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {name}: {exc}") from exc
     if shape is not None and m.shape != shape:
         raise SchemaError(f"bad {name}: expected shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise SchemaError(f"bad {name}: entries must be finite")
     return m
+
+
+def _impedance_k(data, name: str) -> ImpedanceK:
+    return ImpedanceK.from_matrix(_matrix(data, name, (2, 2)))
+
+
+def _space(p: dict) -> InnerSpace:
+    """The space of dimension ``dim`` with Gram matrix ``gram`` (identity)."""
+    dim = p["dim"]
+    gram = _matrix(p["gram"], "gram", (dim, dim)) if "gram" in p else np.eye(dim)
+    try:
+        return InnerSpace(dim, gram)
+    except ValueError as exc:
+        raise SchemaError(f"bad gram: {exc}") from exc
+
+
+def _block_realization(ctx: DerivativeContext, data) -> BlockRealization:
+    space = bd_space(ctx)
+    try:
+        kind = data.get("kind")
+        if kind == "f":
+            matrix = _matrix(data["matrix"], "f matrix", (2, 2))
+            return BlockRealization.from_f(ctx, ContractionMap.from_matrix(space, matrix))
+        if kind == "M":
+            matrix = _matrix(data["matrix"], "relation matrix", (2, 2))
+            basis = np.array([np.stack([e, matrix @ e]) for e in np.eye(2)])
+            return BlockRealization.from_relation(ctx, LinearRelation(space, basis))
+        if kind == "ST":
+            s_mat = _matrix(data["S"], "S", (2, 2))
+            t_mat = _matrix(data["T"], "T", (2, 2))
+            return BlockRealization.from_st(ctx, OperatorPair(space, s_mat, t_mat))
+    except (AttributeError, KeyError, ValueError) as exc:
+        raise SchemaError(f"bad realization: {exc!r}") from exc
+    raise SchemaError(f"unknown block realization kind: {kind!r}")
 
 
 def _random_exppoly(rng: np.random.Generator, max_degree: int = 4) -> ExpPoly:
@@ -276,44 +325,24 @@ def _random_block_state(rng: np.random.Generator) -> BlockState:
     return BlockState(_random_exppoly(rng, 2), _random_exppoly(rng, 2))
 
 
-def _block_realization(ctx: DerivativeContext, data: dict) -> BlockRealization:
-    kind = data.get("kind")
-    space = bd_space(ctx)
-    if kind == "f":
-        matrix = _matrix(data["matrix"], "f matrix", (2, 2))
-        return BlockRealization.from_f(ctx, ContractionMap.from_matrix(space, matrix))
-    if kind == "M":
-        matrix = _matrix(data["matrix"], "relation matrix", (2, 2))
-        basis = np.array([np.stack([e, matrix @ e]) for e in np.eye(2)])
-        return BlockRealization.from_relation(ctx, LinearRelation(space, basis))
-    if kind == "ST":
-        s_mat = _matrix(data["S"], "S", (2, 2))
-        t_mat = _matrix(data["T"], "T", (2, 2))
-        return BlockRealization.from_st(ctx, OperatorPair(space, s_mat, t_mat))
-    raise SchemaError(f"unknown block realization kind: {kind!r}")
-
-
 # ----------------------------------------------------------------------
-# suites
+# suites: ``suite(params, seed, tol)`` returns the report body, the
+# names of the failed checks in order, and the CSV data or ``None``
 # ----------------------------------------------------------------------
 
 
-def _suite_check_decomposition(spec: RunSpec):
-    _require_keys(spec.params, {"interval", "samples", "max_degree"}, spec.command)
-    iv = _interval(spec.params)
-    samples = _count(spec.params, "samples", 500)
-    max_degree = _count(spec.params, "max_degree", 4, low=0, high=DEGREE_CAP)
-    tol = spec.tol if spec.tol is not None else 1e-10
+def _suite_check_decomposition(p: dict, seed: int, tol: float):
+    iv = p["interval"]
     ctx = DerivativeContext(iv)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     ep = ExpPoly.exponential(1.0)
     em = ExpPoly.exponential(-1.0)
     gram_pp = graph_inner(ep, ep, iv)
     gram_mm = graph_inner(em, em, iv)
 
     max_recon = max_ortho = max_identity = max_oracle = 0.0
-    for _ in range(samples):
-        u = _random_exppoly(rng, max_degree)
+    for _ in range(p["samples"]):
+        u = _random_exppoly(rng, p["max_degree"])
         ua, ub = u(iv.a), u(iv.b)
         c1, cm = _pi_coeffs(ctx, ua, ub)
         p0 = pi_zero(ctx, u)
@@ -349,30 +378,15 @@ def _suite_check_decomposition(spec: RunSpec):
         "projection_oracle_defect": max_oracle,
     }
     failures = [name for name, value in checks.items() if value >= tol]
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
-        "samples": samples,
-        "tolerances": {"defect": tol},
-        "checks": checks,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
-    }
-    return report, None
+    body = {"samples": p["samples"], "tolerances": {"defect": tol}, "checks": checks}
+    return body, failures, None
 
 
-def _suite_lipschitz_transfer(spec: RunSpec):
-    _require_keys(spec.params, {"interval", "g", "samples"}, spec.command)
-    iv = _interval(spec.params)
-    ctx = DerivativeContext(iv)
-    if "g" not in spec.params:
-        raise SchemaError("lipschitz-transfer: missing boundary function 'g'")
-    g = _boundary_function(spec.params["g"])
-    samples = _count(spec.params, "samples", 64)
-    tol = spec.tol if spec.tol is not None else 1e-11
-    rng = np.random.default_rng(spec.seed)
-    pairs = [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(samples)]
+def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
+    ctx = DerivativeContext(p["interval"])
+    g = p["g"]
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(p["samples"])]
     report_data = check_lipschitz_transfer(ctx, g, pairs, tol=tol)
     failures = []
     if report_data.max_identity_defect >= tol:
@@ -381,36 +395,24 @@ def _suite_lipschitz_transfer(spec: RunSpec):
         failures.append("equivalence")
     if not report_data.bound_holds:
         failures.append("bound_holds")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
+    body = {
         "g": g.descriptor,
         "lipschitz_cert": g.lipschitz_cert,
         "admissible_bound": ctx.lipschitz_bound,
         "tolerances": {"identity": tol},
         "result": report_data.to_jsonable(),
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
     rows = [
         (i, r.c, r.d, r.x_dist, r.h_dist, r.g_gap, r.bound_rhs)
         for i, r in enumerate(report_data.samples)
     ]
-    return report, (["index", "c", "d", "x_dist", "h_dist", "g_gap", "bound_rhs"], rows)
+    return body, failures, (["index", "c", "d", "x_dist", "h_dist", "g_gap", "bound_rhs"], rows)
 
 
-def _suite_resolve(spec: RunSpec):
-    _require_keys(spec.params, {"interval", "g", "rhs", "tau"}, spec.command)
-    iv = _interval(spec.params)
-    ctx = DerivativeContext(iv)
-    if "g" not in spec.params or "rhs" not in spec.params:
-        raise SchemaError("resolve: needs 'g' and 'rhs'")
-    g = _boundary_function(spec.params["g"])
-    rhs = _exppoly(spec.params["rhs"], "rhs")
-    tau = float(spec.params.get("tau", 1.0))
-    tol = spec.tol if spec.tol is not None else 1e-9
-    realization = Realization1D(ctx, g)
+def _suite_resolve(p: dict, seed: int, tol: float):
+    iv = p["interval"]
+    rhs, tau = p["rhs"], p["tau"]
+    realization = Realization1D(DerivativeContext(iv), p["g"])
     failures = []
     solution = residual = None
     try:
@@ -422,38 +424,22 @@ def _suite_resolve(spec: RunSpec):
             failures.append("membership")
     except RootNotFound:
         failures.append("solvable")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
-        "g": g.descriptor,
+    body = {
+        "g": p["g"].descriptor,
         "tau": tau,
         "tolerances": {"residual": tol},
         "solution": None if solution is None else solution.to_jsonable(),
         "residual_norm": residual,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
-    return report, None
+    return body, failures, None
 
 
-def _suite_cayley(spec: RunSpec):
-    _require_keys(spec.params, {"dim", "gram", "f_matrix", "points"}, spec.command)
-    dim = _count(spec.params, "dim", 2)
-    gram = (
-        _matrix(spec.params["gram"], "gram", (dim, dim))
-        if "gram" in spec.params
-        else np.eye(dim)
-    )
-    try:
-        space = InnerSpace(dim, gram)
-    except ValueError as exc:
-        raise SchemaError(f"bad gram: {exc}") from exc
-    points = _count(spec.params, "points", 100)
-    tol = spec.tol if spec.tol is not None else 1e-9
-    rng = np.random.default_rng(spec.seed)
-    if "f_matrix" in spec.params:
-        matrix = _matrix(spec.params["f_matrix"], "f_matrix", (dim, dim))
+def _suite_cayley(p: dict, seed: int, tol: float):
+    space = _space(p)
+    dim = space.dim
+    rng = np.random.default_rng(seed)
+    if "f_matrix" in p:
+        matrix = _matrix(p["f_matrix"], "f_matrix", (dim, dim))
         try:
             f = ContractionMap.from_matrix(space, matrix)
         except ValueError as exc:
@@ -465,7 +451,7 @@ def _suite_cayley(spec: RunSpec):
     back = relation_to_cayley(space, relation.resolvent)
     worst = 0.0
     accretive_ok = True
-    for _ in range(points):
+    for _ in range(p["points"]):
         x = space.random_vectors(rng, 1)[0]
         worst = max(worst, space.norm(back(x) - f(x)) / (1 + space.norm(x)))
         z1, z2 = space.random_vectors(rng, 2)
@@ -478,35 +464,19 @@ def _suite_cayley(spec: RunSpec):
         failures.append("roundtrip")
     if not accretive_ok:
         failures.append("accretivity")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
+    body = {
         "dim": dim,
-        "points": points,
+        "points": p["points"],
         "tolerances": {"roundtrip": tol},
         "roundtrip_max_error": worst,
         "accretive_sampled": accretive_ok,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
-    return report, None
+    return body, failures, None
 
 
-def _suite_st_criterion(spec: RunSpec):
-    _require_keys(spec.params, {"dim", "gram", "S", "T"}, spec.command)
-    dim = _count(spec.params, "dim", 2)
-    gram = (
-        _matrix(spec.params["gram"], "gram", (dim, dim))
-        if "gram" in spec.params
-        else np.eye(dim)
-    )
-    if "S" not in spec.params or "T" not in spec.params:
-        raise SchemaError("st-criterion: needs 'S' and 'T'")
-    s_mat = _matrix(spec.params["S"], "S")
-    t_mat = _matrix(spec.params["T"], "T")
+def _suite_st_criterion(p: dict, seed: int, tol: None):
     try:
-        space = InnerSpace(dim, gram)
-        pair = OperatorPair(space, s_mat, t_mat)
+        pair = OperatorPair(_space(p), p["S"], p["T"])
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     result = st_criterion(pair)
@@ -516,38 +486,29 @@ def _suite_st_criterion(spec: RunSpec):
         failures.append("criterion_vs_relation")
     if not result.holds:
         failures.extend(sorted(result.which_failed))
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "tolerances": {"norm_slack": 1e-9, "spectral_rtol": 1e-10},
+    body = {
+        "tolerances": {"norm_slack": NORM_TOL, "spectral_rtol": SPECTRAL_RTOL},
         "criterion": result.to_jsonable(),
         "agrees_with_relation_test": agrees,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
-    return report, None
+    return body, failures, None
 
 
-def _suite_block_equivalence(spec: RunSpec):
-    _require_keys(
-        spec.params, {"interval", "realization", "states", "tau"}, spec.command
-    )
-    iv = _interval(spec.params)
+def _suite_block_equivalence(p: dict, seed: int, tol: float):
+    iv = p["interval"]
     ctx = DerivativeContext(iv)
-    tol = spec.tol if spec.tol is not None else 1e-9
-    rng = np.random.default_rng(spec.seed)
-    if "realization" in spec.params:
-        realization = _block_realization(ctx, spec.params["realization"])
+    rng = np.random.default_rng(seed)
+    if "realization" in p:
+        realization = _block_realization(ctx, p["realization"])
     else:
         raw = rng.standard_normal((2, 2))
         space = bd_space(ctx)
         realization = BlockRealization.from_f(
             ctx, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
         )
-    states = _count(spec.params, "states", 200)
-    tau = float(spec.params.get("tau", 0.8))
+    tau = p["tau"]
     disagreements = 0
-    for _ in range(states):
+    for _ in range(p["states"]):
         views = realization.domain_test_all(_random_block_state(rng), tol)
         if len(set(views.values())) > 1:
             disagreements += 1
@@ -572,45 +533,23 @@ def _suite_block_equivalence(spec: RunSpec):
         failures.append("resolvent_solvable")
     if max_residual >= tol:
         failures.append("resolvent_residual")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
-        "states": states,
+    body = {
+        "states": p["states"],
         "tau": tau,
         "tolerances": {"membership": tol},
         "m_accretive": realization.is_m_accretive,
         "disagreements": disagreements,
         "max_resolvent_residual": max_residual,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
-    return report, None
+    return body, failures, None
 
 
-def _suite_wave_impedance(spec: RunSpec):
-    _require_keys(
-        spec.params, {"interval", "K", "tau", "steps", "u0"}, spec.command
-    )
-    iv = _interval(spec.params)
-    ctx = DerivativeContext(iv)
-    if "K" not in spec.params:
-        raise SchemaError("wave-impedance: needs 'K'")
-    k = ImpedanceK.from_matrix(_matrix(spec.params["K"], "K", (2, 2)))
-    tau = float(spec.params.get("tau", 0.2))
-    steps = _count(spec.params, "steps", 50)
-    tol = spec.tol if spec.tol is not None else 1e-9
-    rng = np.random.default_rng(spec.seed)
-    realization = impedance_realization(ctx, k)
+def _suite_wave_impedance(p: dict, seed: int, tol: float):
+    iv = p["interval"]
+    k, tau, steps = p["K"], p["tau"], p["steps"]
+    rng = np.random.default_rng(seed)
+    realization = impedance_realization(DerivativeContext(iv), k)
     accretive_k = is_K_accretive(k)
-
-    if "u0" in spec.params:
-        u0 = BlockState.from_jsonable(spec.params["u0"])
-    else:
-        u0 = BlockState(
-            ExpPoly.exponential(1.0) + ExpPoly.exponential(-1.0),
-            ExpPoly.constant(0.5),
-        )
 
     # (a) sampled accretivity over members built from boundary data
     w = realization.relation.basis
@@ -646,7 +585,7 @@ def _suite_wave_impedance(spec: RunSpec):
 
     # energy run, stopping at the first certified increase
     clean = trajectory_postprocessor(iv)
-    state = u0
+    state = p["u0"]
     energies = [state_l2_norm(state, iv) ** 2]
     first_increase = None
     run_failed_at = None
@@ -670,10 +609,7 @@ def _suite_wave_impedance(spec: RunSpec):
         if first_increase is None and run_failed_at is None:
             failures.append("expected_energy_increase_not_detected")
         failures.append("K_not_accretive")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
+    body = {
         "K": k.to_jsonable(),
         "tau": tau,
         "steps_requested": steps,
@@ -684,61 +620,39 @@ def _suite_wave_impedance(spec: RunSpec):
         "energy_first_increase_step": first_increase,
         "run_failed_at_step": run_failed_at,
         "final_energy": energies[-1],
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
     rows = [(i, i * tau, math.sqrt(e), e) for i, e in enumerate(energies)]
-    return report, (["step", "time", "norm", "energy"], rows)
+    return body, failures, (["step", "time", "norm", "energy"], rows)
 
 
-def _suite_evolve(spec: RunSpec):
-    _require_keys(
-        spec.params,
-        {"interval", "kind", "g", "realization", "u0", "v0", "tau", "steps"},
-        spec.command,
-    )
-    iv = _interval(spec.params)
+def _suite_evolve(p: dict, seed: int, tol: float):
+    iv = p["interval"]
     ctx = DerivativeContext(iv)
-    tau = float(spec.params.get("tau", 0.1))
-    steps = _count(spec.params, "steps", 10)
-    tol = spec.tol if spec.tol is not None else 1e-8
+    kind, tau, steps = p["kind"], p["tau"], p["steps"]
     cfg = SchemeConfig(tau=tau, steps=steps, tol=tol)
-    kind = spec.params.get("kind", "derivative")
     clean = trajectory_postprocessor(iv)
 
+    # the state type, the default u0 and the needed parameter depend on kind
     if kind == "derivative":
-        if "g" not in spec.params:
+        if "g" not in p:
             raise SchemaError("evolve: derivative kind needs 'g'")
-        g = _boundary_function(spec.params["g"])
-        realization = Realization1D(ctx, g)
-        u0 = (
-            _exppoly(spec.params["u0"], "u0")
-            if "u0" in spec.params
-            else ExpPoly.exponential(1.0)
-        )
-        resolvent = lambda s, t: clean(resolve(realization, s, t))  # noqa: E731
-        norm = lambda s: l2_norm(s, iv)  # noqa: E731
-        dist = lambda x, y: l2_norm(x - y, iv)  # noqa: E731
-        v0 = _exppoly(spec.params["v0"], "v0") if "v0" in spec.params else None
+        realization = Realization1D(ctx, p["g"])
+        solve, l2, parse_state = resolve, l2_norm, _exppoly
+        u0 = ExpPoly.exponential(1.0)
     elif kind == "block":
-        if "realization" not in spec.params:
+        if "realization" not in p:
             raise SchemaError("evolve: block kind needs 'realization'")
-        realization = _block_realization(ctx, spec.params["realization"])
-        u0 = (
-            BlockState.from_jsonable(spec.params["u0"])
-            if "u0" in spec.params
-            else BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
-        )
-        resolvent = lambda s, t: clean(block_resolve(realization, s, t))  # noqa: E731
-        norm = lambda s: state_l2_norm(s, iv)  # noqa: E731
-        dist = lambda x, y: state_l2_norm(x - y, iv)  # noqa: E731
-        v0 = (
-            BlockState.from_jsonable(spec.params["v0"])
-            if "v0" in spec.params
-            else None
-        )
+        realization = _block_realization(ctx, p["realization"])
+        solve, l2, parse_state = block_resolve, state_l2_norm, _block_state
+        u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
     else:
         raise SchemaError(f"evolve: unknown kind {kind!r}")
+    if "u0" in p:
+        u0 = parse_state(p["u0"], "u0")
+    v0 = parse_state(p["v0"], "v0") if "v0" in p else None
+    resolvent = lambda s, t: clean(solve(realization, s, t))  # noqa: E731
+    norm = lambda s: l2(s, iv)  # noqa: E731
+    dist = lambda x, y: l2(x - y, iv)  # noqa: E731
 
     run_failed_at = None
     try:
@@ -760,21 +674,16 @@ def _suite_evolve(spec: RunSpec):
             run_failed_at = exc.step
     if run_failed_at is not None:
         failures.insert(0, "run_failed")
-    report = {
-        "command": spec.command,
-        "seed": spec.seed,
-        "interval": iv.to_jsonable(),
+    body = {
         "kind": kind,
         "tau": tau,
         "steps": steps,
         "tolerances": {"per_step": tol},
         "final_norm": record.norms[-1],
         "distance_monotone": monotone,
-        "passed": not failures,
-        "first_failure": failures[0] if failures else None,
     }
     if run_failed_at is not None:
-        report["run_failed_at_step"] = run_failed_at
+        body["run_failed_at_step"] = run_failed_at
     rows = []
     for i, (t, n) in enumerate(zip(record.timestamps, record.norms)):
         if distances is not None and i < len(distances):
@@ -782,25 +691,123 @@ def _suite_evolve(spec: RunSpec):
         else:
             rows.append((i, t, n))
     header = ["step", "time", "norm"] + (["distance"] if distances is not None else [])
-    return report, (header, rows)
+    return body, failures, (header, rows)
 
 
-_SUITES = {
-    "check-decomposition": _suite_check_decomposition,
-    "lipschitz-transfer": _suite_lipschitz_transfer,
-    "resolve": _suite_resolve,
-    "cayley": _suite_cayley,
-    "st-criterion": _suite_st_criterion,
-    "block-equivalence": _suite_block_equivalence,
-    "wave-impedance": _suite_wave_impedance,
-    "evolve": _suite_evolve,
+# ----------------------------------------------------------------------
+# the command table
+# ----------------------------------------------------------------------
+
+#: Marks a parameter without a default.
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One CLI command: its suite, its default ``tol`` and its parameters.
+
+    ``params`` maps each parameter name to ``(converter, default)``. The
+    default is spec JSON, converted like a given value, or
+    ``_REQUIRED``, or ``None`` for an optional parameter without one. A
+    ``None`` converter leaves the value to the suite, whose parsing
+    depends on other parameters. ``tol`` is ``None`` for a command that
+    takes no tolerance.
+    """
+
+    suite: Callable
+    tol: Optional[float]
+    params: dict
+
+
+_INTERVAL = {"interval": (_interval, {"a": 0.0, "b": 1.0})}
+_SPACE = {"dim": (_count, 2), "gram": (None, None)}
+
+COMMANDS = {
+    "check-decomposition": _Command(_suite_check_decomposition, 1e-10, {
+        **_INTERVAL, "samples": (_count, 500), "max_degree": (_degree, 4),
+    }),
+    "lipschitz-transfer": _Command(_suite_lipschitz_transfer, 1e-11, {
+        **_INTERVAL, "g": (_boundary_function, _REQUIRED), "samples": (_count, 64),
+    }),
+    "resolve": _Command(_suite_resolve, 1e-9, {
+        **_INTERVAL,
+        "g": (_boundary_function, _REQUIRED),
+        "rhs": (_exppoly, _REQUIRED),
+        "tau": (_positive, 1.0),
+    }),
+    "cayley": _Command(_suite_cayley, 1e-9, {
+        **_SPACE, "f_matrix": (None, None), "points": (_count, 100),
+    }),
+    "st-criterion": _Command(_suite_st_criterion, None, {
+        **_SPACE, "S": (_matrix, _REQUIRED), "T": (_matrix, _REQUIRED),
+    }),
+    "block-equivalence": _Command(_suite_block_equivalence, 1e-9, {
+        **_INTERVAL,
+        "realization": (None, None),
+        "states": (_count, 200),
+        "tau": (_positive, 0.8),
+    }),
+    "wave-impedance": _Command(_suite_wave_impedance, 1e-9, {
+        **_INTERVAL,
+        "K": (_impedance_k, _REQUIRED),
+        "tau": (_positive, 0.2),
+        "steps": (_count, 50),
+        "u0": (_block_state, {
+            "u": [{"rate": 1.0, "coeffs": [1.0]}, {"rate": -1.0, "coeffs": [1.0]}],
+            "v": [{"rate": 0.0, "coeffs": [0.5]}],
+        }),
+    }),
+    "evolve": _Command(_suite_evolve, 1e-8, {
+        **_INTERVAL,
+        "kind": (None, "derivative"),
+        "g": (_boundary_function, None),
+        "realization": (None, None),
+        "u0": (None, None),
+        "v0": (None, None),
+        "tau": (_positive, 0.1),
+        "steps": (_count, 10),
+    }),
 }
+
+
+def _parse(spec: RunSpec):
+    """``(params, seed, tol)`` of ``spec``, checked against its command's table."""
+    command = COMMANDS[spec.command]
+    unknown = set(spec.params) - set(command.params)
+    if unknown:
+        raise SchemaError(f"{spec.command}: unknown parameters {sorted(unknown)}")
+    params = {}
+    for name, (convert, default) in command.params.items():
+        if name in spec.params:
+            value = spec.params[name]
+        elif default is _REQUIRED:
+            raise SchemaError(f"{spec.command}: missing parameter {name!r}")
+        elif default is None:
+            continue
+        else:
+            value = default
+        params[name] = value if convert is None else convert(value, name)
+    seed = _count(spec.seed, "seed", low=0)
+    if spec.tol is not None and command.tol is None:
+        raise SchemaError(f"{spec.command} takes no tolerance")
+    tol = command.tol if spec.tol is None else _positive(spec.tol, "tol")
+    return params, seed, tol
 
 
 def run(spec: RunSpec, out_dir: Path) -> int:
     """Execute the suite named by ``spec`` and write its reports."""
+    params, seed, tol = _parse(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report, csv_data = _SUITES[spec.command](spec)
+    body, failures, csv_data = COMMANDS[spec.command].suite(params, seed, tol)
+    report = {
+        **body,
+        "command": spec.command,
+        "seed": seed,
+        "passed": not failures,
+        "first_failure": failures[0] if failures else None,
+    }
+    if "interval" in params:
+        report["interval"] = params["interval"].to_jsonable()
     (out_dir / "report.json").write_text(render_report(report))
     if csv_data is not None:
         header, rows = csv_data

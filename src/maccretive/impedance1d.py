@@ -22,7 +22,7 @@ import numpy as np
 from .blockop import BDVector, BlockRealization, bd_space
 from .derivative import DerivativeContext
 from .funcspace import ExpPoly
-from .relations import SPECTRAL_RTOL, LinearRelation
+from .relations import LinearRelation, _is_psd
 
 __all__ = [
     "TraceVector",
@@ -150,7 +150,4 @@ def impedance_realization(ctx: DerivativeContext, k: ImpedanceK) -> BlockRealiza
 
 def is_K_accretive(k: ImpedanceK) -> bool:
     """Positive semidefiniteness of ``K + K^T`` (relative threshold)."""
-    sym = k.matrix + k.matrix.T
-    eigs = np.linalg.eigvalsh(sym)
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
-    return bool(eigs[0] >= -SPECTRAL_RTOL * scale)
+    return _is_psd(k.matrix + k.matrix.T)

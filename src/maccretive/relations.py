@@ -166,7 +166,12 @@ def is_accretive_linear(relation: LinearRelation) -> bool:
     u = relation.basis[:, 0, :]
     v = relation.basis[:, 1, :]
     form = v @ relation.space.gram @ u.T
-    eigs = np.linalg.eigvalsh(0.5 * (form + form.T))
+    return _is_psd(0.5 * (form + form.T))
+
+
+def _is_psd(sym: np.ndarray) -> bool:
+    """Positive semidefiniteness of the symmetric ``sym`` (relative threshold)."""
+    eigs = np.linalg.eigvalsh(sym)
     scale = max(float(np.max(np.abs(eigs))), 1.0)
     return bool(eigs[0] >= -SPECTRAL_RTOL * scale)
 
@@ -307,19 +312,21 @@ class CayleyRelation:
         return self.f(0.5 * x) + 0.5 * x
 
 
+def _null_relation(space: InnerSpace, stacked: np.ndarray) -> LinearRelation:
+    """The pairs ``(u, v)`` with ``stacked @ [u; v] = 0``, from a full SVD."""
+    _, sv, vh = np.linalg.svd(stacked)
+    cutoff = SPECTRAL_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    rank = int(np.sum(sv > cutoff))
+    return LinearRelation(space, vh[rank:].reshape(-1, 2, space.dim))
+
+
 def cayley_to_relation(f: ContractionMap, tol: float = NORM_TOL) -> CayleyRelation:
     """Relation ``M = 2(1+f)^{-1} - 1`` induced by a nonexpansive map."""
     linear = None
     if f.is_linear:
-        # (u, v) in M  <=>  (F-1)u + (F+1)v = 0; take the null space.
-        d = f.space.dim
-        eye = np.eye(d)
-        stacked = np.hstack([f.matrix - eye, f.matrix + eye])
-        _, sv, vh = np.linalg.svd(stacked)
-        cutoff = SPECTRAL_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-        rank = int(np.sum(sv > cutoff))
-        null = vh[rank:]
-        linear = LinearRelation(f.space, null.reshape(-1, 2, d))
+        # (u, v) in M  <=>  (F-1)u + (F+1)v = 0
+        eye = np.eye(f.space.dim)
+        linear = _null_relation(f.space, np.hstack([f.matrix - eye, f.matrix + eye]))
     return CayleyRelation(f.space, f, linear=linear, tol=tol)
 
 
@@ -411,13 +418,7 @@ class STReport:
 
 def st_relation(pair: OperatorPair) -> LinearRelation:
     """The relation ``{(u, v) : Su = Tv}`` as an explicit subspace."""
-    d = pair.domain_space.dim
-    stacked = np.hstack([pair.S, -pair.T])
-    _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = SPECTRAL_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    null = vh[rank:]
-    return LinearRelation(pair.domain_space, null.reshape(-1, 2, d))
+    return _null_relation(pair.domain_space, np.hstack([pair.S, -pair.T]))
 
 
 def st_criterion(pair: OperatorPair) -> STReport:

@@ -1,10 +1,15 @@
+import functools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maccretive.cli import main
+from maccretive.relations import NORM_TOL, SPECTRAL_RTOL
 
 
 def run_cli(tmp_path: Path, spec: dict, name: str = "spec.json", extra=()) -> tuple[int, Path]:
@@ -291,6 +296,12 @@ def test_wave_impedance_rejects_v0(tmp_path):
 
 LINEAR_G = {"kind": "linear", "slope": 0.5}
 RHS = [{"rate": 0.0, "coeffs": [1.0]}]
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+NAN_I = [[math.nan, 0.0], [0.0, 1.0]]
+FIVE_I = [[5.0, 0.0], [0.0, 5.0]]  # not a contraction
+BLOCK_M = {"kind": "M", "matrix": IDENTITY}
+NO_COEFFS = {"u": [{"rate": 0.0}], "v": []}
+NAN_RATE = {"u": [{"rate": math.nan, "coeffs": [1.0]}], "v": []}
 
 
 @pytest.mark.parametrize(
@@ -321,6 +332,30 @@ RHS = [{"rate": 0.0, "coeffs": [1.0]}]
         ("resolve", {"g": LINEAR_G, "rhs": [{"rate": 0.0, "coeffs": [1.0, math.inf]}]}),
         ("resolve", {"g": {"kind": "linear", "slope": math.nan}, "rhs": RHS}),
         ("evolve", {"g": LINEAR_G, "u0": [{"rate": 1.0, "coeffs": [-math.inf]}]}),
+        # time steps that are not positive finite numbers
+        ("resolve", {"g": LINEAR_G, "rhs": RHS, "tau": -1}),
+        ("resolve", {"g": LINEAR_G, "rhs": RHS, "tau": "x"}),
+        ("resolve", {"g": LINEAR_G, "rhs": RHS, "tau": 0}),
+        ("resolve", {"g": LINEAR_G, "rhs": RHS, "tau": math.nan}),
+        ("evolve", {"g": LINEAR_G, "steps": 1, "tau": -1}),
+        ("evolve", {"g": LINEAR_G, "steps": 1, "tau": "x"}),
+        ("evolve", {"g": LINEAR_G, "steps": 1, "tau": 0}),
+        ("block-equivalence", {"states": 1, "tau": -1}),
+        ("block-equivalence", {"states": 1, "tau": "x"}),
+        ("block-equivalence", {"states": 1, "tau": 0}),
+        # non-finite intervals and matrices
+        ("check-decomposition", {"samples": 1, "interval": {"a": 0.0, "b": math.inf}}),
+        ("block-equivalence", {"states": 1, "realization": {"kind": "M", "matrix": NAN_I}}),
+        ("wave-impedance", {"steps": 1, "K": NAN_I}),
+        ("st-criterion", {"S": NAN_I, "T": IDENTITY}),
+        # malformed block realizations
+        ("block-equivalence", {"states": 1, "realization": [IDENTITY]}),
+        ("block-equivalence", {"states": 1, "realization": {"kind": "f"}}),
+        ("block-equivalence", {"states": 1, "realization": {"kind": "f", "matrix": FIVE_I}}),
+        # malformed block states
+        ("wave-impedance", {"steps": 1, "K": IDENTITY, "u0": NO_COEFFS}),
+        ("wave-impedance", {"steps": 1, "K": IDENTITY, "u0": NAN_RATE}),
+        ("evolve", {"kind": "block", "steps": 1, "realization": BLOCK_M, "u0": NO_COEFFS}),
     ],
 )
 def test_malformed_parameters_are_schema_errors(tmp_path, command, params):
@@ -341,3 +376,116 @@ def test_count_and_degree_limits_are_inclusive(tmp_path):
     code, out = run_cli(tmp_path, spec, name="b.json")
     assert code == 0
     assert load_report(out)["samples"] == 3
+
+
+@pytest.mark.parametrize(
+    "fields, extra",
+    [
+        ({"seed": -3}, ()),
+        ({"tol": "x"}, ()),
+        ({"tol": math.nan}, ()),  # used to pass vacuously: defect >= nan is false
+        ({"params": [1, 2]}, ()),
+        ({}, ("--seed", "-3")),
+        ({}, ("--tol", "nan")),
+    ],
+)
+def test_malformed_seed_tol_and_params_are_schema_errors(tmp_path, fields, extra):
+    spec = {"command": "check-decomposition", "params": {"samples": 2}, **fields}
+    code, out = run_cli(tmp_path, spec, extra=extra)
+    assert code == 2
+    assert not (out / "report.json").exists()
+
+
+def test_st_criterion_reports_library_tolerances_and_takes_no_tol(tmp_path):
+    spec = {"command": "st-criterion", "params": {"S": IDENTITY, "T": [[0.5, 0.0], [0.0, 0.5]]}}
+    for name in ("plain", "spec_tol", "flag_tol"):
+        (tmp_path / name).mkdir()
+    code, out = run_cli(tmp_path / "plain", spec)
+    assert code == 0
+    tolerances = load_report(out)["tolerances"]
+    assert tolerances == {"norm_slack": NORM_TOL, "spectral_rtol": SPECTRAL_RTOL}
+    code, out = run_cli(tmp_path / "spec_tol", {**spec, "tol": 1e-3})
+    assert code == 2
+    assert not (out / "report.json").exists()
+    code, out = run_cli(tmp_path / "flag_tol", spec, extra=("--tol", "1e-3"))
+    assert code == 2
+    assert not (out / "report.json").exists()
+
+
+# ----------------------------------------------------------------------
+# fuzzing the CLI contract: mutated valid specs of every command
+# ----------------------------------------------------------------------
+
+STATE = {"u": [{"rate": 0.0, "coeffs": [1.0, 0.5]}], "v": [{"rate": 1.0, "coeffs": [0.5]}]}
+VALID_SPECS = [
+    {"command": "check-decomposition", "seed": 1, "tol": 1e-10,
+     "params": {"interval": {"a": -1.0, "b": 0.5}, "samples": 2, "max_degree": 3}},
+    {"command": "lipschitz-transfer", "seed": 2,
+     "params": {"interval": {"a": 0.0, "b": 1.0}, "samples": 3,
+                "g": {"kind": "table", "knots": [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]]}}},
+    {"command": "resolve", "tol": 1e-9,
+     "params": {"g": {"kind": "scaledsin", "amplitude": 0.5, "frequency": 2.0},
+                "rhs": [{"rate": 1.0, "coeffs": [1.0, -0.5]}], "tau": 0.5}},
+    {"command": "cayley", "seed": 3,
+     "params": {"dim": 2, "gram": [[2.0, 0.0], [0.0, 1.0]],
+                "f_matrix": [[0.0, 0.5], [-0.5, 0.0]], "points": 3}},
+    {"command": "st-criterion",
+     "params": {"dim": 2, "gram": IDENTITY, "S": IDENTITY, "T": [[0.5, 0.0], [0.0, 0.5]]}},
+    {"command": "block-equivalence", "seed": 4, "tol": 1e-9,
+     "params": {"interval": {"a": 0.0, "b": 1.0}, "states": 2, "tau": 0.8,
+                "realization": {"kind": "ST", "S": IDENTITY, "T": [[2.0, 0.0], [0.0, 2.0]]}}},
+    {"command": "wave-impedance", "seed": 5,
+     "params": {"interval": {"a": 0.0, "b": 1.0}, "K": [[1.0, 0.5], [-0.5, 1.0]],
+                "tau": 0.2, "steps": 2, "u0": STATE}},
+    {"command": "evolve", "tol": 1e-8,
+     "params": {"kind": "derivative", "g": {"kind": "linear", "slope": 0.5},
+                "u0": [{"rate": 0.0, "coeffs": [1.0, 0.5]}], "v0": [{"rate": 0.0, "coeffs": [0.5]}],
+                "tau": 0.25, "steps": 2}},
+    {"command": "evolve",
+     "params": {"interval": {"a": -0.5, "b": 0.5}, "kind": "block",
+                "realization": {"kind": "f", "matrix": [[0.2, 0.0], [0.1, -0.3]]},
+                "u0": STATE, "v0": STATE, "tau": 0.3, "steps": 3}},
+]
+BAD_VALUES = [math.nan, math.inf, -math.inf, -1, 0, "x", [1, 2], None]
+# dropping these would run their large defaults
+KEEP = {"params", "samples", "states", "points", "steps"}
+
+
+def _paths(value, path=()):
+    """Every key path into a JSON value."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_specs(draw, base):
+    spec = json.loads(json.dumps(base))  # a deep copy that shares no nodes
+    path = draw(st.sampled_from(list(_paths(spec))))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], spec)
+    value = draw(st.sampled_from(BAD_VALUES + ([] if path[-1] in KEEP else ["drop"])))
+    if value == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("base", VALID_SPECS, ids=lambda s: s["command"])
+def test_fuzzed_specs_keep_the_cli_contract(base):
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(spec=mutated_specs(base))
+    def check(spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run_cli(Path(tmp), spec)
+            assert code in (0, 1, 2)
+            assert (out / "report.json").exists() == (code in (0, 1))
+            if code != 2:
+                report = load_report(out)
+                assert report["passed"] == (code == 0)
+                assert (report["first_failure"] is None) == report["passed"]
+
+    check()
