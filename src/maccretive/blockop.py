@@ -11,7 +11,10 @@ a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
 operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. A realization stores
 one of them and derives the others on demand; this module solves the
-associated resolvent equations exactly in the function algebra.
+associated resolvent equations exactly in the function algebra. The
+second-order equation ``u - tau^2 u'' = w`` behind the block resolvent
+splits by partial fractions, ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``,
+into two first-order solves of the kind the 1-D resolvent uses.
 """
 
 from __future__ import annotations
@@ -23,18 +26,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .derivative import DerivativeContext, _pi_coeffs
+from .derivative import DerivativeContext, _first_order_terms, _pi_coeffs
 from .errors import RootNotFound
-from .funcspace import (
-    ExpPoly,
-    Interval,
-    _first_order_coeffs,
-    _horner,
-    _poly_integral,
-    absorb_rate_shift,
-    differentiate,
-    l2_inner,
-)
+from .funcspace import ExpPoly, Interval, differentiate, l2_inner
 from .relations import (
     ContractionMap,
     InnerSpace,
@@ -85,9 +79,6 @@ class BDVector:
     def norm(self) -> float:
         sq = self.cp**2 * self.ctx.denom_plus + self.cm**2 * self.ctx.denom_minus
         return math.sqrt(max(sq, 0.0))
-
-    def value_at(self, t: float) -> float:
-        return self.cp * math.exp(t) + self.cm * math.exp(-t)
 
     def __add__(self, other: "BDVector") -> "BDVector":
         return BDVector(self.ctx, self.cp + other.cp, self.cm + other.cm)
@@ -195,23 +186,21 @@ def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[BDVector, 
     return 0.5 * (u_bd + dv_bd), 0.5 * (u_bd - dv_bd)
 
 
+def _deficiency_state(w: BDVector, sign: float) -> BlockState:
+    """``(w, sign * Gw)``: in ``ker(1 - A)`` for ``sign = 1``, in
+    ``ker(1 + A)`` for ``sign = -1``."""
+    return BlockState(w.to_exppoly(), (sign * g_bd(w)).to_exppoly())
+
+
 def pi1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
-    """Projection onto ``ker(1 - A)``; the second component is the
-    derivative of the first."""
-    u_bd = bd_project(ctx, state.u)
-    v_bd = bd_project(ctx, state.v)
-    first = 0.5 * (u_bd + g_bd(v_bd))
-    second = 0.5 * (g_bd(u_bd) + v_bd)
-    return BlockState(first.to_exppoly(), second.to_exppoly())
+    """Projection onto ``ker(1 - A)``: ``(x, Gx)``; the second component
+    is the derivative of the first."""
+    return _deficiency_state(boundary_data(ctx, state)[0], 1.0)
 
 
 def pi_minus1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
-    """Projection onto ``ker(1 + A)``."""
-    u_bd = bd_project(ctx, state.u)
-    v_bd = bd_project(ctx, state.v)
-    first = 0.5 * (u_bd - g_bd(v_bd))
-    second = 0.5 * (v_bd - g_bd(u_bd))
-    return BlockState(first.to_exppoly(), second.to_exppoly())
+    """Projection onto ``ker(1 + A)``: ``(y, -Gy)``."""
+    return _deficiency_state(boundary_data(ctx, state)[1], -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +215,7 @@ def lift_f_to_h(ctx: DerivativeContext, f: ContractionMap) -> BlockMap:
 
     def h(state: BlockState) -> BlockState:
         w = bd_project(ctx, state.u)
-        image = BDVector.from_coeffs(ctx, f(w.coeffs))
-        poly = image.to_exppoly()
-        return BlockState(poly, -1.0 * differentiate(poly))
+        return _deficiency_state(BDVector.from_coeffs(ctx, f(w.coeffs)), -1.0)
 
     return h
 
@@ -240,9 +227,7 @@ def reduce_h_to_f(
     transfer unchanged because ``|(w, Gw)|_{L2 x L2} = |w|_BD``."""
 
     def func(coeffs: np.ndarray) -> np.ndarray:
-        w = BDVector.from_coeffs(ctx, coeffs)
-        poly = w.to_exppoly()
-        out = h(BlockState(poly, differentiate(poly)))
+        out = h(_deficiency_state(BDVector.from_coeffs(ctx, coeffs), 1.0))
         return bd_project(ctx, out.u).coeffs
 
     return ContractionMap(bd_space(ctx), func, lipschitz_cert)
@@ -293,12 +278,6 @@ class BlockRealization:
         cls, ctx: DerivativeContext, pair: OperatorPair
     ) -> "BlockRealization":
         return cls(ctx, st_relation(pair))
-
-    @classmethod
-    def from_h(
-        cls, ctx: DerivativeContext, h: BlockMap, lipschitz_cert: float = 1.0
-    ) -> "BlockRealization":
-        return cls.from_f(ctx, reduce_h_to_f(ctx, h, lipschitz_cert))
 
     # -- derived views ----------------------------------------------------
 
@@ -390,7 +369,7 @@ class BlockRealization:
         if self.h is not None:
             # h maps into ker(1+A), whose elements (w, -Gw) carry the
             # BD norm of w; the defect can be measured there.
-            image = self.h(BlockState(x.to_exppoly(), g_bd(x).to_exppoly()))
+            image = self.h(_deficiency_state(x, 1.0))
             defect = bd_project(self.ctx, image.u) - y
             views["h"] = defect.norm() <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
         return views
@@ -429,66 +408,24 @@ def st_domain(
 def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> ExpPoly:
     """One solution of ``u - tau^2 u'' = w``.
 
-    Terms with ``|1 - (tau*mu)^2|`` bounded away from zero solve by a
-    coefficient recursion on their own rate. Terms at or near the
-    resonant rates ``+-1/tau`` are built from the bounded Green-kernel
-    response
+    ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, so by partial fractions
 
-        (sigma/2) [ e^{-sigma t} int_a^t e^{sigma s} (.)
-                  + e^{sigma t}  int_t^b e^{-sigma s} (.) ],
+        u = 1/2 [ (1 + tau D)^{-1} w + (1 - tau D)^{-1} w ].
 
-    with the small rate offset ``beta = mu -+ sigma`` absorbed as a
-    machine-truncated Taylor polynomial. Every piece stays on the scale
-    of the data and on the rates ``{mu, +-sigma}``, so residuals cancel
-    within single terms; a coefficient-matching ansatz near resonance
-    would instead amplify roundoff by ``|1-(tau*mu)^2|^-(deg+1)``, and a
-    naive lift would produce large mutually-cancelling terms that
-    corrupt long implicit-Euler trajectories.
+    The halves are the first-order solves of the 1-D resolvent, run at
+    ``(tau, anchor a)`` and at ``(-tau, anchor b)``: the bounded Green
+    kernels ``(1/tau) int_a^t e^{-(t-s)/tau}`` and
+    ``(1/tau) int_t^b e^{-(s-t)/tau}``. Each handles the resonant rate
+    of its own factor, ``-1/tau`` or ``+1/tau``, by its integrating-factor
+    branch, so no term leaves its own rate. The two term lists make one
+    ExpPoly.
     """
-    sigma = 1.0 / tau
-    tau2 = tau * tau
     t_scale = max(abs(ctx.a), abs(ctx.b))
-    half = 0.5 * sigma
-    out = []
-    for mu, p in w.terms:
-        c2 = 1.0 - (tau * mu) ** 2
-        n = len(p)
-        if abs(c2) > 0.1:
-            q = [0.0] * n
-            for k in range(n - 1, -1, -1):
-                acc = p[k]
-                if k + 1 < n:
-                    acc += 2.0 * tau2 * mu * (k + 1) * q[k + 1]
-                if k + 2 < n:
-                    acc += tau2 * (k + 1) * (k + 2) * q[k + 2]
-                q[k] = acc / c2
-            out.append((mu, q))
-            continue
-        sign = 1.0 if mu > 0 else -1.0
-        beta = mu - sign * sigma
-        near = absorb_rate_shift(p, beta, t_scale)  # p times truncated e^{beta t}
-        if sign < 0:
-            # mu near -sigma: anchored integral from a on the low side
-            p_poly = _poly_integral(near)
-            low_main = absorb_rate_shift(p_poly, -beta, t_scale)
-            out.append((mu, [half * c for c in low_main]))
-            out.append((-sigma, (-half * _horner(p_poly, ctx.a),)))
-            # high side: integrand rate mu - sigma is far from zero
-            nu2 = mu - sigma
-            q2 = _first_order_coeffs(p, 1.0, nu2)
-            out.append((sigma, (half * _horner(q2, ctx.b) * math.exp(nu2 * ctx.b),)))
-            out.append((mu, [-half * c for c in q2]))
-        else:
-            # mu near +sigma: anchored integral from b on the high side
-            p_poly = _poly_integral(near)
-            high_main = absorb_rate_shift(p_poly, -beta, t_scale)
-            out.append((mu, [-half * c for c in high_main]))
-            out.append((sigma, (half * _horner(p_poly, ctx.b),)))
-            nu2 = mu + sigma
-            q2 = _first_order_coeffs(p, 1.0, nu2)
-            out.append((mu, [half * c for c in q2]))
-            out.append((-sigma, (-half * _horner(q2, ctx.a) * math.exp(nu2 * ctx.a),)))
-    return ExpPoly(tuple(out))
+    half = 0.5 * w
+    return ExpPoly(tuple(
+        _first_order_terms(half, tau, ctx.a, t_scale)
+        + _first_order_terms(half, -tau, ctx.b, t_scale)
+    ))
 
 
 def _homogeneous_frames(ctx: DerivativeContext, tau: float):
@@ -512,7 +449,9 @@ def block_resolve(
 ) -> BlockState:
     """Solve ``u + tau Dv = f1``, ``v + tau Gu = f2`` in the realization.
 
-    Eliminating ``v`` gives ``u - tau^2 u'' = f1 - tau f2'``; the two
+    Eliminating ``v`` gives ``u - tau^2 u'' = f1 - tau f2'``, solved by
+    partial fractions as half the sum of the first-order resolvents of
+    ``+-tau D`` (see :func:`_particular_second_order`); the two
     homogeneous coefficients are pinned by the realization's boundary
     description: a direct linear solve when the description is linear,
     otherwise a damped fixed-point iteration with a Broyden fallback.

@@ -45,8 +45,6 @@ __all__ = [
     "kernel_element",
     "pi_plus_coeff",
     "pi_minus_coeff",
-    "pi_plus",
-    "pi_minus",
     "pi_zero",
     "check_lipschitz_transfer",
     "in_domain",
@@ -57,7 +55,6 @@ __all__ = [
     "accretivity_witness",
     "maximality_probe",
     "boundary_function_from_jsonable",
-    "realization_from_jsonable",
 ]
 
 
@@ -197,14 +194,6 @@ def pi_minus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
     return _pi_coeffs(ctx, u(ctx.a), u(ctx.b))[1]
 
 
-def pi_plus(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
-    return ExpPoly.exponential(1.0, pi_plus_coeff(ctx, u))
-
-
-def pi_minus(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
-    return ExpPoly.exponential(-1.0, pi_minus_coeff(ctx, u))
-
-
 def pi_zero(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
     """Component with vanishing endpoint values (the minimal-domain part)."""
     c_plus, c_minus = _pi_coeffs(ctx, u(ctx.a), u(ctx.b))
@@ -323,10 +312,10 @@ def in_domain(realization: Realization1D, u: ExpPoly, tol: float = 1e-9) -> bool
     return defect <= tol * scale
 
 
-def _particular_first_order(
+def _first_order_terms(
     f: ExpPoly, tau: float, anchor: float, t_scale: float
-) -> ExpPoly:
-    """One solution of ``u + tau*u' = f`` within the function algebra.
+) -> list:
+    """Terms of one solution of ``u + tau*u' = f`` within the function algebra.
 
     Away from resonance each term solves by a coefficient recursion.
     When ``1 + tau*mu`` is small the recursion would amplify roundoff
@@ -338,7 +327,9 @@ def _particular_first_order(
 
     with both exponentials absorbed as machine-truncated Taylor
     polynomials; the response stays on the term's own rate, bounded by
-    the data, and the residual is same-rate and negligible.
+    the data, and the residual is same-rate and negligible. Both forms
+    hold for negative ``tau`` too. The term list is returned unwrapped,
+    so that a caller summing several solves builds one ExpPoly.
     """
     sigma = 1.0 / tau
     out = []
@@ -352,7 +343,7 @@ def _particular_first_order(
         else:
             q = _first_order_coeffs(p, tau, alpha)
         out.append((mu, q))
-    return ExpPoly(tuple(out))
+    return out
 
 
 def _bracket_root(func: Callable[[float], float], start: float, step: float):
@@ -422,7 +413,7 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
         raise ValueError("tau must be positive")
     ctx, g = realization.ctx, realization.g
     t_scale = max(abs(ctx.a), abs(ctx.b))
-    particular = _particular_first_order(f, tau, anchor=ctx.a, t_scale=t_scale)
+    particular = ExpPoly(tuple(_first_order_terms(f, tau, ctx.a, t_scale)))
     hom = ExpPoly.exponential(-1.0 / tau)
 
     alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))
@@ -575,8 +566,3 @@ def boundary_function_from_jsonable(data: dict) -> BoundaryFunction:
         bf = BoundaryFunction(bf.func, float(data["lipschitz_cert"]), bf.descriptor)
     return bf
 
-
-def realization_from_jsonable(data: dict) -> Realization1D:
-    ctx = DerivativeContext(Interval.from_jsonable(data["interval"]))
-    g = boundary_function_from_jsonable(data["g"])
-    return Realization1D(ctx, g)

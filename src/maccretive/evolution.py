@@ -94,7 +94,6 @@ def evolve(
     u0: State,
     cfg: SchemeConfig,
     norm: Callable[[State], float],
-    postprocess: Optional[Callable[[State], State]] = None,
 ) -> TrajectoryRecord:
     """Run ``steps`` implicit-Euler steps from ``u0``.
 
@@ -110,8 +109,6 @@ def evolve(
             state = resolvent(state, cfg.tau)
         except Exception as exc:  # noqa: BLE001 - annotate and rethrow
             raise EvolutionStepFailed(k + 1, exc, record) from exc
-        if postprocess is not None:
-            state = postprocess(state)
         record.append(state, norm(state), (k + 1) * cfg.tau)
     return record
 

@@ -261,9 +261,6 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "ExpPoly":
-        return differentiate(self)
-
     # -- serialisation ------------------------------------------------
 
     def to_jsonable(self) -> list:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blockop import BDVector, BlockRealization, bd_space
-from .derivative import DerivativeContext
+from .derivative import DerivativeContext, _pi_coeffs
 from .funcspace import ExpPoly
 from .relations import LinearRelation, _is_psd
 
@@ -31,7 +31,6 @@ __all__ = [
     "gammaN",
     "kappa",
     "kappa_adjoint",
-    "kappa_matrix",
     "kappa_adjoint_matrix",
     "trace_norm",
     "impedance_map_matrix",
@@ -94,13 +93,9 @@ def gammaN(ctx: DerivativeContext, phi: ExpPoly) -> TraceVector:
 
 @lru_cache(maxsize=64)
 def _endpoint_matrix(ctx: DerivativeContext) -> np.ndarray:
+    """Endpoint evaluation of BD coefficients: rows ``(e^a, e^{-a})``, ``(e^b, e^{-b})``."""
     iv = ctx.interval
     return np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
-
-
-def kappa_matrix(ctx: DerivativeContext) -> np.ndarray:
-    """Endpoint evaluation of BD coefficients: rows ``(e^a, e^{-a})``, ``(e^b, e^{-b})``."""
-    return _endpoint_matrix(ctx).copy()
 
 
 def kappa_adjoint_matrix(ctx: DerivativeContext) -> np.ndarray:
@@ -122,9 +117,9 @@ def kappa_adjoint(ctx: DerivativeContext, y: TraceVector) -> BDVector:
 
 def trace_norm(ctx: DerivativeContext, y: TraceVector) -> float:
     """Renormed trace norm: the H1 norm of the boundary-data function
-    with these endpoint values."""
-    coeffs = np.linalg.solve(_endpoint_matrix(ctx), y.coeffs)
-    return BDVector.from_coeffs(ctx, coeffs).norm()
+    with these endpoint values, whose coefficients are the deficiency
+    projection coefficients read off those values."""
+    return BDVector(ctx, *_pi_coeffs(ctx, y.at_a, y.at_b)).norm()
 
 
 def impedance_map_matrix(ctx: DerivativeContext, k: ImpedanceK) -> np.ndarray:

@@ -74,10 +74,6 @@ class InnerSpace:
     def norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
-    def to_euclidean(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates in which this norm is the Euclidean one."""
-        return self._chol.T @ np.asarray(x)
-
     def random_vectors(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self.dim))
 
@@ -176,6 +172,11 @@ def _is_psd(sym: np.ndarray) -> bool:
     return bool(eigs[0] >= -SPECTRAL_RTOL * scale)
 
 
+def _rank(sv: np.ndarray, top: float) -> int:
+    """Singular values above ``SPECTRAL_RTOL * top``, or 0 when ``top`` is 0."""
+    return int(np.sum(sv > SPECTRAL_RTOL * top)) if top > 0 else 0
+
+
 def is_m_accretive_linear(relation: LinearRelation) -> bool:
     """Accretive and ``1 + M`` surjective (full rank of ``{u+v}``)."""
     if not is_accretive_linear(relation):
@@ -184,8 +185,7 @@ def is_m_accretive_linear(relation: LinearRelation) -> bool:
         return relation.space.dim == 0
     sums = relation.basis[:, 0, :] + relation.basis[:, 1, :]
     sv = np.linalg.svd(sums, compute_uv=False)
-    rank = int(np.sum(sv > SPECTRAL_RTOL * sv[0])) if sv[0] > 0 else 0
-    return rank == relation.space.dim
+    return _rank(sv, sv[0]) == relation.space.dim
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +315,7 @@ class CayleyRelation:
 def _null_relation(space: InnerSpace, stacked: np.ndarray) -> LinearRelation:
     """The pairs ``(u, v)`` with ``stacked @ [u; v] = 0``, from a full SVD."""
     _, sv, vh = np.linalg.svd(stacked)
-    cutoff = SPECTRAL_RTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
+    rank = _rank(sv, sv.max(initial=0.0))
     return LinearRelation(space, vh[rank:].reshape(-1, 2, space.dim))
 
 
@@ -349,16 +348,7 @@ def relation_to_cayley(
 
     cmap = ContractionMap(space, f, lipschitz_cert=1.0)
     if rng is not None:
-        xs = space.random_vectors(rng, samples)
-        ys = space.random_vectors(rng, samples)
-        for x, y in zip(xs, ys):
-            gap = space.norm(x - y)
-            growth = space.norm(cmap(x) - cmap(y))
-            if growth > gap + tol:
-                raise ValueError(
-                    "supplied resolvent is not nonexpansive-compatible: "
-                    f"growth {growth} over gap {gap}"
-                )
+        cmap.sampled_check(rng, samples, tol)
     return cmap
 
 
@@ -433,19 +423,12 @@ def st_criterion(pair: OperatorPair) -> STReport:
     failed = set()
 
     sv_total = np.linalg.svd(total, compute_uv=False)
-    top_total = sv_total[0] if sv_total.size and sv_total[0] > 0 else 0.0
-    rank_total = int(np.sum(sv_total > SPECTRAL_RTOL * top_total)) if top_total else 0
-    if rank_total < pair.domain_space.dim:
+    if _rank(sv_total, sv_total.max(initial=0.0)) < pair.domain_space.dim:
         failed.add("injective")
 
-    aug = np.hstack([total, diff])
-    sv_aug = np.linalg.svd(aug, compute_uv=False)
-    top_aug = sv_aug[0] if sv_aug.size and sv_aug[0] > 0 else 0.0
-    rank_aug = int(np.sum(sv_aug > SPECTRAL_RTOL * top_aug)) if top_aug else 0
-    rank_total_aug = (
-        int(np.sum(sv_total > SPECTRAL_RTOL * top_aug)) if top_aug else 0
-    )
-    if rank_aug > rank_total_aug:
+    sv_aug = np.linalg.svd(np.hstack([total, diff]), compute_uv=False)
+    top_aug = sv_aug.max(initial=0.0)
+    if _rank(sv_aug, top_aug) > _rank(sv_total, top_aug):
         failed.add("range")
 
     norm_value = math.nan

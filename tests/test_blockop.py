@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maccretive import blockop
 from maccretive.blockop import (
     BDVector,
     BlockRealization,
@@ -21,12 +22,24 @@ from maccretive.blockop import (
     state_l2_norm,
 )
 from maccretive.derivative import DerivativeContext
-from maccretive.funcspace import ExpPoly, Interval, differentiate, graph_inner, l2_norm
+from maccretive.errors import RootNotFound
+from maccretive.funcspace import (
+    ExpPoly,
+    Interval,
+    _first_order_coeffs,
+    _horner,
+    _poly_integral,
+    absorb_rate_shift,
+    differentiate,
+    graph_inner,
+    l2_norm,
+)
 from maccretive.relations import (
     ContractionMap,
     LinearRelation,
     OperatorPair,
     cayley_to_relation,
+    operator_norm,
     relation_to_cayley,
     st_criterion,
 )
@@ -487,3 +500,181 @@ def state_l2_inner_apply_pair(diff: BlockState) -> float:
     from maccretive.blockop import state_l2_inner
 
     return state_l2_inner(apply_block(diff), diff, UNIT)
+
+
+# ----------------------------------------------------------------------
+# Resonance band of the block resolvent
+# ----------------------------------------------------------------------
+
+
+def _green_kernel_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> ExpPoly:
+    """Reference solution of ``u - tau^2 u'' = w``: a coefficient
+    recursion away from ``+-1/tau`` and the mirrored Green-kernel
+    responses anchored at ``a`` and ``b`` near it."""
+    sigma = 1.0 / tau
+    tau2 = tau * tau
+    t_scale = max(abs(ctx.a), abs(ctx.b))
+    half = 0.5 * sigma
+    out = []
+    for mu, p in w.terms:
+        c2 = 1.0 - (tau * mu) ** 2
+        n = len(p)
+        if abs(c2) > 0.1:
+            q = [0.0] * n
+            for k in range(n - 1, -1, -1):
+                acc = p[k]
+                if k + 1 < n:
+                    acc += 2.0 * tau2 * mu * (k + 1) * q[k + 1]
+                if k + 2 < n:
+                    acc += tau2 * (k + 1) * (k + 2) * q[k + 2]
+                q[k] = acc / c2
+            out.append((mu, q))
+            continue
+        sign = 1.0 if mu > 0 else -1.0
+        beta = mu - sign * sigma
+        near = absorb_rate_shift(p, beta, t_scale)
+        p_poly = _poly_integral(near)
+        if sign < 0:
+            low_main = absorb_rate_shift(p_poly, -beta, t_scale)
+            out.append((mu, [half * c for c in low_main]))
+            out.append((-sigma, (-half * _horner(p_poly, ctx.a),)))
+            nu2 = mu - sigma
+            q2 = _first_order_coeffs(p, 1.0, nu2)
+            out.append((sigma, (half * _horner(q2, ctx.b) * math.exp(nu2 * ctx.b),)))
+            out.append((mu, [-half * c for c in q2]))
+        else:
+            high_main = absorb_rate_shift(p_poly, -beta, t_scale)
+            out.append((mu, [-half * c for c in high_main]))
+            out.append((sigma, (half * _horner(p_poly, ctx.b),)))
+            nu2 = mu + sigma
+            q2 = _first_order_coeffs(p, 1.0, nu2)
+            out.append((mu, [half * c for c in q2]))
+            out.append((-sigma, (-half * _horner(q2, ctx.a) * math.exp(nu2 * ctx.a),)))
+    return ExpPoly(tuple(out))
+
+
+BAND_TAU = 0.5
+BAND_INTERVALS = ((0.0, 1.0), (-2.0, -0.5), (-0.7, 1.3))
+BAND_TAU_MU = tuple(s * m for m in (0.9, 0.949, 1.0, 1.049, 1.1) for s in (1.0, -1.0))
+
+#: Known misses at the band edge. At ``tau*mu = +-1.1`` the factor
+#: ``1 -+ tau*mu`` lies just outside the first-order integrating-factor
+#: window ``|.| <= 0.1``, so that half is solved by the coefficient
+#: recursion; its particular solution grows like ``deg! (tau/0.1)^deg``
+#: times the data and cancels against the homogeneous mode. The 1-D
+#: ``resolve`` shares the branch and misses the same way.
+BAND_EDGE_MISSES = {
+    ((-0.7, 1.3), 6, 1.1),
+    ((-0.7, 1.3), 6, -1.1),
+}
+
+
+def _band_cases():
+    for interval in BAND_INTERVALS:
+        for degree in range(7):
+            for tau_mu in BAND_TAU_MU:
+                marks = ()
+                if (interval, degree, tau_mu) in BAND_EDGE_MISSES:
+                    marks = pytest.mark.xfail(
+                        raises=(AssertionError, RootNotFound),
+                        strict=True,
+                        reason="recursion branch at the band edge",
+                    )
+                yield pytest.param(
+                    interval, degree, tau_mu, marks=marks,
+                    id=f"{interval[0]}..{interval[1]}-deg{degree}-taumu{tau_mu}",
+                )
+
+
+def _gauss_nodes(iv: Interval):
+    """64-point Gauss-Legendre nodes and weights on ``iv``."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * iv.length
+    return half * nodes + iv.a + half, half * weights
+
+
+def _pointwise_l2(state: BlockState, iv: Interval) -> float:
+    """L2 norm of ``state`` by quadrature of its pointwise values.
+
+    ``state_l2_norm`` of a difference of two representations of nearly
+    the same function on different rates keeps only half the digits;
+    pointwise values do not cancel that way.
+    """
+    ts, ws = _gauss_nodes(iv)
+    return math.sqrt(sum(w * (state.u(t) ** 2 + state.v(t) ** 2) for t, w in zip(ts, ws)))
+
+
+def _term_majorant(state: BlockState, iv: Interval) -> float:
+    """Largest sum of the terms' magnitudes at a node: the scale on which
+    the roundoff of evaluating ``state`` lives."""
+    ts, _ = _gauss_nodes(iv)
+    return max(
+        sum(
+            abs(c) * abs(t) ** k * math.exp(rate * t)
+            for poly in (state.u, state.v)
+            for rate, coeffs in poly.terms
+            for k, c in enumerate(coeffs)
+        )
+        for t in ts
+    )
+
+
+@pytest.mark.parametrize("interval, degree, tau_mu", _band_cases())
+def test_block_resolve_resonance_band(monkeypatch, interval, degree, tau_mu):
+    """The partial-fraction solve near the resonant rates ``+-1/tau``.
+
+    Checks the particular solution, the resolvent residuals and
+    membership for a linear and a nonlinear realization, and agreement
+    with the Green-kernel solver it replaced wherever that reference can
+    carry ten digits: its terms cancel by at most 1e4. Near the band
+    edges its recursion builds terms up to 1e8 times its result, loses
+    that many digits, and can fail its own membership test.
+    """
+    ctx = DerivativeContext(Interval(*interval))
+    iv = ctx.interval
+    space = bd_space(ctx)
+    tau = BAND_TAU
+    mu = tau_mu / tau
+    rng = np.random.default_rng(
+        [degree, round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))]
+    )
+
+    def poly(rate):
+        return ExpPoly(((rate, tuple(rng.uniform(-1.5, 1.5, degree + 1))),))
+
+    def residual(out: BlockState, rhs: BlockState) -> float:
+        res1 = out.u + tau * differentiate(out.v) - rhs.u
+        res2 = out.v + tau * differentiate(out.u) - rhs.v
+        return max(l2_norm(res1, iv), l2_norm(res2, iv))
+
+    # the particular solution, on both resonant rates at once
+    w = poly(mu) + poly(-mu)
+    u = blockop._particular_second_order(w, tau, ctx)
+    resid = u - tau * tau * differentiate(differentiate(u)) - w
+    assert l2_norm(resid, iv) <= 1e-12 * (1.0 + l2_norm(w, iv) + l2_norm(u, iv))
+    if abs(tau_mu) < 1.1:
+        # inside the integrating-factor window the near half is a Green
+        # kernel of unit mass anchored at its own end, so the particular
+        # solution stays on the scale of the data
+        assert l2_norm(u, iv) <= l2_norm(w, iv)
+
+    raw = rng.standard_normal((2, 2))
+    linear = ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
+    squash = ContractionMap(space, lambda z: 0.7 * np.tanh(z), lipschitz_cert=0.7)
+    rhs = BlockState(poly(mu), poly(-mu))
+    scale = 1.0 + state_l2_norm(rhs, iv)
+    for f in (linear, squash):
+        real = BlockRealization.from_f(ctx, f)
+        out = block_resolve(real, rhs, tau)
+        assert residual(out, rhs) <= 1e-9 * scale
+        assert real.domain_test(out, tol=1e-7)
+
+        with monkeypatch.context() as m:
+            m.setattr(blockop, "_particular_second_order", _green_kernel_second_order)
+            try:
+                ref = block_resolve(real, rhs, tau)
+            except RootNotFound:
+                continue
+        ref_norm = _pointwise_l2(ref, iv)
+        if _term_majorant(ref, iv) <= 1e4 * ref_norm:
+            assert _pointwise_l2(out - ref, iv) <= 1e-10 * ref_norm
