@@ -10,25 +10,30 @@ Every m-accretive realization admits four equivalent descriptions:
 a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
 operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. A realization stores
-one of them and derives the others on demand; this module solves the
-associated resolvent equations exactly in the function algebra. The
-second-order equation ``u - tau^2 u'' = w`` behind the block resolvent
-splits by partial fractions, ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``,
-into two first-order solves of the kind the 1-D resolvent uses.
+one of them and derives the others on demand. Membership of a state
+``(u, v)`` depends on it only through the four endpoint values
+``u(a), u(b), v(a), v(b)``, and for a linear realization every
+description's defect is a fixed linear map of them: membership of N
+states is one matrix product on an ``(N, 4)`` array. This module also
+solves the associated resolvent equations exactly in the function
+algebra. The second-order equation ``u - tau^2 u'' = w`` behind the
+block resolvent splits by partial fractions,
+``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, into two first-order solves
+of the kind the 1-D resolvent uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .derivative import DerivativeContext, _first_order_terms, _pi_coeffs
 from .errors import RootNotFound
-from .funcspace import ExpPoly, Interval, differentiate, l2_inner
+from .funcspace import ExpPoly, Interval, _merge, differentiate, l2_inner
 from .relations import (
     ContractionMap,
     InnerSpace,
@@ -234,14 +239,113 @@ def reduce_h_to_f(
 
 
 # ----------------------------------------------------------------------
-# Realizations
+# Membership in boundary coordinates
 # ----------------------------------------------------------------------
 
+#: One membership view: a matrix taking ``z = (u_BD, Dv_BD)`` to a
+#: residual whose Euclidean norm is the defect, or, for a nonlinear
+#: view, a callable returning the defect of one ``z``.
+View = Union[np.ndarray, Callable[[np.ndarray], float]]
 
-def _product_norm(space: InnerSpace, z: np.ndarray) -> float:
-    """Norm of ``z = (u, v)`` in ``X x X``."""
-    d = space.dim
-    return math.sqrt(max(space.inner(z[:d], z[:d]) + space.inner(z[d:], z[d:]), 0.0))
+
+@lru_cache(maxsize=64)
+def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
+    """``(to_z, P V)`` on BD coefficients.
+
+    ``P`` takes endpoint values ``(w(a), w(b))`` to the coefficients of
+    the projection onto BD (the matrix of ``_pi_coeffs``), and ``V``
+    takes ``(cp, cm)`` to the endpoint values of ``cp e^t + cm e^{-t}``,
+    so ``P V`` is the identity up to roundoff. ``to_z`` takes the endpoint
+    values ``(u(a), u(b), v(a), v(b))`` of a state to
+    ``z = (u_BD, Dv_BD)``: ``P`` on each component, then ``g_bd`` on the
+    second.
+    """
+    iv = ctx.interval
+    p = np.column_stack([_pi_coeffs(ctx, 1.0, 0.0), _pi_coeffs(ctx, 0.0, 1.0)])
+    v = np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
+    to_z = np.zeros((4, 4))
+    to_z[:2, :2] = p
+    to_z[2:, 2:] = p * np.array([[1.0], [-1.0]])
+    return to_z, p @ v
+
+
+def _endpoint_values(ctx: DerivativeContext, states) -> np.ndarray:
+    """``(N, 4)`` array of ``u(a), u(b), v(a), v(b)``, one row per state."""
+    a, b = ctx.a, ctx.b
+    rows = [(s.u(a), s.u(b), s.v(a), s.v(b)) for s in states]
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+class _Kernel(NamedTuple):
+    """Membership views as one map of the endpoint array.
+
+    ``matrix`` takes a row of endpoint values to ``z = (u_BD, Dv_BD)``
+    followed by the residuals of the matrix views; ``weights`` sums
+    squares of those columns into ``|u_BD|^2``, ``|Dv_BD|^2`` and one
+    squared defect per view (a zero column for each callable view, whose
+    defect ``rows`` fills in from ``z``).
+    """
+
+    names: tuple[str, ...]
+    matrix: np.ndarray
+    weights: np.ndarray
+    rows: tuple[tuple[int, Callable[[np.ndarray], float]], ...]
+
+    @classmethod
+    def build(cls, ctx: DerivativeContext, views: dict) -> "_Kernel":
+        to_z = _endpoint_maps(ctx)[0]
+        matrix = np.vstack([to_z] + [v @ to_z for v in views.values() if not callable(v)]).T
+        weights = np.zeros((matrix.shape[1], 2 + len(views)))
+        # the BD Gram matrix is diagonal
+        weights[0:2, 0] = weights[2:4, 1] = np.diag(bd_space(ctx).gram)
+        start, rows = 4, []
+        for col, view in enumerate(views.values(), start=2):
+            if callable(view):
+                rows.append((col, view))
+            else:
+                weights[start:start + len(view), col] = 1.0
+                start += len(view)
+        return cls(tuple(views), matrix, weights, tuple(rows))
+
+    def verdicts(self, endpoints: np.ndarray, tol: float) -> np.ndarray:
+        """``(N, len(names))`` booleans: defect <= tol (1 + |u_BD| + |Dv_BD|)."""
+        resid = endpoints @ self.matrix
+        norms = np.sqrt((resid * resid) @ self.weights)
+        for col, defect in self.rows:
+            norms[:, col] = [defect(z) for z in resid[:, :4]]
+        return norms[:, 2:] <= tol * (1.0 + norms[:, :1] + norms[:, 1:2])
+
+
+def _cayley_view(
+    space: InnerSpace, f: ContractionMap, around: Optional[np.ndarray] = None
+) -> View:
+    """Defect of ``f(x) = y``, ``x = (u_BD + Dv_BD)/2``, ``y = (u_BD - Dv_BD)/2``.
+
+    With ``around`` the map is read as ``around f around``: the h view,
+    whose ``(w, Gw) -> (fw, -G fw)`` passes through endpoint values
+    before and after ``f``.
+    """
+    eye = np.eye(2)
+    to_x = 0.5 * np.hstack([eye, eye])
+    to_y = 0.5 * np.hstack([eye, -eye])
+    if f.is_linear:
+        g = f.matrix if around is None else around @ f.matrix @ around
+        return space._chol.T @ (g @ to_x - to_y)
+    g = f if around is None else (lambda w: around @ f(around @ w))
+    return lambda z: space.norm(g(to_x @ z) - to_y @ z)
+
+
+def _pair_view(pair: OperatorPair) -> View:
+    """Defect of ``S u_BD = T Dv_BD`` in the pair's codomain norm."""
+    stacked = np.hstack([pair.S, -pair.T])
+    if isinstance(pair.codomain_norm, str):
+        return stacked
+    return lambda z: pair.codomain_norm_of(stacked @ z)
+
+
+# ----------------------------------------------------------------------
+# Realizations
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +356,7 @@ class BlockRealization:
     realization is linear, otherwise its nonexpansive map ``f``.
     Membership tests and resolvents read that description alone. The
     other views are derived from it on first use, for
-    :meth:`domain_test_all`: ``f`` (when ``M`` is m-accretive), the
+    :meth:`domain_test_many`: ``f`` (when ``M`` is m-accretive), the
     relation (the Cayley relation of a nonlinear ``f``), the operator
     pair ``(S, T)`` (linear case) and the deficiency map ``h``. Nothing
     is sampled at construction.
@@ -281,7 +385,7 @@ class BlockRealization:
 
     # -- derived views ----------------------------------------------------
 
-    @property
+    @cached_property
     def is_m_accretive(self) -> bool:
         if isinstance(self.description, LinearRelation):
             return is_m_accretive_linear(self.description)
@@ -311,21 +415,14 @@ class BlockRealization:
     @cached_property
     def pair(self) -> Optional[OperatorPair]:
         """``Su = Tv`` with ``(S, -T)`` the column blocks of the projector
-        onto the complement of ``M``."""
+        onto the complement of ``M``, in orthonormal coordinates of
+        ``X x X`` so that ``Y`` carries the Euclidean norm."""
         if not isinstance(self.description, LinearRelation):
             return None
         space = bd_space(self.ctx)
         d = space.dim
-        return OperatorPair(
-            space,
-            self._perp[:, :d],
-            -self._perp[:, d:],
-            codomain_norm=partial(_product_norm, space),
-        )
-
-    @cached_property
-    def h(self) -> Optional[BlockMap]:
-        return None if self.f is None else lift_f_to_h(self.ctx, self.f)
+        rows = np.kron(np.eye(2), space._chol.T) @ self._perp
+        return OperatorPair(space, rows[:, :d], -rows[:, d:])
 
     @cached_property
     def _perp(self) -> np.ndarray:
@@ -340,53 +437,55 @@ class BlockRealization:
         basis = self.description.basis.reshape(k, -1).T  # columns span M
         return eye - basis @ np.linalg.solve(basis.T @ w @ basis, basis.T @ w)
 
+    def _view(self, name: str) -> View:
+        space = bd_space(self.ctx)
+        if name == "relation":
+            if isinstance(self.description, LinearRelation):
+                return np.kron(np.eye(2), space._chol.T) @ self._perp
+            return lambda z: self.relation.defect(z[:2], z[2:])
+        if name == "pair":
+            return _pair_view(self.pair)
+        if name == "f":
+            return _cayley_view(space, self.f)
+        return _cayley_view(space, self.f, around=_endpoint_maps(self.ctx)[1])
+
+    @cached_property
+    def _description_kernel(self) -> _Kernel:
+        name = "relation" if isinstance(self.description, LinearRelation) else "f"
+        return _Kernel.build(self.ctx, {name: self._view(name)})
+
+    @cached_property
+    def _views_kernel(self) -> _Kernel:
+        names = ["relation"] if self.pair is None else ["relation", "pair"]
+        if self.f is not None:
+            names = ["f", *names, "h"]
+        return _Kernel.build(self.ctx, {name: self._view(name) for name in names})
+
     # -- membership -----------------------------------------------------
 
     def domain_test(self, state: BlockState, tol: float = 1e-9) -> bool:
         """Membership decided by the stored description."""
-        x, y = boundary_data(self.ctx, state)
-        if isinstance(self.description, LinearRelation):
-            return self._relation_member(x + y, x - y, tol)
-        return _f_member(self.description, x, y, tol)
+        ends = _endpoint_values(self.ctx, (state,))
+        return bool(self._description_kernel.verdicts(ends, tol)[0, 0])
 
-    def _relation_member(self, u_bd: BDVector, dv_bd: BDVector, tol: float) -> bool:
-        if not isinstance(self.description, LinearRelation):
-            return self.relation.contains(u_bd.coeffs, dv_bd.coeffs, tol)
-        resid = self._perp @ np.concatenate([u_bd.coeffs, dv_bd.coeffs])
-        defect = _product_norm(bd_space(self.ctx), resid)
-        return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+    def domain_test_many(self, states, tol: float = 1e-9) -> dict:
+        """Membership of each state under each available view.
+
+        Returns one boolean array of length ``len(states)`` per view,
+        keyed by its name. Every view is a function of the four endpoint
+        values ``u(a), u(b), v(a), v(b)``, and for a linear realization
+        a linear one: the states' endpoint values make one ``(N, 4)``
+        array, one matrix product gives every residual, and only a
+        nonlinear ``f`` is applied row by row.
+        """
+        kernel = self._views_kernel
+        ok = kernel.verdicts(_endpoint_values(self.ctx, states), tol)
+        return {name: ok[:, j] for j, name in enumerate(kernel.names)}
 
     def domain_test_all(self, state: BlockState, tol: float = 1e-9) -> dict:
         """Membership under each available view, keyed by its name."""
-        x, y = boundary_data(self.ctx, state)
-        u_bd, dv_bd = x + y, x - y
-        views = {}
-        if self.f is not None:
-            views["f"] = _f_member(self.f, x, y, tol)
-        views["relation"] = self._relation_member(u_bd, dv_bd, tol)
-        if self.pair is not None:
-            views["pair"] = _pair_member(self.pair, u_bd, dv_bd, tol)
-        if self.h is not None:
-            # h maps into ker(1+A), whose elements (w, -Gw) carry the
-            # BD norm of w; the defect can be measured there.
-            image = self.h(_deficiency_state(x, 1.0))
-            defect = bd_project(self.ctx, image.u) - y
-            views["h"] = defect.norm() <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
-        return views
-
-
-def _f_member(f: ContractionMap, x: BDVector, y: BDVector, tol: float) -> bool:
-    """Cayley form of membership: ``f(x) = y`` on the deficiency data."""
-    defect = BDVector.from_coeffs(x.ctx, f(x.coeffs)) - y
-    return defect.norm() <= tol * (1.0 + (x + y).norm() + (x - y).norm())
-
-
-def _pair_member(
-    pair: OperatorPair, u_bd: BDVector, dv_bd: BDVector, tol: float
-) -> bool:
-    """``S u_BD = T Dv_BD`` in the declared Y norm."""
-    defect = pair.codomain_norm_of(pair.S @ u_bd.coeffs - pair.T @ dv_bd.coeffs)
-    return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+        views = self.domain_test_many((state,), tol)
+        return {name: bool(ok[0]) for name, ok in views.items()}
 
 
 def st_domain(
@@ -396,8 +495,8 @@ def st_domain(
     tol: float = 1e-9,
 ) -> bool:
     """Membership test ``S u_BD = T Dv_BD`` in the declared Y norm."""
-    u_bd = bd_project(ctx, state.u)
-    return _pair_member(pair, u_bd, g_bd(bd_project(ctx, state.v)), tol)
+    kernel = _Kernel.build(ctx, {"pair": _pair_view(pair)})
+    return bool(kernel.verdicts(_endpoint_values(ctx, (state,)), tol)[0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +535,8 @@ def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     ``u_BD`` and ``Dv_BD`` as matrix columns.
     """
     sigma = 1.0 / tau
-    w_plus = bd_project(ctx, ExpPoly.exponential(sigma)).coeffs
-    w_minus = bd_project(ctx, ExpPoly.exponential(-sigma)).coeffs
+    w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))
+    w_minus = np.array(_pi_coeffs(ctx, math.exp(-sigma * ctx.a), math.exp(-sigma * ctx.b)))
     flip = np.array([1.0, -1.0])
     h_u = np.column_stack([w_plus, w_minus])
     h_dv = np.column_stack([-(flip * w_plus), flip * w_minus])
@@ -470,9 +569,8 @@ def block_resolve(
 
     coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, h_u, h_dv)
 
-    mode_p = ExpPoly.exponential(sigma)
-    mode_m = ExpPoly.exponential(-sigma)
-    u = u_part + coeffs[0] * mode_p + coeffs[1] * mode_m
+    modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
+    u = ExpPoly._trusted(_merge(u_part.terms + modes))
     v = rhs.v - tau * differentiate(u)
     result = BlockState(u, v)
     if not realization.domain_test(result, tol=1e-8):

@@ -299,12 +299,17 @@ class CayleyRelation:
     linear: Optional[LinearRelation] = None
     tol: float = NORM_TOL
 
+    def defect(self, u: np.ndarray, v: np.ndarray) -> float:
+        """``|f((u+v)/2) - (u-v)/2|``, zero exactly on the relation."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        return self.space.norm(self.f(0.5 * (u + v)) - 0.5 * (u - v))
+
     def contains(self, u: np.ndarray, v: np.ndarray, tol: Optional[float] = None) -> bool:
         tol = self.tol if tol is None else tol
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        defect = self.space.norm(self.f(0.5 * (u + v)) - 0.5 * (u - v))
-        return defect <= tol * (1.0 + self.space.norm(u) + self.space.norm(v))
+        return self.defect(u, v) <= tol * (1.0 + self.space.norm(u) + self.space.norm(v))
 
     def resolvent(self, x: np.ndarray) -> np.ndarray:
         """Apply ``(1 + M)^{-1}``: ``u = f(x/2) + x/2``."""

@@ -12,6 +12,7 @@ from maccretive.blockop import (
     bd_project,
     bd_space,
     block_resolve,
+    boundary_data,
     g_bd,
     lift_f_to_h,
     pi1_block,
@@ -345,6 +346,158 @@ def test_views_agree_for_relation_and_st_realizations():
             views = real.domain_test_all(bd_member(real, rng))
             assert set(views) == expected and all(views.values())
     assert seen[True] > 0 and seen[False] > 0
+
+
+# Reference: the per-state views built from BDVector objects, as the
+# membership tests computed them before they became matrices on endpoint
+# values. Kept here to pin the batched kernel to the same verdicts.
+
+
+def _ref_perp(relation: LinearRelation) -> np.ndarray:
+    space = relation.space
+    k = relation.dim
+    eye = np.eye(2 * space.dim)
+    if k == 0:
+        return eye
+    w = np.kron(np.eye(2), space.gram)
+    basis = relation.basis.reshape(k, -1).T
+    return eye - basis @ np.linalg.solve(basis.T @ w @ basis, basis.T @ w)
+
+
+def _ref_product_norm(space, z: np.ndarray) -> float:
+    d = space.dim
+    return math.sqrt(max(space.inner(z[:d], z[:d]) + space.inner(z[d:], z[d:]), 0.0))
+
+
+def _ref_pair_member(pair: OperatorPair, u_bd: BDVector, dv_bd: BDVector, tol: float) -> bool:
+    defect = pair.codomain_norm_of(pair.S @ u_bd.coeffs - pair.T @ dv_bd.coeffs)
+    return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+
+
+def _ref_views(real: BlockRealization, state: BlockState, tol: float = 1e-9) -> dict:
+    ctx = real.ctx
+    space = bd_space(ctx)
+    x, y = boundary_data(ctx, state)
+    u_bd, dv_bd = x + y, x - y
+    bound = tol * (1.0 + u_bd.norm() + dv_bd.norm())
+    views = {}
+    if real.f is not None:
+        views["f"] = (BDVector.from_coeffs(ctx, real.f(x.coeffs)) - y).norm() <= bound
+    if isinstance(real.description, LinearRelation):
+        perp = _ref_perp(real.description)
+        resid = perp @ np.concatenate([u_bd.coeffs, dv_bd.coeffs])
+        views["relation"] = _ref_product_norm(space, resid) <= bound
+        pair = OperatorPair(
+            space, perp[:, :2], -perp[:, 2:],
+            codomain_norm=lambda z: _ref_product_norm(space, z),
+        )
+        views["pair"] = _ref_pair_member(pair, u_bd, dv_bd, tol)
+    else:
+        views["relation"] = real.relation.contains(u_bd.coeffs, dv_bd.coeffs, tol)
+    if real.f is not None:
+        image = lift_f_to_h(ctx, real.f)(BlockState(x.to_exppoly(), g_bd(x).to_exppoly()))
+        views["h"] = (bd_project(ctx, image.u) - y).norm() <= bound
+    return views
+
+
+def _ref_description_view(real: BlockRealization, state: BlockState, tol: float) -> bool:
+    views = _ref_views(real, state, tol)
+    return views["relation" if isinstance(real.description, LinearRelation) else "f"]
+
+
+def _kernel_cases():
+    """Realizations of every kind on intervals on, across and below 0."""
+    for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
+        ctx = DerivativeContext(Interval(a, b))
+        space = bd_space(ctx)
+        rng = np.random.default_rng(int(100 * (b - a)))
+        for _ in range(3):
+            raw = rng.standard_normal((2, 2))
+            matrix = raw / operator_norm(space, raw) * rng.uniform(0.3, 0.99)
+            yield "f", BlockRealization.from_f(ctx, ContractionMap.from_matrix(space, matrix))
+            squash = ContractionMap(
+                space, lambda z, m=matrix: 0.7 * np.tanh(m @ z), lipschitz_cert=0.7
+            )
+            yield "tanh", BlockRealization.from_f(ctx, squash)
+        accretive = {True: 0, False: 0}
+        while min(accretive.values()) < 2:
+            m = rng.standard_normal((2, 2))
+            basis = np.array([np.stack([e, m @ e]) for e in np.eye(2)])
+            real = BlockRealization.from_relation(ctx, LinearRelation(space, basis))
+            if accretive[real.is_m_accretive] < 2:
+                accretive[real.is_m_accretive] += 1
+                yield "M", real
+        for _ in range(3):
+            pair = OperatorPair(space, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+            yield "ST", BlockRealization.from_st(ctx, pair)
+
+
+def _kernel_member(real: BlockRealization, rng: np.random.Generator) -> BlockState:
+    """Member from boundary data of the realization, plus an endpoint-free part."""
+    ctx = real.ctx
+    if isinstance(real.description, LinearRelation):
+        basis = real.description.basis
+        c = rng.uniform(-2.0, 2.0, size=len(basis))
+        u_bd = BDVector.from_coeffs(ctx, c @ basis[:, 0, :])
+        dv_bd = BDVector.from_coeffs(ctx, c @ basis[:, 1, :])
+    else:
+        x = rng.uniform(-2.0, 2.0, size=2)
+        fx = real.description(x)
+        u_bd = BDVector.from_coeffs(ctx, x + fx)
+        dv_bd = BDVector.from_coeffs(ctx, x - fx)
+    a, b = ctx.a, ctx.b
+    bump = ExpPoly.polynomial([-a * b, a + b, -1.0])  # (t - a)(b - t)
+    return BlockState(
+        u_bd.to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+        g_bd(dv_bd).to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+    )
+
+
+def test_domain_test_many_matches_per_state_views():
+    rng = np.random.default_rng(66)
+    counts = {True: 0, False: 0}
+    kinds = set()
+    for kind, real in _kernel_cases():
+        kinds.add(kind)
+        states = [random_state(rng) for _ in range(6)]
+        states += [_kernel_member(real, rng) for _ in range(4)]
+        if real.is_m_accretive:
+            states += [block_resolve(real, random_state(rng), 0.8) for _ in range(2)]
+        expected = [_ref_views(real, s) for s in states]
+        many = real.domain_test_many(states)
+        assert list(many) == list(expected[0])
+        for name, verdicts in many.items():
+            assert verdicts.shape == (len(states),)
+            assert verdicts.tolist() == [e[name] for e in expected]
+        for s, e in zip(states, expected):
+            assert real.domain_test_all(s) == e
+            assert real.domain_test(s) == _ref_description_view(real, s, 1e-9)
+            counts[all(e.values())] += 1
+        empty = real.domain_test_many([])
+        assert list(empty) == list(expected[0])
+        assert all(v.shape == (0,) for v in empty.values())
+    assert kinds == {"f", "tanh", "M", "ST"}
+    assert counts[True] > 50 and counts[False] > 50
+
+
+def test_st_domain_matches_per_state_reference():
+    rng = np.random.default_rng(67)
+    for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
+        ctx = DerivativeContext(Interval(a, b))
+        space = bd_space(ctx)
+        for norm in ("euclidean", 2.0 * np.eye(2), lambda z: float(np.abs(z).sum())):
+            pair = OperatorPair(
+                space, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                codomain_norm=norm,
+            )
+            real = BlockRealization.from_st(ctx, pair)
+            states = [random_state(rng) for _ in range(5)]
+            states += [_kernel_member(real, rng) for _ in range(5)]
+            for s in states:
+                u_bd = bd_project(ctx, s.u)
+                expected = _ref_pair_member(pair, u_bd, g_bd(bd_project(ctx, s.v)), 1e-9)
+                assert st_domain(ctx, pair, s) == expected
+            assert any(st_domain(ctx, pair, s) for s in states[5:])
 
 
 def test_cayley_coherence_f_to_relation_to_f():

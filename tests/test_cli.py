@@ -197,6 +197,22 @@ def test_block_equivalence_command(tmp_path):
     assert report["m_accretive"] is True
 
 
+@pytest.mark.parametrize("states", [20, 21])
+def test_block_equivalence_report_does_not_depend_on_chunk_size(tmp_path, monkeypatch, states):
+    # the states after the last chunk feed the resolvent draws, so a lost
+    # or extra draw would change max_resolvent_residual
+    from maccretive import cli
+
+    spec = {"command": "block-equivalence", "seed": 5, "params": {"states": states}}
+    (tmp_path / "whole").mkdir()
+    (tmp_path / "chunked").mkdir()
+    _, whole = run_cli(tmp_path / "whole", spec)
+    monkeypatch.setattr(cli, "STATE_CHUNK", 7)
+    _, chunked = run_cli(tmp_path / "chunked", spec)
+    assert (whole / "report.json").read_bytes() == (chunked / "report.json").read_bytes()
+    assert load_report(chunked)["states"] == states
+
+
 def test_evolve_command_with_distance(tmp_path):
     spec = {
         "command": "evolve",
