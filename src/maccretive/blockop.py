@@ -527,12 +527,14 @@ def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> 
     ))
 
 
+@lru_cache(maxsize=64)
 def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     """BD data of the two homogeneous resolvent modes.
 
     The modes are ``(e^{t/tau}, -e^{t/tau})`` and
     ``(e^{-t/tau}, e^{-t/tau})``; returns their contributions to
-    ``u_BD`` and ``Dv_BD`` as matrix columns.
+    ``u_BD`` and ``Dv_BD`` as matrix columns. Cached per ``(ctx, tau)``:
+    callers only read the matrices.
     """
     sigma = 1.0 / tau
     w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))

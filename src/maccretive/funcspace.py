@@ -16,6 +16,15 @@ Each :class:`Interval` keeps these moments as one row per rate,
 ``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown on demand and
 freed with the interval.
 
+An L2 pairing is a running sum over term pairs of ``conv[k] * moment[k]``,
+``conv`` being the product of the two coefficient lists. Once one term of
+``f`` needs ``_BATCH_PRODUCTS`` coefficient products against all of
+``g``, as the growing states of long implicit-Euler runs do, that term is
+paired with every term of ``g`` at once in numpy. Every sum there adds
+the same products in the same order as the Python loop, and its zero
+pads add only ``+-0.0``, so the result is bit-identical. Smaller
+pairings keep the loop, which is faster at their size.
+
 Results that are normal by construction (negation, scaling,
 differentiation) skip the public constructor's coercion and merge
 through ``ExpPoly._trusted``; its invariant is that ``terms`` is
@@ -28,6 +37,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Interval",
@@ -49,6 +60,11 @@ RATE_MERGE_TOL = 1e-14
 #: raise the degree by one each, so the cap must exceed the longest
 #: supported trajectory (64 covers the 50-step acceptance runs).
 DEGREE_CAP = 64
+
+#: An ``f`` term of ``n1`` coefficients is paired with ``g`` in numpy
+#: once ``n1 * (coefficients of g)`` reaches this; below it the Python
+#: loop is faster.
+_BATCH_PRODUCTS = 512
 
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 100_000
@@ -440,10 +456,80 @@ def _power_exp_integral(k: int, nu: float, a: float, b: float) -> float:
     return sign * _from_zero(k, -nu, -a) + _from_zero(k, nu, b)
 
 
+def _coeff_rows(g: ExpPoly, width: int) -> np.ndarray:
+    """The coefficient tuples of ``g`` as rows, zero-padded to ``width``."""
+    rows = np.zeros((len(g.terms), width))
+    for t, (_, coeffs) in enumerate(g.terms):
+        rows[t, : len(coeffs)] = coeffs
+    return rows
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent like the loop's floats
+def _batched_pairings(
+    total: float,
+    r1: float,
+    c1: tuple[float, ...],
+    g: ExpPoly,
+    g_rows: np.ndarray,
+    n2: int,
+    interval: Interval,
+) -> float:
+    """``total`` plus the pairings of the term ``c1 e^{r1 t}`` with all of ``g``.
+
+    ``g_rows`` holds the coefficients of ``g`` (at most ``n2`` each) with
+    at least ``len(c1)`` zeros after each row. The arithmetic is that of
+    the loop in :func:`l2_inner`, in its order:
+
+    - ``products[t, i, j]`` is the exact product ``c1[i] * g_t[j]``;
+    - reading each ``(n1, n1 + n2)`` block with row stride ``n1 + n2 - 1``
+      moves row ``i`` right by ``i``, so ``skew[t, i, k]`` is
+      ``c1[i] * g_t[k - i]`` or a zero pad, and a reduction over ``i``
+      (not the contiguous axis, so sequential in ``i``) is ``_conv``;
+    - the running total is a cumulative sum from ``total`` over the
+      products ``conv * moment``, g terms outer and ``k`` inner.
+
+    The pads add only ``+-0.0``, which changes neither a nonzero sum nor
+    a sum that started at ``+0.0``, and a zero ``conv[k]``, skipped by the
+    loop, adds ``+-0.0`` too. So a finite result is bit-identical to the
+    loop's; a non-finite one may differ and is left to the loop.
+    """
+    n1 = len(c1)
+    t_g = len(g.terms)
+    width = n1 + n2 - 1
+    products = np.multiply(np.array(c1)[:, None], g_rows[:, None, : width + 1])
+    skew = products.reshape(t_g, n1 * (width + 1))[:, : n1 * width]
+    conv = np.add.reduce(skew.reshape(t_g, n1, width), axis=1)
+    moments = np.zeros((t_g, width))
+    for t, (r2, c2) in enumerate(g.terms):
+        k = n1 + len(c2) - 1
+        moments[t, :k] = interval._moments(r1 + r2, k)[:k]
+    running = np.empty(t_g * width + 1)
+    running[0] = total
+    np.multiply(conv, moments, out=running[1:].reshape(t_g, width))
+    return float(np.add.accumulate(running, out=running)[-1])
+
+
 def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
-    """Exact value of the pairing ``integral_a^b f*g dt``."""
+    """Exact value of the pairing ``integral_a^b f*g dt``.
+
+    An ``f`` term whose pairings with ``g`` take at least
+    ``_BATCH_PRODUCTS`` coefficient products goes through
+    :func:`_batched_pairings`, bit-identical to the loop below.
+    """
     total = 0.0
+    g_size = 0
+    for _, c2 in g.terms:
+        g_size += len(c2)
+    g_rows = None
     for r1, c1 in f.terms:
+        if len(c1) * g_size >= _BATCH_PRODUCTS:
+            if g_rows is None:
+                n2 = max(len(c2) for _, c2 in g.terms)
+                g_rows = _coeff_rows(g, n2 + max(len(c) for _, c in f.terms))
+            batched = _batched_pairings(total, r1, c1, g, g_rows, n2, interval)
+            if math.isfinite(batched):
+                total = batched
+                continue
         for r2, c2 in g.terms:
             conv = _conv(c1, c2)
             row = interval._moments(r1 + r2, len(conv))

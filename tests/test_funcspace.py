@@ -11,7 +11,7 @@ from maccretive.funcspace import (
     RATE_MERGE_TOL,
     ExpPoly,
     Interval,
-    _conv,
+    _BATCH_PRODUCTS,
     _power_exp_integral,
     absorb_rate_shift,
     antiderivative,
@@ -299,13 +299,22 @@ def reference_differentiate(f: ExpPoly) -> tuple:
     return reference_terms(out)
 
 
+def reference_conv(p, q) -> tuple:
+    """Product of two ascending coefficient lists, summed in ascending ``i``."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
 def reference_l2_inner(f_terms, g_terms, iv: Interval) -> float:
     """One ``_power_exp_integral`` evaluation per moment, in the same order."""
     total = 0.0
     for r1, c1 in f_terms:
         for r2, c2 in g_terms:
             nu = r1 + r2
-            for k, c in enumerate(_conv(c1, c2)):
+            for k, c in enumerate(reference_conv(c1, c2)):
                 if c != 0.0:
                     total += c * _power_exp_integral(k, nu, iv.a, iv.b)
     return total
@@ -372,7 +381,9 @@ def test_trusted_results_match_normalising_constructor(f, g, s):
     assert same(differentiate(f).terms, reference_differentiate(f))
     assert same((f + g).terms, reference_terms(f.terms + g.terms))
     assert same((f - g).terms, reference_terms(f.terms + scaled_terms(g, -1.0)))
-    prods = [(r1 + r2, _conv(c1, c2)) for r1, c1 in f.terms for r2, c2 in g.terms]
+    prods = [
+        (r1 + r2, reference_conv(c1, c2)) for r1, c1 in f.terms for r2, c2 in g.terms
+    ]
     try:
         expected = reference_terms(prods)
     except ValueError:
@@ -380,6 +391,96 @@ def test_trusted_results_match_normalising_constructor(f, g, s):
             f * g
     else:
         assert same((f * g).terms, expected)
+
+
+def _poly(rng, degrees, zeros: bool = False) -> ExpPoly:
+    """One term per degree, at distinct rates; ``zeros`` mixes in ``+-0.0``."""
+    terms = []
+    for t, deg in enumerate(degrees):
+        coeffs = rng.uniform(-2.0, 2.0, size=deg + 1)
+        if zeros:
+            coeffs[rng.random(deg + 1) < 0.3] = 0.0
+            coeffs[rng.random(deg + 1) < 0.3] = -0.0
+            coeffs[-1] = 1.5
+        terms.append((0.5 * t - 1.0, tuple(coeffs)))
+    return ExpPoly(tuple(terms))
+
+
+def _random_sides(seed: int):
+    """1-7 terms per side, degrees from 0 to ``DEGREE_CAP``."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for _ in range(2):
+        n_terms = int(rng.integers(1, 8))
+        sides.append(_poly(rng, rng.integers(0, DEGREE_CAP + 1, size=n_terms), seed % 2 == 1))
+    return sides
+
+
+def _cut_sides(n1: int, g_degrees, zeros: bool = False):
+    """One ``f`` term of ``n1`` coefficients against ``g``: ``n1 * sum(len)`` products."""
+    rng = np.random.default_rng(n1 * 1000 + len(g_degrees))
+    return _poly(rng, [n1 - 1], zeros), _poly(rng, g_degrees, zeros)
+
+
+WIDE = (DEGREE_CAP,) * 7
+PAIRING_CASES = {
+    # products per f term: n1 * (coefficients of g)
+    "at the cut, one term each": _cut_sides(64, [7]),  # 64 * 8
+    "one below the cut": _cut_sides(7, [64, 7]),  # 7 * 73
+    "one above the cut": _cut_sides(27, [18]),  # 27 * 19
+    "at the cut, two g terms": _cut_sides(16, [15, 15]),
+    "at the cut, with zeros": _cut_sides(8, [15, 15, 15, 15], zeros=True),
+    "constant and wide g terms": _cut_sides(DEGREE_CAP + 1, [0, DEGREE_CAP, 0, 3]),
+    "seven full-degree terms a side": (
+        _poly(np.random.default_rng(1), WIDE), _poly(np.random.default_rng(2), WIDE, True)
+    ),
+    "empty f": (ExpPoly.zero(), _poly(np.random.default_rng(3), WIDE)),
+    "empty g": (_poly(np.random.default_rng(4), WIDE), ExpPoly.zero()),
+    "constant f": (ExpPoly.constant(-3.0), _poly(np.random.default_rng(5), WIDE)),
+    **{f"random sides {seed}": _random_sides(seed) for seed in range(12)},
+}
+
+
+def test_pairing_cases_straddle_the_cut():
+    sizes = {
+        len(f.terms[0][1]) * sum(len(c) for _, c in g.terms)
+        for f, g in PAIRING_CASES.values()
+        if len(f.terms) == 1
+    }
+    assert {_BATCH_PRODUCTS - 1, _BATCH_PRODUCTS, _BATCH_PRODUCTS + 1} <= sizes
+
+
+@pytest.mark.parametrize("case", list(PAIRING_CASES))
+def test_pairings_across_the_batch_cut_match_reference(case):
+    f, g = PAIRING_CASES[case]
+    for iv in [Interval(a, b) for a, b in KERNEL_INTERVALS] + WARM_INTERVALS:
+        for x, y in ((f, g), (g, f)):
+            assert same(l2_inner(x, y, iv), reference_l2_inner(x.terms, y.terms, iv)), iv
+
+
+def test_batched_pairing_keeps_the_sign_of_zero():
+    # Every conv entry is a negative subnormal and every moment on
+    # [0, 2**-10] is below 2**-10, so each product c * moment underflows
+    # to -0.0. The loop's sum starts at +0.0 and stays +0.0; a sum that
+    # started at the first product would give -0.0.
+    f = ExpPoly(((0.0, (-(2.0**-540),) * 64),))
+    g = ExpPoly(((0.0, (2.0**-530,) * 9),))
+    assert 64 * 9 >= _BATCH_PRODUCTS
+    iv = Interval(0.0, 2.0**-10)
+    assert same(reference_l2_inner(f.terms, g.terms, iv), 0.0)
+    assert same(l2_inner(f, g, iv), 0.0)
+
+
+def test_batched_pairing_with_overflowing_moments_matches_reference():
+    # e^{800 t} overflows: the loop skips 0 * inf, numpy would give nan.
+    zeros = tuple(1.0 if k % 3 == 0 else 0.0 for k in range(DEGREE_CAP + 1))
+    f = ExpPoly(((400.0, zeros),))
+    g = ExpPoly(((0.0, (1.0,)), (400.0, zeros)))
+    assert len(zeros) * (1 + len(zeros)) >= _BATCH_PRODUCTS
+    for iv in (UNIT, Interval(0.0, 1.0)):
+        result = l2_inner(f, g, iv)
+        assert not math.isfinite(result)
+        assert same(result, reference_l2_inner(f.terms, g.terms, iv))
 
 
 def _moment_from_zero(k: int, nu: float, length: float):
