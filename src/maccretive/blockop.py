@@ -533,8 +533,8 @@ def _homogeneous_frames(ctx: DerivativeContext, tau: float):
 
     The modes are ``(e^{t/tau}, -e^{t/tau})`` and
     ``(e^{-t/tau}, e^{-t/tau})``; returns their contributions to
-    ``u_BD`` and ``Dv_BD`` as matrix columns. Cached per ``(ctx, tau)``:
-    callers only read the matrices.
+    ``u_BD`` and ``Dv_BD`` as matrix columns, read-only since they are
+    cached per ``(ctx, tau)``.
     """
     sigma = 1.0 / tau
     w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))
@@ -542,6 +542,7 @@ def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     flip = np.array([1.0, -1.0])
     h_u = np.column_stack([w_plus, w_minus])
     h_dv = np.column_stack([-(flip * w_plus), flip * w_minus])
+    h_u.flags.writeable = h_dv.flags.writeable = False
     return h_u, h_dv
 
 

@@ -484,7 +484,8 @@ def _batched_pairings(
     - reading each ``(n1, n1 + n2)`` block with row stride ``n1 + n2 - 1``
       moves row ``i`` right by ``i``, so ``skew[t, i, k]`` is
       ``c1[i] * g_t[k - i]`` or a zero pad, and a reduction over ``i``
-      (not the contiguous axis, so sequential in ``i``) is ``_conv``;
+      is ``_conv`` (numpy sums an axis that is not the contiguous one
+      sequentially; the bit-for-bit pairing tests fail if it stops);
     - the running total is a cumulative sum from ``total`` over the
       products ``conv * moment``, g terms outer and ``k`` inner.
 
