@@ -33,7 +33,15 @@ import numpy as np
 
 from .derivative import DerivativeContext, _first_order_terms, _pi_coeffs
 from .errors import RootNotFound
-from .funcspace import ExpPoly, Interval, _merge, differentiate, l2_inner
+from .funcspace import (
+    ExpPoly,
+    Interval,
+    _eval_pair,
+    _merge,
+    _sub_scaled_derivative,
+    differentiate,
+    l2_inner,
+)
 from .relations import (
     ContractionMap,
     InnerSpace,
@@ -272,7 +280,7 @@ def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
 def _endpoint_values(ctx: DerivativeContext, states) -> np.ndarray:
     """``(N, 4)`` array of ``u(a), u(b), v(a), v(b)``, one row per state."""
     a, b = ctx.a, ctx.b
-    rows = [(s.u(a), s.u(b), s.v(a), s.v(b)) for s in states]
+    rows = [(*_eval_pair(s.u, a, b), *_eval_pair(s.v, a, b)) for s in states]
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
@@ -521,7 +529,7 @@ def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> 
     """
     t_scale = max(abs(ctx.a), abs(ctx.b))
     half = 0.5 * w
-    return ExpPoly(tuple(
+    return ExpPoly._trusted(_merge(
         _first_order_terms(half, tau, ctx.a, t_scale)
         + _first_order_terms(half, -tau, ctx.b, t_scale)
     ))
@@ -562,19 +570,21 @@ def block_resolve(
         raise ValueError("tau must be positive")
     ctx = realization.ctx
     sigma = 1.0 / tau
-    w = rhs.u - tau * differentiate(rhs.v)
+    w = _sub_scaled_derivative(rhs.u, tau, rhs.v)
     u_part = _particular_second_order(w, tau, ctx)
-    v_part = rhs.v - tau * differentiate(u_part)
+    v_part = _sub_scaled_derivative(rhs.v, tau, u_part)
 
     h_u, h_dv = _homogeneous_frames(ctx, tau)
-    u_bd0 = bd_project(ctx, u_part).coeffs
-    dv_bd0 = g_bd(bd_project(ctx, v_part)).coeffs
+    # the BD coefficients of u_part and of Dv_part, as bd_project and g_bd give them
+    u_bd0 = np.array(_pi_coeffs(ctx, *_eval_pair(u_part, ctx.a, ctx.b)))
+    v_cp, v_cm = _pi_coeffs(ctx, *_eval_pair(v_part, ctx.a, ctx.b))
+    dv_bd0 = np.array([v_cp, -v_cm])
 
     coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, h_u, h_dv)
 
     modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
     u = ExpPoly._trusted(_merge(u_part.terms + modes))
-    v = rhs.v - tau * differentiate(u)
+    v = _sub_scaled_derivative(rhs.v, tau, u)
     result = BlockState(u, v)
     if not realization.domain_test(result, tol=1e-8):
         raise RootNotFound("block boundary solve converged to a non-member")

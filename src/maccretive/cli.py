@@ -19,6 +19,7 @@ the first failing check), 2 the spec or its inputs do not parse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -820,7 +821,9 @@ def run(spec: RunSpec, out_dir: Path) -> int:
     return 0 if report["passed"] else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="maccretive",
         description="Run verification suites for boundary realizations.",
@@ -829,7 +832,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
     parser.add_argument("--tol", type=float, default=None, help="override the tolerance")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     spec_path = Path(args.spec)
     try:

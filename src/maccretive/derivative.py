@@ -31,6 +31,7 @@ from .funcspace import (
     ExpPoly,
     Interval,
     _first_order_coeffs,
+    _merge,
     _poly_integral,
     absorb_rate_shift,
     differentiate,
@@ -413,7 +414,7 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
         raise ValueError("tau must be positive")
     ctx, g = realization.ctx, realization.g
     t_scale = max(abs(ctx.a), abs(ctx.b))
-    particular = ExpPoly(tuple(_first_order_terms(f, tau, ctx.a, t_scale)))
+    particular = ExpPoly._trusted(_merge(_first_order_terms(f, tau, ctx.a, t_scale)))
     hom = ExpPoly.exponential(-1.0 / tau)
 
     alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))

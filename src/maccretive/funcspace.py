@@ -26,9 +26,22 @@ pads add only ``+-0.0``, so the result is bit-identical. Smaller
 pairings keep the loop, which is faster at their size.
 
 Results that are normal by construction (negation, scaling,
-differentiation) skip the public constructor's coercion and merge
-through ``ExpPoly._trusted``; its invariant is that ``terms`` is
-already exactly what ``ExpPoly(terms)`` would store.
+differentiation, pruning) skip the public constructor's coercion and
+merge through ``ExpPoly._trusted``; its invariant is that ``terms`` is
+already exactly what ``ExpPoly(terms)`` would store. Sums whose terms
+are already floats skip only the coercion and go through :func:`_merge`,
+which reads its input without copying it unless two rates merge.
+
+Every implicit-Euler step forms ``f - s*g'`` three times, and
+:func:`_sub_scaled_derivative` does it in one pass and one merge. Each
+fast path here is bit-identical to the composition it replaces, because
+it performs the same floating-point operations in the same order and
+only skips copies and re-checks of values that are already floats in
+normal form: each coefficient of ``-(s*g')`` is summed from ``0.0`` as
+:func:`differentiate` sums it, terms that trim to nothing are dropped
+before rates are grouped, as the composed chain drops them, and
+:func:`_eval_pair` runs the Horner loop of ``ExpPoly.__call__`` at both
+endpoints at once.
 """
 
 from __future__ import annotations
@@ -36,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,6 +143,8 @@ class Interval:
 
 
 def _trim(coeffs: Sequence[float]) -> tuple[float, ...]:
+    """``coeffs`` without trailing zeros, as a tuple; an untrimmed tuple
+    is returned as it is."""
     n = len(coeffs)
     while n and coeffs[n - 1] == 0.0:
         n -= 1
@@ -155,26 +172,41 @@ def _normalise(terms: Iterable[tuple[float, Sequence[float]]]):
     )
 
 
+_rate = itemgetter(0)
+
+
 def _merge(terms: Iterable[tuple[float, Sequence[float]]]):
-    """Sort by rate, merge close rates, trim, drop zeros, check the cap."""
-    by_rate: list[tuple[float, list[float]]] = []
-    for rate, coeffs in sorted(terms, key=lambda t: t[0]):
-        coeffs = list(coeffs)
-        if by_rate and abs(rate - by_rate[-1][0]) <= RATE_MERGE_TOL:
-            acc = by_rate[-1][1]
+    """Sort by rate, merge close rates, trim, drop zeros, check the cap.
+
+    Coefficients may come as lists or tuples and are never changed: a
+    group's coefficients are copied into a new list only when a second
+    term merges into them.
+    """
+    groups: list = []
+    owned = False  # the last group's coefficients are a list made here
+    for rate, coeffs in sorted(terms, key=_rate):
+        if groups and abs(rate - groups[-1][0]) <= RATE_MERGE_TOL:
+            lead, acc = groups[-1]
+            if not owned:
+                acc = list(acc)
+                groups[-1] = (lead, acc)
+                owned = True
             if len(coeffs) > len(acc):
                 acc.extend([0.0] * (len(coeffs) - len(acc)))
-            for k, c in enumerate(coeffs):
-                acc[k] += c
+            acc[: len(coeffs)] = map(add, acc, coeffs)
         else:
-            by_rate.append((rate, coeffs))
-    out = _trim_terms(by_rate)
-    for _, coeffs in out:
-        if len(coeffs) - 1 > DEGREE_CAP:
-            raise ValueError(
-                f"polynomial degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}"
-            )
-    return out
+            groups.append((rate, coeffs))
+            owned = False
+    out = []
+    for rate, coeffs in groups:
+        trimmed = _trim(coeffs)
+        if trimmed:
+            if len(trimmed) - 1 > DEGREE_CAP:
+                raise ValueError(
+                    f"polynomial degree {len(trimmed) - 1} exceeds cap {DEGREE_CAP}"
+                )
+            out.append((rate, trimmed))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -259,7 +291,9 @@ class ExpPoly:
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return self + (-other)
+        return ExpPoly._trusted(_merge(
+            self.terms + tuple((rate, [-c for c in coeffs]) for rate, coeffs in other.terms)
+        ))
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
@@ -314,6 +348,42 @@ def differentiate(f: ExpPoly) -> ExpPoly:
                 new[k] += (k + 1) * coeffs[k + 1]
         out.append((rate, new))
     return ExpPoly._trusted(_trim_terms(out))
+
+
+def _sub_scaled_derivative(f: ExpPoly, s: float, g: ExpPoly) -> ExpPoly:
+    """``f - s*g'`` in one pass over the terms of ``g`` and one merge.
+
+    Bit-identical to ``f - s * differentiate(g)``: each coefficient is
+    ``-(s*d)`` with ``d`` summed from ``0.0`` as :func:`differentiate`
+    sums it, and a term that trims to nothing, such as the derivative of
+    a constant, is dropped before :func:`_merge` groups rates, as the
+    composed chain drops it; kept, it could lead a group and move its
+    rate.
+    """
+    terms = list(f.terms)
+    for rate, coeffs in g.terms:
+        new = [
+            -(s * (0.0 + rate * c + k * c_next))
+            for k, c, c_next in zip(range(1, len(coeffs)), coeffs, coeffs[1:])
+        ]
+        new.append(-(s * (0.0 + rate * coeffs[-1])))
+        trimmed = _trim(new)
+        if trimmed:
+            terms.append((rate, trimmed))
+    return ExpPoly._trusted(_merge(terms))
+
+
+def _eval_pair(f: ExpPoly, a: float, b: float) -> tuple[float, float]:
+    """``(f(a), f(b))`` in one pass, with the arithmetic of ``ExpPoly.__call__``."""
+    fa = fb = 0.0
+    for rate, coeffs in f.terms:
+        pa = pb = 0.0
+        for c in reversed(coeffs):
+            pa = pa * a + c
+            pb = pb * b + c
+        fa += pa * math.exp(rate * a)
+        fb += pb * math.exp(rate * b)
+    return fa, fb
 
 
 def absorb_rate_shift(
@@ -518,6 +588,7 @@ def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
     :func:`_batched_pairings`, bit-identical to the loop below.
     """
     total = 0.0
+    rows = interval._moment_rows
     g_size = 0
     for _, c2 in g.terms:
         g_size += len(c2)
@@ -532,8 +603,14 @@ def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
                 total = batched
                 continue
         for r2, c2 in g.terms:
-            conv = _conv(c1, c2)
-            row = interval._moments(r1 + r2, len(conv))
+            conv = [0.0] * (len(c1) + len(c2) - 1)
+            for i, x in enumerate(c1):
+                for k, y in enumerate(c2, i):
+                    conv[k] += x * y
+            nu = r1 + r2
+            row = rows.get(nu)
+            if row is None or len(row) < len(conv):
+                row = interval._moments(nu, len(conv))
             for c, m in zip(conv, row):
                 if c != 0.0:
                     total += c * m
@@ -563,15 +640,13 @@ def prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
     actual reach on the interval.
     """
     base = max(1.0, abs(interval.a), abs(interval.b))
-    scale = 0.0
-    for _, coeffs in f.terms:
-        for k, c in enumerate(coeffs):
-            scale = max(scale, abs(c) * base**k)
+    reach = [[abs(c) * base**k for k, c in enumerate(coeffs)] for _, coeffs in f.terms]
+    scale = max([0.0, *chain.from_iterable(reach)])
     if scale == 0.0:
         return ExpPoly.zero()
     cut = rel_tol * scale
-    kept = []
-    for rate, coeffs in f.terms:
-        new = [c if abs(c) * base**k > cut else 0.0 for k, c in enumerate(coeffs)]
-        kept.append((rate, new))
-    return ExpPoly(tuple(kept))
+    kept = [
+        (rate, [c if r > cut else 0.0 for c, r in zip(coeffs, row)])
+        for (rate, coeffs), row in zip(f.terms, reach)
+    ]
+    return ExpPoly._trusted(_trim_terms(kept))

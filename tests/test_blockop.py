@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from maccretive.blockop import (
     state_graph_inner,
     state_l2_norm,
 )
-from maccretive.derivative import DerivativeContext
+from maccretive.derivative import DerivativeContext, _first_order_terms
 from maccretive.errors import RootNotFound
 from maccretive.funcspace import (
+    RATE_MERGE_TOL,
     ExpPoly,
     Interval,
     _first_order_coeffs,
@@ -831,3 +833,87 @@ def test_block_resolve_resonance_band(monkeypatch, interval, degree, tau_mu):
         ref_norm = _pointwise_l2(ref, iv)
         if _term_majorant(ref, iv) <= 1e4 * ref_norm:
             assert _pointwise_l2(out - ref, iv) <= 1e-10 * ref_norm
+
+
+# ----------------------------------------------------------------------
+# The implicit-Euler step against its composed form, bit for bit
+# ----------------------------------------------------------------------
+
+
+def _composed_block_resolve(real: BlockRealization, rhs: BlockState, tau: float):
+    """``block_resolve`` written with the public operations: each
+    ``f - tau g'`` as ``f + (-(tau * differentiate(g)))``, the particular
+    solution through the normalising constructor and the boundary data
+    through ``bd_project`` and ``ExpPoly.__call__``. Returns the state and
+    whether the description admits it."""
+    ctx = real.ctx
+    sigma = 1.0 / tau
+    t_scale = max(abs(ctx.a), abs(ctx.b))
+    w = rhs.u + (-(tau * differentiate(rhs.v)))
+    half = 0.5 * w
+    u_part = ExpPoly(tuple(
+        _first_order_terms(half, tau, ctx.a, t_scale)
+        + _first_order_terms(half, -tau, ctx.b, t_scale)
+    ))
+    v_part = rhs.v + (-(tau * differentiate(u_part)))
+    h_u, h_dv = blockop._homogeneous_frames(ctx, tau)
+    u_bd0 = bd_project(ctx, u_part).coeffs
+    dv_bd0 = g_bd(bd_project(ctx, v_part)).coeffs
+    coeffs = blockop._solve_boundary_coeffs(real, u_bd0, dv_bd0, h_u, h_dv)
+    modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
+    u = ExpPoly(u_part.terms + modes)
+    v = rhs.v + (-(tau * differentiate(u)))
+    ends = np.array([[u(ctx.a), u(ctx.b), v(ctx.a), v(ctx.b)]])
+    return BlockState(u, v), bool(real._description_kernel.verdicts(ends, 1e-8)[0, 0])
+
+
+def _euler_rhs(rng: np.random.Generator, mu: float, tau: float, degree: int) -> BlockState:
+    """Terms on ``+-mu``, next to ``+-1/tau`` and next to 0 (within the merge
+    tolerance), a rate-0 constant in ``v`` and scattered ``-0.0``."""
+    shift = 0.6 * RATE_MERGE_TOL
+
+    def coeffs(n: int) -> tuple:
+        c = rng.uniform(-1.5, 1.5, n)
+        c[rng.random(n) < 0.25] = -0.0
+        c[-1] = rng.uniform(0.5, 1.5)
+        return tuple(float(x) for x in c)
+
+    u = ExpPoly(((mu, coeffs(degree + 1)), (1.0 / tau + shift, coeffs(2)), (shift, coeffs(2))))
+    v = ExpPoly((
+        (-mu, coeffs(degree + 1)),
+        (0.0, (float(rng.uniform(-1.0, 1.0)),)),
+        (-1.0 / tau - shift, coeffs(1)),
+    ))
+    return BlockState(u, v)
+
+
+@pytest.mark.parametrize("interval", BAND_INTERVALS)
+@pytest.mark.parametrize("tau_mu", BAND_TAU_MU)
+def test_block_resolve_matches_composed_step_bit_for_bit(interval, tau_mu):
+    ctx = DerivativeContext(Interval(*interval))
+    space = bd_space(ctx)
+    rng = np.random.default_rng([round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))])
+    raw = rng.standard_normal((2, 2))
+    linear = ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
+    squash = ContractionMap(space, lambda z: 0.7 * np.tanh(z), lipschitz_cert=0.7)
+    rhs = _euler_rhs(rng, tau_mu / BAND_TAU, BAND_TAU, int(rng.integers(0, 7)))
+    for f in (linear, squash):
+        real = BlockRealization.from_f(ctx, f)
+        state = rhs
+        for _ in range(3):
+            try:
+                ref, member = _composed_block_resolve(real, state, BAND_TAU)
+            except ValueError as exc:  # resonant steps can pass the degree cap
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    block_resolve(real, state, BAND_TAU)
+                break
+            if not member:
+                with pytest.raises(RootNotFound):
+                    block_resolve(real, state, BAND_TAU)
+                break
+            out = block_resolve(real, state, BAND_TAU)
+            assert repr(out.u.terms) == repr(ref.u.terms)
+            assert repr(out.v.terms) == repr(ref.v.terms)
+            ends = [[s.u(ctx.a), s.u(ctx.b), s.v(ctx.a), s.v(ctx.b)] for s in (state, out)]
+            assert repr(blockop._endpoint_values(ctx, (state, out)).tolist()) == repr(ends)
+            state = out

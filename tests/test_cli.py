@@ -51,6 +51,15 @@ def test_seed_changes_are_visible_but_deterministic(tmp_path):
     assert r1["seed"] == 1
 
 
+def test_seed_override_does_not_carry_to_the_next_call(tmp_path):
+    """The argument parser is shared between calls; its defaults are not."""
+    spec = {"command": "check-decomposition", "seed": 5, "params": {"samples": 20}}
+    _, out = run_cli(tmp_path, spec, extra=("--seed", "3"))
+    assert load_report(out)["seed"] == 3
+    _, out = run_cli(tmp_path, spec)
+    assert load_report(out)["seed"] == 5
+
+
 def test_unknown_field_is_schema_error(tmp_path):
     code, _ = run_cli(tmp_path, {"command": "check-decomposition", "bogus": 1})
     assert code == 2

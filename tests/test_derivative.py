@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +19,14 @@ from maccretive.derivative import (
     pi_minus_coeff,
     pi_plus_coeff,
     pi_zero,
+    _first_order_terms,
+    _pi_coeffs,
+    _solve_scalar,
     resolve,
 )
 from maccretive.errors import NotAViolation, OutOfRange, RootNotFound
 from maccretive.funcspace import (
+    RATE_MERGE_TOL,
     ExpPoly,
     Interval,
     differentiate,
@@ -445,3 +450,72 @@ def test_maximality_probe_inconclusive_on_members():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u = resolve(r, ExpPoly.constant(1.0), 1.0)
     assert not maximality_probe(r, u).conclusive
+
+
+# ----------------------------------------------------------------------
+# resolve against its composed form, bit for bit
+# ----------------------------------------------------------------------
+
+
+def _composed_resolve(realization: Realization1D, f: ExpPoly, tau: float):
+    """``resolve`` with its particular solution built by the normalising
+    constructor. Returns the solution and whether it is a member."""
+    ctx, g = realization.ctx, realization.g
+    t_scale = max(abs(ctx.a), abs(ctx.b))
+    particular = ExpPoly(tuple(_first_order_terms(f, tau, ctx.a, t_scale)))
+    hom = ExpPoly.exponential(-1.0 / tau)
+    alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))
+    beta_plus, beta_minus = _pi_coeffs(ctx, hom(ctx.a), hom(ctx.b))
+    if beta_plus == 0.0:
+        c_sol = (g(alpha_plus) - alpha_minus) / beta_minus
+    else:
+        c_sol = _solve_scalar(
+            lambda c: alpha_minus + c * beta_minus - g(alpha_plus + c * beta_plus),
+            1.0 + abs(alpha_minus) + abs(g(alpha_plus)),
+        )
+    u = particular + c_sol * hom
+    return u, in_domain(realization, u, tol=1e-9)
+
+
+RESOLVE_TAU = 0.5
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)])
+@pytest.mark.parametrize("tau_mu", [-1.1, -1.049, -1.0, -0.949, -0.9, 0.9, 1.0])
+def test_resolve_matches_composed_solve_bit_for_bit(interval, tau_mu):
+    ctx = DerivativeContext(Interval(*interval))
+    rng = np.random.default_rng([round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))])
+    shift = 0.6 * RATE_MERGE_TOL
+
+    def coeffs(n: int) -> tuple:
+        c = rng.uniform(-1.5, 1.5, n)
+        c[rng.random(n) < 0.25] = -0.0
+        c[-1] = rng.uniform(0.5, 1.5)
+        return tuple(float(x) for x in c)
+
+    # terms on mu, next to the resonant rate -1/tau, and a rate-0 constant
+    rhs = ExpPoly((
+        (tau_mu / RESOLVE_TAU, coeffs(int(rng.integers(1, 7)))),
+        (-1.0 / RESOLVE_TAU + shift, coeffs(2)),
+        (0.0, (-0.0, 1.0)),
+    ))
+    for g in (
+        BoundaryFunction.linear(0.5),
+        BoundaryFunction(lambda c: 0.7 * math.tanh(c), 0.7),
+    ):
+        realization = Realization1D(ctx, g)
+        f = rhs
+        for _ in range(3):
+            try:
+                ref, member = _composed_resolve(realization, f, RESOLVE_TAU)
+            except ValueError as exc:  # resonant steps can pass the degree cap
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    resolve(realization, f, RESOLVE_TAU)
+                break
+            if not member:
+                with pytest.raises(RootNotFound):
+                    resolve(realization, f, RESOLVE_TAU)
+                break
+            out = resolve(realization, f, RESOLVE_TAU)
+            assert repr(out.terms) == repr(ref.terms)
+            f = out

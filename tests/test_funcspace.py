@@ -12,7 +12,10 @@ from maccretive.funcspace import (
     ExpPoly,
     Interval,
     _BATCH_PRODUCTS,
+    _eval_pair,
+    _merge,
     _power_exp_integral,
+    _sub_scaled_derivative,
     absorb_rate_shift,
     antiderivative,
     differentiate,
@@ -518,3 +521,150 @@ def test_moment_rows_match_50_digit_reference(a, b):
                 # the pieces' magnitudes sum to the integral of |t**k e^{nu t}|
                 scale = sum(abs(p) for p in pieces)
                 assert abs(moment - sum(pieces)) <= 1e-13 * scale, (k, nu)
+
+
+# ----------------------------------------------------------------------
+# the merge and the fused implicit-Euler operations against their
+# earlier forms
+# ----------------------------------------------------------------------
+
+
+def earlier_merge(terms):
+    """``_merge`` as it was before it learnt to skip copies, kept verbatim
+    apart from inlining the trim."""
+    by_rate = []
+    for rate, coeffs in sorted(terms, key=lambda t: t[0]):
+        coeffs = list(coeffs)
+        if by_rate and abs(rate - by_rate[-1][0]) <= RATE_MERGE_TOL:
+            acc = by_rate[-1][1]
+            if len(coeffs) > len(acc):
+                acc.extend([0.0] * (len(coeffs) - len(acc)))
+            for k, c in enumerate(coeffs):
+                acc[k] += c
+        else:
+            by_rate.append((rate, coeffs))
+    out = []
+    for rate, coeffs in by_rate:
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0.0:
+            n -= 1
+        if n:
+            out.append((rate, tuple(coeffs[:n])))
+    for _, coeffs in out:
+        if len(coeffs) - 1 > DEGREE_CAP:
+            raise ValueError(
+                f"polynomial degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}"
+            )
+    return tuple(out)
+
+
+# a few rates, and chains 0.6e-14 apart: the second link of a chain merges
+# into the first, the third is 1.2e-14 from the first and does not
+merge_rate = st.one_of(
+    st.sampled_from([-2.0, -0.5, 0.0, -0.0, 1.0, 3.0]),
+    st.tuples(st.sampled_from([-1.0, 0.0, 2.0]), st.integers(min_value=-3, max_value=3)).map(
+        lambda p: p[0] + p[1] * 0.6 * RATE_MERGE_TOL
+    ),
+)
+
+
+@st.composite
+def merge_inputs(draw) -> list:
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        # short lists, and lists around the degree cap that may trim below it
+        fill = draw(st.sampled_from([0, DEGREE_CAP - 3, DEGREE_CAP - 1]))
+        coeffs = [draw(coeff)] * fill + draw(st.lists(coeff_or_zero, max_size=5))
+        coeffs += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=3))
+        terms.append((draw(merge_rate), coeffs if draw(st.booleans()) else tuple(coeffs)))
+    return terms
+
+
+def _outcome(merge, terms):
+    try:
+        return repr(merge(terms))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=merge_inputs())
+def test_merge_matches_its_earlier_form(terms):
+    before = repr(terms)
+    expected = _outcome(earlier_merge, terms)
+    assert _outcome(_merge, terms) == expected
+    assert repr(terms) == before  # no caller's list is changed
+    assert _outcome(_merge, tuple(terms)) == expected
+
+
+def reference_sub_scaled_derivative(f: ExpPoly, s: float, g: ExpPoly) -> ExpPoly:
+    """``f - s * differentiate(g)`` as the public operations compose it."""
+    return f + (-(s * differentiate(g)))
+
+
+def reference_prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
+    base = max(1.0, abs(interval.a), abs(interval.b))
+    scale = 0.0
+    for _, coeffs in f.terms:
+        for k, c in enumerate(coeffs):
+            scale = max(scale, abs(c) * base**k)
+    if scale == 0.0:
+        return ExpPoly.zero()
+    cut = rel_tol * scale
+    kept = []
+    for rate, coeffs in f.terms:
+        kept.append((rate, [c if abs(c) * base**k > cut else 0.0 for k, c in enumerate(coeffs)]))
+    return ExpPoly(tuple(kept))
+
+
+@st.composite
+def euler_exppolys(draw) -> ExpPoly:
+    """Terms near rates 0 and +-2 (= +-1/tau at tau 0.5), within and just
+    beyond the merge tolerance, with constants and signed zeros."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        centre = draw(st.sampled_from([0.0, 2.0, -2.0, 1.9, -0.3]))
+        mu = centre + draw(st.integers(min_value=-2, max_value=2)) * 0.6 * RATE_MERGE_TOL
+        deg = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=12)))
+        coeffs = draw(st.lists(coeff_or_zero, min_size=deg + 1, max_size=deg + 1))
+        terms.append((mu, coeffs))
+    return ExpPoly(tuple(terms))
+
+
+EULER_SCALES = st.one_of(st.sampled_from([0.5, 0.1, 1.0, 0.0, -0.0, -0.5, 1e-300]), coeff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=euler_exppolys(), g=euler_exppolys(), s=EULER_SCALES)
+def test_fused_sub_scaled_derivative_matches_composed_chain(f, g, s):
+    try:
+        expected = reference_sub_scaled_derivative(f, s, g).terms
+    except ValueError:
+        with pytest.raises(ValueError):
+            _sub_scaled_derivative(f, s, g)
+        return
+    assert same(_sub_scaled_derivative(f, s, g).terms, expected)
+    assert same((f - g).terms, (f + (-g)).terms)
+
+
+def test_fused_sub_drops_a_constant_before_grouping_rates():
+    # g' drops g's rate-0 constant; kept as an empty term, it would lead
+    # the group of f's term at 0.6e-14 and move that term to rate 0
+    f_rate = 0.6 * RATE_MERGE_TOL
+    f = ExpPoly(((f_rate, (1.0, -0.0, 2.0)),))
+    g = ExpPoly(((0.0, (5.0,)), (2.0, (1.0, -1.0))))
+    fused = _sub_scaled_derivative(f, 0.5, g)
+    assert same(fused.terms, reference_sub_scaled_derivative(f, 0.5, g).terms)
+    assert fused.rates == (f_rate, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=st.one_of(euler_exppolys(), high_degree_exppolys()),
+    which=st.integers(min_value=0, max_value=len(KERNEL_INTERVALS) - 1),
+    rel_tol=st.sampled_from([1e-13, 1e-3, 0.5]),
+)
+def test_prune_and_endpoint_pairs_match_their_references(f, which, rel_tol):
+    iv = Interval(*KERNEL_INTERVALS[which])
+    assert same(prune(f, iv, rel_tol).terms, reference_prune(f, iv, rel_tol).terms)
+    assert same(_eval_pair(f, iv.a, iv.b), (f(iv.a), f(iv.b)))
