@@ -19,7 +19,14 @@ solves the associated resolvent equations exactly in the function
 algebra. The second-order equation ``u - tau^2 u'' = w`` behind the
 block resolvent splits by partial fractions,
 ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, into two first-order solves
-of the kind the 1-D resolvent uses.
+of the kind the 1-D resolvent uses. The boundary data of the two
+homogeneous modes, and for a linear description the stacked matrix
+``perp @ vstack([h_u, h_dv])`` of the boundary solve, depend only on the
+realization and ``tau``: the first :func:`block_resolve` at a ``tau``
+builds them into a resolvent plan kept on the realization, in a dict
+keyed by ``tau``, for as long as the realization object lives. Every step
+still solves its boundary equation with the same ``lstsq`` on the same
+inputs, so results are bit-identical to building the plan every step.
 """
 
 from __future__ import annotations
@@ -31,7 +38,12 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .derivative import DerivativeContext, _first_order_terms, _pi_coeffs
+from .derivative import (
+    DerivativeContext,
+    _first_order_terms,
+    _pi_coeffs,
+    _projection_coeffs,
+)
 from .errors import RootNotFound
 from .funcspace import (
     ExpPoly,
@@ -175,7 +187,7 @@ def bd_project(ctx: DerivativeContext, u: ExpPoly) -> BDVector:
     are H1-orthogonal, so the coefficients are those of the deficiency
     projections; the residual ``u - result`` vanishes at both endpoints.
     """
-    return BDVector(ctx, *_pi_coeffs(ctx, u(ctx.a), u(ctx.b)))
+    return BDVector(ctx, *_projection_coeffs(ctx, u))
 
 
 def g_bd(x: BDVector) -> BDVector:
@@ -458,6 +470,26 @@ class BlockRealization:
         return _cayley_view(space, self.f, around=_endpoint_maps(self.ctx)[1])
 
     @cached_property
+    def _plans(self) -> dict:
+        """Resolvent plans keyed by ``tau``; they live as long as this object."""
+        return {}
+
+    def _resolvent_plan(self, tau: float) -> tuple:
+        """``(h_u, h_dv, stacked)`` for ``tau``, built by the first
+        :func:`block_resolve` at this ``tau`` and reused by every later one:
+        the BD columns of the two homogeneous modes and, for a linear
+        description, ``perp @ vstack([h_u, h_dv])`` (else ``None``)."""
+        plan = self._plans.get(tau)
+        if plan is None:
+            h_u, h_dv = _homogeneous_frames(self.ctx, tau)
+            stacked = None
+            if isinstance(self.description, LinearRelation):
+                stacked = self._perp @ np.vstack([h_u, h_dv])
+                stacked.flags.writeable = False
+            plan = self._plans[tau] = (h_u, h_dv, stacked)
+        return plan
+
+    @cached_property
     def _description_kernel(self) -> _Kernel:
         name = "relation" if isinstance(self.description, LinearRelation) else "f"
         return _Kernel.build(self.ctx, {name: self._view(name)})
@@ -473,7 +505,8 @@ class BlockRealization:
 
     def domain_test(self, state: BlockState, tol: float = 1e-9) -> bool:
         """Membership decided by the stored description."""
-        ends = _endpoint_values(self.ctx, (state,))
+        a, b = self.ctx.a, self.ctx.b
+        ends = np.array([[*_eval_pair(state.u, a, b), *_eval_pair(state.v, a, b)]])
         return bool(self._description_kernel.verdicts(ends, tol)[0, 0])
 
     def domain_test_many(self, states, tol: float = 1e-9) -> dict:
@@ -535,14 +568,13 @@ def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> 
     ))
 
 
-@lru_cache(maxsize=64)
 def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     """BD data of the two homogeneous resolvent modes.
 
     The modes are ``(e^{t/tau}, -e^{t/tau})`` and
     ``(e^{-t/tau}, e^{-t/tau})``; returns their contributions to
-    ``u_BD`` and ``Dv_BD`` as matrix columns, read-only since they are
-    cached per ``(ctx, tau)``.
+    ``u_BD`` and ``Dv_BD`` as matrix columns, read-only since a
+    realization's resolvent plan keeps them for every step at ``tau``.
     """
     sigma = 1.0 / tau
     w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))
@@ -570,17 +602,17 @@ def block_resolve(
         raise ValueError("tau must be positive")
     ctx = realization.ctx
     sigma = 1.0 / tau
+    plan = realization._resolvent_plan(tau)
     w = _sub_scaled_derivative(rhs.u, tau, rhs.v)
     u_part = _particular_second_order(w, tau, ctx)
     v_part = _sub_scaled_derivative(rhs.v, tau, u_part)
 
-    h_u, h_dv = _homogeneous_frames(ctx, tau)
     # the BD coefficients of u_part and of Dv_part, as bd_project and g_bd give them
-    u_bd0 = np.array(_pi_coeffs(ctx, *_eval_pair(u_part, ctx.a, ctx.b)))
-    v_cp, v_cm = _pi_coeffs(ctx, *_eval_pair(v_part, ctx.a, ctx.b))
+    u_bd0 = np.array(_projection_coeffs(ctx, u_part))
+    v_cp, v_cm = _projection_coeffs(ctx, v_part)
     dv_bd0 = np.array([v_cp, -v_cm])
 
-    coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, h_u, h_dv)
+    coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, *plan)
 
     modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
     u = ExpPoly._trusted(_merge(u_part.terms + modes))
@@ -597,14 +629,21 @@ def _solve_boundary_coeffs(
     dv_bd0: np.ndarray,
     h_u: np.ndarray,
     h_dv: np.ndarray,
+    stacked: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    space = bd_space(realization.ctx)
+    """The two homogeneous coefficients that put the solution in the realization.
+
+    ``h_u`` and ``h_dv`` are the BD columns of the two modes; ``stacked``
+    is ``perp @ vstack([h_u, h_dv])`` for a linear description, as the
+    realization's plan keeps it, and is formed here when not given.
+    """
     description = realization.description
 
     if isinstance(description, LinearRelation):
         # (u_BD, Dv_BD) in M: project the affine family onto M-perp.
         perp = realization._perp
-        stacked = perp @ np.vstack([h_u, h_dv])
+        if stacked is None:
+            stacked = perp @ np.vstack([h_u, h_dv])
         target = -perp @ np.concatenate([u_bd0, dv_bd0])
         coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
         resid = float(np.linalg.norm(stacked @ coeffs - target))
@@ -616,6 +655,7 @@ def _solve_boundary_coeffs(
         return coeffs
 
     f = description
+    space = bd_space(realization.ctx)
 
     # f-form: f(x_p + L C) = y_p + N C with x, y the deficiency data.
     l_mat = 0.5 * (h_u + h_dv)

@@ -221,6 +221,23 @@ def _count(value, name: str, low: int = 1, high=None) -> int:
     return value
 
 
+#: The largest value each count parameter accepts: far above any run the
+#: suites are meant for, and low enough that a mistyped spec cannot ask
+#: for unbounded work or memory.
+COUNT_LIMITS = {
+    "samples": 100_000,
+    "states": 100_000,
+    "points": 100_000,
+    "steps": 10_000,
+    "dim": 256,
+}
+
+
+def _limited_count(value, name: str) -> int:
+    """Count parameter ``name`` within ``[1, COUNT_LIMITS[name]]``."""
+    return _count(value, name, high=COUNT_LIMITS[name])
+
+
 def _degree(value, name: str) -> int:
     return _count(value, name, low=0, high=DEGREE_CAP)
 
@@ -726,14 +743,14 @@ class _Command:
 
 
 _INTERVAL = {"interval": (_interval, {"a": 0.0, "b": 1.0})}
-_SPACE = {"dim": (_count, 2), "gram": (None, None)}
+_SPACE = {"dim": (_limited_count, 2), "gram": (None, None)}
 
 COMMANDS = {
     "check-decomposition": _Command(_suite_check_decomposition, 1e-10, {
-        **_INTERVAL, "samples": (_count, 500), "max_degree": (_degree, 4),
+        **_INTERVAL, "samples": (_limited_count, 500), "max_degree": (_degree, 4),
     }),
     "lipschitz-transfer": _Command(_suite_lipschitz_transfer, 1e-11, {
-        **_INTERVAL, "g": (_boundary_function, _REQUIRED), "samples": (_count, 64),
+        **_INTERVAL, "g": (_boundary_function, _REQUIRED), "samples": (_limited_count, 64),
     }),
     "resolve": _Command(_suite_resolve, 1e-9, {
         **_INTERVAL,
@@ -742,7 +759,7 @@ COMMANDS = {
         "tau": (_positive, 1.0),
     }),
     "cayley": _Command(_suite_cayley, 1e-9, {
-        **_SPACE, "f_matrix": (None, None), "points": (_count, 100),
+        **_SPACE, "f_matrix": (None, None), "points": (_limited_count, 100),
     }),
     "st-criterion": _Command(_suite_st_criterion, None, {
         **_SPACE, "S": (_matrix, _REQUIRED), "T": (_matrix, _REQUIRED),
@@ -750,14 +767,14 @@ COMMANDS = {
     "block-equivalence": _Command(_suite_block_equivalence, 1e-9, {
         **_INTERVAL,
         "realization": (None, None),
-        "states": (_count, 200),
+        "states": (_limited_count, 200),
         "tau": (_positive, 0.8),
     }),
     "wave-impedance": _Command(_suite_wave_impedance, 1e-9, {
         **_INTERVAL,
         "K": (_impedance_k, _REQUIRED),
         "tau": (_positive, 0.2),
-        "steps": (_count, 50),
+        "steps": (_limited_count, 50),
         "u0": (_block_state, {
             "u": [{"rate": 1.0, "coeffs": [1.0]}, {"rate": -1.0, "coeffs": [1.0]}],
             "v": [{"rate": 0.0, "coeffs": [0.5]}],
@@ -771,7 +788,7 @@ COMMANDS = {
         "u0": (None, None),
         "v0": (None, None),
         "tau": (_positive, 0.1),
-        "steps": (_count, 10),
+        "steps": (_limited_count, 10),
     }),
 }
 

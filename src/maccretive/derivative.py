@@ -15,6 +15,20 @@ alone:
 
 Admissibility of ``g`` is the Lipschitz bound ``e^{a+b}``; the module
 also builds explicit non-accretivity witnesses when that bound fails.
+Endpoint values are read in one Horner pass per function
+(``funcspace._eval_pair``, the arithmetic of evaluation at each point).
+
+An implicit-Euler run applies one resolvent ``(1 + tau d/dt)^{-1}`` many
+times. What depends only on the realization and ``tau``, the homogeneous
+solution ``e^{-t/tau}`` and its two projection coefficients, is a
+resolvent plan built by the first :func:`resolve` at that ``tau`` and
+kept on the realization, in a dict keyed by ``tau``, for as long as the
+realization object lives. The plan holds exactly the values the step
+computed before, so results are bit-identical. At exact resonance,
+``mu + 1/tau == 0.0``, the integrating-factor solve skips its two
+Taylor shifts, whose polynomial is ``(1.0, +-0.0)``; for finite data they
+only add ``0.0`` to each coefficient and append ``+0.0``, which is what
+the shortcut does (see :func:`_resonant_coeffs`).
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .errors import NotAViolation, OutOfRange, RootNotFound
 from .funcspace import (
     ExpPoly,
     Interval,
+    _eval_pair,
     _first_order_coeffs,
     _merge,
     _poly_integral,
@@ -162,6 +177,22 @@ class Realization1D:
     def is_admissible(self) -> bool:
         return self.g.admissible(self.ctx)
 
+    @cached_property
+    def _plans(self) -> dict:
+        """Resolvent plans keyed by ``tau``; they live as long as this object."""
+        return {}
+
+    def _resolvent_plan(self, tau: float) -> tuple[ExpPoly, float, float]:
+        """``(hom, beta_plus, beta_minus)``: the homogeneous solution
+        ``e^{-t/tau}`` of ``u + tau*u' = 0`` and its projection coefficients,
+        built by the first :func:`resolve` at this ``tau`` and reused by
+        every later one."""
+        plan = self._plans.get(tau)
+        if plan is None:
+            hom = ExpPoly.exponential(-1.0 / tau)
+            plan = self._plans[tau] = (hom, *_projection_coeffs(self.ctx, hom))
+        return plan
+
 
 def kernel_element(ctx: DerivativeContext, sign: int, c: float) -> ExpPoly:
     """Generator ``c * e^{-sign*t}`` of ``ker(1 + sign*d/dt)``.
@@ -185,19 +216,24 @@ def _pi_coeffs(ctx: DerivativeContext, ua: float, ub: float) -> tuple[float, flo
     )
 
 
+def _projection_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, float]:
+    """``(pi_plus, pi_minus)`` coefficients of ``u``, from one pass over its terms."""
+    return _pi_coeffs(ctx, *_eval_pair(u, ctx.a, ctx.b))
+
+
 def pi_plus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
     """Coefficient of ``e^t`` in the projection onto ``ker(1 - d/dt)``."""
-    return _pi_coeffs(ctx, u(ctx.a), u(ctx.b))[0]
+    return _projection_coeffs(ctx, u)[0]
 
 
 def pi_minus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
     """Coefficient of ``e^{-t}`` in the projection onto ``ker(1 + d/dt)``."""
-    return _pi_coeffs(ctx, u(ctx.a), u(ctx.b))[1]
+    return _projection_coeffs(ctx, u)[1]
 
 
 def pi_zero(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
     """Component with vanishing endpoint values (the minimal-domain part)."""
-    c_plus, c_minus = _pi_coeffs(ctx, u(ctx.a), u(ctx.b))
+    c_plus, c_minus = _projection_coeffs(ctx, u)
     return u - ExpPoly.exponential(1.0, c_plus) - ExpPoly.exponential(-1.0, c_minus)
 
 
@@ -306,7 +342,7 @@ def in_domain(realization: Realization1D, u: ExpPoly, tol: float = 1e-9) -> bool
     enters.
     """
     ctx = realization.ctx
-    ua, ub = u(ctx.a), u(ctx.b)
+    ua, ub = _eval_pair(u, ctx.a, ctx.b)
     c_plus, c_minus = _pi_coeffs(ctx, ua, ub)
     defect = abs(c_minus - realization.g(c_plus))
     scale = 1.0 + abs(ua) + abs(ub)
@@ -328,23 +364,46 @@ def _first_order_terms(
 
     with both exponentials absorbed as machine-truncated Taylor
     polynomials; the response stays on the term's own rate, bounded by
-    the data, and the residual is same-rate and negligible. Both forms
-    hold for negative ``tau`` too. The term list is returned unwrapped,
-    so that a caller summing several solves builds one ExpPoly.
+    the data, and the residual is same-rate and negligible. At exact
+    resonance, ``beta == 0.0``, both exponentials are ``1`` and
+    :func:`_resonant_coeffs` skips the two shifts. Both forms hold for
+    negative ``tau`` too. The term list is returned unwrapped, so that a
+    caller summing several solves builds one ExpPoly.
     """
     sigma = 1.0 / tau
     out = []
     for mu, p in f.terms:
         alpha = 1.0 + tau * mu
-        if abs(alpha) <= 0.1:
-            beta = mu + sigma
-            lifted = absorb_rate_shift(p, beta, t_scale)
-            anchored = _poly_integral(lifted, anchor)
-            q = [c / tau for c in absorb_rate_shift(anchored, -beta, t_scale)]
-        else:
+        if abs(alpha) > 0.1:
             q = _first_order_coeffs(p, tau, alpha)
+        else:
+            beta = mu + sigma
+            q = _resonant_coeffs(p, tau, anchor) if beta == 0.0 else None
+            if q is None:
+                lifted = absorb_rate_shift(p, beta, t_scale)
+                anchored = _poly_integral(lifted, anchor)
+                q = [c / tau for c in absorb_rate_shift(anchored, -beta, t_scale)]
         out.append((mu, q))
     return out
+
+
+def _resonant_coeffs(p: Sequence[float], tau: float, anchor: float) -> Optional[list]:
+    """The integrating-factor solution at ``beta == 0.0``, or ``None`` if
+    it is not finite.
+
+    There both shifts multiply by the Taylor polynomial ``(1.0, +-0.0)``
+    of ``e^{+-0.0 t}``. For finite data every product with ``+-0.0`` is a
+    signed zero, and ``0.0`` plus a signed zero is ``+0.0``, so the
+    convolution gives exactly ``0.0 + c`` for each coefficient ``c`` and
+    a trailing ``+0.0``: the general path's bits. A non-finite value times
+    ``+-0.0`` is ``nan`` instead, and the general path keeps such data;
+    a finite result means every value on the way was finite.
+    """
+    lifted = [0.0 + c for c in p]
+    lifted.append(0.0)
+    q = [(0.0 + c) / tau for c in _poly_integral(lifted, anchor)]
+    q.append(0.0 / tau)
+    return q if math.isfinite(sum(q)) else None
 
 
 def _bracket_root(func: Callable[[float], float], start: float, step: float):
@@ -408,17 +467,16 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     The general solution is a particular part plus ``C e^{-t/tau}``;
     the scalar ``C`` is found by a bracketed safeguarded secant on the
     boundary defect, which is strictly increasing in ``C`` whenever the
-    boundary function honours its certificate.
+    boundary function honours its certificate. ``e^{-t/tau}`` and its
+    projection coefficients come from the realization's plan for ``tau``.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     ctx, g = realization.ctx, realization.g
+    hom, beta_plus, beta_minus = realization._resolvent_plan(tau)
     t_scale = max(abs(ctx.a), abs(ctx.b))
     particular = ExpPoly._trusted(_merge(_first_order_terms(f, tau, ctx.a, t_scale)))
-    hom = ExpPoly.exponential(-1.0 / tau)
-
-    alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))
-    beta_plus, beta_minus = _pi_coeffs(ctx, hom(ctx.a), hom(ctx.b))
+    alpha_plus, alpha_minus = _projection_coeffs(ctx, particular)
 
     def defect(c: float) -> float:
         return alpha_minus + c * beta_minus - g(alpha_plus + c * beta_plus)
@@ -532,7 +590,7 @@ def maximality_probe(
     Members (equality direction) are reported inconclusive.
     """
     ctx, g = realization.ctx, realization.g
-    ua, ub = u(ctx.a), u(ctx.b)
+    ua, ub = _eval_pair(u, ctx.a, ctx.b)
     c1, cm = _pi_coeffs(ctx, ua, ub)
     if abs(cm - g(c1)) <= tol * (1.0 + abs(ua) + abs(ub)):
         return MaximalityProbe(u, 0.0, conclusive=False)

@@ -41,7 +41,9 @@ normal form: each coefficient of ``-(s*g')`` is summed from ``0.0`` as
 :func:`differentiate` sums it, terms that trim to nothing are dropped
 before rates are grouped, as the composed chain drops them, and
 :func:`_eval_pair` runs the Horner loop of ``ExpPoly.__call__`` at both
-endpoints at once.
+endpoints at once. :func:`prune` on an interval inside ``[-1, 1]``
+weighs each coefficient by ``|c|`` alone, since ``|c| * 1.0**k`` is
+``|c|`` bit for bit.
 """
 
 from __future__ import annotations
@@ -640,7 +642,10 @@ def prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
     actual reach on the interval.
     """
     base = max(1.0, abs(interval.a), abs(interval.b))
-    reach = [[abs(c) * base**k for k, c in enumerate(coeffs)] for _, coeffs in f.terms]
+    if base == 1.0:  # every power is 1.0 and |c| * 1.0 is |c|, bit for bit
+        reach = [list(map(abs, coeffs)) for _, coeffs in f.terms]
+    else:
+        reach = [[abs(c) * base**k for k, c in enumerate(coeffs)] for _, coeffs in f.terms]
     scale = max([0.0, *chain.from_iterable(reach)])
     if scale == 0.0:
         return ExpPoly.zero()

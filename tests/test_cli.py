@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maccretive.cli import main
+from maccretive.cli import COMMANDS, COUNT_LIMITS, RunSpec, _limited_count, _parse, main
 from maccretive.relations import NORM_TOL, SPECTRAL_RTOL
 
 
@@ -401,6 +401,40 @@ def test_count_and_degree_limits_are_inclusive(tmp_path):
     code, out = run_cli(tmp_path, spec, name="b.json")
     assert code == 0
     assert load_report(out)["samples"] == 3
+
+
+# every count parameter, with what its command needs besides it
+BOUNDED_COUNTS = [
+    ("check-decomposition", "samples", {}),
+    ("lipschitz-transfer", "samples", {"g": LINEAR_G}),
+    ("cayley", "points", {}),
+    ("cayley", "dim", {}),
+    ("st-criterion", "dim", {"S": IDENTITY, "T": IDENTITY}),
+    ("block-equivalence", "states", {}),
+    ("wave-impedance", "steps", {"K": IDENTITY}),
+    ("evolve", "steps", {"g": LINEAR_G}),
+]
+
+
+def test_bounded_counts_cover_every_count_parameter():
+    declared = {
+        (command, name)
+        for command, spec in COMMANDS.items()
+        for name, (convert, _) in spec.params.items()
+        if convert is _limited_count
+    }
+    assert declared == {(command, name) for command, name, _ in BOUNDED_COUNTS}
+
+
+@pytest.mark.parametrize("command, name, params", BOUNDED_COUNTS)
+def test_counts_above_their_limit_are_schema_errors(tmp_path, capsys, command, name, params):
+    high = COUNT_LIMITS[name]
+    # the limit itself parses (checked without running the suite)
+    assert _parse(RunSpec(command, params={**params, name: high}))[0][name] == high
+    code, out = run_cli(tmp_path, {"command": command, "params": {**params, name: high + 1}})
+    assert code == 2
+    assert not (out / "report.json").exists()
+    assert f"{name} must be in [1, {high}], got {high + 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -144,24 +144,35 @@ def test_pi_zero_of_kernel_element_vanishes():
 
 
 def test_boundary_formulas_evaluate_each_endpoint_once(monkeypatch):
+    from maccretive import blockop, derivative, funcspace
     from maccretive.blockop import bd_project
 
     calls = []
-    evaluate = ExpPoly.__call__
+    evaluate, evaluate_pair = ExpPoly.__call__, funcspace._eval_pair
 
     def counting(self, t):
         calls.append(t)
         return evaluate(self, t)
 
+    def counting_pair(f, a, b):
+        calls.extend((a, b))
+        return evaluate_pair(f, a, b)
+
+    # endpoint values are read one at a time or both at once
     monkeypatch.setattr(ExpPoly, "__call__", counting)
+    for module in (funcspace, derivative, blockop):
+        monkeypatch.setattr(module, "_eval_pair", counting_pair)
     u = ExpPoly(((1.0, (1.0, 2.0)), (0.0, (0.5,))))
     realization = Realization1D(CTX, BoundaryFunction.linear(0.5))
     for fn, expected in [
         (lambda: bd_project(CTX, u), 2),
         (lambda: in_domain(realization, u), 2),
         (lambda: pi_zero(CTX, u), 2),
-        # u(a), u(b) of the particular part and of e^{-t/tau}, then in_domain
+        # u(a), u(b) of e^{-t/tau} for the new plan, of the particular part,
+        # then in_domain
         (lambda: resolve(realization, u, 0.5), 6),
+        # the plan for tau = 0.5 is kept on the realization
+        (lambda: resolve(realization, u, 0.5), 4),
     ]:
         calls.clear()
         fn()
