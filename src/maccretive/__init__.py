@@ -50,7 +50,6 @@ from .derivative import (
     resolve,
 )
 from .blockop import (
-    BDVector,
     BlockRealization,
     BlockState,
     bd_project,
@@ -65,7 +64,6 @@ from .blockop import (
 )
 from .impedance1d import (
     ImpedanceK,
-    TraceVector,
     gamma0,
     gammaN,
     impedance_realization,

@@ -6,6 +6,9 @@ single derivative. Its boundary-data space is two-dimensional,
     BD = span{e^t, e^{-t}},   |w|_BD^2 = cp^2 (e^{2b}-e^{2a}) + cm^2 (e^{-2a}-e^{-2b}),
 
 and the graph-orthogonal projection onto it is read off endpoint values.
+Boundary data are plain ``(cp, cm)`` float arrays, the coefficients of
+``cp e^t + cm e^{-t}``, with the norm of :func:`bd_space`; the maps on
+BD of :mod:`maccretive.relations` act on the same arrays.
 Every m-accretive realization admits four equivalent descriptions:
 a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
@@ -66,11 +69,11 @@ from .relations import (
 )
 
 __all__ = [
-    "BDVector",
     "BlockState",
     "BlockRealization",
     "bd_space",
     "bd_project",
+    "bd_exppoly",
     "g_bd",
     "pi1_block",
     "pi_minus1_block",
@@ -84,42 +87,6 @@ __all__ = [
     "state_l2_norm",
     "state_graph_inner",
 ]
-
-
-@dataclass(frozen=True)
-class BDVector:
-    """Element ``cp e^t + cm e^{-t}`` of the boundary-data space."""
-
-    ctx: DerivativeContext
-    cp: float
-    cm: float
-
-    def to_exppoly(self) -> ExpPoly:
-        return ExpPoly(((1.0, (self.cp,)), (-1.0, (self.cm,))))
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([self.cp, self.cm])
-
-    def norm(self) -> float:
-        sq = self.cp**2 * self.ctx.denom_plus + self.cm**2 * self.ctx.denom_minus
-        return math.sqrt(max(sq, 0.0))
-
-    def __add__(self, other: "BDVector") -> "BDVector":
-        return BDVector(self.ctx, self.cp + other.cp, self.cm + other.cm)
-
-    def __sub__(self, other: "BDVector") -> "BDVector":
-        return BDVector(self.ctx, self.cp - other.cp, self.cm - other.cm)
-
-    def __mul__(self, scalar: float) -> "BDVector":
-        return BDVector(self.ctx, scalar * self.cp, scalar * self.cm)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def from_coeffs(cls, ctx: DerivativeContext, coeffs) -> "BDVector":
-        cp, cm = np.asarray(coeffs, dtype=float)
-        return cls(ctx, float(cp), float(cm))
 
 
 @dataclass(frozen=True)
@@ -174,12 +141,23 @@ def state_graph_inner(s1: BlockState, s2: BlockState, interval: Interval) -> flo
 
 @lru_cache(maxsize=64)
 def bd_space(ctx: DerivativeContext) -> InnerSpace:
-    """BD coefficient space with its (diagonal) graph Gram matrix."""
-    return InnerSpace(2, np.diag([ctx.denom_plus, ctx.denom_minus]))
+    """BD coefficient space with its graph Gram matrix, the closed-form
+    diagonal ``diag(e^{2b}-e^{2a}, e^{-2a}-e^{-2b})``.
+
+    The ratio of the two entries is exactly ``e^{2(a+b)}``, so the
+    constructor's relative eigenvalue test would reject every interval
+    with ``|a + b| > 13.8``; the space is built from its diagonal instead.
+    """
+    return InnerSpace._diagonal((ctx.denom_plus, ctx.denom_minus))
 
 
-def bd_project(ctx: DerivativeContext, u: ExpPoly) -> BDVector:
-    """Graph-orthogonal projection of ``u`` onto the BD span.
+def bd_exppoly(x) -> ExpPoly:
+    """The function ``cp e^t + cm e^{-t}`` with BD coefficients ``x = (cp, cm)``."""
+    return ExpPoly(((1.0, (x[0],)), (-1.0, (x[1],))))
+
+
+def bd_project(ctx: DerivativeContext, u: ExpPoly) -> np.ndarray:
+    """Graph-orthogonal projection of ``u`` onto the BD span, as ``(cp, cm)``.
 
     The H1 pairings with the kernel elements are endpoint values,
     ``<u, e^t> = u(b) e^b - u(a) e^a`` and
@@ -187,19 +165,19 @@ def bd_project(ctx: DerivativeContext, u: ExpPoly) -> BDVector:
     are H1-orthogonal, so the coefficients are those of the deficiency
     projections; the residual ``u - result`` vanishes at both endpoints.
     """
-    return BDVector(ctx, *_projection_coeffs(ctx, u))
+    return np.array(_projection_coeffs(ctx, u))
 
 
-def g_bd(x: BDVector) -> BDVector:
+def g_bd(x) -> np.ndarray:
     """Differentiation within BD: ``(cp, cm) -> (cp, -cm)``.
 
     Norm-preserving and its own inverse, so it also takes ``v_BD`` to
     ``Dv_BD``.
     """
-    return BDVector(x.ctx, x.cp, -x.cm)
+    return np.array([x[0], -x[1]], dtype=float)
 
 
-def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[BDVector, BDVector]:
+def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``x = (u_BD + Dv_BD)/2``, ``y = (u_BD - Dv_BD)/2``.
 
     ``x`` and ``y`` are the BD coordinates of the two deficiency
@@ -211,10 +189,10 @@ def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[BDVector, 
     return 0.5 * (u_bd + dv_bd), 0.5 * (u_bd - dv_bd)
 
 
-def _deficiency_state(w: BDVector, sign: float) -> BlockState:
+def _deficiency_state(w, sign: float) -> BlockState:
     """``(w, sign * Gw)``: in ``ker(1 - A)`` for ``sign = 1``, in
     ``ker(1 + A)`` for ``sign = -1``."""
-    return BlockState(w.to_exppoly(), (sign * g_bd(w)).to_exppoly())
+    return BlockState(bd_exppoly(w), bd_exppoly(sign * g_bd(w)))
 
 
 def pi1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
@@ -239,8 +217,7 @@ def lift_f_to_h(ctx: DerivativeContext, f: ContractionMap) -> BlockMap:
     """Extend a BD map to the deficiency spaces: ``h(w, Gw) = (fw, -G fw)``."""
 
     def h(state: BlockState) -> BlockState:
-        w = bd_project(ctx, state.u)
-        return _deficiency_state(BDVector.from_coeffs(ctx, f(w.coeffs)), -1.0)
+        return _deficiency_state(f(bd_project(ctx, state.u)), -1.0)
 
     return h
 
@@ -252,8 +229,7 @@ def reduce_h_to_f(
     transfer unchanged because ``|(w, Gw)|_{L2 x L2} = |w|_BD``."""
 
     def func(coeffs: np.ndarray) -> np.ndarray:
-        out = h(_deficiency_state(BDVector.from_coeffs(ctx, coeffs), 1.0))
-        return bd_project(ctx, out.u).coeffs
+        return bd_project(ctx, h(_deficiency_state(coeffs, 1.0)).u)
 
     return ContractionMap(bd_space(ctx), func, lipschitz_cert)
 
@@ -273,20 +249,17 @@ def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
     """``(to_z, P V)`` on BD coefficients.
 
     ``P`` takes endpoint values ``(w(a), w(b))`` to the coefficients of
-    the projection onto BD (the matrix of ``_pi_coeffs``), and ``V``
-    takes ``(cp, cm)`` to the endpoint values of ``cp e^t + cm e^{-t}``,
-    so ``P V`` is the identity up to roundoff. ``to_z`` takes the endpoint
-    values ``(u(a), u(b), v(a), v(b))`` of a state to
-    ``z = (u_BD, Dv_BD)``: ``P`` on each component, then ``g_bd`` on the
-    second.
+    the projection onto BD (the matrix of ``_pi_coeffs``), and ``V`` is
+    ``ctx.endpoint_matrix``, so ``P V`` is the identity up to roundoff.
+    ``to_z`` takes the endpoint values ``(u(a), u(b), v(a), v(b))`` of a
+    state to ``z = (u_BD, Dv_BD)``: ``P`` on each component, then
+    ``g_bd`` on the second.
     """
-    iv = ctx.interval
     p = np.column_stack([_pi_coeffs(ctx, 1.0, 0.0), _pi_coeffs(ctx, 0.0, 1.0)])
-    v = np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
     to_z = np.zeros((4, 4))
     to_z[:2, :2] = p
     to_z[2:, 2:] = p * np.array([[1.0], [-1.0]])
-    return to_z, p @ v
+    return to_z, p @ ctx.endpoint_matrix
 
 
 def _endpoint_values(ctx: DerivativeContext, states) -> np.ndarray:
@@ -579,9 +552,8 @@ def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     sigma = 1.0 / tau
     w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))
     w_minus = np.array(_pi_coeffs(ctx, math.exp(-sigma * ctx.a), math.exp(-sigma * ctx.b)))
-    flip = np.array([1.0, -1.0])
     h_u = np.column_stack([w_plus, w_minus])
-    h_dv = np.column_stack([-(flip * w_plus), flip * w_minus])
+    h_dv = np.column_stack([-g_bd(w_plus), g_bd(w_minus)])
     h_u.flags.writeable = h_dv.flags.writeable = False
     return h_u, h_dv
 
@@ -602,17 +574,16 @@ def block_resolve(
         raise ValueError("tau must be positive")
     ctx = realization.ctx
     sigma = 1.0 / tau
-    plan = realization._resolvent_plan(tau)
     w = _sub_scaled_derivative(rhs.u, tau, rhs.v)
     u_part = _particular_second_order(w, tau, ctx)
     v_part = _sub_scaled_derivative(rhs.v, tau, u_part)
 
     # the BD coefficients of u_part and of Dv_part, as bd_project and g_bd give them
     u_bd0 = np.array(_projection_coeffs(ctx, u_part))
-    v_cp, v_cm = _projection_coeffs(ctx, v_part)
-    dv_bd0 = np.array([v_cp, -v_cm])
+    dv_bd0 = g_bd(_projection_coeffs(ctx, v_part))
 
-    coeffs = _solve_boundary_coeffs(realization, u_bd0, dv_bd0, *plan)
+    plan = realization._resolvent_plan(tau)
+    coeffs = _solve_boundary_coeffs(realization, plan, u_bd0, dv_bd0)
 
     modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
     u = ExpPoly._trusted(_merge(u_part.terms + modes))
@@ -624,26 +595,19 @@ def block_resolve(
 
 
 def _solve_boundary_coeffs(
-    realization: BlockRealization,
-    u_bd0: np.ndarray,
-    dv_bd0: np.ndarray,
-    h_u: np.ndarray,
-    h_dv: np.ndarray,
-    stacked: Optional[np.ndarray] = None,
+    realization: BlockRealization, plan: tuple, u_bd0: np.ndarray, dv_bd0: np.ndarray
 ) -> np.ndarray:
     """The two homogeneous coefficients that put the solution in the realization.
 
-    ``h_u`` and ``h_dv`` are the BD columns of the two modes; ``stacked``
-    is ``perp @ vstack([h_u, h_dv])`` for a linear description, as the
-    realization's plan keeps it, and is formed here when not given.
+    ``plan`` is the realization's resolvent plan for the step's ``tau``
+    (see :meth:`BlockRealization._resolvent_plan`).
     """
     description = realization.description
+    h_u, h_dv, stacked = plan
 
     if isinstance(description, LinearRelation):
         # (u_BD, Dv_BD) in M: project the affine family onto M-perp.
         perp = realization._perp
-        if stacked is None:
-            stacked = perp @ np.vstack([h_u, h_dv])
         target = -perp @ np.concatenate([u_bd0, dv_bd0])
         coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
         resid = float(np.linalg.norm(stacked @ coeffs - target))

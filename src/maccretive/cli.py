@@ -33,8 +33,10 @@ from .blockop import (
     BlockRealization,
     BlockState,
     apply_block,
+    bd_exppoly,
     bd_space,
     block_resolve,
+    g_bd,
     state_l2_inner,
     state_l2_norm,
 )
@@ -206,6 +208,17 @@ def _interval(data, name: str) -> Interval:
         raise SchemaError(f"bad {name}: {exc}") from exc
     if not (math.isfinite(iv.a) and math.isfinite(iv.b)):
         raise SchemaError(f"bad {name}: endpoints must be finite")
+    # every boundary formula divides by the entries of the BD Gram matrix
+    ctx = DerivativeContext(iv)
+    try:
+        gram_ok = all(math.isfinite(g) and g > 0.0 for g in (ctx.denom_plus, ctx.denom_minus))
+    except OverflowError:
+        gram_ok = False
+    if not gram_ok:
+        raise SchemaError(
+            f"bad {name}: the boundary-data Gram entries e^2b - e^2a and "
+            "e^-2a - e^-2b must be finite and positive"
+        )
     return iv
 
 
@@ -293,6 +306,8 @@ def _matrix(data, name: str, shape=None) -> np.ndarray:
         m = np.asarray(data, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {name}: {exc}") from exc
+    if m.ndim > 2:
+        raise SchemaError(f"bad {name}: expected at most 2 dimensions, got {m.ndim}")
     if shape is not None and m.shape != shape:
         raise SchemaError(f"bad {name}: expected shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -580,10 +595,8 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     members = []
     for _ in range(60):
         coeffs = rng.uniform(-2.0, 2.0, size=2)
-        u_bd = coeffs @ w[:, 0, :]
-        dv_bd = coeffs @ w[:, 1, :]
-        u_poly = ExpPoly(((1.0, (u_bd[0],)), (-1.0, (u_bd[1],))))
-        phi_poly = ExpPoly(((1.0, (dv_bd[0],)), (-1.0, (-dv_bd[1],))))
+        u_poly = bd_exppoly(coeffs @ w[:, 0, :])
+        phi_poly = bd_exppoly(g_bd(coeffs @ w[:, 1, :]))
         members.append(BlockState(u_poly, phi_poly))
     for i in range(0, len(members) - 1, 2):
         diff = members[i] - members[i + 1]

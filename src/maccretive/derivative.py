@@ -99,6 +99,13 @@ class DerivativeContext:
         return self.interval.exp_neg_a**2 - self.interval.exp_neg_b**2
 
     @cached_property
+    def endpoint_matrix(self) -> np.ndarray:
+        """``[[e^a, e^{-a}], [e^b, e^{-b}]]``: takes coefficients ``(cp, cm)``
+        to the endpoint values of ``cp e^t + cm e^{-t}``."""
+        iv = self.interval
+        return np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
+
+    @cached_property
     def lipschitz_bound(self) -> float:
         """``e^{a+b}``, the admissibility bound for boundary functions."""
         return math.exp(self.a + self.b)

@@ -9,23 +9,23 @@ matrix identity on boundary data,
     g_bd(Phi_BD) = kappa^* K kappa (f_BD),
 
 so the induced block realization is m-accretive exactly when
-``K + K^T`` is positive semidefinite.
+``K + K^T`` is positive semidefinite. Boundary data are ``(cp, cm)``
+arrays in ``bd_space(ctx)``, as in :mod:`maccretive.blockop`, and traces
+are ``(at a, at b)`` arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .blockop import BDVector, BlockRealization, bd_space
+from .blockop import BlockRealization, bd_space
 from .derivative import DerivativeContext, _pi_coeffs
-from .funcspace import ExpPoly
+from .funcspace import ExpPoly, _eval_pair
 from .relations import LinearRelation, _is_psd
 
 __all__ = [
-    "TraceVector",
     "ImpedanceK",
     "gamma0",
     "gammaN",
@@ -37,21 +37,6 @@ __all__ = [
     "impedance_realization",
     "is_K_accretive",
 ]
-
-
-@dataclass(frozen=True)
-class TraceVector:
-    """Boundary values ``(at_a, at_b)`` as an element of the trace space."""
-
-    at_a: float
-    at_b: float
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([self.at_a, self.at_b])
-
-    def __sub__(self, other: "TraceVector") -> "TraceVector":
-        return TraceVector(self.at_a - other.at_a, self.at_b - other.at_b)
 
 
 @dataclass(frozen=True)
@@ -81,51 +66,42 @@ class ImpedanceK:
         return [list(row) for row in self.entries]
 
 
-def gamma0(ctx: DerivativeContext, f: ExpPoly) -> TraceVector:
+def gamma0(ctx: DerivativeContext, f: ExpPoly) -> np.ndarray:
     """Dirichlet trace ``(f(a), f(b))``."""
-    return TraceVector(f(ctx.a), f(ctx.b))
+    return np.array(_eval_pair(f, ctx.a, ctx.b))
 
 
-def gammaN(ctx: DerivativeContext, phi: ExpPoly) -> TraceVector:
+def gammaN(ctx: DerivativeContext, phi: ExpPoly) -> np.ndarray:
     """Normal trace ``(-phi(a), phi(b))``."""
-    return TraceVector(-phi(ctx.a), phi(ctx.b))
-
-
-@lru_cache(maxsize=64)
-def _endpoint_matrix(ctx: DerivativeContext) -> np.ndarray:
-    """Endpoint evaluation of BD coefficients: rows ``(e^a, e^{-a})``, ``(e^b, e^{-b})``."""
-    iv = ctx.interval
-    return np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
+    at_a, at_b = _eval_pair(phi, ctx.a, ctx.b)
+    return np.array([-at_a, at_b])
 
 
 def kappa_adjoint_matrix(ctx: DerivativeContext) -> np.ndarray:
     """Adjoint of endpoint evaluation, solved through the BD Gram matrix."""
-    gram = bd_space(ctx).gram
-    return np.linalg.solve(gram, _endpoint_matrix(ctx).T)
+    return np.linalg.solve(bd_space(ctx).gram, ctx.endpoint_matrix.T)
 
 
-def kappa(x: BDVector) -> TraceVector:
+def kappa(ctx: DerivativeContext, x) -> np.ndarray:
     """Embed boundary data into the pivot space by endpoint evaluation."""
-    values = _endpoint_matrix(x.ctx) @ x.coeffs
-    return TraceVector(float(values[0]), float(values[1]))
+    return ctx.endpoint_matrix @ x
 
 
-def kappa_adjoint(ctx: DerivativeContext, y: TraceVector) -> BDVector:
+def kappa_adjoint(ctx: DerivativeContext, y) -> np.ndarray:
     """The unique ``x`` with ``<kappa x', y> = <x', x>_BD`` for all ``x'``."""
-    return BDVector.from_coeffs(ctx, kappa_adjoint_matrix(ctx) @ y.coeffs)
+    return kappa_adjoint_matrix(ctx) @ y
 
 
-def trace_norm(ctx: DerivativeContext, y: TraceVector) -> float:
+def trace_norm(ctx: DerivativeContext, y) -> float:
     """Renormed trace norm: the H1 norm of the boundary-data function
     with these endpoint values, whose coefficients are the deficiency
     projection coefficients read off those values."""
-    return BDVector(ctx, *_pi_coeffs(ctx, y.at_a, y.at_b)).norm()
+    return bd_space(ctx).norm(_pi_coeffs(ctx, *y))
 
 
 def impedance_map_matrix(ctx: DerivativeContext, k: ImpedanceK) -> np.ndarray:
     """``kappa^* K kappa`` as a matrix on BD coefficients."""
-    e = _endpoint_matrix(ctx)
-    return kappa_adjoint_matrix(ctx) @ k.matrix @ e
+    return kappa_adjoint_matrix(ctx) @ k.matrix @ ctx.endpoint_matrix
 
 
 def impedance_realization(ctx: DerivativeContext, k: ImpedanceK) -> BlockRealization:

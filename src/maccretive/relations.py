@@ -68,6 +68,22 @@ class InnerSpace:
     def euclidean(cls, dim: int) -> "InnerSpace":
         return cls(dim, np.eye(dim))
 
+    @classmethod
+    def _diagonal(cls, entries) -> "InnerSpace":
+        """The space with Gram matrix ``diag(entries)``, entries positive, unchecked.
+
+        Its Cholesky factor is ``diag(sqrt(entries))``, what
+        ``np.linalg.cholesky`` returns for a diagonal matrix. The
+        constructor's eigenvalue test is relative, so it would reject a
+        diagonal whose entries are more than ``1e12`` apart, which is
+        positive definite all the same.
+        """
+        space = object.__new__(cls)
+        space.dim = len(entries)
+        space.gram = np.diag(entries)
+        space._chol = np.diag(np.sqrt(entries))
+        return space
+
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.asarray(x) @ self.gram @ np.asarray(y))
 

@@ -420,7 +420,7 @@ def test_criterion_10_impedance():
         coeffs = rng.uniform(-1.5, 1.5, size=2)
         s = coeffs[0] * members[0] + coeffs[1] * members[1]
         lhs = state_l2_inner(apply_block(s), s, UNIT)
-        tr = gamma0(CTX, s.u).coeffs
+        tr = gamma0(CTX, s.u)
         rhs_val = float((k.matrix @ tr) @ tr)
         worst_energy_defect = max(
             worst_energy_defect, abs(lhs - rhs_val) / (1.0 + abs(lhs))

@@ -6,10 +6,10 @@ import pytest
 
 from maccretive import blockop
 from maccretive.blockop import (
-    BDVector,
     BlockRealization,
     BlockState,
     apply_block,
+    bd_exppoly,
     bd_project,
     bd_space,
     block_resolve,
@@ -39,6 +39,7 @@ from maccretive.funcspace import (
 )
 from maccretive.relations import (
     ContractionMap,
+    InnerSpace,
     LinearRelation,
     OperatorPair,
     cayley_to_relation,
@@ -84,15 +85,15 @@ def random_contraction(rng: np.random.Generator, shrink: float = 0.95) -> Contra
 
 
 def test_bd_project_kernel_and_constant():
-    assert bd_project(CTX, ExpPoly.exponential(1.0)).coeffs == pytest.approx([1.0, 0.0], abs=1e-13)
-    proj = bd_project(CTX, ExpPoly.constant(1.0))
-    assert proj.cp == pytest.approx(1.0 / (E + 1.0), abs=1e-12)
-    assert proj.cm == pytest.approx(E / (E + 1.0), abs=1e-12)
+    assert bd_project(CTX, ExpPoly.exponential(1.0)) == pytest.approx([1.0, 0.0], abs=1e-13)
+    cp, cm = bd_project(CTX, ExpPoly.constant(1.0))
+    assert cp == pytest.approx(1.0 / (E + 1.0), abs=1e-12)
+    assert cm == pytest.approx(E / (E + 1.0), abs=1e-12)
 
 
 def test_bd_project_residual_vanishes_at_endpoints():
     u = ExpPoly(((2.0, (1.0, -0.5)), (0.0, (0.7, 0.2, 0.1))))
-    res = u - bd_project(CTX, u).to_exppoly()
+    res = u - bd_exppoly(bd_project(CTX, u))
     assert abs(res(0.0)) <= 1e-12
     assert abs(res(1.0)) <= 1e-12
 
@@ -100,7 +101,7 @@ def test_bd_project_residual_vanishes_at_endpoints():
 def test_bd_project_of_endpoint_free_function_is_zero():
     u = ExpPoly.polynomial([0.0, 1.0]) * (ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0]))
     proj = bd_project(CTX, u)
-    assert proj.coeffs == pytest.approx([0.0, 0.0], abs=1e-13)
+    assert proj == pytest.approx([0.0, 0.0], abs=1e-13)
 
 
 def test_bd_project_matches_graph_gram_solve():
@@ -114,37 +115,56 @@ def test_bd_project_matches_graph_gram_solve():
             u = random_state(rng).u
             rhs = [graph_inner(u, q, ctx.interval) for q in kernel]
             expected = np.linalg.solve(gram, rhs)
-            got = bd_project(ctx, u).coeffs
+            got = bd_project(ctx, u)
             assert np.abs(got - expected).max() <= 1e-11 * (1.0 + np.abs(expected).max())
+
+
+def test_bd_space_is_its_closed_form_diagonal():
+    # the Cholesky factor sqrt(diag) is numpy's, bit for bit, where numpy's
+    # eigenvalue test accepts the Gram matrix; far from 0 it does not
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        a = float(rng.uniform(-6.0, 6.0))
+        ctx = DerivativeContext(Interval(a, a + float(rng.uniform(1e-3, 6.0))))
+        space = bd_space(ctx)
+        gram = np.diag([ctx.denom_plus, ctx.denom_minus])
+        assert np.array_equal(space.gram, gram)
+        assert np.array_equal(space._chol, np.linalg.cholesky(gram))
+    for a, b in ((7.0, 8.0), (-8.0, -6.0), (0.0, 15.0)):
+        ctx = DerivativeContext(Interval(a, b))
+        with pytest.raises(ValueError, match="not positive definite"):
+            InnerSpace(2, np.diag([ctx.denom_plus, ctx.denom_minus]))
+        chol = bd_space(ctx)._chol
+        assert (chol @ chol.T).ravel() == pytest.approx(bd_space(ctx).gram.ravel(), rel=1e-15)
 
 
 def test_bd_vector_norm_is_diagonal():
     rng = np.random.default_rng(0)
     for _ in range(10):
         cp, cm = rng.uniform(-2, 2, size=2)
-        w = BDVector(CTX, cp, cm)
+        w = np.array([cp, cm])
         expected = math.sqrt(cp**2 * CTX.denom_plus + cm**2 * CTX.denom_minus)
-        assert w.norm() == pytest.approx(expected, rel=1e-14)
+        assert SPACE.norm(w) == pytest.approx(expected, rel=1e-14)
         # matches the H1 norm of the function it represents
         from maccretive.funcspace import graph_norm
 
-        assert w.norm() == pytest.approx(graph_norm(w.to_exppoly(), UNIT), rel=1e-12)
+        assert SPACE.norm(w) == pytest.approx(graph_norm(bd_exppoly(w), UNIT), rel=1e-12)
 
 
 def test_g_bd_and_d_bd():
     # g_bd is its own inverse: it also maps v_BD to Dv_BD
-    x = BDVector(CTX, 1.0, 0.0)
-    assert g_bd(x).coeffs == pytest.approx([1.0, 0.0])
-    y = BDVector(CTX, 0.0, 1.0)
-    assert g_bd(y).coeffs == pytest.approx([0.0, -1.0])
+    x = np.array([1.0, 0.0])
+    assert g_bd(x) == pytest.approx([1.0, 0.0])
+    y = np.array([0.0, 1.0])
+    assert g_bd(y) == pytest.approx([0.0, -1.0])
     rng = np.random.default_rng(1)
     for _ in range(10):
-        w = BDVector(CTX, *rng.uniform(-2, 2, size=2))
-        assert g_bd(g_bd(w)) == w
-        assert g_bd(w).norm() == pytest.approx(w.norm(), rel=1e-12)
+        w = rng.uniform(-2, 2, size=2)
+        assert np.array_equal(g_bd(g_bd(w)), w)
+        assert SPACE.norm(g_bd(w)) == pytest.approx(SPACE.norm(w), rel=1e-12)
     # g_bd really is differentiation of the represented function
-    w = BDVector(CTX, 0.3, -1.2)
-    assert l2_norm(g_bd(w).to_exppoly() - differentiate(w.to_exppoly()), UNIT) <= 1e-14
+    w = np.array([0.3, -1.2])
+    assert l2_norm(bd_exppoly(g_bd(w)) - differentiate(bd_exppoly(w)), UNIT) <= 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -248,16 +268,16 @@ def test_lipschitz_seminorm_transfer():
     h = lift_f_to_h(CTX, f)
     worst = 0.0
     for _ in range(1000):
-        w1 = BDVector(CTX, *rng.uniform(-2, 2, size=2))
-        w2 = BDVector(CTX, *rng.uniform(-2, 2, size=2))
-        s1 = BlockState(w1.to_exppoly(), differentiate(w1.to_exppoly()))
-        s2 = BlockState(w2.to_exppoly(), differentiate(w2.to_exppoly()))
+        w1 = rng.uniform(-2, 2, size=2)
+        w2 = rng.uniform(-2, 2, size=2)
+        s1 = BlockState(bd_exppoly(w1), differentiate(bd_exppoly(w1)))
+        s2 = BlockState(bd_exppoly(w2), differentiate(bd_exppoly(w2)))
         num = state_l2_norm(h(s1) - h(s2), UNIT)
         den = state_l2_norm(s1 - s2, UNIT)
         if den > 1e-9:
             worst = max(worst, num / den)
         # the domain norm identity behind the transfer
-        assert den == pytest.approx(SPACE.norm(w1.coeffs - w2.coeffs), rel=1e-9)
+        assert den == pytest.approx(SPACE.norm(w1 - w2), rel=1e-9)
     from maccretive.relations import operator_norm
 
     assert worst <= operator_norm(SPACE, f.matrix) + 1e-9
@@ -315,14 +335,14 @@ def bd_member(real: BlockRealization, rng: np.random.Generator) -> BlockState:
     """Member built from the relation's basis, plus endpoint-free parts."""
     basis = real.relation.basis
     c = rng.uniform(-2.0, 2.0, size=len(basis))
-    u_bd = BDVector.from_coeffs(CTX, c @ basis[:, 0, :])
-    dv_bd = BDVector.from_coeffs(CTX, c @ basis[:, 1, :])
+    u_bd = c @ basis[:, 0, :]
+    dv_bd = c @ basis[:, 1, :]
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
         ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
     )
     return BlockState(
-        u_bd.to_exppoly() + float(rng.uniform(-1, 1)) * bump,
-        g_bd(dv_bd).to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+        bd_exppoly(u_bd) + float(rng.uniform(-1, 1)) * bump,
+        bd_exppoly(g_bd(dv_bd)) + float(rng.uniform(-1, 1)) * bump,
     )
 
 
@@ -350,9 +370,10 @@ def test_views_agree_for_relation_and_st_realizations():
     assert seen[True] > 0 and seen[False] > 0
 
 
-# Reference: the per-state views built from BDVector objects, as the
-# membership tests computed them before they became matrices on endpoint
-# values. Kept here to pin the batched kernel to the same verdicts.
+# Reference: the per-state views built from boundary data one state at a
+# time, as the membership tests computed them before they became matrices
+# on endpoint values. Kept here to pin the batched kernel to the same
+# verdicts.
 
 
 def _ref_perp(relation: LinearRelation) -> np.ndarray:
@@ -371,9 +392,10 @@ def _ref_product_norm(space, z: np.ndarray) -> float:
     return math.sqrt(max(space.inner(z[:d], z[:d]) + space.inner(z[d:], z[d:]), 0.0))
 
 
-def _ref_pair_member(pair: OperatorPair, u_bd: BDVector, dv_bd: BDVector, tol: float) -> bool:
-    defect = pair.codomain_norm_of(pair.S @ u_bd.coeffs - pair.T @ dv_bd.coeffs)
-    return defect <= tol * (1.0 + u_bd.norm() + dv_bd.norm())
+def _ref_pair_member(pair: OperatorPair, u_bd: np.ndarray, dv_bd: np.ndarray, tol: float) -> bool:
+    space = pair.domain_space
+    defect = pair.codomain_norm_of(pair.S @ u_bd - pair.T @ dv_bd)
+    return defect <= tol * (1.0 + space.norm(u_bd) + space.norm(dv_bd))
 
 
 def _ref_views(real: BlockRealization, state: BlockState, tol: float = 1e-9) -> dict:
@@ -381,13 +403,13 @@ def _ref_views(real: BlockRealization, state: BlockState, tol: float = 1e-9) -> 
     space = bd_space(ctx)
     x, y = boundary_data(ctx, state)
     u_bd, dv_bd = x + y, x - y
-    bound = tol * (1.0 + u_bd.norm() + dv_bd.norm())
+    bound = tol * (1.0 + space.norm(u_bd) + space.norm(dv_bd))
     views = {}
     if real.f is not None:
-        views["f"] = (BDVector.from_coeffs(ctx, real.f(x.coeffs)) - y).norm() <= bound
+        views["f"] = space.norm(real.f(x) - y) <= bound
     if isinstance(real.description, LinearRelation):
         perp = _ref_perp(real.description)
-        resid = perp @ np.concatenate([u_bd.coeffs, dv_bd.coeffs])
+        resid = perp @ np.concatenate([u_bd, dv_bd])
         views["relation"] = _ref_product_norm(space, resid) <= bound
         pair = OperatorPair(
             space, perp[:, :2], -perp[:, 2:],
@@ -395,10 +417,10 @@ def _ref_views(real: BlockRealization, state: BlockState, tol: float = 1e-9) -> 
         )
         views["pair"] = _ref_pair_member(pair, u_bd, dv_bd, tol)
     else:
-        views["relation"] = real.relation.contains(u_bd.coeffs, dv_bd.coeffs, tol)
+        views["relation"] = real.relation.contains(u_bd, dv_bd, tol)
     if real.f is not None:
-        image = lift_f_to_h(ctx, real.f)(BlockState(x.to_exppoly(), g_bd(x).to_exppoly()))
-        views["h"] = (bd_project(ctx, image.u) - y).norm() <= bound
+        image = lift_f_to_h(ctx, real.f)(BlockState(bd_exppoly(x), bd_exppoly(g_bd(x))))
+        views["h"] = space.norm(bd_project(ctx, image.u) - y) <= bound
     return views
 
 
@@ -440,18 +462,17 @@ def _kernel_member(real: BlockRealization, rng: np.random.Generator) -> BlockSta
     if isinstance(real.description, LinearRelation):
         basis = real.description.basis
         c = rng.uniform(-2.0, 2.0, size=len(basis))
-        u_bd = BDVector.from_coeffs(ctx, c @ basis[:, 0, :])
-        dv_bd = BDVector.from_coeffs(ctx, c @ basis[:, 1, :])
+        u_bd = c @ basis[:, 0, :]
+        dv_bd = c @ basis[:, 1, :]
     else:
         x = rng.uniform(-2.0, 2.0, size=2)
         fx = real.description(x)
-        u_bd = BDVector.from_coeffs(ctx, x + fx)
-        dv_bd = BDVector.from_coeffs(ctx, x - fx)
+        u_bd, dv_bd = x + fx, x - fx
     a, b = ctx.a, ctx.b
     bump = ExpPoly.polynomial([-a * b, a + b, -1.0])  # (t - a)(b - t)
     return BlockState(
-        u_bd.to_exppoly() + float(rng.uniform(-1, 1)) * bump,
-        g_bd(dv_bd).to_exppoly() + float(rng.uniform(-1, 1)) * bump,
+        bd_exppoly(u_bd) + float(rng.uniform(-1, 1)) * bump,
+        bd_exppoly(g_bd(dv_bd)) + float(rng.uniform(-1, 1)) * bump,
     )
 
 
@@ -856,10 +877,9 @@ def _composed_block_resolve(real: BlockRealization, rhs: BlockState, tau: float)
         + _first_order_terms(half, -tau, ctx.b, t_scale)
     ))
     v_part = rhs.v + (-(tau * differentiate(u_part)))
-    h_u, h_dv = blockop._homogeneous_frames(ctx, tau)
-    u_bd0 = bd_project(ctx, u_part).coeffs
-    dv_bd0 = g_bd(bd_project(ctx, v_part)).coeffs
-    coeffs = blockop._solve_boundary_coeffs(real, u_bd0, dv_bd0, h_u, h_dv)
+    u_bd0 = bd_project(ctx, u_part)
+    dv_bd0 = g_bd(bd_project(ctx, v_part))
+    coeffs = blockop._solve_boundary_coeffs(real, real._resolvent_plan(tau), u_bd0, dv_bd0)
     modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
     u = ExpPoly(u_part.terms + modes)
     v = rhs.v + (-(tau * differentiate(u)))

@@ -381,12 +381,36 @@ NAN_RATE = {"u": [{"rate": math.nan, "coeffs": [1.0]}], "v": []}
         ("wave-impedance", {"steps": 1, "K": IDENTITY, "u0": NO_COEFFS}),
         ("wave-impedance", {"steps": 1, "K": IDENTITY, "u0": NAN_RATE}),
         ("evolve", {"kind": "block", "steps": 1, "realization": BLOCK_M, "u0": NO_COEFFS}),
+        # intervals whose BD Gram entries vanish or overflow used to crash
+        ("check-decomposition", {"samples": 1, "interval": {"a": 0.0, "b": 1e-17}}),
+        ("check-decomposition", {"samples": 1, "interval": {"a": 0.0, "b": 400.0}}),
+        # a 3-D matrix used to reach the solver
+        ("st-criterion", {"dim": 1, "S": [[[1.0]]], "T": [[[2.0]]]}),
     ],
 )
 def test_malformed_parameters_are_schema_errors(tmp_path, command, params):
     code, out = run_cli(tmp_path, {"command": command, "params": params})
     assert code == 2
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("interval", [(7.0, 8.0), (-8.0, -6.0), (0.0, 15.0)])
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        ("block-equivalence", {"states": 20}),
+        ("wave-impedance", {"K": IDENTITY, "steps": 5}),
+        ("evolve", {"kind": "block", "realization": BLOCK_M, "steps": 5}),
+    ],
+)
+def test_block_commands_give_verdicts_far_from_zero(tmp_path, interval, command, params):
+    # the BD Gram entries are about e^{2|a+b|} apart on these intervals,
+    # which a relative positive-definiteness test used to reject
+    a, b = interval
+    spec = {"command": command, "params": {**params, "interval": {"a": a, "b": b}}}
+    code, out = run_cli(tmp_path, spec)
+    assert code in (0, 1)
+    assert load_report(out)["passed"] is (code == 0)
 
 
 def test_count_and_degree_limits_are_inclusive(tmp_path):
