@@ -44,6 +44,7 @@ import numpy as np
 from .derivative import (
     DerivativeContext,
     _first_order_terms,
+    _mode_coeffs,
     _pi_coeffs,
     _projection_coeffs,
 )
@@ -548,10 +549,11 @@ def _homogeneous_frames(ctx: DerivativeContext, tau: float):
     ``(e^{-t/tau}, e^{-t/tau})``; returns their contributions to
     ``u_BD`` and ``Dv_BD`` as matrix columns, read-only since a
     realization's resolvent plan keeps them for every step at ``tau``.
+    Raises :class:`RootNotFound` when a mode overflows on the interval.
     """
     sigma = 1.0 / tau
-    w_plus = np.array(_pi_coeffs(ctx, math.exp(sigma * ctx.a), math.exp(sigma * ctx.b)))
-    w_minus = np.array(_pi_coeffs(ctx, math.exp(-sigma * ctx.a), math.exp(-sigma * ctx.b)))
+    w_plus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(sigma)))
+    w_minus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(-sigma)))
     h_u = np.column_stack([w_plus, w_minus])
     h_dv = np.column_stack([-g_bd(w_plus), g_bd(w_minus)])
     h_u.flags.writeable = h_dv.flags.writeable = False
@@ -568,7 +570,9 @@ def block_resolve(
     ``+-tau D`` (see :func:`_particular_second_order`); the two
     homogeneous coefficients are pinned by the realization's boundary
     description: a direct linear solve when the description is linear,
-    otherwise a damped fixed-point iteration with a Broyden fallback.
+    otherwise Picard iteration on a proven contraction with a certified
+    stop (see :func:`_solve_boundary_coeffs`). A nonlinear ``f`` that
+    breaks its Lipschitz certificate can raise :class:`RootNotFound`.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -600,7 +604,29 @@ def _solve_boundary_coeffs(
     """The two homogeneous coefficients that put the solution in the realization.
 
     ``plan`` is the realization's resolvent plan for the step's ``tau``
-    (see :meth:`BlockRealization._resolvent_plan`).
+    (see :meth:`BlockRealization._resolvent_plan`). A linear description
+    is one least-squares solve. For a nonlinear ``f``, ``c`` solves
+    ``f(x_p + L c) = y_p + N c``, where ``(x_p, y_p)`` are the deficiency
+    data of the particular solution and the columns of ``L`` and ``N``
+    those of the two modes: with ``C = L N^{-1}`` and
+    ``x_0 = x_p - C y_p``, ``x = x_0 + C f(x)`` and ``c = N^{-1} (f(x) - y_p)``.
+
+    ``C`` swaps the two BD coordinates. With ``sigma = 1/tau``, ``l = b - a``
+    and ``e^{beta b} - e^{beta a} = 2 e^{beta (a+b)/2} sinh(beta l/2)``, the
+    powers of ``e^{a+b}`` cancel and both its orthonormal entries are
+
+        |C| = sinh(|sigma - 1| l/2) / sinh((sigma + 1) l/2) <= |1 - tau| / (1 + tau),
+
+    the bound because ``sinh(alpha y) / sinh(beta y)``, ``0 <= alpha < beta``,
+    falls in ``y`` (``y coth y`` rises) from ``alpha / beta`` at ``y = 0``.
+    So for ``f`` with certificate ``cert`` the map contracts at the rate
+    ``q = cert |C| < 1`` (``q = 0`` at ``tau = 1``: one step is exact). The
+    iteration stops once ``gap q / (1 - q) <= 1e-12 (1 + |x|)``, a bound on
+    the distance to the fixed point, which holds within the a-priori
+    ``ceil(log(1e-12 (1 - q) / gap_0) / log q)`` steps. A few steps past
+    that count it raises :class:`RootNotFound`: ``f`` breaks its
+    certificate, or, for ``q`` within about 0.005 of 1, the roundoff floor
+    of the steps lies above the stop.
     """
     description = realization.description
     h_u, h_dv, stacked = plan
@@ -620,64 +646,30 @@ def _solve_boundary_coeffs(
 
     f = description
     space = bd_space(realization.ctx)
-
-    # f-form: f(x_p + L C) = y_p + N C with x, y the deficiency data.
     l_mat = 0.5 * (h_u + h_dv)
     n_mat = 0.5 * (h_u - h_dv)
     x_p = 0.5 * (u_bd0 + dv_bd0)
     y_p = 0.5 * (u_bd0 - dv_bd0)
     n_inv = np.linalg.inv(n_mat)
-
-    if f.is_affine:
-        lhs = n_mat - f.matrix @ l_mat
-        rhs_vec = f(x_p) - y_p
-        try:
-            return np.linalg.solve(lhs, rhs_vec)
-        except np.linalg.LinAlgError as exc:
-            raise RootNotFound("affine boundary system is singular") from exc
-
-    # Nonlinear: iterate on x = x_p + L N^{-1} (f(x) - y_p).
     comp = l_mat @ n_inv
-    damping = 0.5 if f.lipschitz_cert * operator_norm(space, comp) > 0.95 else 1.0
-
-    def step(x: np.ndarray) -> np.ndarray:
-        return x_p + comp @ (f(x) - y_p)
-
-    x = x_p.copy()
-    best = None
-    for _ in range(200):
-        nxt = step(x)
+    q = f.lipschitz_cert * operator_norm(space, comp)
+    # x_0 is the fixed point for f = 0; formed once, so that no step
+    # cancels x_p against C y_p
+    x_0 = x_p - comp @ y_p
+    x = x_0 + comp @ f(x_0)
+    gap = space.norm(x - x_0)
+    if not (q < 1.0 and math.isfinite(gap)):
+        raise RootNotFound(f"no certified contraction: rate {q}, first step {gap}")
+    tol = 1e-12 * (1.0 - q)
+    # the k-th later gap is at most q^k gap, so the stop holds within `cap` steps
+    cap = 0 if gap * q <= tol else math.ceil(math.log(tol / gap) / math.log(q)) + 2
+    for _ in range(cap + 1):
+        if gap * q <= tol * (1.0 + space.norm(x)):
+            return n_inv @ (f(x) - y_p)
+        nxt = x_0 + comp @ f(x)
         gap = space.norm(nxt - x)
-        scale = 1.0 + space.norm(nxt)
-        if gap <= 1e-12 * scale:
-            return n_inv @ (f(nxt) - y_p)
-        if best is None or gap < best:
-            best = gap
-        x = x + damping * (nxt - x)
-
-    # Broyden fallback on F(C) = f(x(C)) - y(C).
-    def residual(c: np.ndarray) -> np.ndarray:
-        return f(x_p + l_mat @ c) - (y_p + n_mat @ c)
-
-    c = n_inv @ (f(x) - y_p)
-    jac = np.zeros((2, 2))
-    eps = 1e-7
-    base = residual(c)
-    for j in range(2):
-        bump = c.copy()
-        bump[j] += eps
-        jac[:, j] = (residual(bump) - base) / eps
-    for _ in range(300):
-        if np.linalg.norm(base) <= 1e-12 * (1.0 + np.linalg.norm(c)):
-            return c
-        try:
-            delta = np.linalg.solve(jac, -base)
-        except np.linalg.LinAlgError as exc:
-            raise RootNotFound("boundary Jacobian became singular") from exc
-        c = c + delta
-        new = residual(c)
-        denom = float(delta @ delta)
-        if denom > 0.0:
-            jac += np.outer(new - base, delta) / denom
-        base = new
-    raise RootNotFound("block boundary solve did not converge in 500 iterations")
+        x = nxt
+    raise RootNotFound(
+        f"boundary fixed point not reached in {cap} steps at rate {q}: the Lipschitz "
+        f"certificate {f.lipschitz_cert} of f is falsified, or roundoff stalls the steps"
+    )

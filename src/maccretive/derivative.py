@@ -193,11 +193,12 @@ class Realization1D:
         """``(hom, beta_plus, beta_minus)``: the homogeneous solution
         ``e^{-t/tau}`` of ``u + tau*u' = 0`` and its projection coefficients,
         built by the first :func:`resolve` at this ``tau`` and reused by
-        every later one."""
+        every later one. Raises :class:`RootNotFound` when the mode
+        overflows on the interval."""
         plan = self._plans.get(tau)
         if plan is None:
             hom = ExpPoly.exponential(-1.0 / tau)
-            plan = self._plans[tau] = (hom, *_projection_coeffs(self.ctx, hom))
+            plan = self._plans[tau] = (hom, *_mode_coeffs(self.ctx, hom))
         return plan
 
 
@@ -226,6 +227,19 @@ def _pi_coeffs(ctx: DerivativeContext, ua: float, ub: float) -> tuple[float, flo
 def _projection_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, float]:
     """``(pi_plus, pi_minus)`` coefficients of ``u``, from one pass over its terms."""
     return _pi_coeffs(ctx, *_eval_pair(u, ctx.a, ctx.b))
+
+
+def _mode_coeffs(ctx: DerivativeContext, mode: ExpPoly) -> tuple[float, float]:
+    """``_projection_coeffs`` of a homogeneous resolvent mode; raises
+    :class:`RootNotFound` when they overflow on the interval."""
+    try:
+        coeffs = _projection_coeffs(ctx, mode)
+    except OverflowError:
+        coeffs = (math.inf, math.inf)
+    if not all(map(math.isfinite, coeffs)):
+        rate = mode.terms[0][0]
+        raise RootNotFound(f"resolvent mode e^({rate} t) overflows on [{ctx.a}, {ctx.b}]")
+    return coeffs
 
 
 def pi_plus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:

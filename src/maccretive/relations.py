@@ -214,15 +214,14 @@ class ContractionMap:
     """Total 1-Lipschitz map on an inner-product space.
 
     The certificate is supplied by the caller; ``sampled_check``
-    can only falsify it. ``matrix``/``offset`` are set when the map is
-    affine, which unlocks exact downstream computations.
+    can only falsify it. ``matrix`` is set when the map is linear,
+    which unlocks exact downstream computations.
     """
 
     space: InnerSpace
     func: Callable[[np.ndarray], np.ndarray]
     lipschitz_cert: float = 1.0
     matrix: Optional[np.ndarray] = None
-    offset: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.lipschitz_cert > 1.0 + 1e-12:
@@ -231,40 +230,25 @@ class ContractionMap:
             )
         if self.matrix is not None:
             self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.offset is not None:
-            self.offset = np.asarray(self.offset, dtype=float)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
 
     @property
-    def is_affine(self) -> bool:
-        return self.matrix is not None
-
-    @property
     def is_linear(self) -> bool:
-        return self.matrix is not None and (
-            self.offset is None or not np.any(self.offset)
-        )
+        return self.matrix is not None
 
     @classmethod
     def from_matrix(
         cls,
         space: InnerSpace,
         matrix: np.ndarray,
-        offset: Optional[np.ndarray] = None,
         lipschitz_cert: Optional[float] = None,
     ) -> "ContractionMap":
         matrix = np.asarray(matrix, dtype=float)
-        off = None if offset is None else np.asarray(offset, dtype=float)
         if lipschitz_cert is None:
             lipschitz_cert = operator_norm(space, matrix)
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            y = matrix @ x
-            return y if off is None else y + off
-
-        return cls(space, apply, lipschitz_cert, matrix=matrix, offset=off)
+        return cls(space, lambda x: matrix @ x, lipschitz_cert, matrix=matrix)
 
     @classmethod
     def zero(cls, space: InnerSpace) -> "ContractionMap":

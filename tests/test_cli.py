@@ -413,6 +413,35 @@ def test_block_commands_give_verdicts_far_from_zero(tmp_path, interval, command,
     assert load_report(out)["passed"] is (code == 0)
 
 
+@pytest.mark.parametrize(
+    "command, params, failure",
+    [
+        ("block-equivalence", {"tau": 0.001}, "resolvent_solvable"),
+        ("wave-impedance", {"K": IDENTITY, "tau": 0.001}, "equivalence"),
+        (
+            "resolve",
+            {
+                "interval": {"a": -1.0, "b": 0.0},
+                "g": {"kind": "constant", "value": 0.0},
+                "rhs": [{"rate": 0.0, "coeffs": [1.0]}],
+                "tau": 0.001,
+            },
+            "solvable",
+        ),
+    ],
+)
+def test_resolvent_modes_that_overflow_fail_with_a_report(tmp_path, command, params, failure):
+    # e^{+-t/tau} overflows on the interval: the resolvent plan cannot be
+    # built, which the report names as an unsolvable resolvent
+    code, out = run_cli(tmp_path, {"command": command, "params": params})
+    assert code == 1
+    report = load_report(out)
+    assert report["passed"] is False
+    assert report["first_failure"] == failure
+    if command == "wave-impedance":
+        assert report["resolvent_solvable"] is False
+
+
 def test_count_and_degree_limits_are_inclusive(tmp_path):
     spec = {
         "command": "check-decomposition",
