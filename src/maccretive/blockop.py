@@ -34,9 +34,10 @@ inputs, so results are bit-identical to building the plan every step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -54,6 +55,7 @@ from .funcspace import (
     Interval,
     _eval_pair,
     _merge,
+    _quadrature_norm,
     _sub_scaled_derivative,
     differentiate,
     l2_inner,
@@ -130,7 +132,9 @@ def state_l2_inner(s1: BlockState, s2: BlockState, interval: Interval) -> float:
 
 
 def state_l2_norm(state: BlockState, interval: Interval) -> float:
-    return math.sqrt(max(state_l2_inner(state, state, interval), 0.0))
+    """``sqrt(||u||**2 + ||v||**2)`` by the Gauss-Legendre rule of
+    :func:`maccretive.funcspace.l2_norm`, one rule for both components."""
+    return _quadrature_norm((state.u, state.v), interval)
 
 
 def state_graph_inner(s1: BlockState, s2: BlockState, interval: Interval) -> float:
@@ -140,7 +144,22 @@ def state_graph_inner(s1: BlockState, s2: BlockState, interval: Interval) -> flo
     )
 
 
-@lru_cache(maxsize=64)
+def _per_context(build):
+    """``build(ctx)``, made once per context object and kept on it, so that
+    it lives exactly as long as the context and its interval."""
+
+    @functools.wraps(build)
+    def cached(ctx: DerivativeContext):
+        memo = ctx._memo
+        value = memo.get(build)
+        if value is None:
+            value = memo[build] = build(ctx)
+        return value
+
+    return cached
+
+
+@_per_context
 def bd_space(ctx: DerivativeContext) -> InnerSpace:
     """BD coefficient space with its graph Gram matrix, the closed-form
     diagonal ``diag(e^{2b}-e^{2a}, e^{-2a}-e^{-2b})``.
@@ -245,7 +264,7 @@ def reduce_h_to_f(
 View = Union[np.ndarray, Callable[[np.ndarray], float]]
 
 
-@lru_cache(maxsize=64)
+@_per_context
 def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
     """``(to_z, P V)`` on BD coefficients.
 
@@ -429,6 +448,9 @@ class BlockRealization:
             return eye
         w = np.kron(np.eye(2), space.gram)
         basis = self.description.basis.reshape(k, -1).T  # columns span M
+        # scaled by a power of two, which changes no bit of the projector,
+        # so that the normal equations of a basis near 1e300 do not overflow
+        basis = np.ldexp(basis, -np.frexp(np.max(np.abs(basis)))[1])
         return eye - basis @ np.linalg.solve(basis.T @ w @ basis, basis.T @ w)
 
     def _view(self, name: str) -> View:

@@ -290,6 +290,28 @@ def _block_state(data, name: str) -> BlockState:
     return BlockState(_exppoly(data["u"], f"{name}.u"), _exppoly(data["v"], f"{name}.v"))
 
 
+#: Largest ``|rate| * (b - a)`` of a term of the data: ``e^{rate t}`` then
+#: varies by less than the floating-point range across the interval.
+_MAX_RATE_SPAN = math.log(sys.float_info.max)
+
+
+def _finite_on(iv: Interval, state, name: str):
+    """``state``, an ExpPoly or a BlockState, if its values at both ends of
+    ``iv`` are finite and no term varies by more than the floating-point
+    range across ``iv``; the suites' solvers and norms need both."""
+    for f in (state.u, state.v) if isinstance(state, BlockState) else (state,):
+        try:
+            finite = all(map(math.isfinite, _eval_pair(f, iv.a, iv.b)))
+        except OverflowError:
+            finite = False
+        if not finite or any(abs(rate) * iv.length > _MAX_RATE_SPAN for rate in f.rates):
+            raise SchemaError(
+                f"bad {name}: a term overflows, or spans more than the "
+                "floating-point range, on the interval"
+            )
+    return state
+
+
 def _boundary_function(data, name: str) -> BoundaryFunction:
     try:
         g = boundary_function_from_jsonable(data)
@@ -315,7 +337,10 @@ def _matrix(data, name: str, shape=None) -> np.ndarray:
 
 
 def _impedance_k(data, name: str) -> ImpedanceK:
-    return ImpedanceK.from_matrix(_matrix(data, name, (2, 2)))
+    m = _matrix(data, name, (2, 2))
+    if np.max(np.abs(m)) > 0.5 * sys.float_info.max:
+        raise SchemaError(f"bad {name}: K + K^T overflows")
+    return ImpedanceK.from_matrix(m)
 
 
 def _space(p: dict) -> InnerSpace:
@@ -447,7 +472,7 @@ def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
 
 def _suite_resolve(p: dict, seed: int, tol: float):
     iv = p["interval"]
-    rhs, tau = p["rhs"], p["tau"]
+    rhs, tau = _finite_on(iv, p["rhs"], "rhs"), p["tau"]
     realization = Realization1D(DerivativeContext(iv), p["g"])
     failures = []
     solution = residual = None
@@ -585,7 +610,10 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     iv = p["interval"]
     k, tau, steps = p["K"], p["tau"], p["steps"]
     rng = np.random.default_rng(seed)
-    realization = impedance_realization(DerivativeContext(iv), k)
+    try:
+        realization = impedance_realization(DerivativeContext(iv), k)
+    except ValueError as exc:
+        raise SchemaError(f"bad K on this interval: {exc}") from exc
     accretive_k = is_K_accretive(k)
 
     # (a) sampled accretivity over members built from boundary data
@@ -602,8 +630,11 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
         # <A diff, diff> = int (u v)' = u(b) v(b) - u(a) v(a)
         (ua, ub), (va, vb) = _eval_pair(diff.u, iv.a, iv.b), _eval_pair(diff.v, iv.a, iv.b)
         pairing = ub * vb - ua * va
-        if pairing < -tol * (1 + state_l2_norm(diff, iv) ** 2):
-            accretive_sampled = False
+        # the threshold is negative, so a pairing >= 0 needs no norm
+        if pairing < 0.0:
+            size = state_l2_norm(diff, iv)
+            if pairing < -tol * (1 + size * size):
+                accretive_sampled = False
     # (b) solvability with nonexpansive differences
     solvable = True
     outs = []
@@ -622,7 +653,7 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
 
     # energy run, stopping at the first certified increase
     clean = trajectory_postprocessor(iv)
-    state = p["u0"]
+    state = _finite_on(iv, p["u0"], "u0")
     energies = [state_l2_norm(state, iv) ** 2]
     first_increase = None
     run_failed_at = None
@@ -685,8 +716,8 @@ def _suite_evolve(p: dict, seed: int, tol: float):
     else:
         raise SchemaError(f"evolve: unknown kind {kind!r}")
     if "u0" in p:
-        u0 = parse_state(p["u0"], "u0")
-    v0 = parse_state(p["v0"], "v0") if "v0" in p else None
+        u0 = _finite_on(iv, parse_state(p["u0"], "u0"), "u0")
+    v0 = _finite_on(iv, parse_state(p["v0"], "v0"), "v0") if "v0" in p else None
     resolvent = lambda s, t: clean(solve(realization, s, t))  # noqa: E731
     norm = lambda s: l2(s, iv)  # noqa: E731
     dist = lambda x, y: l2(x - y, iv)  # noqa: E731

@@ -110,6 +110,12 @@ class DerivativeContext:
         """``e^{a+b}``, the admissibility bound for boundary functions."""
         return math.exp(self.a + self.b)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Values of functions of this context alone, keyed by the function:
+        made by the first call and freed with the context."""
+        return {}
+
 
 @dataclass(frozen=True)
 class BoundaryFunction:

@@ -4,7 +4,8 @@ Functions are finite sums of terms ``p(t) * exp(mu * t)`` with real
 polynomial ``p``. The class is closed under addition, multiplication,
 and differentiation, and every L2 pairing over an interval has a closed
 form, so downstream identities can be checked to roundoff rather than
-quadrature accuracy.
+quadrature accuracy. The norms are Gauss-Legendre sums whose quadrature
+error is bounded below the rounding of the values they sum.
 
 Definite integrals of ``t**k * exp(nu*t)`` are evaluated through two
 positive-term series (an ascending exponential series for ``nu > 0``
@@ -16,14 +17,19 @@ Each :class:`Interval` keeps these moments as one row per rate,
 ``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown on demand and
 freed with the interval.
 
-An L2 pairing is a running sum over term pairs of ``conv[k] * moment[k]``,
-``conv`` being the product of the two coefficient lists. Once one term of
-``f`` needs ``_BATCH_PRODUCTS`` coefficient products against all of
-``g``, as the growing states of long implicit-Euler runs do, that term is
-paired with every term of ``g`` at once in numpy. Every sum there adds
-the same products in the same order as the Python loop, and its zero
-pads add only ``+-0.0``, so the result is bit-identical. Smaller
-pairings keep the loop, which is faster at their size.
+An L2 pairing (:func:`l2_inner`, :func:`graph_inner`) is a running sum
+over term pairs of ``conv[k] * moment[k]``, ``conv`` being the product of
+the two coefficient lists. It is exact up to roundoff on the scale of the
+pairwise integrals of the terms, so a function whose terms cancel on the
+interval keeps few digits of its squared norm. :func:`l2_norm` therefore
+does not use it: it sums the squares of the values at Gauss-Legendre
+nodes, whose rounding is on the scale of the terms themselves, with a
+node count chosen from the degree, the largest rate and the length of
+the interval so that the quadrature error is below that rounding (the
+bound is in its docstring). Each interval keeps the node tables it has
+used, ``sqrt(w_j) t_j**k e^{mu t_j}`` per rate ``mu``, so the values of a
+term are one vector-matrix product; the tables are freed with the
+interval.
 
 Results that are normal by construction (negation, scaling,
 differentiation, pruning) skip the public constructor's coercion and
@@ -48,12 +54,13 @@ weighs each coefficient by ``|c|`` alone, since ``|c| * 1.0**k`` is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -77,11 +84,6 @@ RATE_MERGE_TOL = 1e-14
 #: raise the degree by one each, so the cap must exceed the longest
 #: supported trajectory (64 covers the 50-step acceptance runs).
 DEGREE_CAP = 64
-
-#: An ``f`` term of ``n1`` coefficients is paired with ``g`` in numpy
-#: once ``n1 * (coefficients of g)`` reaches this; below it the Python
-#: loop is faster.
-_BATCH_PRODUCTS = 512
 
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 100_000
@@ -123,6 +125,17 @@ class Interval:
 
     @cached_property
     def _moment_rows(self) -> dict:
+        return {}
+
+    # Gauss-Legendre tables of the norms (see :func:`l2_norm`), by the
+    # shape they were chosen for, ``(coefficients, largest |rate|)``, and
+    # by their rule, ``(nodes, panels)``.
+    @cached_property
+    def _gauss_by_shape(self) -> dict:
+        return {}
+
+    @cached_property
+    def _gauss_by_rule(self) -> dict:
         return {}
 
     def _moments(self, nu: float, n: int) -> list:
@@ -528,82 +541,11 @@ def _power_exp_integral(k: int, nu: float, a: float, b: float) -> float:
     return sign * _from_zero(k, -nu, -a) + _from_zero(k, nu, b)
 
 
-def _coeff_rows(g: ExpPoly, width: int) -> np.ndarray:
-    """The coefficient tuples of ``g`` as rows, zero-padded to ``width``."""
-    rows = np.zeros((len(g.terms), width))
-    for t, (_, coeffs) in enumerate(g.terms):
-        rows[t, : len(coeffs)] = coeffs
-    return rows
-
-
-@np.errstate(over="ignore", invalid="ignore")  # silent like the loop's floats
-def _batched_pairings(
-    total: float,
-    r1: float,
-    c1: tuple[float, ...],
-    g: ExpPoly,
-    g_rows: np.ndarray,
-    n2: int,
-    interval: Interval,
-) -> float:
-    """``total`` plus the pairings of the term ``c1 e^{r1 t}`` with all of ``g``.
-
-    ``g_rows`` holds the coefficients of ``g`` (at most ``n2`` each) with
-    at least ``len(c1)`` zeros after each row. The arithmetic is that of
-    the loop in :func:`l2_inner`, in its order:
-
-    - ``products[t, i, j]`` is the exact product ``c1[i] * g_t[j]``;
-    - reading each ``(n1, n1 + n2)`` block with row stride ``n1 + n2 - 1``
-      moves row ``i`` right by ``i``, so ``skew[t, i, k]`` is
-      ``c1[i] * g_t[k - i]`` or a zero pad, and a reduction over ``i``
-      is ``_conv`` (numpy sums an axis that is not the contiguous one
-      sequentially; the bit-for-bit pairing tests fail if it stops);
-    - the running total is a cumulative sum from ``total`` over the
-      products ``conv * moment``, g terms outer and ``k`` inner.
-
-    The pads add only ``+-0.0``, which changes neither a nonzero sum nor
-    a sum that started at ``+0.0``, and a zero ``conv[k]``, skipped by the
-    loop, adds ``+-0.0`` too. So a finite result is bit-identical to the
-    loop's; a non-finite one may differ and is left to the loop.
-    """
-    n1 = len(c1)
-    t_g = len(g.terms)
-    width = n1 + n2 - 1
-    products = np.multiply(np.array(c1)[:, None], g_rows[:, None, : width + 1])
-    skew = products.reshape(t_g, n1 * (width + 1))[:, : n1 * width]
-    conv = np.add.reduce(skew.reshape(t_g, n1, width), axis=1)
-    moments = np.zeros((t_g, width))
-    for t, (r2, c2) in enumerate(g.terms):
-        k = n1 + len(c2) - 1
-        moments[t, :k] = interval._moments(r1 + r2, k)[:k]
-    running = np.empty(t_g * width + 1)
-    running[0] = total
-    np.multiply(conv, moments, out=running[1:].reshape(t_g, width))
-    return float(np.add.accumulate(running, out=running)[-1])
-
-
 def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
-    """Exact value of the pairing ``integral_a^b f*g dt``.
-
-    An ``f`` term whose pairings with ``g`` take at least
-    ``_BATCH_PRODUCTS`` coefficient products goes through
-    :func:`_batched_pairings`, bit-identical to the loop below.
-    """
+    """Exact value of the pairing ``integral_a^b f*g dt``."""
     total = 0.0
     rows = interval._moment_rows
-    g_size = 0
-    for _, c2 in g.terms:
-        g_size += len(c2)
-    g_rows = None
     for r1, c1 in f.terms:
-        if len(c1) * g_size >= _BATCH_PRODUCTS:
-            if g_rows is None:
-                n2 = max(len(c2) for _, c2 in g.terms)
-                g_rows = _coeff_rows(g, n2 + max(len(c) for _, c in f.terms))
-            batched = _batched_pairings(total, r1, c1, g, g_rows, n2, interval)
-            if math.isfinite(batched):
-                total = batched
-                continue
         for r2, c2 in g.terms:
             conv = [0.0] * (len(c1) + len(c2) - 1)
             for i, x in enumerate(c1):
@@ -627,11 +569,213 @@ def graph_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
 
 
 def l2_norm(f: ExpPoly, interval: Interval) -> float:
-    return math.sqrt(max(l2_inner(f, f, interval), 0.0))
+    """``||f||`` on ``interval`` by Gauss-Legendre quadrature of its values.
+
+    Let ``f = sum_i p_i(t) e^{mu_i t}``, ``h = (b - a)/2``, ``d`` the largest
+    degree, ``r = h max|mu_i|`` the reach, and
+
+        E = sum_i max_[a,b] (sum_k |c_ik| |t|^k) * max_[a,b] e^{mu_i t}
+
+    the size of the terms. On the Bernstein ellipse ``E_rho`` of the
+    interval, ``t = (a + b)/2 + h x``, each ``|p_i|`` is at most
+    ``rho^d max_[a,b] |p_i|`` and each ``|e^{mu_i t}|`` at most
+    ``max_[a,b] e^{mu_i t} e^{r (rho + 1/rho - 2)/2}``. So by Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3, ``n``
+    nodes integrate ``f**2`` with an error of at most
+
+        h E**2 (64/15) rho^(2d - 2n) e^{r (rho + 1/rho - 2)} / (rho**2 - 1)
+
+    for every ``rho > 1``. :func:`_log_gauss_bound` takes the ``rho`` that
+    minimises the first two factors, and the norm uses the fewest nodes
+    of ``_NODE_COUNTS`` for which the bound is at most ``eps**2 h E**2``.
+    Where none is, the interval is split into 2, 4, ... panels of the
+    last count, each with reach ``r / panels``, whose errors sum to the
+    same bound. Since ``|sqrt(I) - sqrt(Q)| <= sqrt|I - Q|``, the rule
+    moves the norm by at most ``eps sqrt(h) E``.
+
+    Each weighted value is a sum over the ``T`` terms of dot products of
+    the coefficients with a table of ``sqrt(w_j) t_j**k e^{mu t_j}``, its
+    powers formed by repeated products. The rounded node and the rounded
+    product ``mu t_j`` move each exponential by about ``3 |mu t_j| eps``
+    relative, so, with ``c = max(|a|, |b|)`` and ``m = max|mu_i|``, the
+    rounding error of a value is at most about ``(2d + T + 4 + 3mc) eps``
+    times the sum of the terms' magnitudes at the node (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 3 and 5). The
+    computed norm is therefore within about
+    ``(2d + T + 5 + 3mc) eps sqrt(2h) E``, plus ``gamma_N / 2`` relative
+    from the sum of ``N`` squares, of ``||f||``. No pairwise integrals of
+    the terms enter, so terms that cancel on the interval cost no more
+    than that.
+
+    A norm whose squares overflow or underflow is summed rescaled; one
+    whose values are not finite is ``inf``. A state that no rule of at
+    most ``_MAX_PANELS`` panels covers raises :class:`ArithmeticError`:
+    its reach is above 687 at any degree, so a term varies by more than
+    the floating-point range across the interval, where the exact
+    moments of :func:`l2_inner` overflow too.
+    """
+    return _quadrature_norm((f,), interval)
 
 
 def graph_norm(f: ExpPoly, interval: Interval) -> float:
     return math.sqrt(max(graph_inner(f, f, interval), 0.0))
+
+
+# ----------------------------------------------------------------------
+# Norms by Gauss-Legendre quadrature
+# ----------------------------------------------------------------------
+
+#: Node counts of the norms' Gauss-Legendre rules, fewest first.
+_NODE_COUNTS = (16, 32, 48, 64, 96)
+
+#: Most panels of ``_NODE_COUNTS[-1]`` nodes a rule is split into.
+_MAX_PANELS = 64
+
+#: ``log(eps**2)``: every rule integrates ``f**2`` to within ``eps**2 h E**2``.
+_LOG_QUADRATURE_TOL = 2.0 * math.log(2.0**-52)
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` Gauss-Legendre nodes, ascending, and weights on ``[-1, 1]``,
+    made on first use.
+
+    Newton's method on ``P_n``, evaluated by its three-term recurrence,
+    from the guesses ``cos(pi (k - 1/4) / (n + 1/2))``, which converge
+    quadratically; ``w = 2 / ((1 - x**2) P_n'(x)**2)``. It needs neither an
+    eigenvalue solver nor ``numpy.polynomial``.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        slope = n * (p_prev - x * p) / (1.0 - x * x)
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _log_gauss_bound(n: int, degree: int, reach: float) -> float:
+    """Log of the bound on ``|I - Q_n| / (h E**2)`` of :func:`l2_norm` for one panel.
+
+    ``rho = (N + sqrt(N**2 + 4 r**2)) / (2 r)``, ``N = 2n - 2d``, is where
+    ``-N log(rho) + r (rho + 1/rho - 2)`` is least; any ``rho > 1`` gives
+    a valid bound, so the cap at ``1e100`` for tiny ``r`` is safe.
+    """
+    slack = 2 * (n - degree)
+    if slack <= 0:
+        return math.inf
+    if reach == 0.0:
+        return -math.inf
+    rho = min((slack + math.hypot(slack, 2.0 * reach)) / (2.0 * reach), 1e100)
+    return (
+        math.log(64.0 / 15.0)
+        - slack * math.log(rho)
+        + reach * (rho + 1.0 / rho - 2.0)
+        - math.log(rho * rho - 1.0)
+    )
+
+
+def _gauss_rule(degree: int, reach: float):
+    """``(nodes, panels)`` of the cheapest rule whose bound meets the target,
+    or ``None`` when ``_MAX_PANELS`` panels do not."""
+    for n in _NODE_COUNTS:
+        if _log_gauss_bound(n, degree, reach) <= _LOG_QUADRATURE_TOL:
+            return n, 1
+    n, panels = _NODE_COUNTS[-1], 2
+    while panels <= _MAX_PANELS:
+        if _log_gauss_bound(n, degree, reach / panels) <= _LOG_QUADRATURE_TOL:
+            return n, panels
+        panels *= 2
+    return None
+
+
+class _GaussTable:
+    """One Gauss-Legendre rule on one interval.
+
+    ``rows[mu][k, j]`` is ``sqrt(w_j) t_j**k e^{mu t_j}``, made on the first
+    term of rate ``mu`` and kept, so the weighted values of a term at the
+    nodes are one vector-matrix product.
+    """
+
+    __slots__ = ("nodes", "weighted_powers", "rows")
+
+    def __init__(self, a: float, length: float, n: int, panels: int) -> None:
+        x, w = _legendre_rule(n)
+        half = 0.5 * length / panels
+        centres = a + half * (2.0 * np.arange(panels) + 1.0)
+        self.nodes = (centres[:, None] + half * x).ravel()
+        powers = np.vander(self.nodes, min(n, DEGREE_CAP + 1), increasing=True).T
+        self.weighted_powers = powers * np.tile(np.sqrt(half * w), panels)
+        self.rows: dict = {}
+
+    def values(self, terms) -> np.ndarray:
+        """``sqrt(w_j) f(t_j)`` for the terms of a non-zero ``f``."""
+        rows = self.rows
+        out = None
+        for rate, coeffs in terms:
+            table = rows.get(rate)
+            if table is None:
+                table = rows[rate] = self.weighted_powers * np.exp(rate * self.nodes)
+            value = np.dot(np.array(coeffs), table[: len(coeffs)])
+            if out is None:
+                out = value
+            else:
+                out += value
+        return out
+
+
+def _gauss_table(interval: Interval, size: int, rate: float) -> Optional[_GaussTable]:
+    """The table for terms of at most ``size`` coefficients and rates within
+    ``+-rate``, kept on the interval; ``None`` when no rule covers them."""
+    rule = _gauss_rule(size - 1, rate * 0.5 * interval.length) if math.isfinite(rate) else None
+    table = None
+    if rule is not None:
+        table = interval._gauss_by_rule.get(rule)
+        if table is None:
+            table = interval._gauss_by_rule[rule] = _GaussTable(
+                interval.a, interval.length, *rule
+            )
+    interval._gauss_by_shape[size, rate] = table
+    return table
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
+def _quadrature_norm(polys, interval: Interval) -> float:
+    """``sqrt(sum ||f||**2)`` over ``polys``, all by one rule (see :func:`l2_norm`)."""
+    size, rate = 0, 0.0
+    for f in polys:
+        terms = f.terms
+        if terms:
+            rate = max(rate, -terms[0][0], terms[-1][0])
+            for _, coeffs in terms:
+                if len(coeffs) > size:
+                    size = len(coeffs)
+    if not size:
+        return 0.0
+    tables = interval._gauss_by_shape
+    key = (size, rate)
+    table = tables[key] if key in tables else _gauss_table(interval, size, rate)
+    if table is None:
+        raise ArithmeticError(
+            f"no Gauss rule covers degree {size - 1} at rates up to {rate} on "
+            f"[{interval.a}, {interval.b}]"
+        )
+    values = [table.values(f.terms) for f in polys if f.terms]
+    square = 0.0
+    for v in values:
+        square += np.dot(v, v)
+    if 0.0 < square < math.inf:
+        return math.sqrt(square)
+    top = max([float(np.max(np.abs(v))) for v in values])
+    if not top < math.inf:  # a value overflowed, or is nan
+        return math.inf
+    if top == 0.0:
+        return 0.0
+    return top * math.sqrt(sum([float(np.dot(v / top, v / top)) for v in values]))
 
 
 def prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:

@@ -138,6 +138,8 @@ class LinearRelation:
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(-1, 2, self.space.dim)
+        if not np.all(np.isfinite(self.basis)):
+            raise ValueError("relation basis entries must be finite")
         k = self.basis.shape[0]
         if k:
             flat = self.basis.reshape(k, 2 * self.space.dim)

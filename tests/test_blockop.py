@@ -866,28 +866,9 @@ def _band_cases():
                 )
 
 
-def _gauss_nodes(iv: Interval):
-    """64-point Gauss-Legendre nodes and weights on ``iv``."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    half = 0.5 * iv.length
-    return half * nodes + iv.a + half, half * weights
-
-
-def _pointwise_l2(state: BlockState, iv: Interval) -> float:
-    """L2 norm of ``state`` by quadrature of its pointwise values.
-
-    ``state_l2_norm`` of a difference of two representations of nearly
-    the same function on different rates keeps only half the digits;
-    pointwise values do not cancel that way.
-    """
-    ts, ws = _gauss_nodes(iv)
-    return math.sqrt(sum(w * (state.u(t) ** 2 + state.v(t) ** 2) for t, w in zip(ts, ws)))
-
-
 def _term_majorant(state: BlockState, iv: Interval) -> float:
-    """Largest sum of the terms' magnitudes at a node: the scale on which
-    the roundoff of evaluating ``state`` lives."""
-    ts, _ = _gauss_nodes(iv)
+    """Largest sum of the terms' magnitudes at 65 points of ``iv``: the
+    scale on which the roundoff of evaluating ``state`` lives."""
     return max(
         sum(
             abs(c) * abs(t) ** k * math.exp(rate * t)
@@ -895,7 +876,7 @@ def _term_majorant(state: BlockState, iv: Interval) -> float:
             for rate, coeffs in poly.terms
             for k, c in enumerate(coeffs)
         )
-        for t in ts
+        for t in np.linspace(iv.a, iv.b, 65)
     )
 
 
@@ -955,9 +936,9 @@ def test_block_resolve_resonance_band(monkeypatch, interval, degree, tau_mu):
                 ref = block_resolve(real, rhs, tau)
             except RootNotFound:
                 continue
-        ref_norm = _pointwise_l2(ref, iv)
+        ref_norm = state_l2_norm(ref, iv)
         if _term_majorant(ref, iv) <= 1e4 * ref_norm:
-            assert _pointwise_l2(out - ref, iv) <= 1e-10 * ref_norm
+            assert state_l2_norm(out - ref, iv) <= 1e-10 * ref_norm
 
 
 # ----------------------------------------------------------------------

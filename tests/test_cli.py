@@ -1,7 +1,9 @@
 import functools
+import gc
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -601,3 +603,96 @@ def test_fuzzed_specs_keep_the_cli_contract(base):
                 assert (report["first_failure"] is None) == report["passed"]
 
     check()
+
+
+# ----------------------------------------------------------------------
+# norms, intervals and overflow
+# ----------------------------------------------------------------------
+
+# Runs whose energies the former Gram-form norm clamped to exactly 0:
+# seed-1 trajectories spec 160, seed-2 spec 151, and a run from e^{1.9 t}.
+CLAMPED_TO_ZERO = [
+    {"command": "wave-impedance", "seed": 835970464, "params": {
+        "interval": {"a": -1.2077648741659348, "b": -0.3957861684537054}, "tau": 0.2, "steps": 43,
+        "K": [[1.0601023677031445, -0.6361296828320897], [0.3152154976104867, 1.174449914707029]],
+        "u0": {"u": [{"rate": 2.0, "coeffs": [-0.6265064305650807, -0.25413454101873034]}],
+               "v": [{"rate": -1.0, "coeffs": [-1.4505817041517086, -0.06776392596969827,
+                                                -1.2254037229674026]}]}}},
+    {"command": "wave-impedance", "seed": 656062033, "params": {
+        "interval": {"a": -1.2082397295870093, "b": -0.23995388850656585}, "tau": 0.1, "steps": 34,
+        "K": [[1.6953672612277089, 1.036086922640393], [-0.8628894874442368, 1.7311656981015955]],
+        "u0": {"u": [{"rate": 2.0, "coeffs": [-0.8778344831080789, 1.499375615859197,
+                                               -1.0907952688327072]}],
+               "v": [{"rate": 1.0, "coeffs": [-0.563100968259689, 1.1347933498153928]}]}}},
+    {"command": "wave-impedance", "params": {
+        "K": IDENTITY, "tau": 0.5, "u0": {"u": [{"rate": 1.9, "coeffs": [1.0]}], "v": []}}},
+]
+
+
+@pytest.mark.parametrize("spec", CLAMPED_TO_ZERO)
+def test_no_energy_reads_exactly_zero(tmp_path, spec):
+    code, out = run_cli(tmp_path, spec)
+    assert code in (0, 1)
+    assert load_report(out)["final_energy"] > 0.0
+    rows = (out / "data.csv").read_text().splitlines()[1:]
+    assert rows and all(float(row.split(",")[3]) > 0.0 for row in rows)
+
+
+def test_no_interval_outlives_its_cli_run(tmp_path, monkeypatch):
+    from maccretive.funcspace import Interval
+
+    made = []
+    post_init = Interval.__post_init__
+
+    def recording(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(Interval, "__post_init__", recording)
+    specs = [
+        {"command": "check-decomposition", "params": {"samples": 3}},
+        {"command": "block-equivalence", "params": {"states": 3}},
+        {"command": "wave-impedance", "params": {"K": IDENTITY, "steps": 3}},
+        VALID_SPECS[-2],
+        VALID_SPECS[-1],
+    ]
+    for i, spec in enumerate(specs):
+        code, _ = run_cli(tmp_path, spec, name=f"{i}.json")
+        assert code in (0, 1)
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # e^{800 t} overflows on [0, 1]; this used to raise OverflowError
+        {"command": "resolve", "params": {"g": LINEAR_G, "rhs": [{"rate": 800.0, "coeffs": [1.0]}]}},
+        # e^{-2e4 t} spans more than the floating-point range on [0, 1]
+        {"command": "resolve", "params": {"g": LINEAR_G, "rhs": [{"rate": -2e4, "coeffs": [1.0]}]}},
+        {"command": "evolve", "params": {"g": LINEAR_G, "u0": [{"rate": 900.0, "coeffs": [1.0]}]}},
+        {"command": "wave-impedance", "params": {
+            "K": IDENTITY, "u0": {"u": [], "v": [{"rate": -900.0, "coeffs": [1.0]}]}}},
+        # K + K^T overflows, or kappa* K kappa does on this interval
+        {"command": "wave-impedance", "params": {"K": [[1e308, 0.0], [0.0, 1e308]]}},
+        {"command": "wave-impedance", "params": {
+            "interval": {"a": 2.0, "b": 3.0}, "K": [[1e307, 0.0], [0.0, 1e307]]}},
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the overflow it meets
+def test_data_that_overflows_on_the_interval_is_a_schema_error(tmp_path, spec):
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("scale, passed", [(1e300, True), (-1e300, False)])
+def test_wave_impedance_with_a_huge_k_gives_a_verdict(tmp_path, scale, passed):
+    # the relation's basis is near 1e300; its normal equations used to
+    # overflow into a LinAlgError
+    spec = {"command": "wave-impedance", "params": {"K": [[scale, 0.0], [0.0, scale]], "steps": 5}}
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert code == (0 if passed else 1)
+    assert report["passed"] is passed
+    assert math.isfinite(report["final_energy"])
