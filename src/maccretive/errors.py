@@ -22,6 +22,16 @@ class OutOfRange(MaccretiveError):
     """An argument left the admissible parameter range."""
 
 
+class NormOutOfReach(MaccretiveError, ArithmeticError):
+    """No Gauss rule of the norms covers a function on its interval.
+
+    The reach, half the length of the interval times the largest
+    ``|rate|`` of the function's terms, is beyond what 64 panels cover
+    (about 687 at any degree): a term then varies by more than the
+    floating-point range across the interval.
+    """
+
+
 class NotAViolation(MaccretiveError):
     """The supplied sample does not actually break the claimed bound."""
 

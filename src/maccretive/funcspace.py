@@ -13,9 +13,12 @@ and a lower-incomplete-gamma series for ``nu < 0``). Both are free of
 cancellation, which keeps high polynomial degrees (as produced by long
 implicit-Euler runs) at machine precision; the textbook
 integration-by-parts recurrence loses all digits beyond degree ~20.
-Each :class:`Interval` keeps these moments as one row per rate,
-``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown on demand and
-freed with the interval.
+Where the decay ``x = -nu * L`` passes 700 and ``k <= x/2``, so that the
+gamma series would overflow while its factor ``e^{nu L}`` underflows, the
+integral is ``k! / |nu|**(k+1)`` to within far less than a rounding,
+formed factor by factor. Each :class:`Interval` keeps these moments as
+one row per rate, ``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown
+on demand and freed with the interval.
 
 An L2 pairing (:func:`l2_inner`, :func:`graph_inner`) is a running sum
 over term pairs of ``conv[k] * moment[k]``, ``conv`` being the product of
@@ -30,6 +33,16 @@ bound is in its docstring). Each interval keeps the node tables it has
 used, ``sqrt(w_j) t_j**k e^{mu t_j}`` per rate ``mu``, so the values of a
 term are one vector-matrix product; the tables are freed with the
 interval.
+
+Many pairings at once are a few matrix products: :class:`ExpBasis`
+writes functions as coefficient rows over their shared basis
+``t**k e^{mu t}``, one column block per exact rate, and gives the
+basis's L2 Gram matrix ``G``, whose block ``(mu, nu)`` is the Hankel
+matrix of the interval's moment row for ``mu + nu``, and its
+differentiation matrix ``D``, so that the H1 Gram matrix is
+``G + D G D^T``. A pairing read off these matrices agrees with the
+scalar one to roundoff on the scale of the pairwise integrals of the
+terms, though not bit for bit: its sums run in another order.
 
 Results that are normal by construction (negation, scaling,
 differentiation, pruning) skip the public constructor's coercion and
@@ -64,6 +77,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .errors import NormOutOfReach
+
 __all__ = [
     "Interval",
     "ExpPoly",
@@ -75,6 +90,7 @@ __all__ = [
     "l2_norm",
     "graph_norm",
     "prune",
+    "ExpBasis",
 ]
 
 #: Rates closer than this are merged into one term.
@@ -87,6 +103,10 @@ DEGREE_CAP = 64
 
 _SERIES_CUTOFF = 1e-18
 _SERIES_MAX_TERMS = 100_000
+
+#: Largest ``-nu * L`` summed by :func:`_series_gamma`: beyond it the sum
+#: overflows while its factor ``e^{nu L}`` underflows.
+_GAMMA_SERIES_REACH = 700.0
 
 
 @dataclass(frozen=True)
@@ -515,6 +535,19 @@ def _series_gamma(k: int, nu: float, length: float) -> float:
     return math.exp(nu * length) * length ** (k + 1) * total
 
 
+def _steep_decay(k: int, nu: float) -> float:
+    # nu < 0 with x = -nu*L beyond _GAMMA_SERIES_REACH and k <= x/2. The
+    # integral is k!/|nu|^(k+1) (1 - Q), where Q = e^{-x} sum_{j<=k} x^j/j!
+    # is the chance that a Poisson variable of mean x is at most k; by the
+    # Chernoff bound Q <= e^{-0.15 x} < 1e-45, so 1 - Q is 1.0. The product
+    # is formed factor by factor, so it neither overflows nor cancels.
+    scale = -nu
+    value = 1.0 / scale
+    for j in range(1, k + 1):
+        value *= j / scale
+    return value
+
+
 def _from_zero(k: int, nu: float, length: float) -> float:
     """Integral of ``r**k * exp(nu*r)`` over ``[0, length]``, length >= 0."""
     if length == 0.0:
@@ -523,6 +556,8 @@ def _from_zero(k: int, nu: float, length: float) -> float:
         return length ** (k + 1) / (k + 1)
     if nu > 0.0:
         return _series_ascending(k, nu, length)
+    if -nu * length > _GAMMA_SERIES_REACH and 2 * k <= -nu * length:
+        return _steep_decay(k, nu)
     return _series_gamma(k, nu, length)
 
 
@@ -609,16 +644,99 @@ def l2_norm(f: ExpPoly, interval: Interval) -> float:
 
     A norm whose squares overflow or underflow is summed rescaled; one
     whose values are not finite is ``inf``. A state that no rule of at
-    most ``_MAX_PANELS`` panels covers raises :class:`ArithmeticError`:
-    its reach is above 687 at any degree, so a term varies by more than
-    the floating-point range across the interval, where the exact
-    moments of :func:`l2_inner` overflow too.
+    most ``_MAX_PANELS`` panels covers raises :class:`NormOutOfReach`, an
+    :class:`ArithmeticError`: its reach is above 687 at any degree, so a
+    term varies by more than the floating-point range across the interval.
     """
     return _quadrature_norm((f,), interval)
 
 
 def graph_norm(f: ExpPoly, interval: Interval) -> float:
     return math.sqrt(max(graph_inner(f, f, interval), 0.0))
+
+
+# ----------------------------------------------------------------------
+# Pairings as matrices over a shared basis
+# ----------------------------------------------------------------------
+
+
+class ExpBasis:
+    """The functions ``t**k e^{mu t}``, ``k < size``, for each ``(mu, size)`` of ``blocks``.
+
+    Columns run block by block, ``k`` ascending within a block, and a
+    function of the span is its row of coefficients (:meth:`rows`). With
+    ``G`` the L2 Gram matrix of the basis (:meth:`gram`) and ``D`` its
+    differentiation matrix (:meth:`derivative`), the rows ``x`` and ``y``
+    of ``f`` and ``g`` give
+
+        l2_inner(f, g) = x G y^T,  l2_inner(f', g) = (x D) G y^T,
+        graph_inner(f, g) = x G y^T + (x D) G (y D)^T = x (G + D G D^T) y^T,
+
+    so the pairings of many functions are a few matrix products.
+    """
+
+    __slots__ = ("blocks", "dim", "_starts")
+
+    def __init__(self, blocks: Iterable[tuple[float, int]]) -> None:
+        self.blocks = tuple(blocks)
+        self._starts = {}  # the column of t**0 e^{mu t} by rate mu
+        column = 0
+        for rate, size in self.blocks:
+            self._starts[rate] = column
+            column += size
+        self.dim = column
+
+    @classmethod
+    def spanning(cls, polys: Iterable[ExpPoly]) -> "ExpBasis":
+        """The smallest basis that holds every term of ``polys``: one block
+        per exact rate, as long as the longest coefficient list on it."""
+        sizes: dict = {}
+        for f in polys:
+            for rate, coeffs in f.terms:
+                if len(coeffs) > sizes.get(rate, 0):
+                    sizes[rate] = len(coeffs)
+        return cls(sorted(sizes.items()))
+
+    def rows(self, polys: Sequence[ExpPoly]) -> np.ndarray:
+        """The coefficient rows of ``polys``, one per function."""
+        starts = self._starts
+        out = np.zeros((len(polys), self.dim))
+        for row, f in zip(out, polys):
+            for rate, coeffs in f.terms:
+                start = starts[rate]
+                row[start : start + len(coeffs)] = coeffs
+        return out
+
+    def gram(self, interval: Interval) -> np.ndarray:
+        """``G[p, q]``, the integral over ``interval`` of basis functions ``p``
+        and ``q``: block ``(mu, nu)`` is the Hankel matrix ``m[i + j]`` of the
+        interval's moment row for rate ``mu + nu``, the row :func:`l2_inner`
+        reads."""
+        out = np.empty((self.dim, self.dim))
+        starts = self._starts
+        for i, (mu, n) in enumerate(self.blocks):
+            p = starts[mu]
+            for nu, m in self.blocks[i:]:
+                q = starts[nu]
+                moments = np.array(interval._moments(mu + nu, n + m - 1)[: n + m - 1])
+                block = moments[np.add.outer(np.arange(n), np.arange(m))]
+                out[p : p + n, q : q + m] = block
+                out[q : q + m, p : p + n] = block.T
+        return out
+
+    def derivative(self) -> np.ndarray:
+        """``D``, the derivative of each basis function as a row over the basis.
+
+        ``(t**k e^{mu t})' = mu t**k e^{mu t} + k t**(k-1) e^{mu t}``, so
+        within each block ``D[k, k] = mu`` and ``D[k + 1, k] = k + 1``, and
+        ``f'`` has the row ``x D``.
+        """
+        out = np.zeros((self.dim, self.dim))
+        for rate, size in self.blocks:
+            k = np.arange(self._starts[rate], self._starts[rate] + size)
+            out[k, k] = rate
+            out[k[1:], k[:-1]] = np.arange(1, size)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -760,8 +878,10 @@ def _quadrature_norm(polys, interval: Interval) -> float:
     key = (size, rate)
     table = tables[key] if key in tables else _gauss_table(interval, size, rate)
     if table is None:
-        raise ArithmeticError(
-            f"no Gauss rule covers degree {size - 1} at rates up to {rate} on "
+        half = 0.5 * interval.length
+        raise NormOutOfReach(
+            f"no Gauss rule of the norms covers reach {half * rate:.6g} (half-length "
+            f"{half:.6g} times rate {rate:.6g}) at degree {size - 1} on "
             f"[{interval.a}, {interval.b}]"
         )
     values = [table.values(f.terms) for f in polys if f.terms]

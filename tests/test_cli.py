@@ -3,9 +3,11 @@ import gc
 import json
 import math
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,115 @@ def test_check_decomposition_default_passes(tmp_path):
     assert report["seed"] == 42
     assert report["checks"]["orthogonality_defect"] < 1e-10
     assert report["tolerances"]["defect"] == 1e-10
+
+
+def reference_decomposition_checks(iv, samples: int, max_degree: int, seed: int) -> dict:
+    """The checks of ``check-decomposition`` with one scalar pairing per
+    sample and per check, on the suite's samples."""
+    from maccretive.cli import _random_exppoly
+    from maccretive.derivative import DerivativeContext, _pi_coeffs, pi_zero
+    from maccretive.funcspace import ExpPoly, differentiate, graph_inner, graph_norm, l2_inner
+
+    ctx = DerivativeContext(iv)
+    rng = np.random.default_rng(seed)
+    ep = ExpPoly.exponential(1.0)
+    em = ExpPoly.exponential(-1.0)
+    gram_pp = graph_inner(ep, ep, iv)
+    gram_mm = graph_inner(em, em, iv)
+    max_recon = max_ortho = max_identity = max_oracle = 0.0
+    for _ in range(samples):
+        u = _random_exppoly(rng, max_degree)
+        ua, ub = u(iv.a), u(iv.b)
+        c1, cm = _pi_coeffs(ctx, ua, ub)
+        p0 = pi_zero(ctx, u)
+        scale = 1.0 + graph_norm(u, iv)
+        recon = graph_norm(p0 + c1 * ep + cm * em - u, iv)
+        max_recon = max(max_recon, recon / scale)
+        sq = scale**2
+        max_ortho = max(
+            max_ortho,
+            abs(graph_inner(p0, ep, iv) * c1) / sq,
+            abs(graph_inner(p0, em, iv) * cm) / sq,
+            abs(graph_inner(c1 * ep, cm * em, iv)) / sq,
+        )
+        lhs = l2_inner(differentiate(u), u, iv)
+        mid = c1**2 * ctx.denom_plus / 2.0 - cm**2 * ctx.denom_minus / 2.0
+        rhs = (ub**2 - ua**2) / 2.0
+        max_identity = max(
+            max_identity, abs(lhs - mid) / (1 + abs(rhs)), abs(lhs - rhs) / (1 + abs(rhs))
+        )
+        oracle_p = graph_inner(u, ep, iv) / gram_pp
+        oracle_m = graph_inner(u, em, iv) / gram_mm
+        max_oracle = max(
+            max_oracle,
+            abs(c1 - oracle_p) / (1 + abs(c1)),
+            abs(cm - oracle_m) / (1 + abs(cm)),
+        )
+    return {
+        "reconstruction_defect": max_recon,
+        "orthogonality_defect": max_ortho,
+        "inner_product_identity_defect": max_identity,
+        "projection_oracle_defect": max_oracle,
+    }
+
+
+@pytest.mark.parametrize("max_degree", [4, 10])
+@pytest.mark.parametrize(
+    "interval", [{"a": 0.0, "b": 1.3}, {"a": -0.8, "b": 0.9}, {"a": -1.6, "b": -0.7}]
+)
+def test_check_decomposition_matches_per_sample_pairings(tmp_path, interval, max_degree):
+    from maccretive.funcspace import Interval
+
+    spec = {
+        "command": "check-decomposition",
+        "seed": 11,
+        "params": {"interval": interval, "samples": 40, "max_degree": max_degree},
+    }
+    code, out = run_cli(tmp_path, spec)
+    checks = load_report(out)["checks"]
+    reference = reference_decomposition_checks(Interval.from_jsonable(interval), 40, max_degree, 11)
+    assert code == 0
+    assert checks.keys() == reference.keys()
+    for name, value in checks.items():
+        assert value < 1e-10, name
+        assert abs(value - reference[name]) <= 1e-11, name
+
+
+def test_check_decomposition_above_the_chunk_size_at_the_degree_cap(tmp_path):
+    spec = {"command": "check-decomposition", "params": {"samples": 600, "max_degree": 64}}
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert code == 0
+    assert report["samples"] == 600
+    assert all(value < 1e-10 for value in report["checks"].values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the overflow it meets
+def test_check_decomposition_fails_a_defect_it_cannot_compute(tmp_path):
+    # e^{4t} t^20 on [0, 300]: the pairings overflow and the defects are
+    # nan, which no tolerance passes
+    spec = {"command": "check-decomposition",
+            "params": {"interval": {"a": 0.0, "b": 300.0}, "samples": 5, "max_degree": 10}}
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert code == 1
+    assert report["first_failure"] == "reconstruction_defect"
+    assert report["checks"]["reconstruction_defect"] is None
+
+
+def test_check_decomposition_memory_does_not_grow_with_samples(tmp_path, monkeypatch):
+    from maccretive import cli
+
+    monkeypatch.setattr(cli, "STATE_CHUNK", 50)
+    peaks = []
+    for samples in (100, 800):
+        spec = {"command": "check-decomposition", "params": {"samples": samples, "max_degree": 20}}
+        tracemalloc.start()
+        code, _ = run_cli(tmp_path, spec, name=f"{samples}.json")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] < 1.3 * peaks[0]
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -684,6 +795,17 @@ def test_data_that_overflows_on_the_interval_is_a_schema_error(tmp_path, spec):
     code, out = run_cli(tmp_path, spec)
     assert code == 2
     assert not (out / "report.json").exists()
+
+
+def test_a_step_too_short_for_the_norms_is_a_schema_error(tmp_path, capsys):
+    # the state's mode e^{-t/tau} has reach 0.5/tau = 5e4 on [0, 1], beyond
+    # every Gauss rule of the norms; this used to end in an ArithmeticError
+    spec = {"command": "evolve", "params": {
+        "g": LINEAR_G, "tau": 1e-5, "steps": 3, "v0": [{"rate": 0, "coeffs": [0.5]}]}}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert not (out / "report.json").exists()
+    assert "reach 50000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale, passed", [(1e300, True), (-1e300, False)])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from maccretive.funcspace import (
     DEGREE_CAP,
     RATE_MERGE_TOL,
+    ExpBasis,
     ExpPoly,
     Interval,
     _eval_pair,
@@ -512,6 +514,105 @@ def test_moment_rows_match_50_digit_reference(a, b):
                 # the pieces' magnitudes sum to the integral of |t**k e^{nu t}|
                 scale = sum(abs(p) for p in pieces)
                 assert abs(moment - sum(pieces)) <= 1e-13 * scale, (k, nu)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0)])
+@pytest.mark.parametrize("nu", [-720.0, -800.0, -2e4, 800.0, 2e4])
+def test_steep_moments_match_50_digit_reference(a, b, nu):
+    # beyond |nu| L ~ 745 the gamma series overflows while its factor
+    # e^{nu L} underflows; their product used to be nan. A steep term that
+    # grows across the interval has an integral beyond the float range.
+    with mpmath.workdps(50):
+        for k in range(4):
+            exact = sum(_moment_pieces(k, nu, a, b))
+            moment = _power_exp_integral(k, nu, a, b)
+            if abs(exact) > sys.float_info.max:
+                assert moment == math.copysign(math.inf, exact), (k, nu)
+            else:
+                assert abs(moment - exact) <= 1e-15 * abs(exact), (k, nu)
+
+
+def test_pairings_of_a_steep_term_are_finite():
+    f = ExpPoly.exponential(-800.0)
+    assert l2_inner(f, f, UNIT) == pytest.approx(1 / 1600, rel=1e-15)
+    assert graph_inner(f, f, UNIT) == pytest.approx((1 + 800.0**2) / 1600, rel=1e-15)
+
+
+# ----------------------------------------------------------------------
+# pairings as matrices over a shared basis
+# ----------------------------------------------------------------------
+
+
+def _absolute_gram(basis: ExpBasis, iv: Interval) -> np.ndarray:
+    """``int |b_p b_q|`` over ``iv``, the scale of the pairings' roundoff."""
+    pieces = [(iv.a, min(iv.b, 0.0)), (max(iv.a, 0.0), iv.b)]
+    return sum(np.abs(basis.gram(Interval(lo, hi))) for lo, hi in pieces if lo < hi)
+
+
+def _basis_cases():
+    rng = np.random.default_rng(13)
+    rates = [-2.0, -1.0, 0.0, 1.0, 2.0, -10.0, 10.0]  # 10 = 1/tau at tau = 0.1
+    polys = []
+    for i, degree in enumerate((0, 1, 2, 7, 20, 40, DEGREE_CAP)):
+        polys.append(ExpPoly(tuple(
+            (rates[(3 * i + j) % len(rates)], tuple(rng.uniform(-2.0, 2.0, size=degree + 1 - j)))
+            for j in range(min(3, degree + 1))
+        )))
+    polys += [
+        ExpPoly.zero(),
+        ExpPoly(((1.0, (0.5, -1.0)),)),
+        # a rate within RATE_MERGE_TOL of another poly's: its own block
+        ExpPoly(((1.0 + 0.5 * RATE_MERGE_TOL, (1.5, 0.25, -2.0)),)),
+    ]
+    return polys
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.5), (-1.0, 0.8), (-1.7, -0.6)])
+def test_basis_pairings_match_the_scalar_pairings(a, b):
+    iv = Interval(a, b)
+    polys = _basis_cases()
+    basis = ExpBasis.spanning(polys)
+    assert [rate for rate, _ in basis.blocks] == [
+        -10.0, -2.0, -1.0, 0.0, 1.0, 1.0 + 0.5 * RATE_MERGE_TOL, 2.0, 10.0
+    ]
+    assert max(size for _, size in basis.blocks) == DEGREE_CAP + 1
+    rows = basis.rows(polys)
+    gram = basis.gram(iv)
+    d = basis.derivative()
+    graph = gram + d @ gram @ d.T
+    scale = _absolute_gram(basis, iv)
+    for x, f in zip(rows, polys):
+        for y, g in zip(rows, polys):
+            l2_scale = np.abs(x) @ scale @ np.abs(y)
+            graph_scale = l2_scale + np.abs(x @ d) @ scale @ np.abs(y @ d)
+            assert abs(x @ gram @ y - l2_inner(f, g, iv)) <= 1e-14 * l2_scale
+            assert abs(x @ graph @ y - graph_inner(f, g, iv)) <= 1e-14 * graph_scale
+            derivative_scale = np.abs(x @ d) @ scale @ np.abs(y)
+            assert abs(x @ d @ gram @ y - l2_inner(differentiate(f), g, iv)) <= 1e-14 * derivative_scale
+
+
+def test_basis_rows_and_derivative():
+    f = ExpPoly(((-1.0, (2.0,)), (0.5, (1.0, -3.0, 0.25))))
+    g = ExpPoly(((0.5, (4.0,)),))
+    basis = ExpBasis.spanning([f, g, ExpPoly.zero()])
+    assert basis.blocks == ((-1.0, 1), (0.5, 3))
+    assert basis.dim == 4
+    rows = basis.rows([f, g, ExpPoly.zero()])
+    assert rows.tolist() == [[2.0, 1.0, -3.0, 0.25], [0.0, 4.0, 0.0, 0.0], [0.0] * 4]
+    # (t^k e^{mu t})' = mu t^k e^{mu t} + k t^(k-1) e^{mu t}
+    assert basis.derivative().tolist() == [
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.5, 0.0],
+        [0.0, 0.0, 2.0, 0.5],
+    ]
+    assert basis.rows([differentiate(f)]).tolist() == (rows[:1] @ basis.derivative()).tolist()
+    # the Gram matrix reads the interval's moment rows
+    iv = Interval(-0.5, 1.0)
+    gram = basis.gram(iv)
+    assert gram[1, 3] == iv._moments(1.0, 3)[2]
+    assert gram[0, 2] == gram[2, 0] == iv._moments(-0.5, 2)[1]
+    assert ExpBasis.spanning([]).dim == 0
 
 
 # ----------------------------------------------------------------------
