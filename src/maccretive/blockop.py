@@ -35,7 +35,6 @@ inputs, so results are bit-identical to building the plan every step.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
@@ -45,6 +44,7 @@ import numpy as np
 from .derivative import (
     DerivativeContext,
     _first_order_terms,
+    _fixed_point,
     _mode_coeffs,
     _pi_coeffs,
     _projection_coeffs,
@@ -642,13 +642,9 @@ def _solve_boundary_coeffs(
     the bound because ``sinh(alpha y) / sinh(beta y)``, ``0 <= alpha < beta``,
     falls in ``y`` (``y coth y`` rises) from ``alpha / beta`` at ``y = 0``.
     So for ``f`` with certificate ``cert`` the map contracts at the rate
-    ``q = cert |C| < 1`` (``q = 0`` at ``tau = 1``: one step is exact). The
-    iteration stops once ``gap q / (1 - q) <= 1e-12 (1 + |x|)``, a bound on
-    the distance to the fixed point, which holds within the a-priori
-    ``ceil(log(1e-12 (1 - q) / gap_0) / log q)`` steps. A few steps past
-    that count it raises :class:`RootNotFound`: ``f`` breaks its
-    certificate, or, for ``q`` within about 0.005 of 1, the roundoff floor
-    of the steps lies above the stop.
+    ``q = cert |C| < 1`` (``q = 0`` at ``tau = 1``: one step is exact), and
+    :func:`maccretive.derivative._fixed_point` solves it with a certified
+    stop, as it does the 1-D equation.
     """
     description = realization.description
     h_u, h_dv, stacked = plan
@@ -678,20 +674,5 @@ def _solve_boundary_coeffs(
     # x_0 is the fixed point for f = 0; formed once, so that no step
     # cancels x_p against C y_p
     x_0 = x_p - comp @ y_p
-    x = x_0 + comp @ f(x_0)
-    gap = space.norm(x - x_0)
-    if not (q < 1.0 and math.isfinite(gap)):
-        raise RootNotFound(f"no certified contraction: rate {q}, first step {gap}")
-    tol = 1e-12 * (1.0 - q)
-    # the k-th later gap is at most q^k gap, so the stop holds within `cap` steps
-    cap = 0 if gap * q <= tol else math.ceil(math.log(tol / gap) / math.log(q)) + 2
-    for _ in range(cap + 1):
-        if gap * q <= tol * (1.0 + space.norm(x)):
-            return n_inv @ (f(x) - y_p)
-        nxt = x_0 + comp @ f(x)
-        gap = space.norm(nxt - x)
-        x = nxt
-    raise RootNotFound(
-        f"boundary fixed point not reached in {cap} steps at rate {q}: the Lipschitz "
-        f"certificate {f.lipschitz_cert} of f is falsified, or roundoff stalls the steps"
-    )
+    x = _fixed_point(lambda x: x_0 + comp @ f(x), x_0, q, space.norm)
+    return n_inv @ (f(x) - y_p)

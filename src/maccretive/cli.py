@@ -896,6 +896,9 @@ def run(spec: RunSpec, out_dir: Path) -> int:
         # a step too short for the interval: the states' steepest terms
         # vary by more than the floating-point range across it
         raise SchemaError(f"{spec.command}: {exc}") from exc
+    except OverflowError as exc:
+        # data whose integrals on the interval leave the floating-point range
+        raise SchemaError(f"{spec.command}: a value overflows on the interval ({exc})") from exc
     report = {
         **body,
         "command": spec.command,

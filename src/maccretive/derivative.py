@@ -29,6 +29,15 @@ computed before, so results are bit-identical. At exact resonance,
 Taylor shifts, whose polynomial is ``(1.0, +-0.0)``; for finite data they
 only add ``0.0`` to each coefficient and append ``+0.0``, which is what
 the shortcut does (see :func:`_resonant_coeffs`).
+
+The resolvent pins the coefficient of its mode by the boundary identity.
+For the ``e^t`` coefficient ``x`` of the solution, that identity is the
+fixed point ``x = x_0 + C g(x)``, a contraction at the rate
+``q = cert |C| <= (cert / e^{a+b}) |1 - tau| / (1 + tau)`` (proof in
+:func:`resolve`), so ``q < 1`` for every admissible ``g``.
+:func:`_fixed_point` solves it by Picard iteration with a certified
+stop; the nonlinear boundary equation of :mod:`maccretive.blockop` has
+the same form and the same solver.
 """
 
 from __future__ import annotations
@@ -200,11 +209,18 @@ class Realization1D:
         ``e^{-t/tau}`` of ``u + tau*u' = 0`` and its projection coefficients,
         built by the first :func:`resolve` at this ``tau`` and reused by
         every later one. Raises :class:`RootNotFound` when the mode
-        overflows on the interval."""
+        overflows on the interval, or underflows so far that its ``e^{-t}``
+        coefficient, which the boundary solve divides by, is 0."""
         plan = self._plans.get(tau)
         if plan is None:
             hom = ExpPoly.exponential(-1.0 / tau)
-            plan = self._plans[tau] = (hom, *_mode_coeffs(self.ctx, hom))
+            beta_plus, beta_minus = _mode_coeffs(self.ctx, hom)
+            if beta_minus == 0.0:
+                ctx = self.ctx
+                raise RootNotFound(
+                    f"resolvent mode e^({-1.0 / tau} t) underflows on [{ctx.a}, {ctx.b}]"
+                )
+            plan = self._plans[tau] = (hom, beta_plus, beta_minus)
         return plan
 
 
@@ -433,69 +449,66 @@ def _resonant_coeffs(p: Sequence[float], tau: float, anchor: float) -> Optional[
     return q if math.isfinite(sum(q)) else None
 
 
-def _bracket_root(func: Callable[[float], float], start: float, step: float):
-    """Expand geometrically around ``start`` until the sign changes."""
-    f0 = func(start)
-    if f0 == 0.0:
-        return start, start, f0, f0
-    lo, hi = start, start
-    flo = fhi = f0
-    width = max(step, 1.0)
-    for _ in range(200):
-        if f0 > 0.0:
-            lo = lo - width
-            flo = func(lo)
-            if flo <= 0.0:
-                return lo, hi, flo, fhi
-        else:
-            hi = hi + width
-            fhi = func(hi)
-            if fhi >= 0.0:
-                return lo, hi, flo, fhi
-        width *= 2.0
-    raise RootNotFound("boundary equation has no bracketable root")
+def _fixed_point(step: Callable, x_0, rate: float, norm: Callable):
+    """Fixed point of ``step``, a contraction at the proven ``rate``, by Picard
+    iteration from ``x_0``: the one solver of every nonlinear boundary equation,
+    with ``norm`` ``abs`` in 1-D and the BD norm in the block.
 
-
-def _solve_scalar(func: Callable[[float], float], scale: float) -> float:
-    """Safeguarded secant inside a sign-change bracket."""
-    lo, hi, flo, fhi = _bracket_root(func, 0.0, 1.0)
-    if lo == hi:
-        return lo
-    x0, x1 = lo, hi
-    f0, f1 = flo, fhi
-    ftol = 1e-13 * scale
-    for _ in range(200):
-        if abs(f1) <= ftol:
-            return x1
-        if f1 != f0:
-            cand = x1 - f1 * (x1 - x0) / (f1 - f0)
-        else:
-            cand = 0.5 * (lo + hi)
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        fc = func(cand)
-        if fc <= 0.0:
-            lo, flo = cand, fc
-        if fc >= 0.0:
-            hi, fhi = cand, fc
-        x0, f0 = x1, f1
-        x1, f1 = cand, fc
-        if hi - lo <= 1e-15 * (1.0 + abs(lo) + abs(hi)):
-            return 0.5 * (lo + hi)
+    With ``gap`` the length of the last step ``x_prev -> x``, the backward error
+    ``norm(step(x) - x) = norm(step(x) - step(x_prev))`` is at most
+    ``gap * rate``, and the iteration stops once that is at most
+    ``1e-12 (1 + norm(x))``. The k-th later gap is at most ``rate^k gap_0``,
+    so the stop holds within the a-priori ``ceil(log(1e-12 / gap_0) / log rate)``
+    steps. A few steps past that count it raises :class:`RootNotFound`: the
+    map breaks its certificate, or roundoff stalls the steps. It raises at
+    once when ``rate`` is not below 1 or the first step is not finite.
+    """
+    x = step(x_0)
+    gap = norm(x - x_0)
+    if not (rate < 1.0 and math.isfinite(gap)):
+        raise RootNotFound(f"no certified contraction: rate {rate}, first step {gap}")
+    tol = 1e-12
+    cap = 0 if gap * rate <= tol else math.ceil(math.log(tol / gap) / math.log(rate)) + 2
+    for _ in range(cap + 1):
+        if gap * rate <= tol * (1.0 + norm(x)):
+            return x
+        nxt = step(x)
+        gap = norm(nxt - x)
+        x = nxt
     raise RootNotFound(
-        "scalar boundary solve did not converge in 200 iterations "
-        "(is the boundary function within its Lipschitz certificate?)"
+        f"boundary fixed point not reached in {cap} steps at rate {rate}: the Lipschitz "
+        "certificate of the boundary map is falsified, or roundoff stalls the steps"
     )
 
 
 def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     """Solve ``u + tau*u' = f`` subject to the boundary identity.
 
-    The general solution is a particular part plus ``C e^{-t/tau}``;
-    the scalar ``C`` is found by a bracketed safeguarded secant on the
-    boundary defect, which is strictly increasing in ``C`` whenever the
-    boundary function honours its certificate. ``e^{-t/tau}`` and its
-    projection coefficients come from the realization's plan for ``tau``.
+    The general solution is ``u = p + c e^{-t/tau}``, ``p`` a particular
+    solution; ``e^{-t/tau}`` and its projection coefficients ``(beta_+,
+    beta_-)`` come from the realization's plan for ``tau``. With
+    ``(alpha_+, alpha_-)`` those of ``p``, the boundary identity
+    ``alpha_- + c beta_- = g(alpha_+ + c beta_+)`` is, for the ``e^t``
+    coefficient ``x = pi_plus(u)``, the fixed point
+
+        x = x_0 + C g(x),   C = beta_+ / beta_-,   x_0 = alpha_+ - C alpha_-,
+
+    and then ``c = (g(x) - alpha_-) / beta_-``. With ``sigma = 1/tau``,
+    ``l = b - a`` and ``e^{r b} - e^{r a} = 2 e^{r (a+b)/2} sinh(r l/2)``,
+
+        beta_+ = e^{-(1 + sigma)(a+b)/2} sinh((1 - sigma) l/2) / sinh(l),
+        beta_- = e^{(1 - sigma)(a+b)/2} sinh((1 + sigma) l/2) / sinh(l),
+
+    so for ``g`` with certificate ``cert`` the map contracts at the rate
+
+        q = cert |C| = (cert / e^{a+b}) sinh(|sigma - 1| l/2) / sinh((sigma + 1) l/2)
+          <= (cert / e^{a+b}) |1 - tau| / (1 + tau),
+
+    the block's ratio (see :func:`maccretive.blockop._solve_boundary_coeffs`
+    for the bound): ``q < 1`` for every admissible ``g`` and ``q = 0`` at
+    ``tau = 1``. :func:`_fixed_point` solves it with a certified stop; a
+    ``g`` with ``q >= 1``, or one that breaks its certificate, raises
+    :class:`RootNotFound`.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -504,19 +517,10 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     t_scale = max(abs(ctx.a), abs(ctx.b))
     particular = ExpPoly._trusted(_merge(_first_order_terms(f, tau, ctx.a, t_scale)))
     alpha_plus, alpha_minus = _projection_coeffs(ctx, particular)
-
-    def defect(c: float) -> float:
-        return alpha_minus + c * beta_minus - g(alpha_plus + c * beta_plus)
-
-    if beta_plus == 0.0:
-        # tau = 1: the homogeneous part is the e^{-t} kernel element
-        # itself and the boundary equation is explicit.
-        c_sol = (g(alpha_plus) - alpha_minus) / beta_minus
-    else:
-        scale = 1.0 + abs(alpha_minus) + abs(g(alpha_plus))
-        c_sol = _solve_scalar(defect, scale)
-
-    u = particular + c_sol * hom
+    comp = beta_plus / beta_minus
+    x_0 = alpha_plus - comp * alpha_minus
+    x = _fixed_point(lambda x: x_0 + comp * g(x), x_0, g.lipschitz_cert * abs(comp), abs)
+    u = particular + ((g(x) - alpha_minus) / beta_minus) * hom
     if not in_domain(realization, u, tol=1e-9):
         raise RootNotFound("boundary solve converged to a non-member")
     return u

@@ -652,7 +652,8 @@ def l2_norm(f: ExpPoly, interval: Interval) -> float:
 
 
 def graph_norm(f: ExpPoly, interval: Interval) -> float:
-    return math.sqrt(max(graph_inner(f, f, interval), 0.0))
+    """H1 norm ``sqrt(||f||**2 + ||f'||**2)``, by the rule of :func:`l2_norm`."""
+    return _quadrature_norm((f, differentiate(f)), interval)
 
 
 # ----------------------------------------------------------------------

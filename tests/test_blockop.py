@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraction_rates import a_priori_calls, sinh_ratio
+
 from maccretive import blockop
 from maccretive.blockop import (
     BlockRealization,
@@ -630,14 +632,6 @@ def test_block_resolve_nonlinear_f():
 # ----------------------------------------------------------------------
 
 
-def _sinh_ratio(tau: float, length: float) -> float:
-    """``sinh(|sigma - 1| l/2) / sinh((sigma + 1) l/2)``, ``sigma = 1/tau``,
-    as ``e^{x-y} (1 - e^{-2x}) / (1 - e^{-2y})``, which cannot overflow."""
-    sigma = 1.0 / tau
-    x, y = abs(sigma - 1.0) * length / 2, (sigma + 1.0) * length / 2
-    return math.exp(x - y) * math.expm1(-2.0 * x) / math.expm1(-2.0 * y)
-
-
 def _boundary_contraction(ctx: DerivativeContext, tau: float) -> np.ndarray:
     """``C = L N^{-1}`` of the nonlinear boundary equation, from the plan's frames."""
     h_u, h_dv = blockop._homogeneous_frames(ctx, tau)
@@ -654,7 +648,7 @@ def test_boundary_contraction_norm_is_the_sinh_ratio(a, length, tau):
     ctx = DerivativeContext(Interval(a, a + length))
     length = ctx.b - ctx.a
     norm = operator_norm(bd_space(ctx), _boundary_contraction(ctx, tau))
-    ratio = _sinh_ratio(tau, length)
+    ratio = sinh_ratio(tau, length)
     # near tau = 1 the entries are differences of e^{(sigma - 1) t} at the
     # two ends, formed as products e^{sigma t} e^{-t}: they cancel to
     # roundoff, about 1e-16 / l
@@ -680,15 +674,6 @@ def _counting(f: ContractionMap, calls: list) -> ContractionMap:
     return ContractionMap(f.space, func, f.lipschitz_cert)
 
 
-def _a_priori_calls(q: float, gap0: float) -> int:
-    """Calls of ``f`` the certified Picard solve needs at rate ``q``: one
-    per step until ``gap q / (1 - q) <= 1e-12``, the k-th gap being at most
-    ``q^k gap0``, and one for the coefficients."""
-    if gap0 * q <= 1e-12 * (1.0 - q):
-        return 2
-    return math.ceil(math.log(1e-12 * (1.0 - q) / gap0) / math.log(q)) + 1
-
-
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, -0.69)])
 @pytest.mark.parametrize("tau", [0.02, 1.0, 50.0, 300.0])
 def test_block_resolve_picard_certificate_one(interval, tau):
@@ -699,7 +684,7 @@ def test_block_resolve_picard_certificate_one(interval, tau):
         ContractionMap(space, np.tanh, lipschitz_cert=1.0),
         ContractionMap(space, lambda z: rotation @ np.tanh(z), lipschitz_cert=1.0),
     )
-    q = _sinh_ratio(tau, ctx.b - ctx.a)
+    q = sinh_ratio(tau, ctx.b - ctx.a)
     rng = np.random.default_rng([round(100 * tau), round(100 * (1.0 - interval[0]))])
     for f in maps:
         for _ in range(3):
@@ -714,7 +699,24 @@ def test_block_resolve_picard_certificate_one(interval, tau):
             # the solve's calls, then one by block_resolve's membership test
             solve_calls = len(calls) - 2
             gap0 = space.norm(calls[1] - calls[0]) if solve_calls > 1 else 0.0
-            assert solve_calls <= _a_priori_calls(q, gap0)
+            assert solve_calls <= a_priori_calls(q, gap0)
+
+
+def test_block_resolve_near_rate_one_stops_on_the_backward_error():
+    # q = 0.9996: the distance stop gap q / (1 - q) <= 1e-12 lay below the
+    # roundoff floor of the steps, so the solve raised after 61,867 steps
+    ctx = DerivativeContext(Interval(-0.7, -0.69))
+    iv, space = ctx.interval, bd_space(ctx)
+    rotation = _gram_isometry(space, 0.9)
+    f = ContractionMap(space, lambda z: rotation @ np.tanh(z), lipschitz_cert=1.0)
+    real = BlockRealization.from_f(ctx, f)
+    rhs = BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(1.0, 1.0))
+    tau = 5000.0
+    out = block_resolve(real, rhs, tau)
+    scale = 1.0 + state_l2_norm(rhs, iv)
+    assert l2_norm(out.u + tau * differentiate(out.v) - rhs.u, iv) <= 1e-9 * scale
+    assert l2_norm(out.v + tau * differentiate(out.u) - rhs.v, iv) <= 1e-9 * scale
+    assert real.domain_test(out, tol=1e-9)
 
 
 def test_block_resolve_rejects_a_false_certificate():

@@ -269,6 +269,26 @@ def test_resolve_command_worked_example(tmp_path):
     assert solution[-1.0][0] == pytest.approx(-math.e / (math.e + 1.0), abs=1e-12)
 
 
+def test_resolve_without_a_certified_contraction_is_unsolvable(tmp_path):
+    # the boundary equation's rate is 100/e * 0.245 = 9.0 at tau = 0.5: the
+    # solve is a certified contraction or nothing (this spec used to PASS)
+    spec = {"command": "resolve", "params": {"g": STEEP_G, "rhs": RHS, "tau": 0.5}}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 1
+    report = load_report(out)
+    assert report["first_failure"] == "solvable"
+    assert report["solution"] is None
+
+
+def test_evolve_without_a_certified_contraction_stops(tmp_path):
+    spec = {"command": "evolve", "params": {"g": STEEP_G, "tau": 0.5, "steps": 3}}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 1
+    report = load_report(out)
+    assert report["first_failure"] == "run_failed"
+    assert report["run_failed_at_step"] == 1
+
+
 def test_lipschitz_transfer_flags_violation(tmp_path):
     slope = math.e * (1.0 + 1e-3)
     spec = {
@@ -433,6 +453,7 @@ def test_wave_impedance_rejects_v0(tmp_path):
 
 
 LINEAR_G = {"kind": "linear", "slope": 0.5}
+STEEP_G = {"kind": "linear", "slope": 100.0}  # beyond the Lipschitz bound e on [0, 1]
 RHS = [{"rate": 0.0, "coeffs": [1.0]}]
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 NAN_I = [[math.nan, 0.0], [0.0, 1.0]]
@@ -541,11 +562,19 @@ def test_block_commands_give_verdicts_far_from_zero(tmp_path, interval, command,
             },
             "solvable",
         ),
+        (
+            # e^{-10 t} underflows on [200, 201]; this used to end in a
+            # ZeroDivisionError traceback
+            "resolve",
+            {"interval": {"a": 200.0, "b": 201.0}, "g": LINEAR_G, "rhs": RHS, "tau": 0.1},
+            "solvable",
+        ),
     ],
 )
 def test_resolvent_modes_that_overflow_fail_with_a_report(tmp_path, command, params, failure):
-    # e^{+-t/tau} overflows on the interval: the resolvent plan cannot be
-    # built, which the report names as an unsolvable resolvent
+    # e^{+-t/tau} overflows (or the 1-D mode underflows) on the interval: the
+    # resolvent plan cannot be built, which the report names as an
+    # unsolvable resolvent
     code, out = run_cli(tmp_path, {"command": command, "params": params})
     assert code == 1
     report = load_report(out)
@@ -806,6 +835,17 @@ def test_a_step_too_short_for_the_norms_is_a_schema_error(tmp_path, capsys):
     assert code == 2
     assert not (out / "report.json").exists()
     assert "reach 50000" in capsys.readouterr().err
+
+
+def test_moments_beyond_the_float_range_are_a_schema_error(tmp_path, capsys):
+    # the rate-0 moment t^128 on [0, 350] is beyond the floating-point
+    # range; this used to end in an OverflowError traceback
+    spec = {"command": "check-decomposition", "params": {
+        "interval": {"a": 0.0, "b": 350.0}, "max_degree": 64, "samples": 3}}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 2
+    assert not (out / "report.json").exists()
+    assert "overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale, passed", [(1e300, True), (-1e300, False)])

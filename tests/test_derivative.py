@@ -3,6 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contraction_rates import a_priori_calls, sinh_ratio
 
 from maccretive.derivative import (
     BoundaryFunction,
@@ -20,8 +24,8 @@ from maccretive.derivative import (
     pi_plus_coeff,
     pi_zero,
     _first_order_terms,
+    _fixed_point,
     _pi_coeffs,
-    _solve_scalar,
     resolve,
 )
 from maccretive.errors import NotAViolation, OutOfRange, RootNotFound
@@ -346,14 +350,82 @@ def test_resolve_rejects_nonpositive_tau():
 
 
 def test_resolve_inadmissible_g_fails():
-    # Slope far beyond the certificate: the boundary equation loses
-    # monotonicity and the solve cannot certify a member.
+    # Slope far beyond the bound e^{a+b}: the boundary equation is no
+    # certified contraction, and the solve cannot certify a member.
     g = BoundaryFunction(lambda c: 50.0 * c, 50.0, None)
     r = Realization1D(CTX, g)
     assert not r.is_admissible
     with pytest.raises(RootNotFound):
         for tau in (0.2, 0.5, 1.0, 2.0):
             resolve(r, ExpPoly.constant(1.0), tau)
+
+
+# ----------------------------------------------------------------------
+# The boundary equation as a certified contraction
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-8.0, 8.0),
+    length=st.floats(0.003, 5.0),
+    tau=st.floats(0.02, 300.0),
+)
+def test_resolve_contraction_rate_is_the_sinh_ratio(a, length, tau):
+    ctx = DerivativeContext(Interval(a, a + length))
+    length = ctx.b - ctx.a
+    realization = Realization1D(ctx, BoundaryFunction.constant(0.0))
+    _, beta_plus, beta_minus = realization._resolvent_plan(tau)
+    # the rate of a g at the Lipschitz bound e^{a+b}
+    rate = ctx.lipschitz_bound * abs(beta_plus / beta_minus)
+    ratio = sinh_ratio(tau, length)
+    # near tau = 1, beta_+ is a difference of e^{(1 - sigma) t} at the two
+    # ends, formed as products e^{-sigma t} e^t: it cancels to roundoff
+    slack = 1e-10 * ratio + 1e-14 / length
+    assert abs(rate - ratio) <= slack
+    assert rate <= abs(1.0 - tau) / (1.0 + tau) + slack
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, -0.69)])
+@pytest.mark.parametrize("tau", [0.02, 1.0, 50.0, 300.0])
+def test_resolve_picard_at_the_lipschitz_bound(interval, tau):
+    ctx = DerivativeContext(Interval(*interval))
+    iv, bound = ctx.interval, ctx.lipschitz_bound
+    calls = []
+
+    def g(c: float) -> float:
+        calls.append(c)
+        return bound * math.tanh(c)
+
+    r = Realization1D(ctx, BoundaryFunction(g, bound))
+    q = sinh_ratio(tau, ctx.b - ctx.a)
+    rng = np.random.default_rng([round(100 * tau), round(100 * (1.0 - interval[0]))])
+    for _ in range(3):
+        calls.clear()
+        f = random_exppoly(rng, max_degree=2)
+        u = resolve(r, f, tau)
+        assert l2_norm(u + tau * differentiate(u) - f, iv) <= 1e-9 * (1.0 + l2_norm(f, iv))
+        assert in_domain(r, u, tol=1e-9)
+        # the solve's calls, then one by resolve's membership test and one by ours
+        solve_calls = len(calls) - 2
+        assert solve_calls <= a_priori_calls(q, abs(calls[1] - calls[0]))
+
+
+def test_resolve_rejects_a_false_certificate():
+    # slope 10 e^{a+b} certified as e^{a+b}: at tau = 0.5 the claimed rate
+    # is 0.24 and the steps grow by 2.4
+    g = BoundaryFunction(lambda c: 10.0 * E * c, E)
+    r = Realization1D(CTX, g)
+    assert r.is_admissible
+    with pytest.raises(RootNotFound, match="falsified"):
+        resolve(r, ExpPoly.constant(1.0), 0.5)
+
+
+def test_resolve_without_a_certified_contraction_fails():
+    # slope 100 on [0, 1] at tau = 0.5: rate 100/e * 0.245 = 9.0
+    r = Realization1D(CTX, BoundaryFunction.linear(100.0))
+    with pytest.raises(RootNotFound, match="no certified contraction"):
+        resolve(r, ExpPoly.constant(1.0), 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -477,13 +549,10 @@ def _composed_resolve(realization: Realization1D, f: ExpPoly, tau: float):
     hom = ExpPoly.exponential(-1.0 / tau)
     alpha_plus, alpha_minus = _pi_coeffs(ctx, particular(ctx.a), particular(ctx.b))
     beta_plus, beta_minus = _pi_coeffs(ctx, hom(ctx.a), hom(ctx.b))
-    if beta_plus == 0.0:
-        c_sol = (g(alpha_plus) - alpha_minus) / beta_minus
-    else:
-        c_sol = _solve_scalar(
-            lambda c: alpha_minus + c * beta_minus - g(alpha_plus + c * beta_plus),
-            1.0 + abs(alpha_minus) + abs(g(alpha_plus)),
-        )
+    comp = beta_plus / beta_minus
+    x_0 = alpha_plus - comp * alpha_minus
+    x = _fixed_point(lambda x: x_0 + comp * g(x), x_0, g.lipschitz_cert * abs(comp), abs)
+    c_sol = (g(x) - alpha_minus) / beta_minus
     u = particular + c_sol * hom
     return u, in_domain(realization, u, tol=1e-9)
 
@@ -510,9 +579,11 @@ def test_resolve_matches_composed_solve_bit_for_bit(interval, tau_mu):
         (-1.0 / RESOLVE_TAU + shift, coeffs(2)),
         (0.0, (-0.0, 1.0)),
     ))
+    # within the Lipschitz bound e^{a+b}, which is below 1 on [-2, -0.5]
+    scale = min(1.0, ctx.lipschitz_bound)
     for g in (
-        BoundaryFunction.linear(0.5),
-        BoundaryFunction(lambda c: 0.7 * math.tanh(c), 0.7),
+        BoundaryFunction.linear(0.5 * scale),
+        BoundaryFunction(lambda c: 0.7 * scale * math.tanh(c), 0.7 * scale),
     ):
         realization = Realization1D(ctx, g)
         f = rhs
