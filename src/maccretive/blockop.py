@@ -22,14 +22,11 @@ solves the associated resolvent equations exactly in the function
 algebra. The second-order equation ``u - tau^2 u'' = w`` behind the
 block resolvent splits by partial fractions,
 ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, into two first-order solves
-of the kind the 1-D resolvent uses. The boundary data of the two
-homogeneous modes, and for a linear description the stacked matrix
-``perp @ vstack([h_u, h_dv])`` of the boundary solve, depend only on the
-realization and ``tau``: the first :func:`block_resolve` at a ``tau``
-builds them into a resolvent plan kept on the realization, in a dict
-keyed by ``tau``, for as long as the realization object lives. Every step
-still solves its boundary equation with the same ``lstsq`` on the same
-inputs, so results are bit-identical to building the plan every step.
+of the kind the 1-D resolvent uses. The boundary equation of every
+description is ``x = x_0 + C y`` in deficiency coordinates; ``C`` and its
+solution map (a 2x2 matrix for a linear relation, a Picard rate for a
+nonlinear ``f``) make a resolvent plan, built by the first
+:func:`block_resolve` at a ``tau`` and kept on the realization.
 """
 
 from __future__ import annotations
@@ -350,10 +347,10 @@ def _cayley_view(
 
 def _pair_view(pair: OperatorPair) -> View:
     """Defect of ``S u_BD = T Dv_BD`` in the pair's codomain norm."""
-    stacked = np.hstack([pair.S, -pair.T])
+    s_minus_t = np.hstack([pair.S, -pair.T])
     if isinstance(pair.codomain_norm, str):
-        return stacked
-    return lambda z: pair.codomain_norm_of(stacked @ z)
+        return s_minus_t
+    return lambda z: pair.codomain_norm_of(s_minus_t @ z)
 
 
 # ----------------------------------------------------------------------
@@ -470,19 +467,12 @@ class BlockRealization:
         """Resolvent plans keyed by ``tau``; they live as long as this object."""
         return {}
 
-    def _resolvent_plan(self, tau: float) -> tuple:
-        """``(h_u, h_dv, stacked)`` for ``tau``, built by the first
-        :func:`block_resolve` at this ``tau`` and reused by every later one:
-        the BD columns of the two homogeneous modes and, for a linear
-        description, ``perp @ vstack([h_u, h_dv])`` (else ``None``)."""
+    def _resolvent_plan(self, tau: float) -> "_Plan":
+        """The plan for ``tau``, built by the first :func:`block_resolve` at
+        this ``tau`` and reused by every later one (see :class:`_Plan`)."""
         plan = self._plans.get(tau)
         if plan is None:
-            h_u, h_dv = _homogeneous_frames(self.ctx, tau)
-            stacked = None
-            if isinstance(self.description, LinearRelation):
-                stacked = self._perp @ np.vstack([h_u, h_dv])
-                stacked.flags.writeable = False
-            plan = self._plans[tau] = (h_u, h_dv, stacked)
+            plan = self._plans[tau] = _Plan.build(self, tau)
         return plan
 
     @cached_property
@@ -564,24 +554,6 @@ def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> 
     ))
 
 
-def _homogeneous_frames(ctx: DerivativeContext, tau: float):
-    """BD data of the two homogeneous resolvent modes.
-
-    The modes are ``(e^{t/tau}, -e^{t/tau})`` and
-    ``(e^{-t/tau}, e^{-t/tau})``; returns their contributions to
-    ``u_BD`` and ``Dv_BD`` as matrix columns, read-only since a
-    realization's resolvent plan keeps them for every step at ``tau``.
-    Raises :class:`RootNotFound` when a mode overflows on the interval.
-    """
-    sigma = 1.0 / tau
-    w_plus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(sigma)))
-    w_minus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(-sigma)))
-    h_u = np.column_stack([w_plus, w_minus])
-    h_dv = np.column_stack([-g_bd(w_plus), g_bd(w_minus)])
-    h_u.flags.writeable = h_dv.flags.writeable = False
-    return h_u, h_dv
-
-
 def block_resolve(
     realization: BlockRealization, rhs: BlockState, tau: float
 ) -> BlockState:
@@ -591,10 +563,11 @@ def block_resolve(
     partial fractions as half the sum of the first-order resolvents of
     ``+-tau D`` (see :func:`_particular_second_order`); the two
     homogeneous coefficients are pinned by the realization's boundary
-    description: a direct linear solve when the description is linear,
-    otherwise Picard iteration on a proven contraction with a certified
-    stop (see :func:`_solve_boundary_coeffs`). A nonlinear ``f`` that
-    breaks its Lipschitz certificate can raise :class:`RootNotFound`.
+    description: ``x = x_0 + C y`` in deficiency coordinates, one 2x2
+    product for a linear relation (see :func:`_solve_boundary_coeffs`). A
+    relation of dimension other than 2 or with a singular ``X - C Y`` (no
+    unique resolvent), or a nonlinear ``f`` that breaks its Lipschitz
+    certificate, raises :class:`RootNotFound`.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -620,18 +593,57 @@ def block_resolve(
     return result
 
 
+class _Plan(NamedTuple):
+    """What every block step at one ``tau`` shares (see
+    :func:`_solve_boundary_coeffs`): ``C``, the diagonal of ``N``, and
+    ``Y (X - C Y)^{-1}`` for a linear relation or ``cert |C|`` for ``f``."""
+
+    comp: np.ndarray
+    n_diag: np.ndarray
+    gain: Union[np.ndarray, float]
+
+    @classmethod
+    def build(cls, realization: BlockRealization, tau: float) -> "_Plan":
+        ctx, description = realization.ctx, realization.description
+        p1, m1 = _mode_coeffs(ctx, ExpPoly.exponential(1.0 / tau))
+        p2, m2 = _mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau))
+        n_diag = np.array([p1, m2])
+        comp = np.array([[0.0, p2], [m1, 0.0]]) / n_diag
+        if not isinstance(description, LinearRelation):
+            rate = description.lipschitz_cert * operator_norm(bd_space(ctx), comp)
+            return cls(comp, n_diag, rate)
+        if description.dim != 2:
+            k = description.dim
+            raise RootNotFound(f"a relation of dimension {k} has no unique resolvent")
+        u, v = description.basis[:, 0, :].T, description.basis[:, 1, :].T
+        x, y = 0.5 * (u + v), 0.5 * (u - v)
+        try:
+            gain = y @ np.linalg.inv(x - comp @ y)
+        except np.linalg.LinAlgError:
+            gain = np.array(np.nan)
+        if not np.all(np.isfinite(gain)):
+            raise RootNotFound("resolvent equation is singular for this realization and tau")
+        return cls(comp, n_diag, gain)
+
+
 def _solve_boundary_coeffs(
-    realization: BlockRealization, plan: tuple, u_bd0: np.ndarray, dv_bd0: np.ndarray
+    realization: BlockRealization, plan: _Plan, u_bd0: np.ndarray, dv_bd0: np.ndarray
 ) -> np.ndarray:
     """The two homogeneous coefficients that put the solution in the realization.
 
     ``plan`` is the realization's resolvent plan for the step's ``tau``
-    (see :meth:`BlockRealization._resolvent_plan`). A linear description
-    is one least-squares solve. For a nonlinear ``f``, ``c`` solves
-    ``f(x_p + L c) = y_p + N c``, where ``(x_p, y_p)`` are the deficiency
-    data of the particular solution and the columns of ``L`` and ``N``
-    those of the two modes: with ``C = L N^{-1}`` and
-    ``x_0 = x_p - C y_p``, ``x = x_0 + C f(x)`` and ``c = N^{-1} (f(x) - y_p)``.
+    (see :class:`_Plan`). With ``(p1, m1)`` and ``(p2, m2)`` the BD
+    coefficients of the modes ``e^{t/tau}`` and ``e^{-t/tau}``, coefficients
+    ``c`` of the modes add ``L c`` to ``x = (u_BD + Dv_BD)/2`` and ``N c`` to
+    ``y = (u_BD - Dv_BD)/2``, ``L = [[0, p2], [m1, 0]]``, ``N = diag(p1, m2)``.
+    With ``(x_p, y_p)`` those of the particular solution, every description
+    solves ``x = x_0 + C y``, ``C = L N^{-1}``, ``x_0 = x_p - C y_p``, and
+    then ``c = N^{-1} (y - y_p)``. A linear relation with basis pairs
+    ``(U, V)`` holds the ``(x, y) = (X a, Y a)``, ``X = (U + V)/2``,
+    ``Y = (U - V)/2``; so ``y = Y (X - C Y)^{-1} x_0``, one 2x2 product,
+    unique only for dimension 2 and an invertible ``X - C Y`` (else the
+    plan raises :class:`RootNotFound`). A nonlinear ``f`` solves
+    ``x = x_0 + C f(x)``, ``y = f(x)``.
 
     ``C`` swaps the two BD coordinates. With ``sigma = 1/tau``, ``l = b - a``
     and ``e^{beta b} - e^{beta a} = 2 e^{beta (a+b)/2} sinh(beta l/2)``, the
@@ -646,33 +658,15 @@ def _solve_boundary_coeffs(
     :func:`maccretive.derivative._fixed_point` solves it with a certified
     stop, as it does the 1-D equation.
     """
-    description = realization.description
-    h_u, h_dv, stacked = plan
-
-    if isinstance(description, LinearRelation):
-        # (u_BD, Dv_BD) in M: project the affine family onto M-perp.
-        perp = realization._perp
-        target = -perp @ np.concatenate([u_bd0, dv_bd0])
-        coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        resid = float(np.linalg.norm(stacked @ coeffs - target))
-        scale = 1.0 + float(np.linalg.norm(target))
-        if resid > 1e-8 * scale:
-            raise RootNotFound(
-                "resolvent equation is singular for this realization and tau"
-            )
-        return coeffs
-
-    f = description
-    space = bd_space(realization.ctx)
-    l_mat = 0.5 * (h_u + h_dv)
-    n_mat = 0.5 * (h_u - h_dv)
+    comp, n_diag, gain = plan
     x_p = 0.5 * (u_bd0 + dv_bd0)
     y_p = 0.5 * (u_bd0 - dv_bd0)
-    n_inv = np.linalg.inv(n_mat)
-    comp = l_mat @ n_inv
-    q = f.lipschitz_cert * operator_norm(space, comp)
-    # x_0 is the fixed point for f = 0; formed once, so that no step
-    # cancels x_p against C y_p
+    # x_0 is formed once, so that no step cancels x_p against C y_p
     x_0 = x_p - comp @ y_p
-    x = _fixed_point(lambda x: x_0 + comp @ f(x), x_0, q, space.norm)
-    return n_inv @ (f(x) - y_p)
+    f = realization.description
+    if isinstance(f, LinearRelation):
+        y = gain @ x_0
+    else:
+        norm = bd_space(realization.ctx).norm
+        y = f(_fixed_point(lambda x: x_0 + comp @ f(x), x_0, gain, norm))
+    return (y - y_p) / n_diag

@@ -58,8 +58,6 @@ from .funcspace import (
     _merge,
     _poly_integral,
     absorb_rate_shift,
-    differentiate,
-    l2_inner,
     l2_norm,
 )
 
@@ -571,6 +569,12 @@ def linear_unreduce(ctx: DerivativeContext, c: float) -> float:
 # ----------------------------------------------------------------------
 
 
+def _self_pairing(ctx: DerivativeContext, d: ExpPoly) -> float:
+    """``<d', d> = (d(b)^2 - d(a)^2)/2``, from one pass over ``d``'s terms."""
+    da, db = _eval_pair(d, ctx.a, ctx.b)
+    return 0.5 * (db * db - da * da)
+
+
 @dataclass(frozen=True)
 class AccretivityWitness:
     u: ExpPoly
@@ -598,9 +602,7 @@ def accretivity_witness(
         )
     u = ExpPoly.exponential(1.0, c) + ExpPoly.exponential(-1.0, g(c))
     v = ExpPoly.exponential(1.0, d) + ExpPoly.exponential(-1.0, g(d))
-    diff = u - v
-    pairing = l2_inner(differentiate(diff), diff, ctx.interval)
-    return AccretivityWitness(u=u, v=v, pairing=pairing)
+    return AccretivityWitness(u=u, v=v, pairing=_self_pairing(ctx, u - v))
 
 
 @dataclass(frozen=True)
@@ -626,9 +628,7 @@ def maximality_probe(
     if abs(cm - g(c1)) <= tol * (1.0 + abs(ua) + abs(ub)):
         return MaximalityProbe(u, 0.0, conclusive=False)
     v = pi_zero(ctx, u) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
-    diff = u - v
-    pairing = l2_inner(differentiate(diff), diff, ctx.interval)
-    return MaximalityProbe(v, pairing, conclusive=True)
+    return MaximalityProbe(v, _self_pairing(ctx, u - v), conclusive=True)
 
 
 # ----------------------------------------------------------------------

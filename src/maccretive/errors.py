@@ -14,10 +14,6 @@ class RootNotFound(MaccretiveError):
     """
 
 
-class DegenerateRate(MaccretiveError):
-    """Internal failure while lifting a resonant exponential rate."""
-
-
 class OutOfRange(MaccretiveError):
     """An argument left the admissible parameter range."""
 

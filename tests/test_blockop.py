@@ -27,7 +27,7 @@ from maccretive.blockop import (
     state_graph_inner,
     state_l2_norm,
 )
-from maccretive.derivative import DerivativeContext, _first_order_terms
+from maccretive.derivative import DerivativeContext, _first_order_terms, _mode_coeffs
 from maccretive.errors import RootNotFound
 from maccretive.funcspace import (
     RATE_MERGE_TOL,
@@ -41,6 +41,7 @@ from maccretive.funcspace import (
     graph_inner,
     l2_norm,
 )
+from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import (
     ContractionMap,
     InnerSpace,
@@ -56,6 +57,8 @@ E = math.e
 CTX = DerivativeContext(Interval(0.0, 1.0))
 UNIT = CTX.interval
 SPACE = bd_space(CTX)
+IMPEDANCE_I = ((1.0, 0.0), (0.0, 1.0))
+IMPEDANCE_SKEW = ((1.0, 0.3), (-0.3, 1.0))
 
 
 def identity_relation() -> LinearRelation:
@@ -633,9 +636,9 @@ def test_block_resolve_nonlinear_f():
 
 
 def _boundary_contraction(ctx: DerivativeContext, tau: float) -> np.ndarray:
-    """``C = L N^{-1}`` of the nonlinear boundary equation, from the plan's frames."""
-    h_u, h_dv = blockop._homogeneous_frames(ctx, tau)
-    return 0.5 * (h_u + h_dv) @ np.linalg.inv(0.5 * (h_u - h_dv))
+    """``C = L N^{-1}`` of the boundary equation, from a realization's plan."""
+    squash = ContractionMap(bd_space(ctx), np.tanh, lipschitz_cert=1.0)
+    return BlockRealization.from_f(ctx, squash)._resolvent_plan(tau).comp
 
 
 @settings(max_examples=300, deadline=None)
@@ -782,6 +785,107 @@ def state_l2_inner_apply_pair(diff: BlockState) -> float:
     from maccretive.blockop import state_l2_inner
 
     return state_l2_inner(apply_block(diff), diff, UNIT)
+
+
+# ----------------------------------------------------------------------
+# The linear boundary solve in deficiency coordinates
+# ----------------------------------------------------------------------
+
+
+def _lstsq_boundary_coeffs(real: BlockRealization, tau: float, u_bd0, dv_bd0):
+    """Reference: the linear boundary solve as least squares on the modes'
+    BD columns projected onto the complement of ``M``, with its residual
+    test. Returns the coefficients and the modes' ``u_BD`` and ``Dv_BD``
+    columns."""
+    ctx = real.ctx
+    w_plus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(1.0 / tau)))
+    w_minus = np.array(_mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau)))
+    h_u = np.column_stack([w_plus, w_minus])
+    h_dv = np.column_stack([-g_bd(w_plus), g_bd(w_minus)])
+    perp = _ref_perp(real.description)
+    stacked = perp @ np.vstack([h_u, h_dv])
+    target = -perp @ np.concatenate([u_bd0, dv_bd0])
+    coeffs, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    assert np.linalg.norm(stacked @ coeffs - target) <= 1e-8 * (1 + np.linalg.norm(target))
+    return coeffs, h_u, h_dv
+
+
+def _particular_bd(ctx: DerivativeContext, rhs: BlockState, tau: float):
+    """``(u_BD, Dv_BD)`` of the particular solution of a block step."""
+    u_part = blockop._particular_second_order(rhs.u - tau * differentiate(rhs.v), tau, ctx)
+    v_part = rhs.v - tau * differentiate(u_part)
+    return bd_project(ctx, u_part), g_bd(bd_project(ctx, v_part))
+
+
+def _linear_cases():
+    """The linear realizations of ``_kernel_cases``, and impedance ones."""
+    for kind, real in _kernel_cases():
+        if kind != "tanh":
+            yield kind, real
+    for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
+        for k in (IMPEDANCE_I, IMPEDANCE_SKEW, ((0.3, 2.0), (-1.5, 0.2))):
+            ctx = DerivativeContext(Interval(a, b))
+            yield "impedance", impedance_realization(ctx, ImpedanceK(k))
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0])
+def test_linear_boundary_solve_matches_least_squares(tau):
+    rng = np.random.default_rng(round(10 * tau))
+    for kind, real in _linear_cases():
+        space = bd_space(real.ctx)
+        plan = real._resolvent_plan(tau)
+        # a relation that is not m-accretive can make the 2x2 system
+        # X - C Y ill-conditioned; both solves then lose digits in
+        # proportion to its condition number in orthonormal coordinates
+        tol = 1e-13
+        if not real.is_m_accretive:
+            u, v = real.description.basis[:, 0, :].T, real.description.basis[:, 1, :].T
+            system = 0.5 * (u + v) - plan.comp @ (0.5 * (u - v))
+            chol_t = space._chol.T
+            tol *= np.linalg.cond(chol_t @ system @ np.linalg.inv(chol_t))
+        for _ in range(3):
+            u_bd0, dv_bd0 = _particular_bd(real.ctx, random_state(rng), tau)
+            ref, h_u, h_dv = _lstsq_boundary_coeffs(real, tau, u_bd0, dv_bd0)
+            gap = blockop._solve_boundary_coeffs(real, plan, u_bd0, dv_bd0) - ref
+            # the modes' contributions to u_BD and to Dv_BD
+            defect = space.norm(h_u @ gap) + space.norm(h_dv @ gap)
+            assert defect <= tol * (space.norm(u_bd0) + space.norm(dv_bd0)), kind
+
+
+def test_block_resolve_needs_a_relation_of_dimension_two():
+    # S = T = diag(1, 0) asks only u_1 = v_1: a relation of dimension 3
+    half = np.diag([1.0, 0.0])
+    real = BlockRealization.from_st(CTX, OperatorPair(SPACE, half, half))
+    assert real.description.dim == 3
+    with pytest.raises(RootNotFound, match="dimension 3 has no unique resolvent"):
+        block_resolve(real, random_state(np.random.default_rng(3)), 0.5)
+
+
+def test_block_resolve_raises_on_a_singular_boundary_equation():
+    tau = 0.5
+    comp = BlockRealization.from_relation(CTX, identity_relation())._resolvent_plan(tau).comp
+    e1, e2 = np.eye(2)
+    # the first pair has deficiency coordinates (X, Y) = (C e1, e1), so
+    # X - C Y has a zero column
+    basis = np.array([np.stack([comp @ e1 + e1, comp @ e1 - e1]), np.stack([e2, e2])])
+    real = BlockRealization.from_relation(CTX, LinearRelation(SPACE, basis))
+    with pytest.raises(RootNotFound, match="resolvent equation is singular"):
+        block_resolve(real, random_state(np.random.default_rng(4)), tau)
+
+
+@pytest.mark.parametrize("k", [IMPEDANCE_I, IMPEDANCE_SKEW])
+@pytest.mark.parametrize("start", [-8, -6, -4, -3, -2, 1, 2, 3, 4, 5, 7])
+def test_accretive_impedance_resolvent_far_from_zero(k, start):
+    # the modes' BD columns are up to 1e15 apart in size here; a least
+    # squares solve on them once dropped the small one as singular
+    ctx = DerivativeContext(Interval(start, start + 1.0))
+    real = impedance_realization(ctx, ImpedanceK(k))
+    rng = np.random.default_rng(start + 10)
+    for tau in (0.05, 0.1, 0.2, 0.3):
+        rhs = random_state(rng)
+        out = block_resolve(real, rhs, tau)
+        assert real.domain_test(out, tol=1e-9)
+        assert state_l2_norm(out, ctx.interval) <= state_l2_norm(rhs, ctx.interval)
 
 
 # ----------------------------------------------------------------------

@@ -584,6 +584,48 @@ def test_resolvent_modes_that_overflow_fail_with_a_report(tmp_path, command, par
         assert report["resolvent_solvable"] is False
 
 
+@pytest.mark.parametrize("interval", [(5.0, 6.0), (6.0, 7.5), (7.0, 8.0), (0.0, 15.0), (-8.0, -6.0)])
+def test_accretive_impedance_is_solvable_far_from_zero(tmp_path, interval):
+    # the modes' BD columns differ in size by up to 1e15 here; a least
+    # squares boundary solve once dropped the small one and reported the
+    # resolvent of K = I as unsolvable at step 1. The energy runs still
+    # stop after a few steps (ROADMAP items 2 and 6), so `passed` is not
+    # asserted.
+    a, b = interval
+    spec = {"command": "wave-impedance", "seed": 42,
+            "params": {"K": IDENTITY, "tau": 0.2, "interval": {"a": a, "b": b}}}
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert report["resolvent_solvable"] is True
+    assert report["first_failure"] != "equivalence"
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.01])
+def test_block_evolve_at_a_small_tau_takes_its_first_step(tmp_path, tau):
+    # e^{t/tau} is about 1e43 on [0, 1] at tau 0.01
+    spec = {"command": "evolve", "params": {
+        "kind": "block", "realization": {"kind": "f", "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+        "tau": tau, "steps": 200,
+    }}
+    code, out = run_cli(tmp_path, spec)
+    assert load_report(out).get("run_failed_at_step", math.inf) > 1
+
+
+def test_block_evolve_without_a_unique_resolvent_fails_at_step_one(tmp_path):
+    # S = T = diag(1, 0) is the relation u_1 = v_1 of dimension 3, whose
+    # resolvent equation has a line of solutions; a least squares boundary
+    # solve used to pick one of them and pass
+    half = [[1.0, 0.0], [0.0, 0.0]]
+    spec = {"command": "evolve", "params": {
+        "kind": "block", "realization": {"kind": "ST", "S": half, "T": half}, "steps": 5,
+    }}
+    code, out = run_cli(tmp_path, spec)
+    assert code == 1
+    report = load_report(out)
+    assert report["first_failure"] == "run_failed"
+    assert report["run_failed_at_step"] == 1
+
+
 def test_count_and_degree_limits_are_inclusive(tmp_path):
     spec = {
         "command": "check-decomposition",

@@ -529,6 +529,23 @@ def test_maximality_probe_defeats_outsiders():
     assert found > 0
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)])
+def test_falsification_pairings_match_the_l2_inner_product(interval):
+    # both helpers read <d', d> as (d(b)^2 - d(a)^2)/2 from endpoint values
+    ctx = DerivativeContext(Interval(*interval))
+    rng = np.random.default_rng(13)
+    r = Realization1D(ctx, BoundaryFunction.scaled_sin(0.7))
+    witness = accretivity_witness(ctx, BoundaryFunction.linear(3.0 * ctx.lipschitz_bound), 1.0, -0.5)
+    pairs = [(witness.pairing, witness.u - witness.v)]
+    for _ in range(30):
+        u = random_exppoly(rng)
+        probe = maximality_probe(r, u)
+        pairs.append((probe.pairing, u - probe.competitor))
+    for pairing, diff in pairs:
+        ref = l2_inner(differentiate(diff), diff, ctx.interval)
+        assert abs(pairing - ref) <= 1e-12 * abs(ref)
+
+
 def test_maximality_probe_inconclusive_on_members():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u = resolve(r, ExpPoly.constant(1.0), 1.0)
