@@ -43,10 +43,10 @@ from .derivative import (
     DerivativeContext,
     Realization1D,
     _pi_coeffs,
+    _without_modes,
     boundary_function_from_jsonable,
     check_lipschitz_transfer,
     in_domain,
-    pi_zero,
     resolve,
 )
 from .errors import (
@@ -402,12 +402,12 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
 def _suite_check_decomposition(p: dict, seed: int, tol: float):
     iv = p["interval"]
     ctx = DerivativeContext(iv)
     rng = np.random.default_rng(seed)
-    ep = ExpPoly.exponential(1.0)
-    em = ExpPoly.exponential(-1.0)
+    modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
 
     checks = dict.fromkeys(
         ("reconstruction_defect", "orthogonality_defect",
@@ -419,33 +419,34 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
         polys, ends = [], []
         for _ in range(size):
             u = _random_exppoly(rng, p["max_degree"])
-            ua, ub = u(iv.a), u(iv.b)
+            ua, ub = _eval_pair(u, iv.a, iv.b)
             c1, cm = _pi_coeffs(ctx, ua, ub)
-            p0 = pi_zero(ctx, u)
-            polys += (u, p0, p0 + c1 * ep + cm * em - u)
+            polys += (u, _without_modes(u, c1, cm))
             ends.append((ua, ub, c1, cm))
-        polys += (ep, em)
         ua, ub, c1, cm = np.array(ends).T
-        # Every pairing is a bilinear form in coefficient rows over one
-        # basis. The H1 form ``x (G + D G D^T) y^T`` is taken as
-        # ``x G y^T + (x D) G (y D)^T``: the derivative rows ``x D`` round as
-        # ``differentiate`` does, where ``D G`` would cancel inside ``G``'s
-        # entries and double the worst identity defect.
+        polys += modes
         basis = ExpBasis.spanning(polys)
-        gram = basis.gram(iv)
         rows = basis.rows(polys)
-        d_rows = rows @ basis.derivative()
-        rows_gram, d_rows_gram = rows @ gram, d_rows @ gram
-        graph_sq = _row_dots(rows_gram, rows) + _row_dots(d_rows_gram, d_rows)
-        graph_exp = rows_gram @ rows[-2:].T + d_rows_gram @ d_rows[-2:].T  # with e^t, e^{-t}
-        d_pairs = _row_dots(d_rows_gram, rows)  # <f', f>
+        u_rows, p0_rows, mode_rows = rows[0:-2:2], rows[1:-2:2], rows[-2:]
+        # p0 + c1 e^t + cm e^{-t} - u, formed on the coefficient rows
+        recon_rows = p0_rows + c1[:, None] * mode_rows[0] + cm[:, None] * mode_rows[1] - u_rows
+        rows = np.vstack([u_rows, p0_rows, recon_rows, mode_rows])
+        # Every pairing sums products of weighted values at the nodes of one
+        # Gauss-Legendre rule; the values of a derivative are those of its
+        # row ``x D``, which rounds as ``differentiate`` does.
+        table = basis.values(iv)
+        vals, d_vals = rows @ table, (rows @ basis.derivative()) @ table
+        graph_sq = _row_dots(vals, vals) + _row_dots(d_vals, d_vals)
+        graph_exp = vals @ vals[-2:].T + d_vals @ d_vals[-2:].T  # with e^t, e^{-t}
+        lhs = _row_dots(d_vals[:size], vals[:size])  # <u', u>
+        if not all(np.isfinite(x).all() for x in (graph_sq, graph_exp, lhs)):
+            raise OverflowError(f"a pairing leaves the floating-point range on [{iv.a}, {iv.b}]")
         (gram_pp, gram_pm), (_, gram_mm) = graph_exp[-2:]
-        u_sq, p0_exp, recon_sq = graph_sq[0:-2:3], graph_exp[1:-2:3], graph_sq[2:-2:3]
-        u_exp, lhs = graph_exp[0:-2:3], d_pairs[0:-2:3]
-
-        scale = 1.0 + np.sqrt(np.maximum(u_sq, 0.0))
+        u_sq, recon_sq = graph_sq[:size], graph_sq[2 * size : 3 * size]
+        u_exp, p0_exp = graph_exp[:size], graph_exp[size : 2 * size]
+        scale = 1.0 + np.sqrt(u_sq)
         sq = scale**2
-        recon = np.sqrt(np.maximum(recon_sq, 0.0))
+        recon = np.sqrt(recon_sq)
         mid = c1**2 * ctx.denom_plus / 2.0 - cm**2 * ctx.denom_minus / 2.0
         rhs = (ub**2 - ua**2) / 2.0
         # independent Gram-projection oracle

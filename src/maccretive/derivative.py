@@ -274,8 +274,21 @@ def pi_minus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
 
 def pi_zero(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
     """Component with vanishing endpoint values (the minimal-domain part)."""
-    c_plus, c_minus = _projection_coeffs(ctx, u)
-    return u - ExpPoly.exponential(1.0, c_plus) - ExpPoly.exponential(-1.0, c_minus)
+    return _without_modes(u, *_projection_coeffs(ctx, u))
+
+
+def _without_modes(u: ExpPoly, c_plus: float, c_minus: float) -> ExpPoly:
+    """``u - c_plus e^t - c_minus e^{-t}`` in one :func:`_merge`.
+
+    Bit-identical to ``u - ExpPoly.exponential(1.0, c_plus) -
+    ExpPoly.exponential(-1.0, c_minus)``: a coefficient that is ``0.0`` or
+    ``-0.0`` is skipped, as ``exponential`` gives no term for it (kept, it
+    could lead a group and move its rate, or turn a ``-0.0`` into ``0.0``),
+    and the two modes' rates are too far apart for the second subtraction
+    to touch what the first one merged.
+    """
+    modes = tuple((rate, (-c,)) for rate, c in ((1.0, c_plus), (-1.0, c_minus)) if c != 0.0)
+    return ExpPoly._trusted(_merge(u.terms + modes))
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +640,7 @@ def maximality_probe(
     c1, cm = _pi_coeffs(ctx, ua, ub)
     if abs(cm - g(c1)) <= tol * (1.0 + abs(ua) + abs(ub)):
         return MaximalityProbe(u, 0.0, conclusive=False)
-    v = pi_zero(ctx, u) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
+    v = _without_modes(u, c1, cm) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
     return MaximalityProbe(v, _self_pairing(ctx, u - v), conclusive=True)
 
 

@@ -2,47 +2,28 @@
 
 Functions are finite sums of terms ``p(t) * exp(mu * t)`` with real
 polynomial ``p``. The class is closed under addition, multiplication,
-and differentiation, and every L2 pairing over an interval has a closed
-form, so downstream identities can be checked to roundoff rather than
-quadrature accuracy. The norms are Gauss-Legendre sums whose quadrature
-error is bounded below the rounding of the values they sum.
+and differentiation, so downstream identities are checked on exact
+representations and only the integrals over the interval are numerical.
 
-Definite integrals of ``t**k * exp(nu*t)`` are evaluated through two
-positive-term series (an ascending exponential series for ``nu > 0``
-and a lower-incomplete-gamma series for ``nu < 0``). Both are free of
-cancellation, which keeps high polynomial degrees (as produced by long
-implicit-Euler runs) at machine precision; the textbook
-integration-by-parts recurrence loses all digits beyond degree ~20.
-Where the decay ``x = -nu * L`` passes 700 and ``k <= x/2``, so that the
-gamma series would overflow while its factor ``e^{nu L}`` underflows, the
-integral is ``k! / |nu|**(k+1)`` to within far less than a rounding,
-formed factor by factor. Each :class:`Interval` keeps these moments as
-one row per rate, ``[int_a^b t**k e^{nu t} dt for k = 0..n-1]``, grown
-on demand and freed with the interval.
-
-An L2 pairing (:func:`l2_inner`, :func:`graph_inner`) is a running sum
-over term pairs of ``conv[k] * moment[k]``, ``conv`` being the product of
-the two coefficient lists. It is exact up to roundoff on the scale of the
-pairwise integrals of the terms, so a function whose terms cancel on the
-interval keeps few digits of its squared norm. :func:`l2_norm` therefore
-does not use it: it sums the squares of the values at Gauss-Legendre
-nodes, whose rounding is on the scale of the terms themselves, with a
-node count chosen from the degree, the largest rate and the length of
-the interval so that the quadrature error is below that rounding (the
-bound is in its docstring). Each interval keeps the node tables it has
-used, ``sqrt(w_j) t_j**k e^{mu t_j}`` per rate ``mu``, so the values of a
-term are one vector-matrix product; the tables are freed with the
-interval.
+Every integral is one rule: a Gauss-Legendre sum of values at nodes,
+with a node count chosen from the degree, the largest rate and the
+length of the interval so that the quadrature error is below the
+rounding of the values it sums (the bound is in :func:`l2_norm`'s
+docstring). The norms (:func:`l2_norm`, :func:`graph_norm`) sum the
+squares of the weighted values and the pairings (:func:`l2_inner`,
+:func:`graph_inner`) their products, so their rounding is on the scale
+of the terms themselves and not of their pairwise integrals: terms that
+cancel on the interval cost no more than that. Each interval keeps the
+node tables it has used, ``sqrt(w_j) t_j**k e^{mu t_j}`` per rate
+``mu``, so the values of a term are one vector-matrix product; the
+tables are freed with the interval.
 
 Many pairings at once are a few matrix products: :class:`ExpBasis`
 writes functions as coefficient rows over their shared basis
 ``t**k e^{mu t}``, one column block per exact rate, and gives the
-basis's L2 Gram matrix ``G``, whose block ``(mu, nu)`` is the Hankel
-matrix of the interval's moment row for ``mu + nu``, and its
-differentiation matrix ``D``, so that the H1 Gram matrix is
-``G + D G D^T``. A pairing read off these matrices agrees with the
-scalar one to roundoff on the scale of the pairwise integrals of the
-terms, though not bit for bit: its sums run in another order.
+basis's table of weighted node values ``V``, by the same rule, and its
+differentiation matrix ``D``. The values of the functions are then
+``rows @ V`` and those of their derivatives ``(rows @ D) @ V``.
 
 Results that are normal by construction (negation, scaling,
 differentiation, pruning) skip the public constructor's coercion and
@@ -101,13 +82,6 @@ RATE_MERGE_TOL = 1e-14
 #: supported trajectory (64 covers the 50-step acceptance runs).
 DEGREE_CAP = 64
 
-_SERIES_CUTOFF = 1e-18
-_SERIES_MAX_TERMS = 100_000
-
-#: Largest ``-nu * L`` summed by :func:`_series_gamma`: beyond it the sum
-#: overflows while its factor ``e^{nu L}`` underflows.
-_GAMMA_SERIES_REACH = 700.0
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -143,11 +117,7 @@ class Interval:
     def exp_neg_b(self) -> float:
         return math.exp(-self.b)
 
-    @cached_property
-    def _moment_rows(self) -> dict:
-        return {}
-
-    # Gauss-Legendre tables of the norms (see :func:`l2_norm`), by the
+    # Gauss-Legendre tables of the integrals (see :func:`l2_norm`), by the
     # shape they were chosen for, ``(coefficients, largest |rate|)``, and
     # by their rule, ``(nodes, panels)``.
     @cached_property
@@ -157,17 +127,6 @@ class Interval:
     @cached_property
     def _gauss_by_rule(self) -> dict:
         return {}
-
-    def _moments(self, nu: float, n: int) -> list:
-        """``[int_a^b t**k e^{nu t} dt for k < n]``, possibly longer.
-
-        The row for ``nu`` is kept on the interval and extended when a
-        longer one is asked for; entries are never recomputed.
-        """
-        row = self._moment_rows.setdefault(nu, [])
-        for k in range(len(row), n):
-            row.append(_power_exp_integral(k, nu, self.a, self.b))
-        return row
 
     def to_jsonable(self) -> dict:
         return {"a": self.a, "b": self.b}
@@ -495,112 +454,32 @@ def _first_order_coeffs(p: Sequence[float], s: float, d: float) -> list:
     return q
 
 
-# ----------------------------------------------------------------------
-# Exact integration
-# ----------------------------------------------------------------------
-
-
-def _series_ascending(k: int, nu: float, length: float) -> float:
-    # sum_m nu^m L^(k+m+1) / (m! (k+m+1)); all contributions positive.
-    total = 0.0
-    numer = length ** (k + 1)
-    m = 0
-    hump = nu * length
-    while True:
-        contrib = numer / (k + m + 1)
-        total += contrib
-        if contrib <= total * _SERIES_CUTOFF and m > hump:
-            return total
-        m += 1
-        numer *= nu * length / m
-        if m > _SERIES_MAX_TERMS:  # pragma: no cover - defensive
-            raise RuntimeError("integral series failed to converge")
-
-
-def _series_gamma(k: int, nu: float, length: float) -> float:
-    # nu < 0. Lower-incomplete-gamma form: every partial product is
-    # positive, so no cancellation regardless of k or |nu|.
-    x = -nu * length
-    total = 0.0
-    term = 1.0 / (k + 1)
-    n = 0
-    while True:
-        total += term
-        if term <= total * _SERIES_CUTOFF and n > x - k:
-            break
-        n += 1
-        term *= x / (k + 1 + n)
-        if n > _SERIES_MAX_TERMS:  # pragma: no cover - defensive
-            raise RuntimeError("integral series failed to converge")
-    return math.exp(nu * length) * length ** (k + 1) * total
-
-
-def _steep_decay(k: int, nu: float) -> float:
-    # nu < 0 with x = -nu*L beyond _GAMMA_SERIES_REACH and k <= x/2. The
-    # integral is k!/|nu|^(k+1) (1 - Q), where Q = e^{-x} sum_{j<=k} x^j/j!
-    # is the chance that a Poisson variable of mean x is at most k; by the
-    # Chernoff bound Q <= e^{-0.15 x} < 1e-45, so 1 - Q is 1.0. The product
-    # is formed factor by factor, so it neither overflows nor cancels.
-    scale = -nu
-    value = 1.0 / scale
-    for j in range(1, k + 1):
-        value *= j / scale
-    return value
-
-
-def _from_zero(k: int, nu: float, length: float) -> float:
-    """Integral of ``r**k * exp(nu*r)`` over ``[0, length]``, length >= 0."""
-    if length == 0.0:
-        return 0.0
-    if nu == 0.0:
-        return length ** (k + 1) / (k + 1)
-    if nu > 0.0:
-        return _series_ascending(k, nu, length)
-    if -nu * length > _GAMMA_SERIES_REACH and 2 * k <= -nu * length:
-        return _steep_decay(k, nu)
-    return _series_gamma(k, nu, length)
-
-
-def _power_exp_integral(k: int, nu: float, a: float, b: float) -> float:
-    """Integral of ``t**k * exp(nu*t)`` over ``[a, b]``.
-
-    Split at zero so each piece reduces to an origin-based integral of
-    a single power, avoiding the binomial cancellation a direct shift
-    would introduce.
-    """
-    sign = -1.0 if k % 2 else 1.0
-    if a >= 0.0:
-        return _from_zero(k, nu, b) - _from_zero(k, nu, a)
-    if b <= 0.0:
-        return sign * (_from_zero(k, -nu, -a) - _from_zero(k, -nu, -b))
-    return sign * _from_zero(k, -nu, -a) + _from_zero(k, nu, b)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
 def l2_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
-    """Exact value of the pairing ``integral_a^b f*g dt``."""
-    total = 0.0
-    rows = interval._moment_rows
-    for r1, c1 in f.terms:
-        for r2, c2 in g.terms:
-            conv = [0.0] * (len(c1) + len(c2) - 1)
-            for i, x in enumerate(c1):
-                for k, y in enumerate(c2, i):
-                    conv[k] += x * y
-            nu = r1 + r2
-            row = rows.get(nu)
-            if row is None or len(row) < len(conv):
-                row = interval._moments(nu, len(conv))
-            for c, m in zip(conv, row):
-                if c != 0.0:
-                    total += c * m
-    return total
+    """``integral_a^b f*g dt``, summed at the nodes of :func:`l2_norm`'s rule
+    for ``f`` and ``g`` together.
+
+    Since ``4fg = (f + g)**2 - (f - g)**2`` and both squares are within that
+    rule's reach, its quadrature error is at most ``eps**2 h (E_f + E_g)**2 / 2``,
+    in the notation of :func:`l2_norm`, and the sum rounds on the scale of the
+    terms' values at the nodes, not of their pairwise integrals. A pairing
+    beyond the floating-point range is not finite.
+    """
+    return _dot(*_node_values((f, g), interval))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
 def graph_inner(f: ExpPoly, g: ExpPoly, interval: Interval) -> float:
-    """H1 pairing: ``l2_inner(f, g) + l2_inner(f', g')``."""
+    """H1 pairing ``l2_inner(f, g) + l2_inner(f', g')``, all at the nodes of one rule."""
     df = differentiate(f)
     dg = df if g is f else differentiate(g)
-    return l2_inner(f, g, interval) + l2_inner(df, dg, interval)
+    vf, vdf, vg, vdg = _node_values((f, df, g, dg), interval)
+    return _dot(vf, vg) + _dot(vdf, vdg)
+
+
+def _dot(x: Optional[np.ndarray], y: Optional[np.ndarray]) -> float:
+    """The pairing of two :func:`_node_values` entries; ``None`` is the zero function."""
+    return 0.0 if x is None or y is None else float(np.dot(x, y))
 
 
 def l2_norm(f: ExpPoly, interval: Interval) -> float:
@@ -666,14 +545,19 @@ class ExpBasis:
 
     Columns run block by block, ``k`` ascending within a block, and a
     function of the span is its row of coefficients (:meth:`rows`). With
-    ``G`` the L2 Gram matrix of the basis (:meth:`gram`) and ``D`` its
+    ``V`` the basis's weighted node values (:meth:`values`) and ``D`` its
     differentiation matrix (:meth:`derivative`), the rows ``x`` and ``y``
-    of ``f`` and ``g`` give
+    of ``f`` and ``g`` give the weighted values ``x V`` of ``f`` and
+    ``(x D) V`` of ``f'``, so that
 
-        l2_inner(f, g) = x G y^T,  l2_inner(f', g) = (x D) G y^T,
-        graph_inner(f, g) = x G y^T + (x D) G (y D)^T = x (G + D G D^T) y^T,
+        l2_inner(f, g) = (x V) . (y V),  l2_inner(f', g) = (x D V) . (y V),
+        graph_inner(f, g) = (x V) . (y V) + (x D V) . (y D V)
 
-    so the pairings of many functions are a few matrix products.
+    within the bound of :func:`l2_norm`'s rule, and the pairings of many
+    functions are a few matrix products. They agree with the scalar
+    pairings within that bound, not bit for bit: ``x V`` sums over the
+    basis, where :func:`l2_inner` sums term by term, at the nodes of the
+    rule for ``f`` and ``g`` alone.
     """
 
     __slots__ = ("blocks", "dim", "_starts")
@@ -708,21 +592,27 @@ class ExpBasis:
                 row[start : start + len(coeffs)] = coeffs
         return out
 
-    def gram(self, interval: Interval) -> np.ndarray:
-        """``G[p, q]``, the integral over ``interval`` of basis functions ``p``
-        and ``q``: block ``(mu, nu)`` is the Hankel matrix ``m[i + j]`` of the
-        interval's moment row for rate ``mu + nu``, the row :func:`l2_inner`
-        reads."""
-        out = np.empty((self.dim, self.dim))
-        starts = self._starts
-        for i, (mu, n) in enumerate(self.blocks):
-            p = starts[mu]
-            for nu, m in self.blocks[i:]:
-                q = starts[nu]
-                moments = np.array(interval._moments(mu + nu, n + m - 1)[: n + m - 1])
-                block = moments[np.add.outer(np.arange(n), np.arange(m))]
-                out[p : p + n, q : q + m] = block
-                out[q : q + m, p : p + n] = block.T
+    @np.errstate(over="ignore", invalid="ignore")  # checked below
+    def values(self, interval: Interval) -> np.ndarray:
+        """``V[p, j]``, basis function ``p`` at node ``t_j`` times ``sqrt(w_j)``.
+
+        The nodes and weights are those of :func:`l2_norm`'s rule for the
+        basis's largest block and largest ``|mu|``, so any two functions of
+        the span are paired within that rule's bound. Raises
+        :class:`OverflowError` when a value is not finite, and
+        :class:`NormOutOfReach` when no rule covers the basis.
+        """
+        size = max([n for _, n in self.blocks], default=0)
+        rate = max([abs(mu) for mu, _ in self.blocks], default=0.0)
+        table = _gauss_table(interval, size, rate)
+        out = np.empty((self.dim, table.nodes.size))
+        for mu, n in self.blocks:
+            start = self._starts[mu]
+            out[start : start + n] = table.rate_rows(mu)[:n]
+        if not np.isfinite(out).all():
+            raise OverflowError(
+                f"a basis function leaves the floating-point range on [{interval.a}, {interval.b}]"
+            )
         return out
 
     def derivative(self) -> np.ndarray:
@@ -831,6 +721,13 @@ class _GaussTable:
         self.weighted_powers = powers * np.tile(np.sqrt(half * w), panels)
         self.rows: dict = {}
 
+    def rate_rows(self, rate: float) -> np.ndarray:
+        """``rows[rate]``, made on first use."""
+        table = self.rows.get(rate)
+        if table is None:
+            table = self.rows[rate] = self.weighted_powers * np.exp(rate * self.nodes)
+        return table
+
     def values(self, terms) -> np.ndarray:
         """``sqrt(w_j) f(t_j)`` for the terms of a non-zero ``f``."""
         rows = self.rows
@@ -838,7 +735,7 @@ class _GaussTable:
         for rate, coeffs in terms:
             table = rows.get(rate)
             if table is None:
-                table = rows[rate] = self.weighted_powers * np.exp(rate * self.nodes)
+                table = self.rate_rows(rate)
             value = np.dot(np.array(coeffs), table[: len(coeffs)])
             if out is None:
                 out = value
@@ -847,24 +744,36 @@ class _GaussTable:
         return out
 
 
-def _gauss_table(interval: Interval, size: int, rate: float) -> Optional[_GaussTable]:
+def _gauss_table(interval: Interval, size: int, rate: float) -> _GaussTable:
     """The table for terms of at most ``size`` coefficients and rates within
-    ``+-rate``, kept on the interval; ``None`` when no rule covers them."""
-    rule = _gauss_rule(size - 1, rate * 0.5 * interval.length) if math.isfinite(rate) else None
-    table = None
-    if rule is not None:
+    ``+-rate``, kept on the interval; raises :class:`NormOutOfReach` when no
+    rule covers them."""
+    table = interval._gauss_by_shape.get((size, rate))
+    if table is None:
+        half = 0.5 * interval.length
+        rule = _gauss_rule(size - 1, rate * half) if math.isfinite(rate) else None
+        if rule is None:
+            raise NormOutOfReach(
+                f"no Gauss rule of the norms covers reach {half * rate:.6g} (half-length "
+                f"{half:.6g} times rate {rate:.6g}) at degree {size - 1} on "
+                f"[{interval.a}, {interval.b}]"
+            )
         table = interval._gauss_by_rule.get(rule)
         if table is None:
             table = interval._gauss_by_rule[rule] = _GaussTable(
                 interval.a, interval.length, *rule
             )
-    interval._gauss_by_shape[size, rate] = table
+        interval._gauss_by_shape[size, rate] = table
     return table
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
-def _quadrature_norm(polys, interval: Interval) -> float:
-    """``sqrt(sum ||f||**2)`` over ``polys``, all by one rule (see :func:`l2_norm`)."""
+def _node_values(polys, interval: Interval) -> list:
+    """``sqrt(w_j) f(t_j)`` for each ``f`` of ``polys``, ``None`` for a zero one,
+    all at the nodes of the rule for their largest coefficient count and rate.
+
+    A value that overflows is ``inf``; callers run under ``np.errstate``, so
+    numpy does not warn of it.
+    """
     size, rate = 0, 0.0
     for f in polys:
         terms = f.terms
@@ -874,18 +783,17 @@ def _quadrature_norm(polys, interval: Interval) -> float:
                 if len(coeffs) > size:
                     size = len(coeffs)
     if not size:
+        return [None] * len(polys)
+    table = _gauss_table(interval, size, rate)
+    return [table.values(f.terms) if f.terms else None for f in polys]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
+def _quadrature_norm(polys, interval: Interval) -> float:
+    """``sqrt(sum ||f||**2)`` over ``polys``, all by one rule (see :func:`l2_norm`)."""
+    values = [v for v in _node_values(polys, interval) if v is not None]
+    if not values:
         return 0.0
-    tables = interval._gauss_by_shape
-    key = (size, rate)
-    table = tables[key] if key in tables else _gauss_table(interval, size, rate)
-    if table is None:
-        half = 0.5 * interval.length
-        raise NormOutOfReach(
-            f"no Gauss rule of the norms covers reach {half * rate:.6g} (half-length "
-            f"{half:.6g} times rate {rate:.6g}) at degree {size - 1} on "
-            f"[{interval.a}, {interval.b}]"
-        )
-    values = [table.values(f.terms) for f in polys if f.terms]
     square = 0.0
     for v in values:
         square += np.dot(v, v)

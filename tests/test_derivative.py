@@ -26,6 +26,7 @@ from maccretive.derivative import (
     _first_order_terms,
     _fixed_point,
     _pi_coeffs,
+    _without_modes,
     resolve,
 )
 from maccretive.errors import NotAViolation, OutOfRange, RootNotFound
@@ -145,6 +146,32 @@ def test_pi_zero_of_constant():
 
 def test_pi_zero_of_kernel_element_vanishes():
     assert pi_zero(CTX, ExpPoly.exponential(1.0)).is_zero
+
+
+# rates on and within 1e-14 of the modes' +-1, where a mode term can lead a
+# group and move its rate, with signed zeros and tiny coefficients
+mode_rate = st.tuples(
+    st.sampled_from([-1.0, 1.0, 0.0, 2.0]), st.integers(min_value=-2, max_value=2)
+).map(lambda p: p[0] + p[1] * 0.6 * RATE_MERGE_TOL)
+mode_coeff = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(mode_rate, st.lists(mode_coeff, min_size=1, max_size=4)), max_size=4),
+    c_plus=mode_coeff,
+    c_minus=mode_coeff,
+)
+def test_pi_zero_matches_the_composed_subtraction(terms, c_plus, c_minus):
+    u = ExpPoly(tuple(terms))
+    composed = u - ExpPoly.exponential(1.0, c_plus) - ExpPoly.exponential(-1.0, c_minus)
+    assert repr(_without_modes(u, c_plus, c_minus)) == repr(composed)
+    c_plus, c_minus = _pi_coeffs(CTX, u(0.0), u(1.0))
+    composed = u - ExpPoly.exponential(1.0, c_plus) - ExpPoly.exponential(-1.0, c_minus)
+    assert repr(pi_zero(CTX, u)) == repr(composed)
 
 
 def test_boundary_formulas_evaluate_each_endpoint_once(monkeypatch):

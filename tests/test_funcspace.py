@@ -1,5 +1,5 @@
+import functools
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -15,7 +15,6 @@ from maccretive.funcspace import (
     Interval,
     _eval_pair,
     _merge,
-    _power_exp_integral,
     _sub_scaled_derivative,
     absorb_rate_shift,
     antiderivative,
@@ -312,24 +311,6 @@ def reference_conv(p, q) -> tuple:
     return tuple(out)
 
 
-def reference_l2_inner(f_terms, g_terms, iv: Interval) -> float:
-    """One ``_power_exp_integral`` evaluation per moment, in the same order."""
-    total = 0.0
-    for r1, c1 in f_terms:
-        for r2, c2 in g_terms:
-            nu = r1 + r2
-            for k, c in enumerate(reference_conv(c1, c2)):
-                if c != 0.0:
-                    total += c * _power_exp_integral(k, nu, iv.a, iv.b)
-    return total
-
-
-def reference_graph_inner(f: ExpPoly, g: ExpPoly, iv: Interval) -> float:
-    return reference_l2_inner(f.terms, g.terms, iv) + reference_l2_inner(
-        reference_differentiate(f), reference_differentiate(g), iv
-    )
-
-
 def scaled_terms(f: ExpPoly, s: float) -> tuple:
     """Terms of ``s * f`` before normalisation; ``s = -1.0`` gives ``-f``."""
     return tuple((rate, tuple(s * c for c in coeffs)) for rate, coeffs in f.terms)
@@ -346,8 +327,6 @@ near_rate = st.tuples(
 ).map(lambda p: p[0] + p[1] * 0.4 * RATE_MERGE_TOL)
 coeff_or_zero = st.one_of(st.just(0.0), st.just(-0.0), coeff)
 KERNEL_INTERVALS = [(0.0, 1.0), (-1.2, 0.9), (-2.0, -0.5)]
-# shared across examples, so their moment rows are grown and reused
-WARM_INTERVALS = [Interval(a, b) for a, b in KERNEL_INTERVALS]
 
 
 @st.composite
@@ -358,19 +337,6 @@ def high_degree_exppolys(draw) -> ExpPoly:
         coeffs = draw(st.lists(coeff_or_zero, min_size=deg + 1, max_size=deg + 1))
         terms.append((draw(near_rate), coeffs))
     return ExpPoly(tuple(terms))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    f=high_degree_exppolys(),
-    g=high_degree_exppolys(),
-    which=st.integers(min_value=0, max_value=len(KERNEL_INTERVALS) - 1),
-)
-def test_pairings_match_reference_bit_for_bit(f, g, which):
-    for iv in (Interval(*KERNEL_INTERVALS[which]), WARM_INTERVALS[which]):
-        assert same(l2_inner(f, g, iv), reference_l2_inner(f.terms, g.terms, iv))
-        assert same(graph_inner(f, g, iv), reference_graph_inner(f, g, iv))
-        assert same(graph_inner(f, f, iv), reference_graph_inner(f, f, iv))
 
 
 @settings(max_examples=100, deadline=None)
@@ -397,86 +363,13 @@ def test_trusted_results_match_normalising_constructor(f, g, s):
         assert same((f * g).terms, expected)
 
 
-def _poly(rng, degrees, zeros: bool = False) -> ExpPoly:
-    """One term per degree, at distinct rates; ``zeros`` mixes in ``+-0.0``."""
-    terms = []
-    for t, deg in enumerate(degrees):
-        coeffs = rng.uniform(-2.0, 2.0, size=deg + 1)
-        if zeros:
-            coeffs[rng.random(deg + 1) < 0.3] = 0.0
-            coeffs[rng.random(deg + 1) < 0.3] = -0.0
-            coeffs[-1] = 1.5
-        terms.append((0.5 * t - 1.0, tuple(coeffs)))
-    return ExpPoly(tuple(terms))
-
-
-def _random_sides(seed: int):
-    """1-7 terms per side, degrees from 0 to ``DEGREE_CAP``."""
-    rng = np.random.default_rng(seed)
-    sides = []
-    for _ in range(2):
-        n_terms = int(rng.integers(1, 8))
-        sides.append(_poly(rng, rng.integers(0, DEGREE_CAP + 1, size=n_terms), seed % 2 == 1))
-    return sides
-
-
-def _cut_sides(n1: int, g_degrees, zeros: bool = False):
-    """One ``f`` term of ``n1`` coefficients against ``g``: ``n1 * sum(len)`` products."""
-    rng = np.random.default_rng(n1 * 1000 + len(g_degrees))
-    return _poly(rng, [n1 - 1], zeros), _poly(rng, g_degrees, zeros)
-
-
-WIDE = (DEGREE_CAP,) * 7
-# The names recall a numpy path that once took pairings of at least 512
-# coefficient products per f term; the cases stay, as checks of the loop.
-PAIRING_CASES = {
-    # products per f term: n1 * (coefficients of g)
-    "at the cut, one term each": _cut_sides(64, [7]),  # 64 * 8
-    "one below the cut": _cut_sides(7, [64, 7]),  # 7 * 73
-    "one above the cut": _cut_sides(27, [18]),  # 27 * 19
-    "at the cut, two g terms": _cut_sides(16, [15, 15]),
-    "at the cut, with zeros": _cut_sides(8, [15, 15, 15, 15], zeros=True),
-    "constant and wide g terms": _cut_sides(DEGREE_CAP + 1, [0, DEGREE_CAP, 0, 3]),
-    "seven full-degree terms a side": (
-        _poly(np.random.default_rng(1), WIDE), _poly(np.random.default_rng(2), WIDE, True)
-    ),
-    "empty f": (ExpPoly.zero(), _poly(np.random.default_rng(3), WIDE)),
-    "empty g": (_poly(np.random.default_rng(4), WIDE), ExpPoly.zero()),
-    "constant f": (ExpPoly.constant(-3.0), _poly(np.random.default_rng(5), WIDE)),
-    **{f"random sides {seed}": _random_sides(seed) for seed in range(12)},
-}
-
-
-@pytest.mark.parametrize("case", list(PAIRING_CASES))
-def test_pairings_across_the_batch_cut_match_reference(case):
-    f, g = PAIRING_CASES[case]
-    for iv in [Interval(a, b) for a, b in KERNEL_INTERVALS] + WARM_INTERVALS:
-        for x, y in ((f, g), (g, f)):
-            assert same(l2_inner(x, y, iv), reference_l2_inner(x.terms, y.terms, iv)), iv
-
-
-def test_batched_pairing_keeps_the_sign_of_zero():
-    # Every conv entry is a negative subnormal and every moment on
-    # [0, 2**-10] is below 2**-10, so each product c * moment underflows
-    # to -0.0. The loop's sum starts at +0.0 and stays +0.0; a sum that
-    # started at the first product would give -0.0.
-    f = ExpPoly(((0.0, (-(2.0**-540),) * 64),))
-    g = ExpPoly(((0.0, (2.0**-530,) * 9),))
-    iv = Interval(0.0, 2.0**-10)
-    assert same(reference_l2_inner(f.terms, g.terms, iv), 0.0)
-    assert same(l2_inner(f, g, iv), 0.0)
-
-
-def test_batched_pairing_with_overflowing_moments_matches_reference():
-    # e^{800 t} overflows: the loop skips 0 * inf, where a vectorised sum
-    # would give nan.
+def test_pairing_beyond_the_float_range_is_not_finite():
+    # e^{800 t} t^k has integrals beyond the float range on [0, 1]
     zeros = tuple(1.0 if k % 3 == 0 else 0.0 for k in range(DEGREE_CAP + 1))
     f = ExpPoly(((400.0, zeros),))
     g = ExpPoly(((0.0, (1.0,)), (400.0, zeros)))
-    for iv in (UNIT, Interval(0.0, 1.0)):
-        result = l2_inner(f, g, iv)
-        assert not math.isfinite(result)
-        assert same(result, reference_l2_inner(f.terms, g.terms, iv))
+    assert not math.isfinite(l2_inner(f, g, UNIT))
+    assert not math.isfinite(graph_inner(f, g, UNIT))
 
 
 def _moment_from_zero(k: int, nu: float, length: float):
@@ -498,55 +391,96 @@ def _moment_pieces(k: int, nu: float, a: float, b: float) -> list:
     return pieces
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [(0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (-3.0, 2.0), (-1.5, 0.0), (-2.0, -0.5), (-4.0, -1.0)],
-)
-def test_moment_rows_match_50_digit_reference(a, b):
+@functools.cache
+def _exact_moments(nu: float, a: float, b: float) -> tuple:
+    """``int_a^b t**k e^{nu t} dt`` and ``int_a^b |t|**k e^{nu t} dt`` for
+    ``k <= 2 DEGREE_CAP``, at the working precision of ``mpmath``."""
+    moments, magnitudes = [], []
+    for k in range(2 * DEGREE_CAP + 1):
+        pieces = _moment_pieces(k, nu, a, b)
+        moments.append(sum(pieces))
+        magnitudes.append(sum(abs(p) for p in pieces))
+    return moments, magnitudes
+
+
+def exact_l2_inner(f: ExpPoly, g: ExpPoly, iv: Interval) -> tuple:
+    """``int f g`` over ``iv`` from the exact moments, and its rounding scale
+    ``int M_f M_g``, ``M_f(t) = sum |c_k| |t|**k e^{mu t}`` over the terms of ``f``."""
+    total = scale = mpmath.mpf(0)
+    for r1, c1 in f.terms:
+        for r2, c2 in g.terms:
+            moments, magnitudes = _exact_moments(r1 + r2, iv.a, iv.b)
+            y = [mpmath.mpf(c) for c in c2]
+            abs_y = [abs(c) for c in y]
+            for i, x in enumerate(c1):
+                total += x * mpmath.fdot(y, moments[i : i + len(y)])
+                scale += abs(x) * mpmath.fdot(abs_y, magnitudes[i : i + len(y)])
+    return total, scale
+
+
+# the moments' intervals and rates: sums of two rates below give every
+# nu in -4..4 and +-0.5, up to t**128
+REFERENCE_INTERVALS = [
+    (0.0, 1.0), (0.0, 2.5), (-1.0, 1.0), (-3.0, 2.0), (-1.5, 0.0), (-2.0, -0.5), (-4.0, -1.0)
+]
+
+
+def _reference_polys() -> list:
+    rng = np.random.default_rng(5)
+
+    def poly(rates, degrees):
+        return ExpPoly(tuple(
+            (mu, tuple(rng.uniform(-2.0, 2.0, size=degree + 1)))
+            for mu, degree in zip(rates, degrees)
+        ))
+
+    return [
+        poly([-2.0, 0.5, 2.0], [DEGREE_CAP, 7, 20]),
+        poly([-1.0, 0.0, 1.0], [3, DEGREE_CAP, 0]),
+        poly([-0.5, 1.0], [40, 2]),
+        ExpPoly.constant(1.0),
+    ]
+
+
+@pytest.mark.parametrize("a, b", REFERENCE_INTERVALS)
+def test_pairings_match_50_digit_reference(a, b):
     iv = Interval(a, b)
-    nus = [float(n) for n in range(-4, 5)] + [0.5, -0.5]
+    polys = _reference_polys()
+    basis = ExpBasis.spanning(polys)
+    table, d = basis.values(iv), basis.derivative()
+    rows = basis.rows(polys)
+    vals, d_vals = rows @ table, (rows @ d) @ table
+    tol = 1e-13  # times int M_f M_g, the scale of the values' rounding
     with mpmath.workdps(50):
-        for nu in nus:
-            iv._moments(nu, 3)  # a short row first, so the check covers growth
-            row = iv._moments(nu, 2 * DEGREE_CAP + 1)
-            for k, moment in enumerate(row):
-                pieces = _moment_pieces(k, nu, a, b)
-                # the pieces' magnitudes sum to the integral of |t**k e^{nu t}|
-                scale = sum(abs(p) for p in pieces)
-                assert abs(moment - sum(pieces)) <= 1e-13 * scale, (k, nu)
-
-
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0)])
-@pytest.mark.parametrize("nu", [-720.0, -800.0, -2e4, 800.0, 2e4])
-def test_steep_moments_match_50_digit_reference(a, b, nu):
-    # beyond |nu| L ~ 745 the gamma series overflows while its factor
-    # e^{nu L} underflows; their product used to be nan. A steep term that
-    # grows across the interval has an integral beyond the float range.
-    with mpmath.workdps(50):
-        for k in range(4):
-            exact = sum(_moment_pieces(k, nu, a, b))
-            moment = _power_exp_integral(k, nu, a, b)
-            if abs(exact) > sys.float_info.max:
-                assert moment == math.copysign(math.inf, exact), (k, nu)
-            else:
-                assert abs(moment - exact) <= 1e-15 * abs(exact), (k, nu)
+        for i, f in enumerate(polys):
+            for j, g in enumerate(polys):
+                exact, scale = exact_l2_inner(f, g, iv)
+                d_exact, d_scale = exact_l2_inner(differentiate(f), differentiate(g), iv)
+                graph_exact, graph_scale = exact + d_exact, scale + d_scale
+                assert abs(l2_inner(f, g, iv) - exact) <= tol * scale, (i, j)
+                assert abs(graph_inner(f, g, iv) - graph_exact) <= tol * graph_scale, (i, j)
+                basis_l2 = vals[i] @ vals[j]
+                assert abs(basis_l2 - exact) <= tol * scale, (i, j)
+                basis_graph = basis_l2 + d_vals[i] @ d_vals[j]
+                assert abs(basis_graph - graph_exact) <= tol * graph_scale, (i, j)
 
 
 def test_pairings_of_a_steep_term_are_finite():
+    # within the rounding bound of l2_norm's docstring: d = 0, T = 1, m = 800,
+    # c = 1, and the terms' size E is 1 for f and 800 for f'
     f = ExpPoly.exponential(-800.0)
-    assert l2_inner(f, f, UNIT) == pytest.approx(1 / 1600, rel=1e-15)
-    assert graph_inner(f, f, UNIT) == pytest.approx((1 + 800.0**2) / 1600, rel=1e-15)
+    eps = 2.0**-52
+    norm_sq = 1 / 1600
+    bound = 2 * (1 + 5 + 3 * 800) * eps / math.sqrt(norm_sq)
+    assert l2_inner(f, f, UNIT) == pytest.approx(norm_sq, rel=bound)
+    graph_sq = (1 + 800.0**2) / 1600
+    graph_bound = 2 * (1 + 5 + 3 * 800) * eps * (1 + 800) / math.sqrt(graph_sq)
+    assert graph_inner(f, f, UNIT) == pytest.approx(graph_sq, rel=graph_bound)
 
 
 # ----------------------------------------------------------------------
 # pairings as matrices over a shared basis
 # ----------------------------------------------------------------------
-
-
-def _absolute_gram(basis: ExpBasis, iv: Interval) -> np.ndarray:
-    """``int |b_p b_q|`` over ``iv``, the scale of the pairings' roundoff."""
-    pieces = [(iv.a, min(iv.b, 0.0)), (max(iv.a, 0.0), iv.b)]
-    return sum(np.abs(basis.gram(Interval(lo, hi))) for lo, hi in pieces if lo < hi)
 
 
 def _basis_cases():
@@ -577,18 +511,17 @@ def test_basis_pairings_match_the_scalar_pairings(a, b):
     ]
     assert max(size for _, size in basis.blocks) == DEGREE_CAP + 1
     rows = basis.rows(polys)
-    gram = basis.gram(iv)
+    table = basis.values(iv)
     d = basis.derivative()
-    graph = gram + d @ gram @ d.T
-    scale = _absolute_gram(basis, iv)
-    for x, f in zip(rows, polys):
-        for y, g in zip(rows, polys):
-            l2_scale = np.abs(x) @ scale @ np.abs(y)
-            graph_scale = l2_scale + np.abs(x @ d) @ scale @ np.abs(y @ d)
-            assert abs(x @ gram @ y - l2_inner(f, g, iv)) <= 1e-14 * l2_scale
-            assert abs(x @ graph @ y - graph_inner(f, g, iv)) <= 1e-14 * graph_scale
-            derivative_scale = np.abs(x @ d) @ scale @ np.abs(y)
-            assert abs(x @ d @ gram @ y - l2_inner(differentiate(f), g, iv)) <= 1e-14 * derivative_scale
+    vals, d_vals = rows @ table, (rows @ d) @ table
+    # the weighted node values of M_f = sum |c_k| |t|**k e^{mu t}, the scale
+    # of the values' rounding
+    mags, d_mags = np.abs(rows) @ np.abs(table), np.abs(rows @ d) @ np.abs(table)
+    for f, x, dx, m, dm in zip(polys, vals, d_vals, mags, d_mags):
+        for g, y, dy, n, dn in zip(polys, vals, d_vals, mags, d_mags):
+            assert abs(x @ y - l2_inner(f, g, iv)) <= 1e-14 * (m @ n)
+            assert abs(x @ y + dx @ dy - graph_inner(f, g, iv)) <= 1e-14 * (m @ n + dm @ dn)
+            assert abs(dx @ y - l2_inner(differentiate(f), g, iv)) <= 1e-14 * (dm @ n)
 
 
 def test_basis_rows_and_derivative():
@@ -607,11 +540,11 @@ def test_basis_rows_and_derivative():
         [0.0, 0.0, 2.0, 0.5],
     ]
     assert basis.rows([differentiate(f)]).tolist() == (rows[:1] @ basis.derivative()).tolist()
-    # the Gram matrix reads the interval's moment rows
+    # f has the basis's largest block and rate, so its values are at the
+    # nodes of its own norm
     iv = Interval(-0.5, 1.0)
-    gram = basis.gram(iv)
-    assert gram[1, 3] == iv._moments(1.0, 3)[2]
-    assert gram[0, 2] == gram[2, 0] == iv._moments(-0.5, 2)[1]
+    values = rows @ basis.values(iv)
+    assert math.sqrt(values[0] @ values[0]) == pytest.approx(l2_norm(f, iv), rel=1e-14)
     assert ExpBasis.spanning([]).dim == 0
 
 
