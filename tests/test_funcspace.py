@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -463,6 +464,114 @@ def test_pairings_match_50_digit_reference(a, b):
                 assert abs(basis_l2 - exact) <= tol * scale, (i, j)
                 basis_graph = basis_l2 + d_vals[i] @ d_vals[j]
                 assert abs(basis_graph - graph_exact) <= tol * graph_scale, (i, j)
+
+
+def _poly(rng, degrees, zeros: bool = False) -> ExpPoly:
+    """One term per degree, at distinct rates; ``zeros`` mixes in ``+-0.0``."""
+    terms = []
+    for t, deg in enumerate(degrees):
+        coeffs = rng.uniform(-2.0, 2.0, size=deg + 1)
+        if zeros:
+            coeffs[rng.random(deg + 1) < 0.3] = 0.0
+            coeffs[rng.random(deg + 1) < 0.3] = -0.0
+            coeffs[-1] = 1.5
+        terms.append((0.5 * t - 1.0, tuple(coeffs)))
+    return ExpPoly(tuple(terms))
+
+
+def _random_sides(seed: int):
+    """1-7 terms per side, degrees from 0 to ``DEGREE_CAP``."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for _ in range(2):
+        n_terms = int(rng.integers(1, 8))
+        sides.append(_poly(rng, rng.integers(0, DEGREE_CAP + 1, size=n_terms), seed % 2 == 1))
+    return sides
+
+
+def _cut_sides(n1: int, g_degrees, zeros: bool = False):
+    """One ``f`` term of ``n1`` coefficients against ``g``: ``n1 * sum(len)`` products."""
+    rng = np.random.default_rng(n1 * 1000 + len(g_degrees))
+    return _poly(rng, [n1 - 1], zeros), _poly(rng, g_degrees, zeros)
+
+
+WIDE = (DEGREE_CAP,) * 7
+# The names recall a numpy path that once took pairings of at least 512
+# coefficient products per f term; the cases stay, as pairings of many
+# shapes: one term against many, full degrees, signed zeros, empty sides.
+PAIRING_CASES = {
+    # products per f term: n1 * (coefficients of g)
+    "at the cut, one term each": _cut_sides(64, [7]),  # 64 * 8
+    "one below the cut": _cut_sides(7, [64, 7]),  # 7 * 73
+    "one above the cut": _cut_sides(27, [18]),  # 27 * 19
+    "at the cut, two g terms": _cut_sides(16, [15, 15]),
+    "at the cut, with zeros": _cut_sides(8, [15, 15, 15, 15], zeros=True),
+    "constant and wide g terms": _cut_sides(DEGREE_CAP + 1, [0, DEGREE_CAP, 0, 3]),
+    "seven full-degree terms a side": (
+        _poly(np.random.default_rng(1), WIDE), _poly(np.random.default_rng(2), WIDE, True)
+    ),
+    "empty f": (ExpPoly.zero(), _poly(np.random.default_rng(3), WIDE)),
+    "empty g": (_poly(np.random.default_rng(4), WIDE), ExpPoly.zero()),
+    "constant f": (ExpPoly.constant(-3.0), _poly(np.random.default_rng(5), WIDE)),
+    **{f"random sides {seed}": _random_sides(seed) for seed in range(12)},
+}
+# shared across the cases, so their Gauss tables are made once and reused
+WARM_INTERVALS = [Interval(a, b) for a, b in KERNEL_INTERVALS]
+
+
+@functools.cache
+def _float_moments(nu: float, a: float, b: float) -> tuple:
+    """:func:`_exact_moments` rounded to floats, as two arrays."""
+    with mpmath.workdps(50):
+        moments, magnitudes = _exact_moments(nu, a, b)
+        return np.array([float(m) for m in moments]), np.array([float(m) for m in magnitudes])
+
+
+def fsum_l2_inner(f: ExpPoly, g: ExpPoly, iv: Interval) -> tuple:
+    """:func:`exact_l2_inner` from the moments rounded to floats, each product
+    ``c_i d_j M_{i+j}`` rounded twice and all summed exactly by ``math.fsum``:
+    both are within ``2 eps`` of the scale ``int M_f M_g``."""
+    products, magnitudes = [0.0], [0.0]
+    for r1, c1 in f.terms:
+        for r2, c2 in g.terms:
+            moments, abs_moments = _float_moments(r1 + r2, iv.a, iv.b)
+            x, y = np.array(c1), np.array(c2)
+            hankel = np.add.outer(np.arange(len(x)), np.arange(len(y)))
+            products.extend((np.outer(x, y) * moments[hankel]).ravel().tolist())
+            magnitudes.extend((np.outer(abs(x), abs(y)) * abs_moments[hankel]).ravel().tolist())
+    return math.fsum(products), math.fsum(magnitudes)
+
+
+@pytest.mark.parametrize("case", list(PAIRING_CASES))
+def test_pairings_across_the_batch_cut_match_reference(case):
+    f, g = PAIRING_CASES[case]
+    for (a, b), warm in zip(KERNEL_INTERVALS, WARM_INTERVALS):
+        iv = Interval(a, b)
+        exact, scale = fsum_l2_inner(f, g, iv)
+        for x, y in ((f, g), (g, f)):
+            result = l2_inner(x, y, iv)
+            assert abs(result - exact) <= 1e-13 * scale, (iv, result, exact, scale)
+            assert same(l2_inner(x, y, warm), result), iv
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0)])
+@pytest.mark.parametrize("nu", [-720.0, -800.0, 800.0])
+def test_steep_moments_match_50_digit_reference(a, b, nu):
+    # the moment int t**k e^{nu t} is the pairing of t**k e^{nu t} with 1.
+    # Beyond |nu| L ~ 709 it is beyond the float range, and the pairing is
+    # not finite; within it, the pairing is within the rounding bound of
+    # l2_norm's docstring: d = k, T = 2, c = 1, m = |nu|, relative to
+    # int |t**k| e^{nu t}, which is |moment| on an interval of one sign
+    iv, one = Interval(a, b), ExpPoly.constant(1.0)
+    with mpmath.workdps(50):
+        for k in range(4):
+            exact = sum(_moment_pieces(k, nu, a, b))
+            moment = l2_inner(ExpPoly(((nu, (0.0,) * k + (1.0,)),)), one, iv)
+            if abs(exact) > sys.float_info.max:
+                assert not math.isfinite(moment), (k, nu)
+            else:
+                bound = (2 * k + 2 + 5 + 3 * abs(nu)) * 2.0**-52
+                assert abs(moment - exact) <= bound * abs(exact), (k, nu)
 
 
 def test_pairings_of_a_steep_term_are_finite():
