@@ -17,16 +17,15 @@ one of them and derives the others on demand. Membership of a state
 ``(u, v)`` depends on it only through the four endpoint values
 ``u(a), u(b), v(a), v(b)``, and for a linear realization every
 description's defect is a fixed linear map of them: membership of N
-states is one matrix product on an ``(N, 4)`` array. This module also
-solves the associated resolvent equations exactly in the function
-algebra. The second-order equation ``u - tau^2 u'' = w`` behind the
-block resolvent splits by partial fractions,
+states is one matrix product on an ``(N, 4)`` array. The resolvent,
+``u - tau^2 u'' = w`` split by partial fractions,
 ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, into two first-order solves
-of the kind the 1-D resolvent uses. The boundary equation of every
-description is ``x = x_0 + C y`` in deficiency coordinates; ``C`` and its
+of the kind the 1-D resolvent uses, is a step on coefficient rows
+(:meth:`BlockRealization._step_map`). The boundary equation of every
+description is ``x = x_0 + C y`` in deficiency coordinates; ``C``, its
 solution map (a 2x2 matrix for a linear relation, a Picard rate for a
-nonlinear ``f``) make a resolvent plan, built by the first
-:func:`block_resolve` at a ``tau`` and kept on the realization.
+nonlinear ``f``) and the solves' per-rate blocks make a resolvent plan,
+built by the first step at a ``tau`` and kept on the realization.
 """
 
 from __future__ import annotations
@@ -40,20 +39,20 @@ import numpy as np
 
 from .derivative import (
     DerivativeContext,
-    _first_order_terms,
+    _FirstOrderSolve,
+    _StepMap,
     _fixed_point,
     _mode_coeffs,
     _pi_coeffs,
     _projection_coeffs,
+    _trajectory_basis,
 )
 from .errors import RootNotFound
 from .funcspace import (
     ExpPoly,
     Interval,
     _eval_pair,
-    _merge,
     _quadrature_norm,
-    _sub_scaled_derivative,
     differentiate,
     l2_inner,
 )
@@ -468,12 +467,43 @@ class BlockRealization:
         return {}
 
     def _resolvent_plan(self, tau: float) -> "_Plan":
-        """The plan for ``tau``, built by the first :func:`block_resolve` at
-        this ``tau`` and reused by every later one (see :class:`_Plan`)."""
+        """The plan for ``tau``, built by the first step at this ``tau`` and
+        reused by every later one (see :class:`_Plan`)."""
         plan = self._plans.get(tau)
         if plan is None:
             plan = self._plans[tau] = _Plan.build(self, tau)
         return plan
+
+    def _step_map(self, tau: float, polys, steps: int) -> _StepMap:
+        """The step of :func:`block_resolve` on rows ``(u, v)`` over the basis of
+        ``steps`` steps from ``polys``: ``u = (f1 - tau f2') R``, ``v = f2 - tau u'``,
+        with ``R`` half the sum of the plan's first-order solves, the bounded
+        Green kernels of ``(1 + tau D)^{-1}`` from ``a`` and ``(1 - tau D)^{-1}``
+        from ``b``, which keep every term on its own rate; then the modes
+        ``e^{+-t/tau}`` take the coefficients of :func:`_solve_boundary_coeffs`."""
+        plan = self._resolvent_plan(tau)
+        basis = _trajectory_basis(plan.solves, polys, steps)
+        n, d = basis.dim, basis.derivative()
+        solve = 0.5 * (plan.solves[0].matrix(basis) + plan.solves[1].matrix(basis))
+
+        def particular(rows: np.ndarray) -> np.ndarray:
+            u = (rows[..., :n] - tau * (rows[..., n:] @ d)) @ solve
+            return np.concatenate([u, rows[..., n:] - tau * (u @ d)], axis=-1)
+
+        ends = np.zeros((2 * n, 4))
+        ends[:n, :2] = ends[n:, 2:] = basis.endpoint_rows(self.ctx.a, self.ctx.b)
+        modes = basis.rows((ExpPoly.exponential(1.0 / tau), ExpPoly.exponential(-1.0 / tau)))
+        to_z, kernel = _endpoint_maps(self.ctx)[0].T, self._description_kernel
+
+        def coeffs(rows: np.ndarray) -> np.ndarray:
+            z = rows @ to_z
+            return _solve_boundary_coeffs(self, plan, z[:, :2], z[:, 2:])
+
+        return _StepMap(
+            basis, particular, ends, coeffs, np.hstack([modes, -tau * (modes @ d)]),
+            lambda ends: kernel.verdicts(ends, 1e-8)[:, 0],
+            linear=isinstance(self.description, LinearRelation),
+        )
 
     @cached_property
     def _description_kernel(self) -> _Kernel:
@@ -491,8 +521,7 @@ class BlockRealization:
 
     def domain_test(self, state: BlockState, tol: float = 1e-9) -> bool:
         """Membership decided by the stored description."""
-        a, b = self.ctx.a, self.ctx.b
-        ends = np.array([[*_eval_pair(state.u, a, b), *_eval_pair(state.v, a, b)]])
+        ends = _endpoint_values(self.ctx, (state,))
         return bool(self._description_kernel.verdicts(ends, tol)[0, 0])
 
     def domain_test_many(self, states, tol: float = 1e-9) -> dict:
@@ -531,63 +560,26 @@ def st_domain(
 # ----------------------------------------------------------------------
 
 
-def _particular_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> ExpPoly:
-    """One solution of ``u - tau^2 u'' = w``.
-
-    ``1 - tau^2 D^2 = (1 + tau D)(1 - tau D)``, so by partial fractions
-
-        u = 1/2 [ (1 + tau D)^{-1} w + (1 - tau D)^{-1} w ].
-
-    The halves are the first-order solves of the 1-D resolvent, run at
-    ``(tau, anchor a)`` and at ``(-tau, anchor b)``: the bounded Green
-    kernels ``(1/tau) int_a^t e^{-(t-s)/tau}`` and
-    ``(1/tau) int_t^b e^{-(s-t)/tau}``. Each handles the resonant rate
-    of its own factor, ``-1/tau`` or ``+1/tau``, by its integrating-factor
-    branch, so no term leaves its own rate. The two term lists make one
-    ExpPoly.
-    """
-    t_scale = max(abs(ctx.a), abs(ctx.b))
-    half = 0.5 * w
-    return ExpPoly._trusted(_merge(
-        _first_order_terms(half, tau, ctx.a, t_scale)
-        + _first_order_terms(half, -tau, ctx.b, t_scale)
-    ))
-
-
 def block_resolve(
     realization: BlockRealization, rhs: BlockState, tau: float
 ) -> BlockState:
     """Solve ``u + tau Dv = f1``, ``v + tau Gu = f2`` in the realization.
 
-    Eliminating ``v`` gives ``u - tau^2 u'' = f1 - tau f2'``, solved by
-    partial fractions as half the sum of the first-order resolvents of
-    ``+-tau D`` (see :func:`_particular_second_order`); the two
+    Eliminating ``v`` gives ``u - tau^2 u'' = f1 - tau f2'``: one step of
+    :meth:`BlockRealization._step_map` on the rows of ``rhs``, whose two
     homogeneous coefficients are pinned by the realization's boundary
-    description: ``x = x_0 + C y`` in deficiency coordinates, one 2x2
-    product for a linear relation (see :func:`_solve_boundary_coeffs`). A
-    relation of dimension other than 2 or with a singular ``X - C Y`` (no
-    unique resolvent), or a nonlinear ``f`` that breaks its Lipschitz
-    certificate, raises :class:`RootNotFound`.
+    description, ``x = x_0 + C y`` in deficiency coordinates. A relation of
+    dimension other than 2 or with a singular ``X - C Y`` (no unique
+    resolvent), a nonlinear ``f`` that breaks its Lipschitz certificate, or
+    a result that fails the description at 1e-8 raises :class:`RootNotFound`.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    ctx = realization.ctx
-    sigma = 1.0 / tau
-    w = _sub_scaled_derivative(rhs.u, tau, rhs.v)
-    u_part = _particular_second_order(w, tau, ctx)
-    v_part = _sub_scaled_derivative(rhs.v, tau, u_part)
-
-    # the BD coefficients of u_part and of Dv_part, as bd_project and g_bd give them
-    u_bd0 = np.array(_projection_coeffs(ctx, u_part))
-    dv_bd0 = g_bd(_projection_coeffs(ctx, v_part))
-
-    plan = realization._resolvent_plan(tau)
-    coeffs = _solve_boundary_coeffs(realization, plan, u_bd0, dv_bd0)
-
-    modes = ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),)))
-    u = ExpPoly._trusted(_merge(u_part.terms + modes))
-    v = _sub_scaled_derivative(rhs.v, tau, u)
-    result = BlockState(u, v)
+    polys = (rhs.u, rhs.v)
+    step = realization._step_map(tau, polys, 1)
+    read_ends = lambda part: _endpoint_values(realization.ctx, (BlockState(*part),))  # noqa: E731
+    out, _ = step(step.basis.rows(polys).reshape(1, -1), read_ends)
+    result = BlockState(*step.basis.polys(out.reshape(2, -1)))
     if not realization.domain_test(result, tol=1e-8):
         raise RootNotFound("block boundary solve converged to a non-member")
     return result
@@ -595,23 +587,27 @@ def block_resolve(
 
 class _Plan(NamedTuple):
     """What every block step at one ``tau`` shares (see
-    :func:`_solve_boundary_coeffs`): ``C``, the diagonal of ``N``, and
-    ``Y (X - C Y)^{-1}`` for a linear relation or ``cert |C|`` for ``f``."""
+    :func:`_solve_boundary_coeffs`): ``C``, the diagonal of ``N``,
+    ``Y (X - C Y)^{-1}`` for a linear relation or ``cert |C|`` for ``f``, and
+    the first-order solves of ``(1 +- tau D)^{-1}`` anchored at ``a`` and ``b``."""
 
     comp: np.ndarray
     n_diag: np.ndarray
     gain: Union[np.ndarray, float]
+    solves: tuple
 
     @classmethod
     def build(cls, realization: BlockRealization, tau: float) -> "_Plan":
         ctx, description = realization.ctx, realization.description
+        t_scale = max(abs(ctx.a), abs(ctx.b))
+        solves = (_FirstOrderSolve(tau, ctx.a, t_scale), _FirstOrderSolve(-tau, ctx.b, t_scale))
         p1, m1 = _mode_coeffs(ctx, ExpPoly.exponential(1.0 / tau))
         p2, m2 = _mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau))
         n_diag = np.array([p1, m2])
         comp = np.array([[0.0, p2], [m1, 0.0]]) / n_diag
         if not isinstance(description, LinearRelation):
             rate = description.lipschitz_cert * operator_norm(bd_space(ctx), comp)
-            return cls(comp, n_diag, rate)
+            return cls(comp, n_diag, rate, solves)
         if description.dim != 2:
             k = description.dim
             raise RootNotFound(f"a relation of dimension {k} has no unique resolvent")
@@ -623,7 +619,7 @@ class _Plan(NamedTuple):
             gain = np.array(np.nan)
         if not np.all(np.isfinite(gain)):
             raise RootNotFound("resolvent equation is singular for this realization and tau")
-        return cls(comp, n_diag, gain)
+        return cls(comp, n_diag, gain, solves)
 
 
 def _solve_boundary_coeffs(
@@ -643,7 +639,8 @@ def _solve_boundary_coeffs(
     ``Y = (U - V)/2``; so ``y = Y (X - C Y)^{-1} x_0``, one 2x2 product,
     unique only for dimension 2 and an invertible ``X - C Y`` (else the
     plan raises :class:`RootNotFound`). A nonlinear ``f`` solves
-    ``x = x_0 + C f(x)``, ``y = f(x)``.
+    ``x = x_0 + C f(x)``, ``y = f(x)``. ``u_bd0`` and ``dv_bd0`` may hold
+    one step per row.
 
     ``C`` swaps the two BD coordinates. With ``sigma = 1/tau``, ``l = b - a``
     and ``e^{beta b} - e^{beta a} = 2 e^{beta (a+b)/2} sinh(beta l/2)``, the
@@ -658,15 +655,16 @@ def _solve_boundary_coeffs(
     :func:`maccretive.derivative._fixed_point` solves it with a certified
     stop, as it does the 1-D equation.
     """
-    comp, n_diag, gain = plan
+    comp = plan.comp
     x_p = 0.5 * (u_bd0 + dv_bd0)
     y_p = 0.5 * (u_bd0 - dv_bd0)
     # x_0 is formed once, so that no step cancels x_p against C y_p
-    x_0 = x_p - comp @ y_p
+    x_0 = x_p - y_p @ comp.T
     f = realization.description
     if isinstance(f, LinearRelation):
-        y = gain @ x_0
+        y = x_0 @ plan.gain.T
     else:
         norm = bd_space(realization.ctx).norm
-        y = f(_fixed_point(lambda x: x_0 + comp @ f(x), x_0, gain, norm))
-    return (y - y_p) / n_diag
+        solve = lambda x0: f(_fixed_point(lambda x: x0 + comp @ f(x), x0, plan.gain, norm))  # noqa: E731
+        y = np.array([solve(x0) for x0 in np.atleast_2d(x_0)]).reshape(x_0.shape)
+    return (y - y_p) / plan.n_diag

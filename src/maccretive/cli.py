@@ -34,8 +34,6 @@ from .blockop import (
     BlockState,
     bd_exppoly,
     bd_space,
-    block_resolve,
-    g_bd,
     state_l2_norm,
 )
 from .derivative import (
@@ -58,9 +56,10 @@ from .errors import (
 )
 from .evolution import (
     SchemeConfig,
+    TrajectoryRecord,
+    _row_postprocessor,
     contraction_report,
     evolve,
-    trajectory_postprocessor,
 )
 from .funcspace import (
     DEGREE_CAP,
@@ -68,6 +67,7 @@ from .funcspace import (
     ExpPoly,
     Interval,
     _eval_pair,
+    _state_norms,
     differentiate,
     l2_norm,
 )
@@ -402,6 +402,40 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, y)
 
 
+def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
+    """``(basis, rows, solutions)`` of the block resolvents of ``rhss`` at ``tau``,
+    one batch of rows ``(u, v)`` over their shared basis, the solutions up to
+    the first ``block_resolve`` would raise :class:`RootNotFound` for."""
+    polys = [f for rhs in rhss for f in (rhs.u, rhs.v)]
+    try:
+        step = realization._step_map(tau, polys, 1)
+        rows = step.basis.rows(polys).reshape(len(rhss), -1)
+        out, ends = step(rows)
+    except RootNotFound:
+        return None, None, ()
+    member = step.member(ends)
+    return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
+
+
+def _recorded(step, clean):
+    """``(resolvent, first_non_member)``: ``resolvent(x, tau)`` steps the row
+    ``x`` and prunes it with ``clean``, keeping the output's endpoint values;
+    ``first_non_member()`` is the number of the first step whose output fails
+    the closing membership test, or ``None``, all tested in one batch."""
+    ends = []
+
+    def resolvent(x: np.ndarray, _tau: float) -> np.ndarray:
+        y, y_ends = step(x)
+        ends.append(y_ends)
+        return clean(y)
+
+    def first_non_member() -> Optional[int]:
+        member = step.member(np.vstack(ends)) if ends else np.ones(1, bool)
+        return None if member.all() else int(np.argmin(member)) + 1
+
+    return resolvent, first_non_member
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
 def _suite_check_decomposition(p: dict, seed: int, tol: float):
     iv = p["interval"]
@@ -602,17 +636,14 @@ def _suite_block_equivalence(p: dict, seed: int, tol: float):
     max_residual = 0.0
     solved = True
     if realization.is_m_accretive:
-        for _ in range(10):
-            rhs = _random_block_state(rng)
-            try:
-                out = block_resolve(realization, rhs, tau)
-            except RootNotFound:
-                solved = False
-                break
-            r1 = l2_norm(out.u + tau * differentiate(out.v) - rhs.u, iv)
-            r2 = l2_norm(out.v + tau * differentiate(out.u) - rhs.v, iv)
-            scale = 1 + state_l2_norm(rhs, iv)
-            max_residual = max(max_residual, r1 / scale, r2 / scale)
+        basis, rows, out = _block_resolves(realization, [_random_block_state(rng) for _ in range(10)], tau)
+        solved = len(out) == 10
+        if len(out):
+            n, d, table = basis.dim, basis.derivative(), basis.values(iv)
+            rows = rows[: len(out)]
+            res = np.hstack([out[:, :n] + tau * out[:, n:] @ d, out[:, n:] + tau * out[:, :n] @ d]) - rows
+            worst = np.maximum(_state_norms(res[:, :n], table), _state_norms(res[:, n:], table))
+            max_residual = float(np.max(worst / (1 + _state_norms(rows, table))))
     failures = []
     if disagreements:
         failures.append("description_agreement")
@@ -635,63 +666,59 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     iv = p["interval"]
     k, tau, steps = p["K"], p["tau"], p["steps"]
     rng = np.random.default_rng(seed)
+    ctx = DerivativeContext(iv)
     try:
-        realization = impedance_realization(DerivativeContext(iv), k)
+        realization = impedance_realization(ctx, k)
     except ValueError as exc:
         raise SchemaError(f"bad K on this interval: {exc}") from exc
     accretive_k = is_K_accretive(k)
 
-    # (a) sampled accretivity over members built from boundary data
+    # (a) sampled accretivity over pairs of members built from boundary data,
+    # from the BD coefficients of their differences and their endpoint values
     w = realization.relation.basis
+    coeffs = rng.uniform(-2.0, 2.0, size=(60, 2))
+    members = np.hstack([coeffs @ w[:, 0, :], (coeffs @ w[:, 1, :]) * [1.0, -1.0]])
+    diffs = members[0::2] - members[1::2]
+    ends = np.hstack([diffs[:, :2] @ ctx.endpoint_matrix.T, diffs[:, 2:] @ ctx.endpoint_matrix.T])
+    # <A diff, diff> = int (u v)' = u(b) v(b) - u(a) v(a)
+    pairing = ends[:, 1] * ends[:, 3] - ends[:, 0] * ends[:, 2]
     accretive_sampled = True
-    members = []
-    for _ in range(60):
-        coeffs = rng.uniform(-2.0, 2.0, size=2)
-        u_poly = bd_exppoly(coeffs @ w[:, 0, :])
-        phi_poly = bd_exppoly(g_bd(coeffs @ w[:, 1, :]))
-        members.append(BlockState(u_poly, phi_poly))
-    for i in range(0, len(members) - 1, 2):
-        diff = members[i] - members[i + 1]
-        # <A diff, diff> = int (u v)' = u(b) v(b) - u(a) v(a)
-        (ua, ub), (va, vb) = _eval_pair(diff.u, iv.a, iv.b), _eval_pair(diff.v, iv.a, iv.b)
-        pairing = ub * vb - ua * va
-        # the threshold is negative, so a pairing >= 0 needs no norm
-        if pairing < 0.0:
-            size = state_l2_norm(diff, iv)
-            if pairing < -tol * (1 + size * size):
-                accretive_sampled = False
+    # the threshold is negative, so a pairing >= 0 needs no norm
+    for diff, pair in zip(diffs[pairing < 0.0], pairing[pairing < 0.0]):
+        size = state_l2_norm(BlockState(bd_exppoly(diff[:2]), bd_exppoly(diff[2:])), iv)
+        accretive_sampled &= not pair < -tol * (1 + size * size)
     # (b) solvability with nonexpansive differences
-    solvable = True
-    outs = []
-    try:
-        for _ in range(20):
-            rhs = _random_block_state(rng)
-            outs.append((rhs, block_resolve(realization, rhs, tau)))
-    except RootNotFound:
-        solvable = False
+    basis, rows, out = _block_resolves(realization, [_random_block_state(rng) for _ in range(20)], tau)
+    solvable = len(out) == 20
     if solvable:
-        for i in range(0, len(outs) - 1, 2):
-            gap_in = state_l2_norm(outs[i][0] - outs[i + 1][0], iv)
-            gap_out = state_l2_norm(outs[i][1] - outs[i + 1][1], iv)
-            if gap_out > gap_in + tol:
-                solvable = False
+        table = basis.values(iv)
+        gap_in = _state_norms(rows[0::2] - rows[1::2], table)
+        solvable = not np.any(_state_norms(out[0::2] - out[1::2], table) > gap_in + tol)
 
     # energy run, stopping at the first certified increase
-    clean = trajectory_postprocessor(iv)
     state = _finite_on(iv, p["u0"], "u0")
     energies = [state_l2_norm(state, iv) ** 2]
     first_increase = None
-    run_failed_at = None
-    for step in range(1, steps + 1):
+    run_failed_at = 1 if basis is None else None  # no resolvent plan at this tau
+    if basis is not None:
+        step = realization._step_map(tau, (state.u, state.v), steps)
+        table = step.basis.values(iv)
+        resolvent, first_non_member = _recorded(step, _row_postprocessor(iv, step.basis))
+        x = step.basis.rows((state.u, state.v)).ravel()
         try:
-            state = clean(block_resolve(realization, state, tau))
-        except RootNotFound:
-            run_failed_at = step
-            break
-        energies.append(state_l2_norm(state, iv) ** 2)
-        if energies[-1] > energies[-2] * (1 + 1e-10):
-            first_increase = step
-            break
+            for n in range(1, steps + 1):
+                x = resolvent(x, tau)
+                energies.append(_state_norms(x[None], table)[0] ** 2)
+                if energies[-1] > energies[-2] * (1 + 1e-10):
+                    first_increase = n
+                    break
+        except ValueError:  # a block passed the degree cap
+            if first_non_member() is None:
+                raise
+        run_failed_at = first_non_member()
+        if run_failed_at is not None:
+            first_increase = None
+            del energies[run_failed_at:]
 
     failures = []
     if accretive_k != (accretive_sampled and solvable):
@@ -723,48 +750,70 @@ def _suite_evolve(p: dict, seed: int, tol: float):
     ctx = DerivativeContext(iv)
     kind, tau, steps = p["kind"], p["tau"], p["steps"]
     cfg = SchemeConfig(tau=tau, steps=steps, tol=tol)
-    clean = trajectory_postprocessor(iv)
 
     # the state type, the default u0 and the needed parameter depend on kind
     if kind == "derivative":
         if "g" not in p:
             raise SchemaError("evolve: derivative kind needs 'g'")
         realization = Realization1D(ctx, p["g"])
-        solve, l2, parse_state = resolve, l2_norm, _exppoly
+        l2, parse_state, parts = l2_norm, _exppoly, lambda s: (s,)
         u0 = ExpPoly.exponential(1.0)
     elif kind == "block":
         if "realization" not in p:
             raise SchemaError("evolve: block kind needs 'realization'")
         realization = _block_realization(ctx, p["realization"])
-        solve, l2, parse_state = block_resolve, state_l2_norm, _block_state
+        l2, parse_state, parts = state_l2_norm, _block_state, lambda s: (s.u, s.v)
         u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
     else:
         raise SchemaError(f"evolve: unknown kind {kind!r}")
     if "u0" in p:
         u0 = _finite_on(iv, parse_state(p["u0"], "u0"), "u0")
     v0 = _finite_on(iv, parse_state(p["v0"], "v0"), "v0") if "v0" in p else None
-    resolvent = lambda s, t: clean(solve(realization, s, t))  # noqa: E731
-    norm = lambda s: l2(s, iv)  # noqa: E731
-    dist = lambda x, y: l2(x - y, iv)  # noqa: E731
+    starts = (u0,) if v0 is None else (u0, v0)
 
-    run_failed_at = None
-    try:
-        record = evolve(resolvent, u0, cfg, norm)
-    except EvolutionStepFailed as exc:
-        run_failed_at, record = exc.step, exc.record
-    distances = None
-    monotone = None
+    run_failed_at = distances = monotone = None
     failures = []
-    if v0 is not None:
+    try:
+        step = realization._step_map(tau, [f for s in starts for f in parts(s)], steps)
+    except RootNotFound:  # the first step fails
+        record = TrajectoryRecord()
+        record.append(u0, l2(u0, iv), 0.0)
+        run_failed_at = 1
+        if v0 is not None:
+            distances, monotone = [l2(u0 - v0, iv)], True
+    else:
+        # both runs step coefficient rows over one basis, with its node table
+        table = step.basis.values(iv)
+        clean = _row_postprocessor(iv, step.basis)
+        x0, *y0 = [step.basis.rows(parts(s)).ravel() for s in starts]
+        norm = lambda x: float(_state_norms(x[None], table)[0])  # noqa: E731
+        resolvent, first_non_member = _recorded(step, clean)
         try:
-            distances = contraction_report(resolvent, record.states, v0, cfg, dist)
-            monotone = True
-        except ContractionViolated as exc:
-            monotone = False
-            failures.append("distance_monotonicity")
-            distances = [math.nan] * (exc.step + 1)
+            record = evolve(resolvent, x0, cfg, norm)
         except EvolutionStepFailed as exc:
-            run_failed_at = exc.step
+            run_failed_at, record = exc.step, exc.record
+        failed = first_non_member()
+        if failed is not None:
+            run_failed_at = failed
+            for kept in (record.states, record.norms, record.timestamps):
+                del kept[failed:]
+        if v0 is not None:
+            resolvent, first_non_member = _recorded(step, clean)
+            violated = None
+            try:
+                distances = contraction_report(
+                    resolvent, record.states, y0[0], cfg, lambda x, y: norm(x - y))
+                monotone = True
+            except ContractionViolated as exc:
+                violated = exc.step
+                monotone, distances = False, [math.nan] * (exc.step + 1)
+            except EvolutionStepFailed as exc:
+                run_failed_at = exc.step
+            failed = first_non_member()
+            if failed is not None and (violated is None or failed <= violated):
+                run_failed_at, distances, monotone = failed, None, None
+            elif violated is not None:
+                failures.append("distance_monotonicity")
     if run_failed_at is not None:
         failures.insert(0, "run_failed")
     body = {

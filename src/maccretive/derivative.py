@@ -19,16 +19,14 @@ Endpoint values are read in one Horner pass per function
 (``funcspace._eval_pair``, the arithmetic of evaluation at each point).
 
 An implicit-Euler run applies one resolvent ``(1 + tau d/dt)^{-1}`` many
-times. What depends only on the realization and ``tau``, the homogeneous
-solution ``e^{-t/tau}`` and its two projection coefficients, is a
-resolvent plan built by the first :func:`resolve` at that ``tau`` and
-kept on the realization, in a dict keyed by ``tau``, for as long as the
-realization object lives. The plan holds exactly the values the step
-computed before, so results are bit-identical. At exact resonance,
-``mu + 1/tau == 0.0``, the integrating-factor solve skips its two
-Taylor shifts, whose polynomial is ``(1.0, +-0.0)``; for finite data they
-only add ``0.0`` to each coefficient and append ``+0.0``, which is what
-the shortcut does (see :func:`_resonant_coeffs`).
+times, to coefficient rows over one
+:class:`~maccretive.funcspace.ExpBasis` (:func:`_trajectory_basis`): a
+step (:class:`_StepMap`) is the particular solution's matrix, block-diagonal
+in the rates (:class:`_FirstOrderSolve`), and the boundary solve for the
+mode's coefficient. The per-rate blocks and the mode's projection
+coefficients depend only on the realization and ``tau``: they make a
+resolvent plan, built by the first step at that ``tau`` and kept on the
+realization, in a dict keyed by ``tau``, for as long as it lives.
 
 The resolvent pins the coefficient of its mode by the boundary identity.
 For the ``e^t`` coefficient ``x`` of the solution, that identity is the
@@ -42,6 +40,7 @@ the same form and the same solver.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,12 +50,12 @@ import numpy as np
 
 from .errors import NotAViolation, OutOfRange, RootNotFound
 from .funcspace import (
+    DEGREE_CAP,
+    ExpBasis,
     ExpPoly,
     Interval,
     _eval_pair,
-    _first_order_coeffs,
     _merge,
-    _poly_integral,
     absorb_rate_shift,
     l2_norm,
 )
@@ -169,13 +168,16 @@ class BoundaryFunction:
         if np.any(np.diff(xs) <= 0):
             raise ValueError("knot abscissae must be strictly increasing")
         slopes = np.diff(ys) / np.diff(xs)
+        x, y = xs.tolist(), ys.tolist()
 
         def interp(c: float) -> float:
             if c <= xs[0]:
                 return float(ys[0] + slopes[0] * (c - xs[0]))
             if c >= xs[-1]:
                 return float(ys[-1] + slopes[-1] * (c - xs[-1]))
-            return float(np.interp(c, xs, ys))
+            # np.interp's arithmetic, without its per-call cost
+            j = bisect.bisect_right(x, c) - 1
+            return y[j] if x[j] == c else (y[j + 1] - y[j]) / (x[j + 1] - x[j]) * (c - x[j]) + y[j]
 
         cert = float(np.max(np.abs(slopes)))
         return cls(interp, cert, {"kind": "table", "knots": [list(p) for p in pts]})
@@ -202,24 +204,46 @@ class Realization1D:
         """Resolvent plans keyed by ``tau``; they live as long as this object."""
         return {}
 
-    def _resolvent_plan(self, tau: float) -> tuple[ExpPoly, float, float]:
-        """``(hom, beta_plus, beta_minus)``: the homogeneous solution
-        ``e^{-t/tau}`` of ``u + tau*u' = 0`` and its projection coefficients,
-        built by the first :func:`resolve` at this ``tau`` and reused by
-        every later one. Raises :class:`RootNotFound` when the mode
-        overflows on the interval, or underflows so far that its ``e^{-t}``
-        coefficient, which the boundary solve divides by, is 0."""
+    def _resolvent_plan(self, tau: float) -> tuple["_FirstOrderSolve", float, float]:
+        """``(solve, beta_plus, beta_minus)``: the per-rate solves of ``u + tau*u' = f``
+        and the projection coefficients of the mode ``e^{-t/tau}``, built by
+        the first step at this ``tau`` and reused by every later one. Raises
+        :class:`RootNotFound` when the mode overflows on the interval, or
+        underflows so far that its ``e^{-t}`` coefficient, which the boundary
+        solve divides by, is 0."""
         plan = self._plans.get(tau)
         if plan is None:
-            hom = ExpPoly.exponential(-1.0 / tau)
-            beta_plus, beta_minus = _mode_coeffs(self.ctx, hom)
+            ctx = self.ctx
+            beta_plus, beta_minus = _mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau))
             if beta_minus == 0.0:
-                ctx = self.ctx
                 raise RootNotFound(
                     f"resolvent mode e^({-1.0 / tau} t) underflows on [{ctx.a}, {ctx.b}]"
                 )
-            plan = self._plans[tau] = (hom, beta_plus, beta_minus)
+            solve = _FirstOrderSolve(tau, ctx.a, max(abs(ctx.a), abs(ctx.b)))
+            plan = self._plans[tau] = (solve, beta_plus, beta_minus)
         return plan
+
+    def _step_map(self, tau: float, polys, steps: int) -> "_StepMap":
+        """The step of :func:`resolve` on the basis of ``steps`` steps from ``polys``."""
+        ctx, g = self.ctx, self.g
+        solve, beta_plus, beta_minus = self._resolvent_plan(tau)
+        comp, basis = beta_plus / beta_minus, _trajectory_basis((solve,), polys, steps)
+        rate, particular = g.lipschitz_cert * abs(comp), solve.matrix(basis)
+
+        def coeffs(ends: np.ndarray) -> np.ndarray:
+            out = np.empty((len(ends), 1))
+            for i, (ua, ub) in enumerate(ends.tolist()):
+                alpha_plus, alpha_minus = _pi_coeffs(ctx, ua, ub)
+                x_0 = alpha_plus - comp * alpha_minus
+                x = _fixed_point(lambda x: x_0 + comp * g(x), x_0, rate, abs)
+                out[i] = (g(x) - alpha_minus) / beta_minus
+            return out
+
+        return _StepMap(
+            basis, lambda rows: rows @ particular, basis.endpoint_rows(ctx.a, ctx.b), coeffs,
+            basis.rows((ExpPoly.exponential(-1.0 / tau),)),
+            lambda ends: _members(self, ends, 1e-9), linear=False,
+        )
 
 
 def kernel_element(ctx: DerivativeContext, sign: int, c: float) -> ExpPoly:
@@ -396,68 +420,144 @@ def in_domain(realization: Realization1D, u: ExpPoly, tol: float = 1e-9) -> bool
     enters.
     """
     ctx = realization.ctx
-    ua, ub = _eval_pair(u, ctx.a, ctx.b)
-    c_plus, c_minus = _pi_coeffs(ctx, ua, ub)
-    defect = abs(c_minus - realization.g(c_plus))
-    scale = 1.0 + abs(ua) + abs(ub)
-    return defect <= tol * scale
+    return bool(_members(realization, np.array([_eval_pair(u, ctx.a, ctx.b)]), tol)[0])
 
 
-def _first_order_terms(
-    f: ExpPoly, tau: float, anchor: float, t_scale: float
-) -> list:
-    """Terms of one solution of ``u + tau*u' = f`` within the function algebra.
+def _members(realization: Realization1D, ends: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`in_domain` of each function with endpoint values a row of ``ends``."""
+    (ua, ub), g = ends.T, realization.g
+    c_plus, c_minus = _pi_coeffs(realization.ctx, ua, ub)
+    return np.abs(c_minus - [g(c) for c in c_plus.tolist()]) <= tol * (1.0 + np.abs(ua) + np.abs(ub))
 
-    Away from resonance each term solves by a coefficient recursion.
-    When ``1 + tau*mu`` is small the recursion would amplify roundoff
-    by its ``(deg+1)``-th inverse power, so those terms instead use the
-    integrating-factor form
 
-        q = (1/tau) e^{-beta t} int_anchor^t e^{beta s} p(s) ds,
-        beta = mu + 1/tau,
+class _FirstOrderSolve:
+    """One solution of ``u + tau*u' = f`` on each rate's block ``t^k e^{mu t}``:
+    the matrix whose row ``j`` solves for ``t^j e^{mu t}``, kept by rate at
+    the largest size asked for, whose leading corners are the smaller ones.
 
-    with both exponentials absorbed as machine-truncated Taylor
-    polynomials; the response stays on the term's own rate, bounded by
-    the data, and the residual is same-rate and negligible. At exact
-    resonance, ``beta == 0.0``, both exponentials are ``1`` and
-    :func:`_resonant_coeffs` skips the two shifts. Both forms hold for
-    negative ``tau`` too. The term list is returned unwrapped, so that a
-    caller summing several solves builds one ExpPoly.
+    Away from resonance it is the recursion
+    ``q_k = (p_k - tau (k+1) q_{k+1}) / (1 + tau*mu)``. Where ``1 + tau*mu``
+    is small, that recursion would amplify roundoff by its ``(deg+1)``-th
+    inverse power, and the block is the integrating-factor form
+    ``q = (1/tau) e^{-beta t} int_anchor^t e^{beta s} p(s) ds``,
+    ``beta = mu + 1/tau``, with both exponentials absorbed as the Taylor
+    polynomials of :func:`~maccretive.funcspace.absorb_rate_shift`: it stays
+    on the term's own rate, bounded by the data, and raises the degree, by
+    one at exact resonance. Both forms hold for negative ``tau`` too.
     """
-    sigma = 1.0 / tau
-    out = []
-    for mu, p in f.terms:
+
+    def __init__(self, tau: float, anchor: float, t_scale: float) -> None:
+        self.tau, self.anchor, self.t_scale = tau, anchor, t_scale
+        self._blocks: dict = {}
+
+    def block(self, mu: float, n: int) -> np.ndarray:
+        """The rows for degrees below ``n``, each with the columns it reaches."""
+        block = self._blocks.get(mu)
+        if block is None or len(block) < n:
+            block = self._blocks[mu] = self._make(mu, n)
+        return block[:n, : n + block.shape[1] - len(block)]
+
+    def growth(self, mu: float) -> int:
+        """The degrees one solve adds on rate ``mu``."""
+        return 0 if abs(1.0 + self.tau * mu) > 0.1 else self.block(mu, 1).shape[1] - 1
+
+    def _make(self, mu: float, n: int) -> np.ndarray:
+        tau = self.tau
         alpha = 1.0 + tau * mu
+        eye = np.eye(n)
         if abs(alpha) > 0.1:
-            q = _first_order_coeffs(p, tau, alpha)
-        else:
-            beta = mu + sigma
-            q = _resonant_coeffs(p, tau, anchor) if beta == 0.0 else None
-            if q is None:
-                lifted = absorb_rate_shift(p, beta, t_scale)
-                anchored = _poly_integral(lifted, anchor)
-                q = [c / tau for c in absorb_rate_shift(anchored, -beta, t_scale)]
-        out.append((mu, q))
+            q = np.zeros((n, n + 1))
+            for k in range(n - 1, -1, -1):
+                q[:, k] = (eye[:, k] - tau * (k + 1) * q[:, k + 1]) / alpha
+            return q[:, :n] + 0.0  # no -0.0, so that a block is its larger ones' corner
+        beta = mu + 1.0 / tau
+        lifted = _taylor_product(eye, beta, self.t_scale)
+        width = lifted.shape[1]
+        q = np.zeros((n, width + 1))
+        q[:, 1:] = lifted / np.arange(1, width + 1)
+        acc = np.zeros(n)  # q(anchor) by Horner, so that the solution vanishes there
+        for k in range(width, 0, -1):
+            acc = acc * self.anchor + q[:, k]
+        q[:, 0] = -acc * self.anchor
+        q = _taylor_product(q, -beta, self.t_scale) / tau
+        return q[:, : max(n, np.flatnonzero(q.any(axis=0))[-1] + 1)] + 0.0
+
+    def matrix(self, basis: ExpBasis) -> np.ndarray:
+        """The solve on rows over ``basis``, each block cut to its size."""
+        out = np.zeros((basis.dim, basis.dim))
+        start = 0
+        for rate, n in basis.blocks:
+            out[start : start + n, start : start + n] = self.block(rate, n)[:, :n]
+            start += n
+        return out
+
+
+def _taylor_product(p: np.ndarray, nu: float, t_scale: float) -> np.ndarray:
+    """Each row of ``p`` times the Taylor polynomial of ``e^{nu t}`` of
+    :func:`~maccretive.funcspace.absorb_rate_shift`."""
+    taylor = absorb_rate_shift((1.0,), nu, t_scale)
+    out = np.zeros((len(p), p.shape[1] + len(taylor) - 1))
+    for i, c in enumerate(taylor):
+        out[:, i : i + p.shape[1]] += c * p
     return out
 
 
-def _resonant_coeffs(p: Sequence[float], tau: float, anchor: float) -> Optional[list]:
-    """The integrating-factor solution at ``beta == 0.0``, or ``None`` if
-    it is not finite.
+def _trajectory_basis(solves, polys, steps: int) -> ExpBasis:
+    """The basis of ``steps`` steps of ``solves`` from ``polys``: their rates and
+    each solve's mode rate ``-1/tau``, each block as long as its data plus
+    ``steps`` solves' growth, but at most one step past ``DEGREE_CAP``."""
+    sizes = {-1.0 / solve.tau: 1 for solve in solves}
+    for f in polys:
+        for rate, coeffs in f.terms:
+            sizes[rate] = max(sizes.get(rate, 0), len(coeffs))
 
-    There both shifts multiply by the Taylor polynomial ``(1.0, +-0.0)``
-    of ``e^{+-0.0 t}``. For finite data every product with ``+-0.0`` is a
-    signed zero, and ``0.0`` plus a signed zero is ``+0.0``, so the
-    convolution gives exactly ``0.0 + c`` for each coefficient ``c`` and
-    a trailing ``+0.0``: the general path's bits. A non-finite value times
-    ``+-0.0`` is ``nan`` instead, and the general path keeps such data;
-    a finite result means every value on the way was finite.
+    def size_of(rate: float, n: int) -> int:
+        grow = max(solve.growth(rate) for solve in solves)
+        return min(n + steps * grow, DEGREE_CAP + 1 + grow)
+
+    return ExpBasis.merging(sizes, size_of)
+
+
+class _StepMap:
+    """One resolvent step on rows over ``basis``, ``x -> x P + c M``: ``P =
+    particular`` the particular solution, ``M`` the modes' rows and ``c =
+    coeffs(E)`` the boundary solve on the particular solution's endpoint
+    values ``E`` (one matrix product for a linear ``coeffs``). ``M`` has only
+    the modes' columns, so a state's endpoint values are summed over the
+    rest once and the modes' added last: ``member``, the closing membership
+    test of endpoint values, sees the solve's defect and not a second
+    rounding of the sum. A step past ``DEGREE_CAP`` raises
+    :class:`ValueError`, as :func:`~maccretive.funcspace._merge` does.
     """
-    lifted = [0.0 + c for c in p]
-    lifted.append(0.0)
-    q = [(0.0 + c) / tau for c in _poly_integral(lifted, anchor)]
-    q.append(0.0 / tau)
-    return q if math.isfinite(sum(q)) else None
+
+    def __init__(self, basis, particular, ends, coeffs, modes, member, linear: bool) -> None:
+        self.basis, self.particular, self.coeffs, self.member = basis, particular, coeffs, member
+        self.cols = np.flatnonzero(modes.any(axis=0))
+        self.mode_rows, self.mode_ends = modes[:, self.cols], ends[self.cols]
+        self.rest = np.where(modes.any(axis=0)[:, None], 0.0, ends)
+        self.linear = coeffs(np.eye(ends.shape[1])) @ self.mode_rows if linear else None
+        self._degree = np.tile(basis.positions, len(ends) // basis.dim)
+        self._spill = np.flatnonzero(self._degree > DEGREE_CAP)
+
+    def __call__(self, rows: np.ndarray, read_ends: Optional[Callable] = None):
+        """``(y, ends)``: the step of each row of ``rows`` (or of one row) and
+        the endpoint values of each ``y``. ``read_ends`` reads the particular
+        solution's off its functions, as single states' tests read them."""
+        out = self.particular(rows)
+        rest = out @ self.rest
+        modes = out[..., self.cols]
+        part = None if read_ends is None else self.basis.polys(out.reshape(-1, self.basis.dim))
+        ends = rest + modes @ self.mode_ends if part is None else read_ends(part)
+        if self.linear is not None:
+            modes += ends @ self.linear
+        else:
+            modes += (self.coeffs(np.atleast_2d(ends)) @ self.mode_rows).reshape(modes.shape)
+        out[..., self.cols] = modes
+        spilled = np.atleast_2d(out)[:, self._spill].any(axis=0) if self._spill.size else ()
+        if np.any(spilled):
+            degree = int(self._degree[self._spill][spilled].max())
+            raise ValueError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
+        return out, rest + modes @ self.mode_ends
 
 
 def _fixed_point(step: Callable, x_0, rate: float, norm: Callable):
@@ -496,7 +596,8 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     """Solve ``u + tau*u' = f`` subject to the boundary identity.
 
     The general solution is ``u = p + c e^{-t/tau}``, ``p`` a particular
-    solution; ``e^{-t/tau}`` and its projection coefficients ``(beta_+,
+    solution, here one step of :meth:`Realization1D._step_map` on the row of
+    ``f``; ``e^{-t/tau}`` and its projection coefficients ``(beta_+,
     beta_-)`` come from the realization's plan for ``tau``. With
     ``(alpha_+, alpha_-)`` those of ``p``, the boundary identity
     ``alpha_- + c beta_- = g(alpha_+ + c beta_+)`` is, for the ``e^t``
@@ -523,15 +624,10 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    ctx, g = realization.ctx, realization.g
-    hom, beta_plus, beta_minus = realization._resolvent_plan(tau)
-    t_scale = max(abs(ctx.a), abs(ctx.b))
-    particular = ExpPoly._trusted(_merge(_first_order_terms(f, tau, ctx.a, t_scale)))
-    alpha_plus, alpha_minus = _projection_coeffs(ctx, particular)
-    comp = beta_plus / beta_minus
-    x_0 = alpha_plus - comp * alpha_minus
-    x = _fixed_point(lambda x: x_0 + comp * g(x), x_0, g.lipschitz_cert * abs(comp), abs)
-    u = particular + ((g(x) - alpha_minus) / beta_minus) * hom
+    a, b = realization.ctx.a, realization.ctx.b
+    step = realization._step_map(tau, (f,), 1)
+    out, _ = step(step.basis.rows((f,)), lambda polys: np.array([_eval_pair(polys[0], a, b)]))
+    (u,) = step.basis.polys(out)
     if not in_domain(realization, u, tol=1e-9):
         raise RootNotFound("boundary solve converged to a non-member")
     return u

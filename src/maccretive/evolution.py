@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, TypeVar
 
+import numpy as np
+
 from .blockop import BlockState
 from .errors import ContractionViolated, EvolutionStepFailed
 from .funcspace import ExpPoly, Interval, prune
@@ -85,6 +87,23 @@ def trajectory_postprocessor(interval: Interval, cap: int = TERM_COUNT_CAP):
         if isinstance(state, BlockState):
             return BlockState(prune(state.u, interval), prune(state.v, interval))
         return prune(state, interval)
+
+    return clean
+
+
+def _row_postprocessor(interval: Interval, basis, cap: int = TERM_COUNT_CAP):
+    """:func:`trajectory_postprocessor` for a state given as its functions'
+    coefficient rows over the ``ExpBasis`` ``basis``, side by side: the count
+    of :func:`term_count` and the rule of :func:`prune` on the rows."""
+    degree, starts = basis.positions, np.cumsum([0] + [n for _, n in basis.blocks[:-1]])
+    weight = max(1.0, abs(interval.a), abs(interval.b)) ** degree
+
+    def clean(x: np.ndarray) -> np.ndarray:
+        rows = x.reshape(-1, basis.dim)
+        if np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=1).sum() <= cap:
+            return x
+        reach = np.abs(rows) * weight
+        return np.where(reach > 1e-13 * reach.max(axis=1, keepdims=True), rows, 0.0).reshape(x.shape)
 
     return clean
 

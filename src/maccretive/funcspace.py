@@ -20,10 +20,12 @@ tables are freed with the interval.
 
 Many pairings at once are a few matrix products: :class:`ExpBasis`
 writes functions as coefficient rows over their shared basis
-``t**k e^{mu t}``, one column block per exact rate, and gives the
-basis's table of weighted node values ``V``, by the same rule, and its
-differentiation matrix ``D``. The values of the functions are then
-``rows @ V`` and those of their derivatives ``(rows @ D) @ V``.
+``t**k e^{mu t}``, one column block per rate, and gives the basis's table
+of weighted node values ``V``, by the same rule, its differentiation
+matrix ``D`` and its endpoint rows ``E``: the values of the functions are
+``rows @ V``, of their derivatives ``(rows @ D) @ V``, at the endpoints
+``rows @ E``. An implicit-Euler trajectory keeps its states as rows over
+one basis and takes their norms by :func:`_state_norms`.
 
 Results that are normal by construction (negation, scaling,
 differentiation, pruning) skip the public constructor's coercion and
@@ -31,17 +33,8 @@ merge through ``ExpPoly._trusted``; its invariant is that ``terms`` is
 already exactly what ``ExpPoly(terms)`` would store. Sums whose terms
 are already floats skip only the coercion and go through :func:`_merge`,
 which reads its input without copying it unless two rates merge.
-
-Every implicit-Euler step forms ``f - s*g'`` three times, and
-:func:`_sub_scaled_derivative` does it in one pass and one merge. Each
-fast path here is bit-identical to the composition it replaces, because
-it performs the same floating-point operations in the same order and
-only skips copies and re-checks of values that are already floats in
-normal form: each coefficient of ``-(s*g')`` is summed from ``0.0`` as
-:func:`differentiate` sums it, terms that trim to nothing are dropped
-before rates are grouped, as the composed chain drops them, and
 :func:`_eval_pair` runs the Horner loop of ``ExpPoly.__call__`` at both
-endpoints at once. :func:`prune` on an interval inside ``[-1, 1]``
+endpoints at once, and :func:`prune` on an interval inside ``[-1, 1]``
 weighs each coefficient by ``|c|`` alone, since ``|c| * 1.0**k`` is
 ``|c|`` bit for bit.
 """
@@ -54,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -344,29 +337,6 @@ def differentiate(f: ExpPoly) -> ExpPoly:
     return ExpPoly._trusted(_trim_terms(out))
 
 
-def _sub_scaled_derivative(f: ExpPoly, s: float, g: ExpPoly) -> ExpPoly:
-    """``f - s*g'`` in one pass over the terms of ``g`` and one merge.
-
-    Bit-identical to ``f - s * differentiate(g)``: each coefficient is
-    ``-(s*d)`` with ``d`` summed from ``0.0`` as :func:`differentiate`
-    sums it, and a term that trims to nothing, such as the derivative of
-    a constant, is dropped before :func:`_merge` groups rates, as the
-    composed chain drops it; kept, it could lead a group and move its
-    rate.
-    """
-    terms = list(f.terms)
-    for rate, coeffs in g.terms:
-        new = [
-            -(s * (0.0 + rate * c + k * c_next))
-            for k, c, c_next in zip(range(1, len(coeffs)), coeffs, coeffs[1:])
-        ]
-        new.append(-(s * (0.0 + rate * coeffs[-1])))
-        trimmed = _trim(new)
-        if trimmed:
-            terms.append((rate, trimmed))
-    return ExpPoly._trusted(_merge(terms))
-
-
 def _eval_pair(f: ExpPoly, a: float, b: float) -> tuple[float, float]:
     """``(f(a), f(b))`` in one pass, with the arithmetic of ``ExpPoly.__call__``."""
     fa = fb = 0.0
@@ -419,21 +389,11 @@ def antiderivative(f: ExpPoly, rate_tol: float = 1e-10) -> ExpPoly:
     return ExpPoly(tuple(out))
 
 
-def _horner(coeffs: Sequence[float], t: float) -> float:
-    """Value at ``t`` of the polynomial with ascending ``coeffs``."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_integral(p: Sequence[float], anchor: float = 0.0) -> list:
-    """Antiderivative of the polynomial ``p`` that vanishes at ``anchor``."""
+def _poly_integral(p: Sequence[float]) -> list:
+    """Antiderivative of the polynomial ``p`` that vanishes at 0."""
     q = [0.0] * (len(p) + 1)
     for k in range(1, len(p) + 1):
         q[k] = p[k - 1] / k
-    if anchor:
-        q[0] = -_horner(q[1:], anchor) * anchor
     return q
 
 
@@ -582,6 +542,28 @@ class ExpBasis:
                     sizes[rate] = len(coeffs)
         return cls(sorted(sizes.items()))
 
+    @classmethod
+    def merging(cls, sizes: dict, size_of: Callable[[float, int], int]) -> "ExpBasis":
+        """One block per group of the rates of ``sizes`` that :func:`_merge`
+        merges, on the group's lowest rate and ``size_of(rate, n)`` long for
+        the group's largest size ``n``; :meth:`rows` puts every rate of a
+        group in its block."""
+        groups: list = []  # [lead, size, rates]
+        for rate in sorted(sizes):
+            if not groups or abs(rate - groups[-1][0]) > RATE_MERGE_TOL:
+                groups.append([rate, 0, []])
+            groups[-1][1] = max(groups[-1][1], sizes[rate])
+            groups[-1][2].append(rate)
+        basis = cls((lead, size_of(lead, n)) for lead, n, _ in groups)
+        for lead, _, rates in groups:
+            basis._starts.update(dict.fromkeys(rates, basis._starts[lead]))
+        return basis
+
+    @property
+    def positions(self) -> np.ndarray:
+        """``k`` of each column ``t**k e^{mu t}``."""
+        return np.concatenate([np.arange(n) for _, n in self.blocks])
+
     def rows(self, polys: Sequence[ExpPoly]) -> np.ndarray:
         """The coefficient rows of ``polys``, one per function."""
         starts = self._starts
@@ -598,21 +580,42 @@ class ExpBasis:
 
         The nodes and weights are those of :func:`l2_norm`'s rule for the
         basis's largest block and largest ``|mu|``, so any two functions of
-        the span are paired within that rule's bound. Raises
-        :class:`OverflowError` when a value is not finite, and
+        the span are paired within that rule's bound. The rows past
+        ``DEGREE_CAP``, which no function within the cap uses, are zero.
+        Raises :class:`OverflowError` when a value is not finite, and
         :class:`NormOutOfReach` when no rule covers the basis.
         """
-        size = max([n for _, n in self.blocks], default=0)
+        size = min(max([n for _, n in self.blocks], default=0), DEGREE_CAP + 1)
         rate = max([abs(mu) for mu, _ in self.blocks], default=0.0)
         table = _gauss_table(interval, size, rate)
-        out = np.empty((self.dim, table.nodes.size))
+        out = np.zeros((self.dim, table.nodes.size))
         for mu, n in self.blocks:
             start = self._starts[mu]
-            out[start : start + n] = table.rate_rows(mu)[:n]
+            out[start : start + min(n, size)] = table.rate_rows(mu)[:n]
         if not np.isfinite(out).all():
             raise OverflowError(
                 f"a basis function leaves the floating-point range on [{interval.a}, {interval.b}]"
             )
+        return out
+
+    def polys(self, rows: np.ndarray) -> list:
+        """The functions of coefficient ``rows``, the inverse of :meth:`rows`;
+        past ``DEGREE_CAP`` it raises :class:`ValueError`."""
+        spans = [(rate, self._starts[rate], n) for rate, n in self.blocks]
+        return [
+            ExpPoly._trusted(_merge((rate, row[s : s + n]) for rate, s, n in spans))
+            for row in np.asarray(rows).tolist()
+        ]
+
+    @np.errstate(over="ignore", invalid="ignore")  # a power that overflows is inf
+    def endpoint_rows(self, a: float, b: float) -> np.ndarray:
+        """``E``, the basis functions at ``a`` and ``b``: the endpoint values of
+        rows ``x`` are ``x E``, each exponential ``math.exp``'s, as in
+        :func:`_eval_pair`."""
+        out = np.empty((self.dim, 2))
+        for mu, n in self.blocks:
+            powers = np.array([a, b]) ** np.arange(n)[:, None]
+            out[self._starts[mu] : self._starts[mu] + n] = powers * [math.exp(mu * a), math.exp(mu * b)]
         return out
 
     def derivative(self) -> np.ndarray:
@@ -805,6 +808,22 @@ def _quadrature_norm(polys, interval: Interval) -> float:
     if top == 0.0:
         return 0.0
     return top * math.sqrt(sum([float(np.dot(v / top, v / top)) for v in values]))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
+def _state_norms(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The norm of each state of ``rows``, its functions' coefficient rows side
+    by side over the basis with node table ``table`` (:meth:`ExpBasis.values`),
+    summed rescaled where the squares leave the float range, as
+    :func:`_quadrature_norm` does; ``inf`` where a value is not finite."""
+    values = rows.reshape(len(rows), -1, table.shape[0]) @ table
+    out = np.sqrt(np.einsum("ijk,ijk->i", values, values))
+    if not (out.all() and out.max() < math.inf):
+        for i in np.flatnonzero(~((0.0 < out) & (out < math.inf))):
+            top = float(np.max(np.abs(values[i])))
+            scaled = top * math.sqrt(float(np.sum((values[i] / top) ** 2))) if top else 0.0
+            out[i] = scaled if top < math.inf else math.inf
+    return out
 
 
 def prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:

@@ -400,16 +400,17 @@ def test_input_file_merging(tmp_path):
 
 
 def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
-    import maccretive.cli as cli
+    from maccretive.derivative import _StepMap
 
+    # both trajectories step coefficient rows, one resolvent step per call
     calls = []
-    resolve = cli.resolve
+    step = _StepMap.__call__
 
-    def counting_resolve(realization, rhs, tau):
-        calls.append(tau)
-        return resolve(realization, rhs, tau)
+    def counting_step(self, rows):
+        calls.append(rows.shape)
+        return step(self, rows)
 
-    monkeypatch.setattr(cli, "resolve", counting_resolve)
+    monkeypatch.setattr(_StepMap, "__call__", counting_step)
     spec = {
         "command": "evolve",
         "params": {
@@ -424,7 +425,7 @@ def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, spec)
     assert code == 0
     assert load_report(out)["distance_monotone"] is True
-    assert len(calls) == 2 * 8
+    assert calls == [calls[0]] * (2 * 8) and len(calls[0]) == 1
 
 
 def test_evolve_step_failure_writes_report(tmp_path):
@@ -622,6 +623,24 @@ def test_block_evolve_at_a_small_tau_takes_its_first_step(tmp_path, tau):
     }}
     code, out = run_cli(tmp_path, spec)
     assert load_report(out).get("run_failed_at_step", math.inf) > 1
+
+
+F_HALF = {"kind": "f", "matrix": [[0.5, 0], [0, 0.5]]}
+
+
+@pytest.mark.parametrize(
+    "params, stop",
+    [
+        # the closing membership test fails on roundoff of cancelling terms
+        ({"kind": "block", "realization": F_HALF, "tau": 0.01, "steps": 200}, 7),
+        ({"kind": "block", "realization": F_HALF, "tau": 0.02, "steps": 200}, 9),
+        # the resonant mode gains a degree per step until the cap
+        ({"kind": "derivative", "g": {"kind": "linear", "slope": 0.5}, "tau": 0.01, "steps": 200}, 66),
+    ],
+)
+def test_named_stops_come_no_earlier(tmp_path, params, stop):
+    code, out = run_cli(tmp_path, {"command": "evolve", "params": params})
+    assert load_report(out).get("run_failed_at_step", math.inf) >= stop
 
 
 def test_block_evolve_without_a_unique_resolvent_fails_at_step_one(tmp_path):

@@ -16,7 +16,7 @@ from maccretive.funcspace import (
     Interval,
     _eval_pair,
     _merge,
-    _sub_scaled_derivative,
+    _state_norms,
     absorb_rate_shift,
     antiderivative,
     differentiate,
@@ -657,9 +657,36 @@ def test_basis_rows_and_derivative():
     assert ExpBasis.spanning([]).dim == 0
 
 
+def test_merging_basis_rows_polys_ends_and_norms():
+    near = 2.0 + 0.6 * RATE_MERGE_TOL
+    f = ExpPoly(((-1.0, (2.0,)), (2.0, (1.0, -3.0))))
+    g = ExpPoly(((near, (4.0, 0.0, 0.5)),))
+    # rates within RATE_MERGE_TOL of the lowest of their group share its block
+    basis = ExpBasis.merging({-1.0: 1, 2.0: 2, near: 3, 5.0: 1}, lambda rate, n: n + (rate == 5.0))
+    assert basis.blocks == ((-1.0, 1), (2.0, 3), (5.0, 2))
+    assert basis.positions.tolist() == [0, 0, 1, 2, 0, 1]
+    rows = basis.rows([f, g])
+    assert rows.tolist() == [[2.0, 1.0, -3.0, 0.0, 0.0, 0.0], [0.0, 4.0, 0.0, 0.5, 0.0, 0.0]]
+    back = basis.polys(rows)
+    assert back[0].terms == f.terms
+    assert back[1].terms == ((2.0, (4.0, 0.0, 0.5)),)
+    iv = Interval(-0.5, 1.2)
+    for h, ends in zip(back, rows @ basis.endpoint_rows(iv.a, iv.b)):
+        assert ends.tolist() == pytest.approx([h(iv.a), h(iv.b)], rel=1e-15)
+    norms = _state_norms(rows, basis.values(iv))
+    assert norms.tolist() == pytest.approx([l2_norm(h, iv) for h in back], rel=1e-14)
+    # two functions side by side are one state
+    both = _state_norms(rows.reshape(1, -1), basis.values(iv))[0]
+    assert both == pytest.approx(math.hypot(*norms), rel=1e-14)
+    # squares beyond the float range are summed rescaled; values that are not finite are inf
+    assert _state_norms(1e200 * rows[:1], basis.values(iv))[0] == pytest.approx(1e200 * norms[0], rel=1e-14)
+    assert _state_norms(np.array([[math.inf, 0, 0, 0, 0, 0]]), basis.values(iv)).tolist() == [math.inf]
+    with pytest.raises(ValueError, match="exceeds cap"):
+        ExpBasis([(0.0, DEGREE_CAP + 2)]).polys(np.ones((1, DEGREE_CAP + 2)))
+
+
 # ----------------------------------------------------------------------
-# the merge and the fused implicit-Euler operations against their
-# earlier forms
+# the merge and the pruning rule against their earlier forms
 # ----------------------------------------------------------------------
 
 
@@ -731,11 +758,6 @@ def test_merge_matches_its_earlier_form(terms):
     assert _outcome(_merge, tuple(terms)) == expected
 
 
-def reference_sub_scaled_derivative(f: ExpPoly, s: float, g: ExpPoly) -> ExpPoly:
-    """``f - s * differentiate(g)`` as the public operations compose it."""
-    return f + (-(s * differentiate(g)))
-
-
 def reference_prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
     base = max(1.0, abs(interval.a), abs(interval.b))
     scale = 0.0
@@ -763,33 +785,6 @@ def euler_exppolys(draw) -> ExpPoly:
         coeffs = draw(st.lists(coeff_or_zero, min_size=deg + 1, max_size=deg + 1))
         terms.append((mu, coeffs))
     return ExpPoly(tuple(terms))
-
-
-EULER_SCALES = st.one_of(st.sampled_from([0.5, 0.1, 1.0, 0.0, -0.0, -0.5, 1e-300]), coeff)
-
-
-@settings(max_examples=150, deadline=None)
-@given(f=euler_exppolys(), g=euler_exppolys(), s=EULER_SCALES)
-def test_fused_sub_scaled_derivative_matches_composed_chain(f, g, s):
-    try:
-        expected = reference_sub_scaled_derivative(f, s, g).terms
-    except ValueError:
-        with pytest.raises(ValueError):
-            _sub_scaled_derivative(f, s, g)
-        return
-    assert same(_sub_scaled_derivative(f, s, g).terms, expected)
-    assert same((f - g).terms, (f + (-g)).terms)
-
-
-def test_fused_sub_drops_a_constant_before_grouping_rates():
-    # g' drops g's rate-0 constant; kept as an empty term, it would lead
-    # the group of f's term at 0.6e-14 and move that term to rate 0
-    f_rate = 0.6 * RATE_MERGE_TOL
-    f = ExpPoly(((f_rate, (1.0, -0.0, 2.0)),))
-    g = ExpPoly(((0.0, (5.0,)), (2.0, (1.0, -1.0))))
-    fused = _sub_scaled_derivative(f, 0.5, g)
-    assert same(fused.terms, reference_sub_scaled_derivative(f, 0.5, g).terms)
-    assert fused.rates == (f_rate, 2.0)
 
 
 @settings(max_examples=100, deadline=None)
