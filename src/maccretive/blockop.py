@@ -490,8 +490,6 @@ class BlockRealization:
             u = (rows[..., :n] - tau * (rows[..., n:] @ d)) @ solve
             return np.concatenate([u, rows[..., n:] - tau * (u @ d)], axis=-1)
 
-        ends = np.zeros((2 * n, 4))
-        ends[:n, :2] = ends[n:, 2:] = basis.endpoint_rows(self.ctx.a, self.ctx.b)
         modes = basis.rows((ExpPoly.exponential(1.0 / tau), ExpPoly.exponential(-1.0 / tau)))
         to_z, kernel = _endpoint_maps(self.ctx)[0].T, self._description_kernel
 
@@ -500,7 +498,7 @@ class BlockRealization:
             return _solve_boundary_coeffs(self, plan, z[:, :2], z[:, 2:])
 
         return _StepMap(
-            basis, particular, ends, coeffs, np.hstack([modes, -tau * (modes @ d)]),
+            basis, self.ctx.interval, particular, coeffs, np.hstack([modes, -tau * (modes @ d)]),
             lambda ends: kernel.verdicts(ends, 1e-8)[:, 0],
             linear=isinstance(self.description, LinearRelation),
         )
@@ -577,12 +575,10 @@ def block_resolve(
         raise ValueError("tau must be positive")
     polys = (rhs.u, rhs.v)
     step = realization._step_map(tau, polys, 1)
-    read_ends = lambda part: _endpoint_values(realization.ctx, (BlockState(*part),))  # noqa: E731
-    out, _ = step(step.basis.rows(polys).reshape(1, -1), read_ends)
-    result = BlockState(*step.basis.polys(out.reshape(2, -1)))
-    if not realization.domain_test(result, tol=1e-8):
+    out, ends = step(step.basis.rows(polys).reshape(1, -1))
+    if not step.member(ends)[0]:
         raise RootNotFound("block boundary solve converged to a non-member")
-    return result
+    return BlockState(*step.basis.polys(out.reshape(2, -1)))
 
 
 class _Plan(NamedTuple):

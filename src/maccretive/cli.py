@@ -405,14 +405,16 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     """``(basis, rows, solutions)`` of the block resolvents of ``rhss`` at ``tau``,
     one batch of rows ``(u, v)`` over their shared basis, the solutions up to
-    the first ``block_resolve`` would raise :class:`RootNotFound` for."""
+    the first that fails the closing membership test, where a loop of
+    ``block_resolve`` would raise :class:`RootNotFound`. The CLI's
+    realizations are linear, so no row's boundary solve raises."""
     polys = [f for rhs in rhss for f in (rhs.u, rhs.v)]
     try:
         step = realization._step_map(tau, polys, 1)
-        rows = step.basis.rows(polys).reshape(len(rhss), -1)
-        out, ends = step(rows)
     except RootNotFound:
         return None, None, ()
+    rows = step.basis.rows(polys).reshape(len(rhss), -1)
+    out, ends = step(rows)
     member = step.member(ends)
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 

@@ -240,7 +240,7 @@ class Realization1D:
             return out
 
         return _StepMap(
-            basis, lambda rows: rows @ particular, basis.endpoint_rows(ctx.a, ctx.b), coeffs,
+            basis, ctx.interval, lambda rows: rows @ particular, coeffs,
             basis.rows((ExpPoly.exponential(-1.0 / tau),)),
             lambda ends: _members(self, ends, 1e-9), linear=False,
         )
@@ -506,58 +506,53 @@ def _trajectory_basis(solves, polys, steps: int) -> ExpBasis:
     """The basis of ``steps`` steps of ``solves`` from ``polys``: their rates and
     each solve's mode rate ``-1/tau``, each block as long as its data plus
     ``steps`` solves' growth, but at most one step past ``DEGREE_CAP``."""
-    sizes = {-1.0 / solve.tau: 1 for solve in solves}
-    for f in polys:
-        for rate, coeffs in f.terms:
-            sizes[rate] = max(sizes.get(rate, 0), len(coeffs))
-
-    def size_of(rate: float, n: int) -> int:
+    sizes = dict(ExpBasis.spanning(polys).blocks)
+    for rate in {*sizes, *(-1.0 / solve.tau for solve in solves)}:
         grow = max(solve.growth(rate) for solve in solves)
-        return min(n + steps * grow, DEGREE_CAP + 1 + grow)
-
-    return ExpBasis.merging(sizes, size_of)
+        sizes[rate] = min(sizes.get(rate, 1) + steps * grow, DEGREE_CAP + 1 + grow)
+    return ExpBasis.merging(sizes)
 
 
 class _StepMap:
     """One resolvent step on rows over ``basis``, ``x -> x P + c M``: ``P =
     particular`` the particular solution, ``M`` the modes' rows and ``c =
     coeffs(E)`` the boundary solve on the particular solution's endpoint
-    values ``E`` (one matrix product for a linear ``coeffs``). ``M`` has only
-    the modes' columns, so a state's endpoint values are summed over the
-    rest once and the modes' added last: ``member``, the closing membership
-    test of endpoint values, sees the solve's defect and not a second
-    rounding of the sum. A step past ``DEGREE_CAP`` raises
-    :class:`ValueError`, as :func:`~maccretive.funcspace._merge` does.
+    values ``E`` on ``interval`` (one matrix product for a linear ``coeffs``).
+    Every endpoint value is read by :meth:`ExpBasis.endpoint_values`, the
+    arithmetic of :func:`_eval_pair`, so ``member``, the closing membership
+    test of a step's endpoint values, decides as :func:`in_domain` and
+    ``domain_test`` decide on the step's functions. A step past
+    ``DEGREE_CAP`` raises :class:`ValueError`, as
+    :func:`~maccretive.funcspace._merge` does.
     """
 
-    def __init__(self, basis, particular, ends, coeffs, modes, member, linear: bool) -> None:
+    def __init__(self, basis, interval, particular, coeffs, modes, member, linear: bool) -> None:
         self.basis, self.particular, self.coeffs, self.member = basis, particular, coeffs, member
+        self.interval, self.width = interval, 2 * modes.shape[1] // basis.dim
         self.cols = np.flatnonzero(modes.any(axis=0))
-        self.mode_rows, self.mode_ends = modes[:, self.cols], ends[self.cols]
-        self.rest = np.where(modes.any(axis=0)[:, None], 0.0, ends)
-        self.linear = coeffs(np.eye(ends.shape[1])) @ self.mode_rows if linear else None
-        self._degree = np.tile(basis.positions, len(ends) // basis.dim)
+        self.mode_rows = modes[:, self.cols]
+        self.linear = coeffs(np.eye(self.width)) @ self.mode_rows if linear else None
+        self._degree = np.tile(basis.positions, self.width // 2)
         self._spill = np.flatnonzero(self._degree > DEGREE_CAP)
 
-    def __call__(self, rows: np.ndarray, read_ends: Optional[Callable] = None):
+    def __call__(self, rows: np.ndarray):
         """``(y, ends)``: the step of each row of ``rows`` (or of one row) and
-        the endpoint values of each ``y``. ``read_ends`` reads the particular
-        solution's off its functions, as single states' tests read them."""
+        the endpoint values of each ``y``, those of each of its functions side
+        by side. The modes change only the columns of ``t**0``, which Horner's
+        rule adds last, so ``y`` shares the particular solution's heads."""
         out = self.particular(rows)
-        rest = out @ self.rest
-        modes = out[..., self.cols]
-        part = None if read_ends is None else self.basis.polys(out.reshape(-1, self.basis.dim))
-        ends = rest + modes @ self.mode_ends if part is None else read_ends(part)
-        if self.linear is not None:
-            modes += ends @ self.linear
-        else:
-            modes += (self.coeffs(np.atleast_2d(ends)) @ self.mode_rows).reshape(modes.shape)
-        out[..., self.cols] = modes
-        spilled = np.atleast_2d(out)[:, self._spill].any(axis=0) if self._spill.size else ()
+        a, b = self.interval.a, self.interval.b
+        heads = self.basis.endpoint_heads(out, a, b)
+        ends = self.basis.endpoint_values(out, a, b, heads).reshape(-1, self.width)
+        coeffs = ends @ self.linear if self.linear is not None else self.coeffs(ends) @ self.mode_rows
+        states = out.reshape(-1, out.shape[-1])
+        states[:, self.cols] += coeffs
+        spilled = states[:, self._spill].any(axis=0) if self._spill.size else ()
         if np.any(spilled):
             degree = int(self._degree[self._spill][spilled].max())
             raise ValueError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
-        return out, rest + modes @ self.mode_ends
+        ends = self.basis.endpoint_values(states, a, b, heads).reshape(-1, self.width)
+        return states.reshape(out.shape), ends
 
 
 def _fixed_point(step: Callable, x_0, rate: float, norm: Callable):
@@ -598,7 +593,8 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     The general solution is ``u = p + c e^{-t/tau}``, ``p`` a particular
     solution, here one step of :meth:`Realization1D._step_map` on the row of
     ``f``; ``e^{-t/tau}`` and its projection coefficients ``(beta_+,
-    beta_-)`` come from the realization's plan for ``tau``. With
+    beta_-)`` come from the realization's plan for ``tau``. A result that
+    fails :func:`in_domain` raises :class:`RootNotFound`. With
     ``(alpha_+, alpha_-)`` those of ``p``, the boundary identity
     ``alpha_- + c beta_- = g(alpha_+ + c beta_+)`` is, for the ``e^t``
     coefficient ``x = pi_plus(u)``, the fixed point
@@ -624,13 +620,11 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    a, b = realization.ctx.a, realization.ctx.b
     step = realization._step_map(tau, (f,), 1)
-    out, _ = step(step.basis.rows((f,)), lambda polys: np.array([_eval_pair(polys[0], a, b)]))
-    (u,) = step.basis.polys(out)
-    if not in_domain(realization, u, tol=1e-9):
+    out, ends = step(step.basis.rows((f,)))
+    if not step.member(ends)[0]:
         raise RootNotFound("boundary solve converged to a non-member")
-    return u
+    return step.basis.polys(out)[0]
 
 
 def extract_h(

@@ -91,7 +91,7 @@ def trajectory_postprocessor(interval: Interval, cap: int = TERM_COUNT_CAP):
     return clean
 
 
-def _row_postprocessor(interval: Interval, basis, cap: int = TERM_COUNT_CAP):
+def _row_postprocessor(interval: Interval, basis):
     """:func:`trajectory_postprocessor` for a state given as its functions'
     coefficient rows over the ``ExpBasis`` ``basis``, side by side: the count
     of :func:`term_count` and the rule of :func:`prune` on the rows."""
@@ -100,7 +100,7 @@ def _row_postprocessor(interval: Interval, basis, cap: int = TERM_COUNT_CAP):
 
     def clean(x: np.ndarray) -> np.ndarray:
         rows = x.reshape(-1, basis.dim)
-        if np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=1).sum() <= cap:
+        if np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=1).sum() <= TERM_COUNT_CAP:
             return x
         reach = np.abs(rows) * weight
         return np.where(reach > 1e-13 * reach.max(axis=1, keepdims=True), rows, 0.0).reshape(x.shape)

@@ -21,11 +21,12 @@ tables are freed with the interval.
 Many pairings at once are a few matrix products: :class:`ExpBasis`
 writes functions as coefficient rows over their shared basis
 ``t**k e^{mu t}``, one column block per rate, and gives the basis's table
-of weighted node values ``V``, by the same rule, its differentiation
-matrix ``D`` and its endpoint rows ``E``: the values of the functions are
-``rows @ V``, of their derivatives ``(rows @ D) @ V``, at the endpoints
-``rows @ E``. An implicit-Euler trajectory keeps its states as rows over
-one basis and takes their norms by :func:`_state_norms`.
+of weighted node values ``V``, by the same rule, and its differentiation
+matrix ``D``: the values of the functions are ``rows @ V`` and those of
+their derivatives ``(rows @ D) @ V``. Their endpoint values are read by
+Horner's rule on each block, as :func:`_eval_pair` reads them. An
+implicit-Euler trajectory keeps its states as rows over one basis and
+takes their norms by :func:`_state_norms`.
 
 Results that are normal by construction (negation, scaling,
 differentiation, pruning) skip the public constructor's coercion and
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -520,14 +521,16 @@ class ExpBasis:
     rule for ``f`` and ``g`` alone.
     """
 
-    __slots__ = ("blocks", "dim", "_starts")
+    __slots__ = ("blocks", "dim", "_starts", "_block_starts")
 
     def __init__(self, blocks: Iterable[tuple[float, int]]) -> None:
         self.blocks = tuple(blocks)
         self._starts = {}  # the column of t**0 e^{mu t} by rate mu
+        self._block_starts = []  # the same, block by block
         column = 0
         for rate, size in self.blocks:
             self._starts[rate] = column
+            self._block_starts.append(column)
             column += size
         self.dim = column
 
@@ -543,18 +546,17 @@ class ExpBasis:
         return cls(sorted(sizes.items()))
 
     @classmethod
-    def merging(cls, sizes: dict, size_of: Callable[[float, int], int]) -> "ExpBasis":
+    def merging(cls, sizes: dict) -> "ExpBasis":
         """One block per group of the rates of ``sizes`` that :func:`_merge`
-        merges, on the group's lowest rate and ``size_of(rate, n)`` long for
-        the group's largest size ``n``; :meth:`rows` puts every rate of a
-        group in its block."""
+        merges, on the group's lowest rate and as long as the group's largest
+        size; :meth:`rows` puts every rate of a group in its block."""
         groups: list = []  # [lead, size, rates]
         for rate in sorted(sizes):
             if not groups or abs(rate - groups[-1][0]) > RATE_MERGE_TOL:
                 groups.append([rate, 0, []])
             groups[-1][1] = max(groups[-1][1], sizes[rate])
             groups[-1][2].append(rate)
-        basis = cls((lead, size_of(lead, n)) for lead, n, _ in groups)
+        basis = cls((lead, n) for lead, n, _ in groups)
         for lead, _, rates in groups:
             basis._starts.update(dict.fromkeys(rates, basis._starts[lead]))
         return basis
@@ -607,16 +609,41 @@ class ExpBasis:
             for row in np.asarray(rows).tolist()
         ]
 
-    @np.errstate(over="ignore", invalid="ignore")  # a power that overflows is inf
-    def endpoint_rows(self, a: float, b: float) -> np.ndarray:
-        """``E``, the basis functions at ``a`` and ``b``: the endpoint values of
-        rows ``x`` are ``x E``, each exponential ``math.exp``'s, as in
-        :func:`_eval_pair`."""
-        out = np.empty((self.dim, 2))
-        for mu, n in self.blocks:
-            powers = np.array([a, b]) ** np.arange(n)[:, None]
-            out[self._starts[mu] : self._starts[mu] + n] = powers * [math.exp(mu * a), math.exp(mu * b)]
+    def endpoint_heads(self, rows: np.ndarray, a: float, b: float) -> list:
+        """For each function of coefficient ``rows``, the list over its blocks
+        ``c_0 + t q(t)`` of ``(q(a) a, q(b) b)`` by Horner's rule as
+        :func:`_eval_pair` runs it, whose last step adds ``c_0``."""
+        spans = [(start + 1, start + n) for start, (_, n) in zip(self._block_starts, self.blocks)]
+        out = []
+        for row in rows.reshape(-1, self.dim).tolist():
+            heads = []
+            for start, stop in spans:
+                q = row[start:stop]
+                while q and q[-1] == 0.0:  # trailing zeros, which polys trims
+                    del q[-1]
+                pa = pb = 0.0
+                for c in reversed(q):
+                    pa = pa * a + c
+                    pb = pb * b + c
+                heads.append((pa * a, pb * b))
+            out.append(heads)
         return out
+
+    def endpoint_values(self, rows: np.ndarray, a: float, b: float, heads: list) -> np.ndarray:
+        """``(f(a), f(b))``, one row per function of coefficient ``rows``, with
+        the arithmetic of :func:`_eval_pair` on its :meth:`polys`: each block's
+        ``q(t) t + c_0``, from the ``heads`` of :meth:`endpoint_heads` on these
+        rows or on rows that differ only in their ``c_0``, times ``math.exp``,
+        summed in rate order."""
+        exps = [(math.exp(mu * a), math.exp(mu * b)) for mu, _ in self.blocks]
+        out = []
+        for row, blocks in zip(rows.reshape(-1, self.dim).tolist(), heads):
+            fa = fb = 0.0
+            for start, (head_a, head_b), (exp_a, exp_b) in zip(self._block_starts, blocks, exps):
+                fa += (head_a + row[start]) * exp_a
+                fb += (head_b + row[start]) * exp_b
+            out.append((fa, fb))
+        return np.array(out).reshape(-1, 2)
 
     def derivative(self) -> np.ndarray:
         """``D``, the derivative of each basis function as a row over the basis.
@@ -794,15 +821,19 @@ def _node_values(polys, interval: Interval) -> list:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
 def _quadrature_norm(polys, interval: Interval) -> float:
     """``sqrt(sum ||f||**2)`` over ``polys``, all by one rule (see :func:`l2_norm`)."""
-    values = [v for v in _node_values(polys, interval) if v is not None]
-    if not values:
-        return 0.0
+    return _root_sum_square([v for v in _node_values(polys, interval) if v is not None])
+
+
+def _root_sum_square(values) -> float:
+    """``sqrt(sum v . v)`` over the vectors ``values``, summed rescaled by the
+    largest ``|v|`` where the squares leave the float range; ``inf`` where a
+    value is not finite. Its callers ignore overflow."""
     square = 0.0
     for v in values:
         square += np.dot(v, v)
     if 0.0 < square < math.inf:
         return math.sqrt(square)
-    top = max([float(np.max(np.abs(v))) for v in values])
+    top = max([float(np.max(np.abs(v))) for v in values], default=0.0)
     if not top < math.inf:  # a value overflowed, or is nan
         return math.inf
     if top == 0.0:
@@ -814,15 +845,11 @@ def _quadrature_norm(polys, interval: Interval) -> float:
 def _state_norms(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """The norm of each state of ``rows``, its functions' coefficient rows side
     by side over the basis with node table ``table`` (:meth:`ExpBasis.values`),
-    summed rescaled where the squares leave the float range, as
-    :func:`_quadrature_norm` does; ``inf`` where a value is not finite."""
+    by :func:`_root_sum_square` where the squares leave the float range."""
     values = rows.reshape(len(rows), -1, table.shape[0]) @ table
     out = np.sqrt(np.einsum("ijk,ijk->i", values, values))
-    if not (out.all() and out.max() < math.inf):
-        for i in np.flatnonzero(~((0.0 < out) & (out < math.inf))):
-            top = float(np.max(np.abs(values[i])))
-            scaled = top * math.sqrt(float(np.sum((values[i] / top) ** 2))) if top else 0.0
-            out[i] = scaled if top < math.inf else math.inf
+    for i in np.flatnonzero(~((0.0 < out) & (out < math.inf))):
+        out[i] = _root_sum_square(list(values[i]))
     return out
 
 

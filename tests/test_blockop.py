@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1080,7 +1081,9 @@ def _euler_rhs(rng: np.random.Generator, mu: float, tau: float, degree: int) -> 
 def test_block_resolve_matches_composed_step(interval, tau_mu):
     """Three steps of the matrix step against the term algebra it replaced,
     within ``ROUNDING`` of the terms' magnitudes, on the cases that once
-    pinned it bit for bit."""
+    pinned it bit for bit. Where the term algebra's result fails the 1e-8
+    test, the step, which sums in another order, raises or lands within
+    that bound of it; past the degree cap both raise the same error."""
     ctx = DerivativeContext(Interval(*interval))
     space = bd_space(ctx)
     rng = np.random.default_rng([round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))])
@@ -1094,15 +1097,19 @@ def test_block_resolve_matches_composed_step(interval, tau_mu):
         for _ in range(3):
             try:
                 ref, member = composed_block_resolve(real, state, BAND_TAU)
-            except ValueError:  # resonant steps can pass the degree cap
-                with pytest.raises(ValueError, match="exceeds cap 64"):
+            except ValueError as exc:  # resonant steps can pass the degree cap
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
                     block_resolve(real, state, BAND_TAU)
                 break
-            if not member:
+            try:
+                out = block_resolve(real, state, BAND_TAU)
+            except RootNotFound:
+                assert not member
                 break
-            out = block_resolve(real, state, BAND_TAU)
             scale = term_majorant((state.u, state.v, ref.u, ref.v), ctx.interval)
             assert state_l2_norm(out - ref, ctx.interval) <= ROUNDING * scale
             ends = [[s.u(ctx.a), s.u(ctx.b), s.v(ctx.a), s.v(ctx.b)] for s in (state, out)]
             assert repr(blockop._endpoint_values(ctx, (state, out)).tolist()) == repr(ends)
+            if not member:
+                break
             state = out

@@ -643,6 +643,20 @@ def test_named_stops_come_no_earlier(tmp_path, params, stop):
     assert load_report(out).get("run_failed_at_step", math.inf) >= stop
 
 
+@pytest.mark.parametrize("g", [{"kind": "linear"}, {"kind": "scaledsin"}])
+def test_evolve_at_the_lipschitz_bound_and_a_long_step_runs_through(tmp_path, g):
+    # tau = 300 on [-0.7, -0.69] with g at the bound e^{a+b}: the boundary
+    # solve cancels large terms, and the closing test reads the result as
+    # in_domain does
+    bound = math.exp(-0.7 - 0.69)
+    g = {**g, "slope": bound} if g["kind"] == "linear" else {**g, "amplitude": bound}
+    code, out = run_cli(tmp_path, {"command": "evolve", "params": {
+        "kind": "derivative", "interval": {"a": -0.7, "b": -0.69}, "g": g, "tau": 300.0, "steps": 50,
+    }})
+    assert code == 0
+    assert "run_failed_at_step" not in load_report(out)
+
+
 def test_block_evolve_without_a_unique_resolvent_fails_at_step_one(tmp_path):
     # S = T = diag(1, 0) is the relation u_1 = v_1 of dimension 3, whose
     # resolvent equation has a line of solutions; a least squares boundary

@@ -662,7 +662,7 @@ def test_merging_basis_rows_polys_ends_and_norms():
     f = ExpPoly(((-1.0, (2.0,)), (2.0, (1.0, -3.0))))
     g = ExpPoly(((near, (4.0, 0.0, 0.5)),))
     # rates within RATE_MERGE_TOL of the lowest of their group share its block
-    basis = ExpBasis.merging({-1.0: 1, 2.0: 2, near: 3, 5.0: 1}, lambda rate, n: n + (rate == 5.0))
+    basis = ExpBasis.merging({-1.0: 1, 2.0: 2, near: 3, 5.0: 2})
     assert basis.blocks == ((-1.0, 1), (2.0, 3), (5.0, 2))
     assert basis.positions.tolist() == [0, 0, 1, 2, 0, 1]
     rows = basis.rows([f, g])
@@ -671,8 +671,10 @@ def test_merging_basis_rows_polys_ends_and_norms():
     assert back[0].terms == f.terms
     assert back[1].terms == ((2.0, (4.0, 0.0, 0.5)),)
     iv = Interval(-0.5, 1.2)
-    for h, ends in zip(back, rows @ basis.endpoint_rows(iv.a, iv.b)):
-        assert ends.tolist() == pytest.approx([h(iv.a), h(iv.b)], rel=1e-15)
+    # endpoint values with the bits of Horner's rule on each function
+    heads = basis.endpoint_heads(rows, iv.a, iv.b)
+    for h, ends in zip(back, basis.endpoint_values(rows, iv.a, iv.b, heads)):
+        assert repr(ends.tolist()) == repr([h(iv.a), h(iv.b)])
     norms = _state_norms(rows, basis.values(iv))
     assert norms.tolist() == pytest.approx([l2_norm(h, iv) for h in back], rel=1e-14)
     # two functions side by side are one state

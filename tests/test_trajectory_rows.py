@@ -5,6 +5,8 @@ The CLI steps implicit-Euler trajectories as rows over one ``ExpBasis``
 with the term algebra they replaced (``composed_step``).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ def test_50_vector_steps_match_50_composed_steps(params):
     for _ in range(50):
         y, ends = step(x)
         out, member = composed_block_resolve(real, ref, tau)
-        assert member and step.member(ends[None])[0]
+        assert member and step.member(ends)[0]
         x, ref = clean_rows(y), clean(out)
         state = BlockState(*step.basis.polys(x.reshape(2, -1)))
         scale = max(scale, term_majorant((ref.u, ref.v), iv))
@@ -95,3 +97,34 @@ def test_batched_resolves_stop_where_block_resolve_raises():
     with pytest.raises(RootNotFound):
         block_resolve(real, rhss[0], 0.5)
     assert cli._block_resolves(real, rhss, 0.5) == (None, None, ())
+
+
+@pytest.mark.parametrize("bad", [
+    # the defect's squares overflow
+    BlockState(ExpPoly.constant(1e300), ExpPoly.exponential(1.0, -1e300)),
+    BlockState(ExpPoly.constant(math.nan), ExpPoly.exponential(1.0)),
+], ids=["overflow", "nan"])
+@np.errstate(over="ignore", invalid="ignore")
+def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
+    """Right-hand sides third and fifth of five whose solves are not
+    members: the batched resolves keep the two solutions before the first,
+    and a run stepping the same rows reports step 3, where a loop of
+    ``block_resolve`` raises first."""
+    ctx = DerivativeContext(Interval(0.0, 1.0))
+    real = cli._block_realization(ctx, {"kind": "M", "matrix": [[0.0, 0.5], [-0.5, 0.0]]})
+    rng = np.random.default_rng(5)
+    rhss = [cli._random_block_state(rng) for _ in range(2)] + [bad, cli._random_block_state(rng), bad]
+    raised = []
+    for n, rhs in enumerate(rhss, 1):
+        try:
+            block_resolve(real, rhs, 0.5)
+        except RootNotFound:
+            raised.append(n)
+    assert raised == [3, 5]
+    assert len(cli._block_resolves(real, rhss, 0.5)[2]) == 2
+    polys = [f for rhs in rhss for f in (rhs.u, rhs.v)]
+    step = real._step_map(0.5, polys, 1)
+    resolvent, first_non_member = cli._recorded(step, lambda x: x)
+    for row in step.basis.rows(polys).reshape(len(rhss), -1):
+        resolvent(row, 0.5)
+    assert first_non_member() == 3
