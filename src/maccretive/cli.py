@@ -47,20 +47,8 @@ from .derivative import (
     in_domain,
     resolve,
 )
-from .errors import (
-    ContractionViolated,
-    EvolutionStepFailed,
-    NormOutOfReach,
-    RootNotFound,
-    SchemaError,
-)
-from .evolution import (
-    SchemeConfig,
-    TrajectoryRecord,
-    _row_postprocessor,
-    contraction_report,
-    evolve,
-)
+from .errors import NormOutOfReach, RootNotFound, SchemaError
+from .evolution import _row_postprocessor
 from .funcspace import (
     DEGREE_CAP,
     ExpBasis,
@@ -419,23 +407,9 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 
 
-def _recorded(step, clean):
-    """``(resolvent, first_non_member)``: ``resolvent(x, tau)`` steps the row
-    ``x`` and prunes it with ``clean``, keeping the output's endpoint values;
-    ``first_non_member()`` is the number of the first step whose output fails
-    the closing membership test, or ``None``, all tested in one batch."""
-    ends = []
-
-    def resolvent(x: np.ndarray, _tau: float) -> np.ndarray:
-        y, y_ends = step(x)
-        ends.append(y_ends)
-        return clean(y)
-
-    def first_non_member() -> Optional[int]:
-        member = step.member(np.vstack(ends)) if ends else np.ones(1, bool)
-        return None if member.all() else int(np.argmin(member)) + 1
-
-    return resolvent, first_non_member
+def _first_false(flags: np.ndarray) -> Optional[int]:
+    """The number, from 1, of the first false entry of ``flags``, or ``None``."""
+    return None if flags.all() else int(np.argmin(flags)) + 1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
@@ -704,20 +678,23 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     run_failed_at = 1 if basis is None else None  # no resolvent plan at this tau
     if basis is not None:
         step = realization._step_map(tau, (state.u, state.v), steps)
-        table = step.basis.values(iv)
-        resolvent, first_non_member = _recorded(step, _row_postprocessor(iv, step.basis))
-        x = step.basis.rows((state.u, state.v)).ravel()
+        table, clean = step.basis.values(iv), _row_postprocessor(iv, step.basis)
+        x, ends, spill = step.basis.rows((state.u, state.v)).ravel(), [], None
         try:
             for n in range(1, steps + 1):
-                x = resolvent(x, tau)
+                x, x_ends = step(x)
+                x = clean(x)
+                ends.append(x_ends)
                 energies.append(_state_norms(x[None], table)[0] ** 2)
                 if energies[-1] > energies[-2] * (1 + 1e-10):
                     first_increase = n
                     break
-        except ValueError:  # a block passed the degree cap
-            if first_non_member() is None:
-                raise
-        run_failed_at = first_non_member()
+        except ValueError as exc:  # a block passed the degree cap
+            spill = exc
+        # the closing membership test of every step taken, in one batch
+        run_failed_at = _first_false(step.member(np.vstack(ends))) if ends else None
+        if spill is not None and run_failed_at is None:
+            raise spill
         if run_failed_at is not None:
             first_increase = None
             del energies[run_failed_at:]
@@ -747,11 +724,32 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     return body, failures, (["step", "time", "norm", "energy"], rows)
 
 
+def _lockstep(step, x: np.ndarray, steps: int, clean):
+    """``(states, ends, raised)``: up to ``steps`` steps of the batch of rows ``x``,
+    at most two, each with the bits of stepping it alone, pruned by ``clean``:
+    ``states[n]`` after ``n`` steps, ``ends[n - 1]`` its endpoint values. A
+    batch raises for all its rows: its last row then leaves it, at the step
+    ``raised[i]`` for row ``i``, and the step is taken again on the rows left."""
+    states, ends, raised = [x], [], [None] * len(x)
+    while len(states) <= steps:
+        try:
+            y, y_ends = step(x[:, None])
+        except Exception:  # noqa: BLE001 - any error stops a run, as in evolution.evolve
+            raised[len(x) - 1] = len(states)
+            if len(x) == 1:
+                break
+            x = x[:1]
+            continue
+        x = clean(y[:, 0])
+        states.append(x)
+        ends.append(y_ends)
+    return states, ends, raised
+
+
 def _suite_evolve(p: dict, seed: int, tol: float):
     iv = p["interval"]
     ctx = DerivativeContext(iv)
     kind, tau, steps = p["kind"], p["tau"], p["steps"]
-    cfg = SchemeConfig(tau=tau, steps=steps, tol=tol)
 
     # the state type, the default u0 and the needed parameter depend on kind
     if kind == "derivative":
@@ -773,49 +771,44 @@ def _suite_evolve(p: dict, seed: int, tol: float):
     v0 = _finite_on(iv, parse_state(p["v0"], "v0"), "v0") if "v0" in p else None
     starts = (u0,) if v0 is None else (u0, v0)
 
-    run_failed_at = distances = monotone = None
+    distances = monotone = None
     failures = []
     try:
         step = realization._step_map(tau, [f for s in starts for f in parts(s)], steps)
     except RootNotFound:  # the first step fails
-        record = TrajectoryRecord()
-        record.append(u0, l2(u0, iv), 0.0)
-        run_failed_at = 1
+        norms, run_failed_at = [l2(u0, iv)], 1
         if v0 is not None:
             distances, monotone = [l2(u0 - v0, iv)], True
     else:
-        # both runs step coefficient rows over one basis, with its node table
+        # both runs step as one batch of rows over one basis, judged after the loop
         table = step.basis.values(iv)
-        clean = _row_postprocessor(iv, step.basis)
-        x0, *y0 = [step.basis.rows(parts(s)).ravel() for s in starts]
-        norm = lambda x: float(_state_norms(x[None], table)[0])  # noqa: E731
-        resolvent, first_non_member = _recorded(step, clean)
-        try:
-            record = evolve(resolvent, x0, cfg, norm)
-        except EvolutionStepFailed as exc:
-            run_failed_at, record = exc.step, exc.record
-        failed = first_non_member()
-        if failed is not None:
-            run_failed_at = failed
-            for kept in (record.states, record.norms, record.timestamps):
-                del kept[failed:]
+        rows = np.stack([step.basis.rows(parts(s)).ravel() for s in starts])
+        states, ends, raised = _lockstep(step, rows, steps, _row_postprocessor(iv, step.basis))
+        u = np.stack([x[0] for x in states])
+        v = np.stack([x[1] for x in states if len(x) == 2]) if v0 is not None else u[:0]
+        ends = [e[:1] for e in ends] + [e[1:] for e in ends]  # u's, then v's
+        member = step.member(np.vstack(ends)) if ends else np.ones(0, bool)
+        # u's record ends before its first non-member, or at the step that raised
+        failed = _first_false(member[: len(u) - 1])
+        run_failed_at = failed or raised[0]
+        kept = failed or len(u)
+        # v steps once per state of u's record after the first
+        pairs = min(kept, len(v))
+        sizes = _state_norms(np.vstack([u[:kept], u[:pairs] - v[:pairs]]), table)
+        norms, gaps = sizes[:kept].tolist(), sizes[kept:]
         if v0 is not None:
-            resolvent, first_non_member = _recorded(step, clean)
-            violated = None
-            try:
-                distances = contraction_report(
-                    resolvent, record.states, y0[0], cfg, lambda x, y: norm(x - y))
-                monotone = True
-            except ContractionViolated as exc:
-                violated = exc.step
-                monotone, distances = False, [math.nan] * (exc.step + 1)
-            except EvolutionStepFailed as exc:
-                run_failed_at = exc.step
-            failed = first_non_member()
-            if failed is not None and (violated is None or failed <= violated):
-                run_failed_at, distances, monotone = failed, None, None
+            rises = np.flatnonzero(gaps[1:] > gaps[:-1] + tol)
+            violated = int(rises[0]) + 1 if rises.size else None
+            failed = _first_false(member[len(u) - 1 :][: violated or pairs - 1])  # v's steps taken
+            if failed is not None:  # a non-member before a violation wins
+                run_failed_at = failed
             elif violated is not None:
                 failures.append("distance_monotonicity")
+                monotone, distances = False, [math.nan] * (violated + 1)
+            elif pairs < kept:  # v's step raised
+                run_failed_at = raised[1]
+            else:
+                monotone, distances = True, gaps.tolist()
     if run_failed_at is not None:
         failures.insert(0, "run_failed")
     body = {
@@ -823,17 +816,12 @@ def _suite_evolve(p: dict, seed: int, tol: float):
         "tau": tau,
         "steps": steps,
         "tolerances": {"per_step": tol},
-        "final_norm": record.norms[-1],
+        "final_norm": norms[-1],
         "distance_monotone": monotone,
     }
     if run_failed_at is not None:
         body["run_failed_at_step"] = run_failed_at
-    rows = []
-    for i, (t, n) in enumerate(zip(record.timestamps, record.norms)):
-        if distances is not None and i < len(distances):
-            rows.append((i, t, n, distances[i]))
-        else:
-            rows.append((i, t, n))
+    rows = [(i, i * tau, n, *(distances or [])[i : i + 1]) for i, n in enumerate(norms)]
     header = ["step", "time", "norm"] + (["distance"] if distances is not None else [])
     return body, failures, (header, rows)
 

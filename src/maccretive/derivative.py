@@ -519,16 +519,17 @@ class _StepMap:
     coeffs(E)`` the boundary solve on the particular solution's endpoint
     values ``E`` on ``interval`` (one matrix product for a linear ``coeffs``).
     Every endpoint value is read by :meth:`ExpBasis.endpoint_values`, the
-    arithmetic of :func:`_eval_pair`, so ``member``, the closing membership
-    test of a step's endpoint values, decides as :func:`in_domain` and
-    ``domain_test`` decide on the step's functions. A step past
-    ``DEGREE_CAP`` raises :class:`ValueError`, as
-    :func:`~maccretive.funcspace._merge` does.
+    arithmetic of :func:`_eval_pair`, with factors ``exps`` taken once per
+    map, so ``member``, the closing membership test of a step's endpoint
+    values, decides as :func:`in_domain` and ``domain_test`` decide on the
+    step's functions. A step past ``DEGREE_CAP`` raises :class:`ValueError`,
+    as :func:`~maccretive.funcspace._merge` does.
     """
 
     def __init__(self, basis, interval, particular, coeffs, modes, member, linear: bool) -> None:
         self.basis, self.particular, self.coeffs, self.member = basis, particular, coeffs, member
         self.interval, self.width = interval, 2 * modes.shape[1] // basis.dim
+        self.exps = basis.endpoint_exps(interval.a, interval.b)
         self.cols = np.flatnonzero(modes.any(axis=0))
         self.mode_rows = modes[:, self.cols]
         self.linear = coeffs(np.eye(self.width)) @ self.mode_rows if linear else None
@@ -538,20 +539,24 @@ class _StepMap:
     def __call__(self, rows: np.ndarray):
         """``(y, ends)``: the step of each row of ``rows`` (or of one row) and
         the endpoint values of each ``y``, those of each of its functions side
-        by side. The modes change only the columns of ``t**0``, which Horner's
-        rule adds last, so ``y`` shares the particular solution's heads."""
+        by side; rows stacked as ``(n, 1, width)`` step with the bits of each
+        row alone. The modes change only the columns of ``t**0``, which
+        Horner's rule adds last, so ``y`` shares the particular solution's heads."""
         out = self.particular(rows)
         a, b = self.interval.a, self.interval.b
         heads = self.basis.endpoint_heads(out, a, b)
-        ends = self.basis.endpoint_values(out, a, b, heads).reshape(-1, self.width)
-        coeffs = ends @ self.linear if self.linear is not None else self.coeffs(ends) @ self.mode_rows
+        ends = self.basis.endpoint_values(out, self.exps, heads)
+        if self.linear is None:
+            coeffs = self.coeffs(ends.reshape(-1, self.width)) @ self.mode_rows
+        else:  # numpy takes stacked rows one product at a time
+            coeffs = ends.reshape(*out.shape[:-1], self.width) @ self.linear
         states = out.reshape(-1, out.shape[-1])
-        states[:, self.cols] += coeffs
+        states[:, self.cols] += coeffs.reshape(len(states), -1)
         spilled = states[:, self._spill].any(axis=0) if self._spill.size else ()
         if np.any(spilled):
             degree = int(self._degree[self._spill][spilled].max())
             raise ValueError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
-        ends = self.basis.endpoint_values(states, a, b, heads).reshape(-1, self.width)
+        ends = self.basis.endpoint_values(states, self.exps, heads).reshape(-1, self.width)
         return states.reshape(out.shape), ends
 
 

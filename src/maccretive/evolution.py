@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockop import BlockState
 from .errors import ContractionViolated, EvolutionStepFailed
-from .funcspace import ExpPoly, Interval, prune
+from .funcspace import Interval, prune
 
 __all__ = [
     "SchemeConfig",
@@ -92,18 +92,22 @@ def trajectory_postprocessor(interval: Interval, cap: int = TERM_COUNT_CAP):
 
 
 def _row_postprocessor(interval: Interval, basis):
-    """:func:`trajectory_postprocessor` for a state given as its functions'
-    coefficient rows over the ``ExpBasis`` ``basis``, side by side: the count
-    of :func:`term_count` and the rule of :func:`prune` on the rows."""
-    degree, starts = basis.positions, np.cumsum([0] + [n for _, n in basis.blocks[:-1]])
+    """:func:`trajectory_postprocessor` for the states of a ``(states, width)``
+    array, or one state as a flat row, each its functions' coefficient rows
+    over the ``ExpBasis`` ``basis`` side by side: the count of
+    :func:`term_count` and the rule of :func:`prune`, state by state."""
+    degree, starts = basis.positions, basis._block_starts
     weight = max(1.0, abs(interval.a), abs(interval.b)) ** degree
 
     def clean(x: np.ndarray) -> np.ndarray:
-        rows = x.reshape(-1, basis.dim)
-        if np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=1).sum() <= TERM_COUNT_CAP:
+        rows = x.reshape(-1, x.shape[-1] // basis.dim, basis.dim)
+        counts = np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=2).sum(axis=(1, 2))
+        under = counts <= TERM_COUNT_CAP
+        if under.all():
             return x
         reach = np.abs(rows) * weight
-        return np.where(reach > 1e-13 * reach.max(axis=1, keepdims=True), rows, 0.0).reshape(x.shape)
+        keep = under[:, None, None] | (reach > 1e-13 * reach.max(axis=2, keepdims=True))
+        return np.where(keep, rows, 0.0).reshape(x.shape)
 
     return clean
 

@@ -629,13 +629,16 @@ class ExpBasis:
             out.append(heads)
         return out
 
-    def endpoint_values(self, rows: np.ndarray, a: float, b: float, heads: list) -> np.ndarray:
+    def endpoint_exps(self, a: float, b: float) -> list:
+        """``(e^{mu a}, e^{mu b})`` of each block, the factors of :meth:`endpoint_values`."""
+        return [(math.exp(mu * a), math.exp(mu * b)) for mu, _ in self.blocks]
+
+    def endpoint_values(self, rows: np.ndarray, exps: list, heads: list) -> np.ndarray:
         """``(f(a), f(b))``, one row per function of coefficient ``rows``, with
         the arithmetic of :func:`_eval_pair` on its :meth:`polys`: each block's
         ``q(t) t + c_0``, from the ``heads`` of :meth:`endpoint_heads` on these
-        rows or on rows that differ only in their ``c_0``, times ``math.exp``,
-        summed in rate order."""
-        exps = [(math.exp(mu * a), math.exp(mu * b)) for mu, _ in self.blocks]
+        rows or on rows that differ only in their ``c_0``, times its factors of
+        :meth:`endpoint_exps` at ``a`` and ``b``, summed in rate order."""
         out = []
         for row, blocks in zip(rows.reshape(-1, self.dim).tolist(), heads):
             fa = fb = 0.0

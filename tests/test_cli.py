@@ -402,7 +402,8 @@ def test_input_file_merging(tmp_path):
 def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
     from maccretive.derivative import _StepMap
 
-    # both trajectories step coefficient rows, one resolvent step per call
+    # both trajectories step as one batch of coefficient rows: one call per
+    # step, one row per trajectory
     calls = []
     step = _StepMap.__call__
 
@@ -425,7 +426,7 @@ def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, spec)
     assert code == 0
     assert load_report(out)["distance_monotone"] is True
-    assert calls == [calls[0]] * (2 * 8) and len(calls[0]) == 1
+    assert [shape[0] for shape in calls] == [2] * 8
 
 
 def test_evolve_step_failure_writes_report(tmp_path):
@@ -641,6 +642,106 @@ F_HALF = {"kind": "f", "matrix": [[0.5, 0], [0, 0.5]]}
 def test_named_stops_come_no_earlier(tmp_path, params, stop):
     code, out = run_cli(tmp_path, {"command": "evolve", "params": params})
     assert load_report(out).get("run_failed_at_step", math.inf) >= stop
+
+
+def library_evolve(params: dict) -> tuple:
+    """``(exit code, run_failed_at_step, distance_monotone, states kept,
+    distances reported)`` of an ``evolve`` spec with ``u0`` and ``v0`` by the
+    library: :func:`evolve` and :func:`contraction_report` on ExpPoly
+    states, each step a ``resolve`` or ``block_resolve``, which raise at a
+    non-member, pruned between steps as the CLI prunes."""
+    from maccretive.blockop import block_resolve, state_l2_norm
+    from maccretive.cli import _block_realization, _block_state, _boundary_function, _exppoly
+    from maccretive.derivative import DerivativeContext, Realization1D, resolve
+    from maccretive.errors import ContractionViolated, EvolutionStepFailed
+    from maccretive.evolution import SchemeConfig, contraction_report, evolve, trajectory_postprocessor
+    from maccretive.funcspace import Interval, l2_norm
+
+    iv = Interval(0.0, 1.0)
+    ctx, clean = DerivativeContext(iv), trajectory_postprocessor(iv)
+    if params.get("kind", "derivative") == "derivative":
+        real, parse = Realization1D(ctx, _boundary_function(params["g"], "g")), _exppoly
+        step = lambda s, tau: clean(resolve(real, s, tau))  # noqa: E731
+        norm = lambda s: l2_norm(s, iv)  # noqa: E731
+    else:
+        real, parse = _block_realization(ctx, params["realization"]), _block_state
+        step = lambda s, tau: clean(block_resolve(real, s, tau))  # noqa: E731
+        norm = lambda s: state_l2_norm(s, iv)  # noqa: E731
+    cfg = SchemeConfig(params["tau"], params["steps"])
+    failed = monotone = reported = None
+    try:
+        record = evolve(step, parse(params["u0"], "u0"), cfg, norm)
+    except EvolutionStepFailed as exc:
+        record, failed = exc.record, exc.step
+    try:
+        reported = len(contraction_report(step, record.states, parse(params["v0"], "v0"), cfg,
+                                          lambda x, y: norm(x - y)))
+        monotone = True
+    except ContractionViolated as exc:
+        monotone, reported = False, exc.step + 1
+    except EvolutionStepFailed as exc:
+        failed = exc.step
+    return int(failed is not None or monotone is False), failed, monotone, len(record), reported
+
+
+E_T = [{"rate": 1.0, "coeffs": [1.0]}]
+
+
+def scaled_e_t(scale: float) -> dict:
+    return {"u": [{"rate": 1.0, "coeffs": [scale]}], "v": [{"rate": 1.0, "coeffs": [scale]}]}
+
+
+@pytest.mark.parametrize("params", [
+    # slope 3 is beyond the Lipschitz bound e: the distance falls at step 1 and rises at step 2
+    {"g": {"kind": "linear", "slope": 3.0}, "tau": 1.0, "steps": 10,
+     "u0": E_T, "v0": [{"rate": -1.0, "coeffs": [0.5]}]},
+    # M = -2 I is not accretive, and the states grow about 2.8-fold a step: from
+    # step 29 on the squares of the closing test's defect overflow, so u's run
+    # is cut there whatever the rounding; v, the same run, is never judged there
+    {"kind": "block", "realization": {"kind": "M", "matrix": [[-2.0, 0.0], [0.0, -2.0]]},
+     "tau": 0.2, "steps": 40, "u0": scaled_e_t(1e140), "v0": scaled_e_t(1e140)},
+    # v's first step is a non-member for the same reason, and u runs to its end
+    {"kind": "block", "realization": F_HALF, "tau": 0.2, "steps": 10,
+     "u0": scaled_e_t(1.0), "v0": scaled_e_t(1e300)},
+    # u's first step is a non-member; v, whose resonant term would pass the cap
+    # at step 3, is never judged past u's record
+    {"kind": "block", "realization": F_HALF, "tau": 0.01, "steps": 10, "u0": scaled_e_t(1e300),
+     "v0": {"u": [{"rate": -100.0, "coeffs": [0.0] * 62 + [1.0]}], "v": []}},
+    # the resonant mode gains a degree per step: v reaches the cap, u is 0 and runs to its end
+    {"g": LINEAR_G, "tau": 0.01, "steps": 80, "u0": [], "v0": E_T},
+    {"g": LINEAR_G, "tau": 0.01, "steps": 80, "u0": E_T, "v0": []},
+], ids=["inadmissible-g", "u-non-member", "v-non-member", "v-past-u", "v-degree-cap", "u-degree-cap"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the overflow it meets
+def test_evolve_judges_both_runs_as_the_library_does(tmp_path, params):
+    """The two runs of ``evolve`` step as one batch and are judged after the
+    loop; their verdicts are those of the library's step-by-step run."""
+    code, out = run_cli(tmp_path, {"command": "evolve", "params": params})
+    report = load_report(out)
+    lines = (out / "data.csv").read_text().strip().splitlines()
+    reported = sum(len(line.split(",")) == 4 for line in lines[1:]) if "distance" in lines[0] else None
+    cli = (code, report.get("run_failed_at_step"), report["distance_monotone"], len(lines) - 1, reported)
+    assert cli == library_evolve(params)
+    assert code == 1
+
+
+@pytest.mark.parametrize("params", [
+    {"g": LINEAR_G, "tau": 0.25, "steps": 8, "u0": E_T,
+     "v0": [{"rate": -4.0, "coeffs": [0.3]}, {"rate": 1.0, "coeffs": [-0.5]}]},
+    {"kind": "block", "realization": F_HALF, "tau": 0.2, "steps": 30,
+     "u0": scaled_e_t(1.0), "v0": {"u": [], "v": [{"rate": 1.0, "coeffs": [-0.5]}]}},
+], ids=["derivative", "block"])
+def test_evolve_steps_u0_with_the_bits_of_its_run_alone(tmp_path, params):
+    # each row of the batch takes the matrix products of a row stepped alone;
+    # v0 has no rate that u0 lacks, so both specs step on one basis
+    code, out = run_cli(tmp_path, {"command": "evolve", "params": params})
+    (tmp_path / "alone").mkdir()
+    alone = {key: value for key, value in params.items() if key != "v0"}
+    code_alone, out_alone = run_cli(tmp_path / "alone", {"command": "evolve", "params": alone})
+    norms = [line.split(",")[:3] for line in (out / "data.csv").read_text().splitlines()[1:]]
+    norms_alone = [line.split(",") for line in (out_alone / "data.csv").read_text().splitlines()[1:]]
+    assert code == code_alone == 0
+    assert norms == norms_alone
+    assert load_report(out)["final_norm"] == load_report(out_alone)["final_norm"]
 
 
 @pytest.mark.parametrize("g", [{"kind": "linear"}, {"kind": "scaledsin"}])

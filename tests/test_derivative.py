@@ -189,9 +189,9 @@ def test_boundary_formulas_evaluate_each_endpoint_once(monkeypatch):
         calls.extend((a, b))
         return evaluate_pair(f, a, b)
 
-    def counting_rows(basis, rows, a, b, heads):
-        ends = evaluate_rows(basis, rows, a, b, heads)
-        calls.extend((a, b) * len(ends))
+    def counting_rows(basis, rows, exps, heads):
+        ends = evaluate_rows(basis, rows, exps, heads)
+        calls.extend(ends.ravel())
         return ends
 
     # endpoint values are read one at a time, both at once, or both for

@@ -673,7 +673,7 @@ def test_merging_basis_rows_polys_ends_and_norms():
     iv = Interval(-0.5, 1.2)
     # endpoint values with the bits of Horner's rule on each function
     heads = basis.endpoint_heads(rows, iv.a, iv.b)
-    for h, ends in zip(back, basis.endpoint_values(rows, iv.a, iv.b, heads)):
+    for h, ends in zip(back, basis.endpoint_values(rows, basis.endpoint_exps(iv.a, iv.b), heads)):
         assert repr(ends.tolist()) == repr([h(iv.a), h(iv.b)])
     norms = _state_norms(rows, basis.values(iv))
     assert norms.tolist() == pytest.approx([l2_norm(h, iv) for h in back], rel=1e-14)

@@ -16,8 +16,8 @@ from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
 from maccretive.derivative import DerivativeContext
 from maccretive.errors import RootNotFound
-from maccretive.evolution import _row_postprocessor, trajectory_postprocessor
-from maccretive.funcspace import ExpPoly, Interval, _state_norms
+from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, trajectory_postprocessor
+from maccretive.funcspace import ExpBasis, ExpPoly, Interval, _state_norms
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
 
@@ -70,6 +70,24 @@ def test_50_vector_steps_match_50_composed_steps(params):
         assert _state_norms(x[None], table)[0] == pytest.approx(norm, rel=1e-12, abs=1e-15 * scale)
 
 
+def test_row_postprocessor_cleans_each_state_of_a_batch_alone():
+    """A batch of two states, one over ``TERM_COUNT_CAP`` and one under it,
+    is cleaned to the bits of cleaning each state alone: the count and the
+    pruning are each state's own."""
+    iv = Interval(-0.4, 1.7)
+    basis = ExpBasis.merging({-2.0: 30, 0.0: 20})
+    rng = np.random.default_rng(11)
+    over = rng.standard_normal(2 * basis.dim) * 10.0 ** rng.uniform(-30, 0, 2 * basis.dim)
+    under = np.zeros(2 * basis.dim)
+    under[: 30 + 10] = over[:40]  # 40 terms of u, small ones among them, and none of v
+    clean = _row_postprocessor(iv, basis)
+    assert (over != 0).sum() > TERM_COUNT_CAP >= (under != 0).sum()
+    batch = clean(np.stack([over, under]))
+    alone = np.stack([clean(over), clean(under)])
+    assert repr(batch.tolist()) == repr(alone.tolist())
+    assert (batch[0] == 0).any() and batch[1].tolist() == under.tolist()
+
+
 def test_batched_resolves_match_block_resolve():
     """One batch of rows, as the solvability checks make it, against one
     ``block_resolve`` per right-hand side."""
@@ -108,7 +126,8 @@ def test_batched_resolves_stop_where_block_resolve_raises():
 def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     """Right-hand sides third and fifth of five whose solves are not
     members: the batched resolves keep the two solutions before the first,
-    and a run stepping the same rows reports step 3, where a loop of
+    and the closing tests of the same rows stepped one at a time, read as a
+    trajectory suite reads them, first fail at the third, where a loop of
     ``block_resolve`` raises first."""
     ctx = DerivativeContext(Interval(0.0, 1.0))
     real = cli._block_realization(ctx, {"kind": "M", "matrix": [[0.0, 0.5], [-0.5, 0.0]]})
@@ -124,7 +143,5 @@ def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     assert len(cli._block_resolves(real, rhss, 0.5)[2]) == 2
     polys = [f for rhs in rhss for f in (rhs.u, rhs.v)]
     step = real._step_map(0.5, polys, 1)
-    resolvent, first_non_member = cli._recorded(step, lambda x: x)
-    for row in step.basis.rows(polys).reshape(len(rhss), -1):
-        resolvent(row, 0.5)
-    assert first_non_member() == 3
+    ends = [step(row)[1] for row in step.basis.rows(polys).reshape(len(rhss), -1)]
+    assert cli._first_false(step.member(np.vstack(ends))) == 3
