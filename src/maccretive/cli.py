@@ -48,7 +48,7 @@ from .derivative import (
     resolve,
 )
 from .errors import NormOutOfReach, RootNotFound, SchemaError
-from .evolution import _row_postprocessor
+from .evolution import _run_rows
 from .funcspace import (
     DEGREE_CAP,
     ExpBasis,
@@ -678,16 +678,14 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     run_failed_at = 1 if basis is None else None  # no resolvent plan at this tau
     if basis is not None:
         step = realization._step_map(tau, (state.u, state.v), steps)
-        table, clean = step.basis.values(iv), _row_postprocessor(iv, step.basis)
-        x, ends, spill = step.basis.rows((state.u, state.v)).ravel(), [], None
+        table, ends, spill = step.basis.values(iv), [], None
+        x = step.basis.rows((state.u, state.v)).reshape(1, -1)  # a batch of one state
         try:
-            for n in range(1, steps + 1):
-                x, x_ends = step(x)
-                x = clean(x)
+            for x, x_ends in _run_rows(step, x, steps):
                 ends.append(x_ends)
-                energies.append(_state_norms(x[None], table)[0] ** 2)
+                energies.append(_state_norms(x, table)[0] ** 2)
                 if energies[-1] > energies[-2] * (1 + 1e-10):
-                    first_increase = n
+                    first_increase = len(ends)
                     break
         except ValueError as exc:  # a block passed the degree cap
             spill = exc
@@ -722,28 +720,6 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     }
     rows = [(i, i * tau, math.sqrt(e), e) for i, e in enumerate(energies)]
     return body, failures, (["step", "time", "norm", "energy"], rows)
-
-
-def _lockstep(step, x: np.ndarray, steps: int, clean):
-    """``(states, ends, raised)``: up to ``steps`` steps of the batch of rows ``x``,
-    at most two, each with the bits of stepping it alone, pruned by ``clean``:
-    ``states[n]`` after ``n`` steps, ``ends[n - 1]`` its endpoint values. A
-    batch raises for all its rows: its last row then leaves it, at the step
-    ``raised[i]`` for row ``i``, and the step is taken again on the rows left."""
-    states, ends, raised = [x], [], [None] * len(x)
-    while len(states) <= steps:
-        try:
-            y, y_ends = step(x[:, None])
-        except Exception:  # noqa: BLE001 - any error stops a run, as in evolution.evolve
-            raised[len(x) - 1] = len(states)
-            if len(x) == 1:
-                break
-            x = x[:1]
-            continue
-        x = clean(y[:, 0])
-        states.append(x)
-        ends.append(y_ends)
-    return states, ends, raised
 
 
 def _suite_evolve(p: dict, seed: int, tol: float):
@@ -783,14 +759,21 @@ def _suite_evolve(p: dict, seed: int, tol: float):
         # both runs step as one batch of rows over one basis, judged after the loop
         table = step.basis.values(iv)
         rows = np.stack([step.basis.rows(parts(s)).ravel() for s in starts])
-        states, ends, raised = _lockstep(step, rows, steps, _row_postprocessor(iv, step.basis))
+        states, ends = [rows], []
+        try:
+            for x, x_ends in _run_rows(step, rows, steps):
+                states.append(x)
+                ends.append(x_ends)
+        except Exception:  # noqa: BLE001 - any error stops u's run, as in evolution.evolve
+            pass
         u = np.stack([x[0] for x in states])
         v = np.stack([x[1] for x in states if len(x) == 2]) if v0 is not None else u[:0]
         ends = [e[:1] for e in ends] + [e[1:] for e in ends]  # u's, then v's
         member = step.member(np.vstack(ends)) if ends else np.ones(0, bool)
-        # u's record ends before its first non-member, or at the step that raised
+        # u's record ends before its first non-member, or at the step that
+        # raised: a run of n states that stopped short raised at step n
         failed = _first_false(member[: len(u) - 1])
-        run_failed_at = failed or raised[0]
+        run_failed_at = failed or (len(u) if len(u) <= steps else None)
         kept = failed or len(u)
         # v steps once per state of u's record after the first
         pairs = min(kept, len(v))
@@ -806,7 +789,7 @@ def _suite_evolve(p: dict, seed: int, tol: float):
                 failures.append("distance_monotonicity")
                 monotone, distances = False, [math.nan] * (violated + 1)
             elif pairs < kept:  # v's step raised
-                run_failed_at = raised[1]
+                run_failed_at = len(v)
             else:
                 monotone, distances = True, gaps.tolist()
     if run_failed_at is not None:

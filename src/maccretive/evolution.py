@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockop import BlockState
 from .errors import ContractionViolated, EvolutionStepFailed
-from .funcspace import Interval, prune
+from .funcspace import ExpBasis, Interval
 
 __all__ = [
     "SchemeConfig",
@@ -26,14 +26,12 @@ __all__ = [
     "evolve",
     "contraction_report",
     "convergence_order",
-    "term_count",
     "trajectory_postprocessor",
 ]
 
 State = TypeVar("State")
 
-#: When a state carries more stored coefficients than this, relative
-#: pruning below 1e-13 is applied between steps.
+#: A state that stores more coefficients than this is pruned by :func:`_row_postprocessor`.
 TERM_COUNT_CAP = 64
 
 
@@ -71,31 +69,14 @@ class TrajectoryRecord:
         return len(self.states)
 
 
-def term_count(state) -> int:
-    """Number of stored coefficients in an ExpPoly or BlockState."""
-    if isinstance(state, BlockState):
-        return term_count(state.u) + term_count(state.v)
-    return sum(len(coeffs) for _, coeffs in state.terms)
-
-
-def trajectory_postprocessor(interval: Interval, cap: int = TERM_COUNT_CAP):
-    """Between-step pruning hook; a no-op until ``cap`` is exceeded."""
-
-    def clean(state):
-        if term_count(state) <= cap:
-            return state
-        if isinstance(state, BlockState):
-            return BlockState(prune(state.u, interval), prune(state.v, interval))
-        return prune(state, interval)
-
-    return clean
-
-
 def _row_postprocessor(interval: Interval, basis):
-    """:func:`trajectory_postprocessor` for the states of a ``(states, width)``
-    array, or one state as a flat row, each its functions' coefficient rows
-    over the ``ExpBasis`` ``basis`` side by side: the count of
-    :func:`term_count` and the rule of :func:`prune`, state by state."""
+    """The one pruning rule of a trajectory, for the states of a ``(states,
+    width)`` array, or one state as a flat row, each its functions'
+    coefficient rows over the ``ExpBasis`` ``basis`` side by side. A state
+    that stores more than ``TERM_COUNT_CAP`` coefficients, each block counted
+    to its last nonzero one, loses every coefficient ``c`` of ``t**k`` whose
+    ``|c| B**k``, ``B = max(1, |a|, |b|)``, is at most 1e-13 of the largest
+    of its function. When no state is over the cap, ``x`` itself comes back."""
     degree, starts = basis.positions, basis._block_starts
     weight = max(1.0, abs(interval.a), abs(interval.b)) ** degree
 
@@ -110,6 +91,44 @@ def _row_postprocessor(interval: Interval, basis):
         return np.where(keep, rows, 0.0).reshape(x.shape)
 
     return clean
+
+
+def trajectory_postprocessor(interval: Interval):
+    """Between-step pruning hook for ExpPoly and BlockState states: the rule
+    of :func:`_row_postprocessor` on the state's rows over the basis spanning
+    its functions. A state it leaves as it is comes back as the same object."""
+
+    def clean(state):
+        polys = (state.u, state.v) if isinstance(state, BlockState) else (state,)
+        basis = ExpBasis.spanning(polys)
+        x = basis.rows(polys).ravel()
+        y = _row_postprocessor(interval, basis)(x) if basis.dim else x  # dim 0: the zero state
+        if y is x:
+            return state
+        pruned = basis.polys(y.reshape(len(polys), -1))
+        return BlockState(*pruned) if isinstance(state, BlockState) else pruned[0]
+
+    return clean
+
+
+def _run_rows(step, x: np.ndarray, steps: int):
+    """Yields ``(x, ends)`` for each of up to ``steps`` steps of the
+    ``derivative._StepMap`` ``step`` from ``x``, at most two states, one row
+    each, stepped stacked ``(rows, 1, width)`` with the bits of each row
+    alone and pruned by :func:`_row_postprocessor`. When two rows raise, the
+    step is taken again on the first alone and the second leaves the run;
+    when one row raises, the error propagates."""
+    clean = _row_postprocessor(step.interval, step.basis)
+    for _ in range(steps):
+        try:
+            y, ends = step(x[:, None])
+        except Exception:  # noqa: BLE001 - any error stops a run, as in evolve
+            if len(x) == 1:
+                raise
+            x = x[:1]
+            y, ends = step(x[:, None])
+        x = clean(y[:, 0])
+        yield x, ends
 
 
 def evolve(

@@ -25,19 +25,18 @@ of weighted node values ``V``, by the same rule, and its differentiation
 matrix ``D``: the values of the functions are ``rows @ V`` and those of
 their derivatives ``(rows @ D) @ V``. Their endpoint values are read by
 Horner's rule on each block, as :func:`_eval_pair` reads them. An
-implicit-Euler trajectory keeps its states as rows over one basis and
-takes their norms by :func:`_state_norms`.
+implicit-Euler trajectory keeps its states as rows over one basis,
+takes their norms by :func:`_state_norms` and prunes them by the one rule
+of ``evolution._row_postprocessor``.
 
-Results that are normal by construction (negation, scaling,
-differentiation, pruning) skip the public constructor's coercion and
+Results that are normal by construction (negation, scaling and
+differentiation) skip the public constructor's coercion and
 merge through ``ExpPoly._trusted``; its invariant is that ``terms`` is
 already exactly what ``ExpPoly(terms)`` would store. Sums whose terms
 are already floats skip only the coercion and go through :func:`_merge`,
 which reads its input without copying it unless two rates merge.
 :func:`_eval_pair` runs the Horner loop of ``ExpPoly.__call__`` at both
-endpoints at once, and :func:`prune` on an interval inside ``[-1, 1]``
-weighs each coefficient by ``|c|`` alone, since ``|c| * 1.0**k`` is
-``|c|`` bit for bit.
+endpoints at once.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -64,7 +62,6 @@ __all__ = [
     "graph_inner",
     "l2_norm",
     "graph_norm",
-    "prune",
     "ExpBasis",
 ]
 
@@ -854,26 +851,3 @@ def _state_norms(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~((0.0 < out) & (out < math.inf))):
         out[i] = _root_sum_square(list(values[i]))
     return out
-
-
-def prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
-    """Drop coefficients that are negligible relative to the largest.
-
-    Coefficients are compared on the scale ``|c| * B**k`` with
-    ``B = max(1, |a|, |b|)`` so that high powers are weighted by their
-    actual reach on the interval.
-    """
-    base = max(1.0, abs(interval.a), abs(interval.b))
-    if base == 1.0:  # every power is 1.0 and |c| * 1.0 is |c|, bit for bit
-        reach = [list(map(abs, coeffs)) for _, coeffs in f.terms]
-    else:
-        reach = [[abs(c) * base**k for k, c in enumerate(coeffs)] for _, coeffs in f.terms]
-    scale = max([0.0, *chain.from_iterable(reach)])
-    if scale == 0.0:
-        return ExpPoly.zero()
-    cut = rel_tol * scale
-    kept = [
-        (rate, [c if r > cut else 0.0 for c, r in zip(coeffs, row)])
-        for (rate, coeffs), row in zip(f.terms, reach)
-    ]
-    return ExpPoly._trusted(_trim_terms(kept))

@@ -19,11 +19,11 @@ from maccretive.derivative import (
 )
 from maccretive.errors import ContractionViolated, EvolutionStepFailed
 from maccretive.evolution import (
+    TERM_COUNT_CAP,
     SchemeConfig,
     contraction_report,
     convergence_order,
     evolve,
-    term_count,
     trajectory_postprocessor,
 )
 from maccretive.funcspace import ExpPoly, Interval, l2_norm
@@ -161,16 +161,49 @@ def test_evolution_step_failure_carries_partial_record():
     assert len(err.value.record) == 3  # the initial state and two steps
 
 
+def stored(state) -> int:
+    """The coefficients a state stores, the count the prune is triggered by."""
+    polys = (state.u, state.v) if isinstance(state, BlockState) else (state,)
+    return sum(len(coeffs) for f in polys for _, coeffs in f.terms)
+
+
+def noisy(count: int) -> ExpPoly:
+    """``1 + t**k`` with ``1e-16 t**j`` between, plus ``e^t`` times a noise
+    polynomial: ``count`` stored coefficients, all but two below the prune's
+    cut, the first ``count // 2`` of them on rate 0."""
+    half = count // 2
+    return ExpPoly(((0.0, (1.0, *[1e-16] * (half - 2), 1.0)), (1.0, (1e-16,) * (count - half))))
+
+
 def test_postprocessor_prunes_only_above_cap():
-    clean = trajectory_postprocessor(UNIT, cap=4)
-    small = ExpPoly.polynomial([1.0, 1.0])
-    assert clean(small) == small
-    big = ExpPoly(
-        ((0.0, (1.0, 1e-16, 1e-16, 1e-16, 1.0)), (1.0, (1e-16, 1e-16)))
-    )
+    clean = trajectory_postprocessor(UNIT)
+    small = ExpPoly.polynomial([1.0, 1e-16])
+    assert clean(small) is small
+    big = noisy(TERM_COUNT_CAP + 3)
     cleaned = clean(big)
-    assert term_count(cleaned) < term_count(big)
+    assert stored(cleaned) < stored(big)
+    assert cleaned == ExpPoly(((0.0, (1.0, *[0.0] * (stored(big) // 2 - 2), 1.0)),))
     assert l2_norm(cleaned - big, UNIT) <= 1e-12
+
+
+def test_postprocessor_keeps_a_state_at_the_cap_as_it_is():
+    at_cap = noisy(TERM_COUNT_CAP)
+    assert stored(at_cap) == TERM_COUNT_CAP
+    assert trajectory_postprocessor(UNIT)(at_cap) is at_cap
+    assert stored(trajectory_postprocessor(UNIT)(noisy(TERM_COUNT_CAP + 1))) == TERM_COUNT_CAP // 2
+
+
+def test_postprocessor_on_zero_states():
+    clean, zero = trajectory_postprocessor(UNIT), ExpPoly.zero()
+    assert clean(zero) is zero
+    state = BlockState(zero, zero)
+    assert clean(state) is state
+    # a zero component leaves the other's count and cut as they are
+    big = noisy(TERM_COUNT_CAP + 3)
+    for state in (BlockState(big, zero), BlockState(zero, big)):
+        cleaned = clean(state)
+        assert cleaned.u == (clean(big) if state.u is big else zero)
+        assert cleaned.v == (clean(big) if state.v is big else zero)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ computes.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -23,13 +22,7 @@ from maccretive.derivative import (
     _FirstOrderSolve,
     resolve,
 )
-from maccretive.funcspace import (
-    DEGREE_CAP,
-    ExpPoly,
-    Interval,
-    _trim_terms,
-    prune,
-)
+from maccretive.funcspace import DEGREE_CAP, ExpPoly, Interval
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
 
@@ -40,10 +33,6 @@ from maccretive.relations import ContractionMap, operator_norm
 RESONANCE_INTERVALS = [(0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5), (0.25, 0.5)]
 RESONANCE_TAUS = [0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 2.0]
 
-finite_coeff = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e300]),
-    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-)
 # far enough inside the float range that no solve overflows
 solve_coeff = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -5e-324, 1e100]),
@@ -123,55 +112,6 @@ def test_non_finite_resonant_data_give_non_finite_steps(interval, sign, coeffs):
     with np.errstate(over="ignore", invalid="ignore"):
         got = np.array(coeffs) @ solve.block(-(1.0 / tau), len(coeffs))
     assert not np.isfinite(got).all()
-
-
-# ----------------------------------------------------------------------
-# prune against its earlier body
-# ----------------------------------------------------------------------
-
-
-def earlier_prune(f: ExpPoly, interval: Interval, rel_tol: float = 1e-13) -> ExpPoly:
-    base = max(1.0, abs(interval.a), abs(interval.b))
-    reach = [[abs(c) * base**k for k, c in enumerate(coeffs)] for _, coeffs in f.terms]
-    scale = max([0.0, *chain.from_iterable(reach)])
-    if scale == 0.0:
-        return ExpPoly.zero()
-    cut = rel_tol * scale
-    kept = [
-        (rate, [c if r > cut else 0.0 for c, r in zip(coeffs, row)])
-        for (rate, coeffs), row in zip(f.terms, reach)
-    ]
-    return ExpPoly._trusted(_trim_terms(kept))
-
-
-# base == 1 (inside [-1, 1], endpoints at +-1) and base > 1
-PRUNE_INTERVALS = [(0.0, 1.0), (-1.0, 1.0), (-0.6, -0.1), (-0.9, 0.4), (-1.2, 0.9), (-2.0, -0.5), (0.5, 1.5)]
-
-
-@st.composite
-def prunable_exppolys(draw) -> ExpPoly:
-    terms = []
-    for rate in draw(st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0]), unique=True, max_size=4)):
-        n = draw(st.integers(min_value=1, max_value=DEGREE_CAP + 1))
-        coeffs = draw(st.lists(
-            st.one_of(finite_coeff, st.floats(min_value=-1e-12, max_value=1e-12)),
-            min_size=n, max_size=n,
-        ))
-        if coeffs[-1] == 0.0:
-            coeffs[-1] = 1.0
-        terms.append((rate, tuple(coeffs)))
-    return ExpPoly._trusted(tuple(terms))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    f=prunable_exppolys(),
-    which=st.integers(min_value=0, max_value=len(PRUNE_INTERVALS) - 1),
-    rel_tol=st.sampled_from([1e-13, 1e-6, 0.5]),
-)
-def test_prune_matches_its_earlier_body(f, which, rel_tol):
-    iv = Interval(*PRUNE_INTERVALS[which])
-    assert repr(prune(f, iv, rel_tol).terms) == repr(earlier_prune(f, iv, rel_tol).terms)
 
 
 # ----------------------------------------------------------------------

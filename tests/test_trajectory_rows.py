@@ -1,10 +1,14 @@
 """Trajectories as coefficient rows over one basis.
 
 The CLI steps implicit-Euler trajectories as rows over one ``ExpBasis``
-(``_StepMap``); these tests compare such runs and the batched resolvents
-with the term algebra they replaced (``composed_step``).
+(``_StepMap``), through one loop (``evolution._run_rows``) that prunes them
+by one rule (``evolution._row_postprocessor``, which the ExpPoly hook
+``trajectory_postprocessor`` applies too); these tests compare such runs
+and the batched resolvents with the term algebra they replaced
+(``composed_step``), and check the loop where a step raises.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +20,7 @@ from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
 from maccretive.derivative import DerivativeContext
 from maccretive.errors import RootNotFound
-from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, trajectory_postprocessor
+from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, _run_rows, trajectory_postprocessor
 from maccretive.funcspace import ExpBasis, ExpPoly, Interval, _state_norms
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
@@ -86,6 +90,55 @@ def test_row_postprocessor_cleans_each_state_of_a_batch_alone():
     alone = np.stack([clean(over), clean(under)])
     assert repr(batch.tolist()) == repr(alone.tolist())
     assert (batch[0] == 0).any() and batch[1].tolist() == under.tolist()
+
+
+def _raising_at(step, k: int):
+    """``step`` whose ``k``-th call raises."""
+    calls = itertools.count(1)
+
+    def stepped(x):
+        if next(calls) == k:
+            raise RuntimeError(f"step {k}")
+        return step(x)
+
+    stepped.interval, stepped.basis = step.interval, step.basis
+    return stepped
+
+
+def _two_runs(steps: int):
+    """The step map and the rows of ``BLOCK_EVOLVE``'s ``u0`` and of a second
+    state on the same basis, for ``steps`` steps."""
+    iv = Interval.from_jsonable(BLOCK_EVOLVE["interval"])
+    u0 = cli._block_state(BLOCK_EVOLVE["u0"], "u0")
+    v0 = BlockState(u0.v * -0.5, u0.u + ExpPoly.constant(0.25))
+    step = _realization(BLOCK_EVOLVE, DerivativeContext(iv))._step_map(
+        BLOCK_EVOLVE["tau"], (u0.u, u0.v, v0.u, v0.v), steps)
+    return step, step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_run_of_two_rows_that_raises_goes_on_with_the_first_alone(k):
+    step, x = _two_runs(30)
+    both = list(_run_rows(_raising_at(step, k), x, 30))
+    alone = list(_run_rows(step, x[:1], 30))
+    assert [len(y) for y, _ in both] == [2] * (k - 1) + [1] * (31 - k)
+    assert repr([(y[0].tolist(), ends[0].tolist()) for y, ends in both]) == repr(
+        [(y[0].tolist(), ends[0].tolist()) for y, ends in alone])
+    # the steps before k are those of the second row alone, too
+    second = list(itertools.islice(_run_rows(step, x[1:], 30), k - 1))
+    assert repr([y[1].tolist() for y, _ in both[: k - 1]]) == repr([y[0].tolist() for y, _ in second])
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_run_of_one_row_that_raises_stops_there(k):
+    step, x = _two_runs(30)
+    taken = []
+    with pytest.raises(RuntimeError, match=f"step {k}"):
+        for y, _ in _run_rows(_raising_at(step, k), x[:1], 30):
+            taken.append(y)
+    assert len(taken) == k - 1
+    alone = [y for y, _ in itertools.islice(_run_rows(step, x[:1], 30), k - 1)]
+    assert repr([y.tolist() for y in taken]) == repr([y.tolist() for y in alone])
 
 
 def test_batched_resolves_match_block_resolve():
