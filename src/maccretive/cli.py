@@ -48,7 +48,7 @@ from .derivative import (
     resolve,
 )
 from .errors import NormOutOfReach, RootNotFound, SchemaError
-from .evolution import _run_rows
+from .evolution import run_rows
 from .funcspace import (
     DEGREE_CAP,
     ExpBasis,
@@ -407,11 +407,6 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 
 
-def _first_false(flags: np.ndarray) -> Optional[int]:
-    """The number, from 1, of the first false entry of ``flags``, or ``None``."""
-    return None if flags.all() else int(np.argmin(flags)) + 1
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
 def _suite_check_decomposition(p: dict, seed: int, tol: float):
     iv = p["interval"]
@@ -678,21 +673,17 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     run_failed_at = 1 if basis is None else None  # no resolvent plan at this tau
     if basis is not None:
         step = realization._step_map(tau, (state.u, state.v), steps)
-        table, ends, spill = step.basis.values(iv), [], None
+        table = step.basis.values(iv)
+
+        def rose(x: np.ndarray) -> bool:
+            nonlocal first_increase
+            energies.append(_state_norms(x, table)[0] ** 2)
+            if energies[-1] > energies[-2] * (1 + 1e-10):
+                first_increase = len(energies) - 1
+            return first_increase is not None
+
         x = step.basis.rows((state.u, state.v)).reshape(1, -1)  # a batch of one state
-        try:
-            for x, x_ends in _run_rows(step, x, steps):
-                ends.append(x_ends)
-                energies.append(_state_norms(x, table)[0] ** 2)
-                if energies[-1] > energies[-2] * (1 + 1e-10):
-                    first_increase = len(ends)
-                    break
-        except ValueError as exc:  # a block passed the degree cap
-            spill = exc
-        # the closing membership test of every step taken, in one batch
-        run_failed_at = _first_false(step.member(np.vstack(ends))) if ends else None
-        if spill is not None and run_failed_at is None:
-            raise spill
+        _, (run_failed_at,) = run_rows(step, x, steps, until=rose)
         if run_failed_at is not None:
             first_increase = None
             del energies[run_failed_at:]
@@ -758,38 +749,22 @@ def _suite_evolve(p: dict, seed: int, tol: float):
     else:
         # both runs step as one batch of rows over one basis, judged after the loop
         table = step.basis.values(iv)
-        rows = np.stack([step.basis.rows(parts(s)).ravel() for s in starts])
-        states, ends = [rows], []
-        try:
-            for x, x_ends in _run_rows(step, rows, steps):
-                states.append(x)
-                ends.append(x_ends)
-        except Exception:  # noqa: BLE001 - any error stops u's run, as in evolution.evolve
-            pass
-        u = np.stack([x[0] for x in states])
-        v = np.stack([x[1] for x in states if len(x) == 2]) if v0 is not None else u[:0]
-        ends = [e[:1] for e in ends] + [e[1:] for e in ends]  # u's, then v's
-        member = step.member(np.vstack(ends)) if ends else np.ones(0, bool)
-        # u's record ends before its first non-member, or at the step that
-        # raised: a run of n states that stopped short raised at step n
-        failed = _first_false(member[: len(u) - 1])
-        run_failed_at = failed or (len(u) if len(u) <= steps else None)
-        kept = failed or len(u)
-        # v steps once per state of u's record after the first
-        pairs = min(kept, len(v))
-        sizes = _state_norms(np.vstack([u[:kept], u[:pairs] - v[:pairs]]), table)
+        states, stops = run_rows(step, np.stack([step.basis.rows(parts(s)).ravel() for s in starts]), steps)
+        # u's record ends before its stop; v is judged on its states within it
+        run_failed_at = stops[0]
+        kept = stops[0] or len(states)
+        pairs = min(kept, stops[1] or kept) if v0 is not None else 0
+        u = np.stack([x[0] for x in states[:kept]])
+        v = np.stack([x[1] for x in states[:pairs]]) if pairs else u[:0]
+        sizes = _state_norms(np.vstack([u, u[:pairs] - v]), table)
         norms, gaps = sizes[:kept].tolist(), sizes[kept:]
         if v0 is not None:
             rises = np.flatnonzero(gaps[1:] > gaps[:-1] + tol)
-            violated = int(rises[0]) + 1 if rises.size else None
-            failed = _first_false(member[len(u) - 1 :][: violated or pairs - 1])  # v's steps taken
-            if failed is not None:  # a non-member before a violation wins
-                run_failed_at = failed
-            elif violated is not None:
+            if rises.size:
                 failures.append("distance_monotonicity")
-                monotone, distances = False, [math.nan] * (violated + 1)
-            elif pairs < kept:  # v's step raised
-                run_failed_at = len(v)
+                monotone, distances = False, [math.nan] * (int(rises[0]) + 2)
+            elif pairs < kept:  # v stopped inside u's record
+                run_failed_at = stops[1]
             else:
                 monotone, distances = True, gaps.tolist()
     if run_failed_at is not None:

@@ -6,6 +6,13 @@ pairwise distances unconditionally; a certified distance increase is a
 falsification witness for the boundary data. Only first-order stepping
 is provided: the theory guarantees resolvent contraction and nothing
 about higher-order accuracy.
+
+:func:`evolve` and :func:`contraction_report` step ExpPoly and
+BlockState states through a resolvent callable. The CLI's trajectories
+step coefficient rows instead, through :func:`run_rows`, the one runner:
+it prunes every state by the rule of :func:`_row_postprocessor` and
+returns each row's stop, the first step that raised or failed the
+closing membership test.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "contraction_report",
     "convergence_order",
     "trajectory_postprocessor",
+    "run_rows",
 ]
 
 State = TypeVar("State")
@@ -111,24 +119,39 @@ def trajectory_postprocessor(interval: Interval):
     return clean
 
 
-def _run_rows(step, x: np.ndarray, steps: int):
-    """Yields ``(x, ends)`` for each of up to ``steps`` steps of the
+def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarray], bool]] = None):
+    """``(states, stops)`` of up to ``steps`` steps of the
     ``derivative._StepMap`` ``step`` from ``x``, at most two states, one row
     each, stepped stacked ``(rows, 1, width)`` with the bits of each row
-    alone and pruned by :func:`_row_postprocessor`. When two rows raise, the
-    step is taken again on the first alone and the second leaves the run;
-    when one row raises, the error propagates."""
+    alone and pruned by :func:`_row_postprocessor`. ``states[k]`` holds the
+    rows after step ``k`` (``states[0]`` is ``x``), and ``stops[r]`` is the
+    first step at which row ``r`` raised or failed the closing membership
+    test, or ``None``. When a batch raises, its last row leaves the run and
+    the rest step again; the run ends when no row is left, or after a step
+    whose rows ``until`` flags. Membership is tested once, after the loop,
+    on all of row 0's steps, then all of row 1's."""
     clean = _row_postprocessor(step.interval, step.basis)
-    for _ in range(steps):
+    states, ends, stops = [x], [], [None] * len(x)
+    while len(states) <= steps and len(x):
         try:
-            y, ends = step(x[:, None])
+            y, x_ends = step(x[:, None])
         except Exception:  # noqa: BLE001 - any error stops a run, as in evolve
-            if len(x) == 1:
-                raise
-            x = x[:1]
-            y, ends = step(x[:, None])
+            stops[len(x) - 1] = len(states)
+            x = x[:-1]
+            continue
         x = clean(y[:, 0])
-        yield x, ends
+        states.append(x)
+        ends.append(x_ends)
+        if until is not None and until(x):
+            break
+    if ends:
+        member = step.member(np.vstack([e[r : r + 1] for r in range(len(stops)) for e in ends]))
+        for r in range(len(stops)):
+            taken = sum(len(e) > r for e in ends)
+            if not member[:taken].all():
+                stops[r] = int(np.argmin(member[:taken])) + 1
+            member = member[taken:]
+    return states, stops
 
 
 def evolve(

@@ -1,11 +1,13 @@
 """Trajectories as coefficient rows over one basis.
 
 The CLI steps implicit-Euler trajectories as rows over one ``ExpBasis``
-(``_StepMap``), through one loop (``evolution._run_rows``) that prunes them
+(``_StepMap``), through one runner (``evolution.run_rows``) that prunes them
 by one rule (``evolution._row_postprocessor``, which the ExpPoly hook
-``trajectory_postprocessor`` applies too); these tests compare such runs
-and the batched resolvents with the term algebra they replaced
-(``composed_step``), and check the loop where a step raises.
+``trajectory_postprocessor`` applies too) and returns each row's stop;
+these tests compare such runs and the batched resolvents with the term
+algebra they replaced (``composed_step``), and check the stops the runner
+reads: a step that raises, a closing membership test that fails, and the
+caller's ``until``.
 """
 
 import itertools
@@ -18,9 +20,9 @@ from composed_step import ROUNDING, composed_block_resolve, term_majorant
 
 from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
-from maccretive.derivative import DerivativeContext
+from maccretive.derivative import DerivativeContext, Realization1D
 from maccretive.errors import RootNotFound
-from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, _run_rows, trajectory_postprocessor
+from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, run_rows, trajectory_postprocessor
 from maccretive.funcspace import ExpBasis, ExpPoly, Interval, _state_norms
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
@@ -101,7 +103,7 @@ def _raising_at(step, k: int):
             raise RuntimeError(f"step {k}")
         return step(x)
 
-    stepped.interval, stepped.basis = step.interval, step.basis
+    stepped.interval, stepped.basis, stepped.member = step.interval, step.basis, step.member
     return stepped
 
 
@@ -116,29 +118,77 @@ def _two_runs(steps: int):
     return step, step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
 
 
+def _bits(states: list, row: int = 0) -> str:
+    return repr([x[row].tolist() for x in states])
+
+
 @pytest.mark.parametrize("k", [1, 7])
 def test_a_run_of_two_rows_that_raises_goes_on_with_the_first_alone(k):
     step, x = _two_runs(30)
-    both = list(_run_rows(_raising_at(step, k), x, 30))
-    alone = list(_run_rows(step, x[:1], 30))
-    assert [len(y) for y, _ in both] == [2] * (k - 1) + [1] * (31 - k)
-    assert repr([(y[0].tolist(), ends[0].tolist()) for y, ends in both]) == repr(
-        [(y[0].tolist(), ends[0].tolist()) for y, ends in alone])
+    states, stops = run_rows(_raising_at(step, k), x, 30)
+    alone, alone_stops = run_rows(step, x[:1], 30)
+    assert stops == [None, k] and alone_stops == [None]
+    assert [len(y) for y in states] == [2] * k + [1] * (31 - k)
+    assert _bits(states) == _bits(alone)
     # the steps before k are those of the second row alone, too
-    second = list(itertools.islice(_run_rows(step, x[1:], 30), k - 1))
-    assert repr([y[1].tolist() for y, _ in both[: k - 1]]) == repr([y[0].tolist() for y, _ in second])
+    second, _ = run_rows(step, x[1:], k - 1)
+    assert _bits(states[:k], 1) == _bits(second)
 
 
 @pytest.mark.parametrize("k", [1, 7])
 def test_a_run_of_one_row_that_raises_stops_there(k):
     step, x = _two_runs(30)
-    taken = []
-    with pytest.raises(RuntimeError, match=f"step {k}"):
-        for y, _ in _run_rows(_raising_at(step, k), x[:1], 30):
-            taken.append(y)
-    assert len(taken) == k - 1
-    alone = [y for y, _ in itertools.islice(_run_rows(step, x[:1], 30), k - 1)]
-    assert repr([y.tolist() for y in taken]) == repr([y.tolist() for y in alone])
+    states, stops = run_rows(_raising_at(step, k), x[:1], 30)
+    assert stops == [k] and len(states) == k
+    assert _bits(states) == _bits(run_rows(step, x[:1], k - 1)[0])
+
+
+@pytest.mark.parametrize("j", [1, 7, 30])
+def test_until_ends_a_run_after_the_step_it_flags(j):
+    step, x = _two_runs(30)
+    seen = []
+
+    def until(y):
+        seen.append(y)
+        return len(seen) == j
+
+    states, stops = run_rows(step, x, 30, until)
+    assert stops == [None, None] and len(states) == j + 1
+    # until reads each step's pruned rows, those the run keeps
+    assert all(y is state for y, state in zip(seen, states[1:], strict=True))
+    assert _bits(states) == _bits(run_rows(step, x, 30)[0][: j + 1])
+
+
+def test_a_one_row_run_past_the_degree_cap_stops_at_that_step():
+    """The resonant mode of ``g = 0.5 t`` at tau 0.01 gains a degree per
+    step: the step past ``DEGREE_CAP`` raises ``ValueError``, which ends
+    the run of its one row there instead of escaping."""
+    ctx = DerivativeContext(Interval(0.0, 1.0))
+    real = Realization1D(ctx, cli._boundary_function({"kind": "linear", "slope": 0.5}, "g"))
+    u0 = ExpPoly.exponential(1.0)
+    step = real._step_map(0.01, (u0,), 80)
+    states, stops = run_rows(step, step.basis.rows((u0,)).reshape(1, -1), 80)
+    assert stops == [len(states)] and 1 < len(states) <= 80
+    with pytest.raises(ValueError, match="exceeds cap"):
+        step(states[-1][:, None])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the defect's squares overflow
+def test_a_non_member_of_the_second_row_leaves_the_first_running_to_its_end():
+    """M = -2 I grows each state about 2.8-fold a step: from 1e140 the
+    closing test of the second row fails once its defect's squares
+    overflow, at step 29, while the first row, from 1, passes all 40. A
+    row that fails the test steps on; its stop is read after the loop."""
+    ctx = DerivativeContext(Interval(0.0, 1.0))
+    real = cli._block_realization(ctx, {"kind": "M", "matrix": [[-2.0, 0.0], [0.0, -2.0]]})
+    u0, v0 = (BlockState(ExpPoly.exponential(1.0, c), ExpPoly.exponential(1.0, c)) for c in (1.0, 1e140))
+    step = real._step_map(0.2, (u0.u, u0.v, v0.u, v0.v), 40)
+    x = step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
+    states, stops = run_rows(step, x, 40)
+    assert stops == [None, 29]
+    assert [len(y) for y in states] == [2] * 41
+    assert run_rows(step, x[1:], 40)[1] == [29]
+    assert _bits(states) == _bits(run_rows(step, x[:1], 40)[0])
 
 
 def test_batched_resolves_match_block_resolve():
@@ -179,9 +229,9 @@ def test_batched_resolves_stop_where_block_resolve_raises():
 def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     """Right-hand sides third and fifth of five whose solves are not
     members: the batched resolves keep the two solutions before the first,
-    and the closing tests of the same rows stepped one at a time, read as a
-    trajectory suite reads them, first fail at the third, where a loop of
-    ``block_resolve`` raises first."""
+    and the same rows stepped one at a time, each a one-step run of
+    ``run_rows`` as a trajectory suite steps them, stop at the third and
+    the fifth, where a loop of ``block_resolve`` raises."""
     ctx = DerivativeContext(Interval(0.0, 1.0))
     real = cli._block_realization(ctx, {"kind": "M", "matrix": [[0.0, 0.5], [-0.5, 0.0]]})
     rng = np.random.default_rng(5)
@@ -196,5 +246,5 @@ def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     assert len(cli._block_resolves(real, rhss, 0.5)[2]) == 2
     polys = [f for rhs in rhss for f in (rhs.u, rhs.v)]
     step = real._step_map(0.5, polys, 1)
-    ends = [step(row)[1] for row in step.basis.rows(polys).reshape(len(rhss), -1)]
-    assert cli._first_false(step.member(np.vstack(ends))) == 3
+    stops = [run_rows(step, row[None], 1)[1][0] for row in step.basis.rows(polys).reshape(len(rhss), -1)]
+    assert [n for n, stop in enumerate(stops, 1) if stop == 1] == [3, 5]
