@@ -71,13 +71,7 @@ from .impedance1d import (
     kappa,
     kappa_adjoint,
 )
-from .evolution import (
-    SchemeConfig,
-    TrajectoryRecord,
-    contraction_report,
-    convergence_order,
-    evolve,
-)
+from .evolution import convergence_order, evolve
 from . import errors
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from .derivative import (
     resolve,
 )
 from .errors import NormOutOfReach, RootNotFound, SchemaError
-from .evolution import run_rows
+from .evolution import evolve
 from .funcspace import (
     DEGREE_CAP,
     ExpBasis,
@@ -407,6 +407,23 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 
 
+def _energy_run(realization, state: BlockState, tau: float, steps: int, iv: Interval):
+    """``(energies, first increase, stop)`` of the energy run from ``state``:
+    :func:`evolve` with ``until`` the first step whose energy exceeds the
+    one before by more than 1e-10 relative. A run that stops keeps the
+    energies before its stop and reports no increase."""
+    energies, rises = [state_l2_norm(state, iv) ** 2], []
+
+    def rose(norm) -> bool:
+        energies.append(norm ** 2)
+        if energies[-1] > energies[-2] * (1 + 1e-10):
+            rises.append(len(energies) - 1)
+        return bool(rises)
+
+    (stop,) = evolve(realization, [(state.u, state.v)], tau, steps, until=rose).stops
+    return energies[:stop], rises[0] if rises and stop is None else None, stop
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
 def _suite_check_decomposition(p: dict, seed: int, tol: float):
     iv = p["interval"]
@@ -668,25 +685,7 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
 
     # energy run, stopping at the first certified increase
     state = _finite_on(iv, p["u0"], "u0")
-    energies = [state_l2_norm(state, iv) ** 2]
-    first_increase = None
-    run_failed_at = 1 if basis is None else None  # no resolvent plan at this tau
-    if basis is not None:
-        step = realization._step_map(tau, (state.u, state.v), steps)
-        table = step.basis.values(iv)
-
-        def rose(x: np.ndarray) -> bool:
-            nonlocal first_increase
-            energies.append(_state_norms(x, table)[0] ** 2)
-            if energies[-1] > energies[-2] * (1 + 1e-10):
-                first_increase = len(energies) - 1
-            return first_increase is not None
-
-        x = step.basis.rows((state.u, state.v)).reshape(1, -1)  # a batch of one state
-        _, (run_failed_at,) = run_rows(step, x, steps, until=rose)
-        if run_failed_at is not None:
-            first_increase = None
-            del energies[run_failed_at:]
+    energies, first_increase, run_failed_at = _energy_run(realization, state, tau, steps, iv)
 
     failures = []
     if accretive_k != (accretive_sampled and solvable):
@@ -723,13 +722,13 @@ def _suite_evolve(p: dict, seed: int, tol: float):
         if "g" not in p:
             raise SchemaError("evolve: derivative kind needs 'g'")
         realization = Realization1D(ctx, p["g"])
-        l2, parse_state, parts = l2_norm, _exppoly, lambda s: (s,)
+        parse_state, parts = _exppoly, lambda s: (s,)
         u0 = ExpPoly.exponential(1.0)
     elif kind == "block":
         if "realization" not in p:
             raise SchemaError("evolve: block kind needs 'realization'")
         realization = _block_realization(ctx, p["realization"])
-        l2, parse_state, parts = state_l2_norm, _block_state, lambda s: (s.u, s.v)
+        parse_state, parts = _block_state, lambda s: (s.u, s.v)
         u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
     else:
         raise SchemaError(f"evolve: unknown kind {kind!r}")
@@ -738,35 +737,21 @@ def _suite_evolve(p: dict, seed: int, tol: float):
     v0 = _finite_on(iv, parse_state(p["v0"], "v0"), "v0") if "v0" in p else None
     starts = (u0,) if v0 is None else (u0, v0)
 
+    # u's record ends before its stop; v is judged on its states within it
+    run = evolve(realization, [parts(s) for s in starts], tau, steps)
+    run_failed_at, norms = run.stops[0], run.norms.tolist()
     distances = monotone = None
     failures = []
-    try:
-        step = realization._step_map(tau, [f for s in starts for f in parts(s)], steps)
-    except RootNotFound:  # the first step fails
-        norms, run_failed_at = [l2(u0, iv)], 1
-        if v0 is not None:
-            distances, monotone = [l2(u0 - v0, iv)], True
-    else:
-        # both runs step as one batch of rows over one basis, judged after the loop
-        table = step.basis.values(iv)
-        states, stops = run_rows(step, np.stack([step.basis.rows(parts(s)).ravel() for s in starts]), steps)
-        # u's record ends before its stop; v is judged on its states within it
-        run_failed_at = stops[0]
-        kept = stops[0] or len(states)
-        pairs = min(kept, stops[1] or kept) if v0 is not None else 0
-        u = np.stack([x[0] for x in states[:kept]])
-        v = np.stack([x[1] for x in states[:pairs]]) if pairs else u[:0]
-        sizes = _state_norms(np.vstack([u, u[:pairs] - v]), table)
-        norms, gaps = sizes[:kept].tolist(), sizes[kept:]
-        if v0 is not None:
-            rises = np.flatnonzero(gaps[1:] > gaps[:-1] + tol)
-            if rises.size:
-                failures.append("distance_monotonicity")
-                monotone, distances = False, [math.nan] * (int(rises[0]) + 2)
-            elif pairs < kept:  # v stopped inside u's record
-                run_failed_at = stops[1]
-            else:
-                monotone, distances = True, gaps.tolist()
+    if v0 is not None:
+        gaps = run.distances
+        rises = np.flatnonzero(gaps[1:] > gaps[:-1] + tol)
+        if rises.size:
+            failures.append("distance_monotonicity")
+            monotone, distances = False, [math.nan] * (int(rises[0]) + 2)
+        elif len(gaps) < len(norms):  # v stopped inside u's record
+            run_failed_at = run.stops[1]
+        else:
+            monotone, distances = True, gaps.tolist()
     if run_failed_at is not None:
         failures.insert(0, "run_failed")
     body = {

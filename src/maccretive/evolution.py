@@ -7,74 +7,51 @@ falsification witness for the boundary data. Only first-order stepping
 is provided: the theory guarantees resolvent contraction and nothing
 about higher-order accuracy.
 
-:func:`evolve` and :func:`contraction_report` step ExpPoly and
-BlockState states through a resolvent callable. The CLI's trajectories
-step coefficient rows instead, through :func:`run_rows`, the one runner:
-it prunes every state by the rule of :func:`_row_postprocessor` and
-returns each row's stop, the first step that raised or failed the
-closing membership test.
+:func:`evolve` is the one trajectory runner. It steps one or two starts
+of a ``Realization1D`` or ``BlockRealization`` as coefficient rows over
+one basis, through :func:`run_rows`, which prunes every state by the
+rule of :func:`_row_postprocessor` and finds each row's stop: the first
+step that raised or failed the closing membership test. It returns the
+rows, the stops, the norms of the first run and the distances between
+the two runs. The CLI's ``evolve`` and ``wave-impedance`` suites judge
+what it returns, and :func:`convergence_order` runs on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .blockop import BlockState
-from .errors import ContractionViolated, EvolutionStepFailed
-from .funcspace import ExpBasis, Interval
+from .errors import RootNotFound
+from .funcspace import ExpBasis, Interval, _quadrature_norm, _state_norms
 
-__all__ = [
-    "SchemeConfig",
-    "TrajectoryRecord",
-    "evolve",
-    "contraction_report",
-    "convergence_order",
-    "trajectory_postprocessor",
-    "run_rows",
-]
-
-State = TypeVar("State")
+__all__ = ["Trajectory", "evolve", "convergence_order", "run_rows"]
 
 #: A state that stores more coefficients than this is pruned by :func:`_row_postprocessor`.
 TERM_COUNT_CAP = 64
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Time step, step count, and the per-step distance slack."""
+class Trajectory(NamedTuple):
+    """What :func:`evolve` returns.
 
-    tau: float
-    steps: int
-    tol: float = 1e-8
+    ``states[k]`` holds the rows over ``basis`` after step ``k``, one per
+    run still stepping (``states[0]`` the starts); ``stops[r]`` is the
+    first step at which run ``r`` raised or failed the closing membership
+    test, or ``None``. ``norms`` are the first run's norms up to its stop,
+    and ``distances``, with two starts, the norms of the first run minus
+    the second over the steps both keep within that record. Where the
+    realization has no resolvent at ``tau``, ``basis`` is ``None``,
+    ``states`` is empty, every run stops at step 1, and the norm and the
+    distance are the starts'.
+    """
 
-    def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-
-
-@dataclass
-class TrajectoryRecord:
-    """States, norms, and timestamps of one implicit-Euler run."""
-
-    states: list = field(default_factory=list)
-    norms: list = field(default_factory=list)
-    timestamps: list = field(default_factory=list)
-
-    def append(self, state, norm: float, time: float) -> None:
-        self.states.append(state)
-        self.norms.append(norm)
-        self.timestamps.append(time)
-
-    def __len__(self) -> int:
-        return len(self.states)
+    basis: Optional[ExpBasis]
+    states: list
+    stops: list
+    norms: np.ndarray
+    distances: Optional[np.ndarray]
 
 
 def _row_postprocessor(interval: Interval, basis):
@@ -101,24 +78,6 @@ def _row_postprocessor(interval: Interval, basis):
     return clean
 
 
-def trajectory_postprocessor(interval: Interval):
-    """Between-step pruning hook for ExpPoly and BlockState states: the rule
-    of :func:`_row_postprocessor` on the state's rows over the basis spanning
-    its functions. A state it leaves as it is comes back as the same object."""
-
-    def clean(state):
-        polys = (state.u, state.v) if isinstance(state, BlockState) else (state,)
-        basis = ExpBasis.spanning(polys)
-        x = basis.rows(polys).ravel()
-        y = _row_postprocessor(interval, basis)(x) if basis.dim else x  # dim 0: the zero state
-        if y is x:
-            return state
-        pruned = basis.polys(y.reshape(len(polys), -1))
-        return BlockState(*pruned) if isinstance(state, BlockState) else pruned[0]
-
-    return clean
-
-
 def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarray], bool]] = None):
     """``(states, stops)`` of up to ``steps`` steps of the
     ``derivative._StepMap`` ``step`` from ``x``, at most two states, one row
@@ -135,7 +94,8 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
     while len(states) <= steps and len(x):
         try:
             y, x_ends = step(x[:, None])
-        except Exception:  # noqa: BLE001 - any error stops a run, as in evolve
+        # a step past DEGREE_CAP raises ValueError, a nonlinear boundary solve RootNotFound
+        except Exception:  # noqa: BLE001
             stops[len(x) - 1] = len(states)
             x = x[:-1]
             continue
@@ -155,73 +115,62 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
 
 
 def evolve(
-    resolvent: Callable[[State, float], State],
-    u0: State,
-    cfg: SchemeConfig,
-    norm: Callable[[State], float],
-) -> TrajectoryRecord:
-    """Run ``steps`` implicit-Euler steps from ``u0``.
-
-    ``resolvent(state, tau)`` must solve ``(1 + tau*B) out = state``.
-    Failures are re-raised with the failing step index and the partial
-    record attached.
+    realization,
+    starts: Sequence[Sequence],
+    tau: float,
+    steps: int,
+    until: Optional[Callable[[float], bool]] = None,
+) -> Trajectory:
+    """Up to ``steps`` implicit-Euler steps of ``tau`` in ``realization``, a
+    ``Realization1D`` or a ``BlockRealization``, from one or two
+    ``starts``, each a state's functions: ``(f,)`` in 1-D, ``(u, v)`` in
+    the block. The runs step as one batch of rows over one basis, each
+    with the bits of its run alone (:func:`run_rows`); ``until``, given
+    the first run's norm after each step, ends the runs after a step it
+    flags. See :class:`Trajectory` for what comes back.
     """
-    record = TrajectoryRecord()
-    record.append(u0, norm(u0), 0.0)
-    state = u0
-    for k in range(cfg.steps):
-        try:
-            state = resolvent(state, cfg.tau)
-        except Exception as exc:  # noqa: BLE001 - annotate and rethrow
-            raise EvolutionStepFailed(k + 1, exc, record) from exc
-        record.append(state, norm(state), (k + 1) * cfg.tau)
-    return record
+    interval, paired = realization.ctx.interval, len(starts) == 2
+    try:
+        step = realization._step_map(tau, [f for start in starts for f in start], steps)
+    except RootNotFound:  # no resolvent plan at tau: the first step fails
+        gaps = [[f - g for f, g in zip(*starts)]] if paired else []
+        sizes = np.array([_quadrature_norm(polys, interval) for polys in [starts[0], *gaps]])
+        return Trajectory(None, [], [1] * len(starts), sizes[:1], sizes[1:] if paired else None)
+    table = step.basis.values(interval)
+    read = []  # the first run's norm after each step, when until needs it
 
+    def flag(y: np.ndarray) -> bool:
+        read.append(_state_norms(y[:1], table)[0])
+        return until(read[-1])
 
-def contraction_report(
-    resolvent: Callable[[State, float], State],
-    u_states: Sequence[State],
-    v0: State,
-    cfg: SchemeConfig,
-    norm_of_difference: Callable[[State, State], float],
-) -> list[float]:
-    """Pairwise distances ``d_k`` between a recorded trajectory and the
-    trajectory from ``v0``.
-
-    ``u_states`` are the states of a run already taken, such as
-    ``evolve(...).states``; the second trajectory takes one step of
-    ``cfg.tau`` per recorded state after the first. Raises
-    :class:`ContractionViolated` at the first step whose distance
-    exceeds the previous one by more than ``cfg.tol``.
-    """
-    distances = [norm_of_difference(u_states[0], v0)]
-    v = v0
-    for k, u in enumerate(u_states[1:]):
-        try:
-            v = resolvent(v, cfg.tau)
-        except Exception as exc:  # noqa: BLE001
-            raise EvolutionStepFailed(k + 1, exc) from exc
-        d = norm_of_difference(u, v)
-        if d > distances[-1] + cfg.tol:
-            raise ContractionViolated(k + 1, distances[-1], d)
-        distances.append(d)
-    return distances
+    x = np.stack([step.basis.rows(start).ravel() for start in starts])
+    states, stops = run_rows(step, x, steps, None if until is None else flag)
+    # the first run's record ends before its stop; the second is measured on its states within it
+    kept = stops[0] or len(states)
+    pairs = min(kept, stops[1] or kept) if paired else 0
+    head = kept if until is None else 1  # the first run's norms not yet read
+    u = np.stack([y[0] for y in states[: max(head, pairs)]])
+    v = np.stack([y[1] for y in states[:pairs]]) if pairs else u[:0]
+    sizes = _state_norms(np.vstack([u[:head], u[:pairs] - v]), table)
+    norms = np.concatenate([sizes[:head], read[: kept - head]])
+    return Trajectory(step.basis, states, stops, norms, sizes[head:] if paired else None)
 
 
 def convergence_order(
-    resolvent: Callable[[State, float], State],
-    u0: State,
+    realization,
+    start: Sequence,
     tau_list: Sequence[float],
     horizon: float,
-    norm_of_difference: Callable[[State, State], float],
-    exact_final: Optional[State] = None,
+    exact_final: Optional[Sequence] = None,
 ) -> float:
-    """Estimated order of accuracy at time ``horizon``.
+    """Estimated order of accuracy at time ``horizon`` of the run of
+    :func:`evolve` from ``start`` (a state's functions) at each ``tau``.
 
-    With ``exact_final`` the errors against it are fitted; otherwise a
-    Richardson estimate from successive endpoint differences is used.
-    Returns ``nan`` when the endpoints coincide (exactly invariant
-    initial data).
+    With ``exact_final`` (functions like ``start``) the errors against it
+    are fitted; otherwise a Richardson estimate from successive endpoint
+    differences is used. Returns ``nan`` when the endpoints coincide
+    (exactly invariant initial data). A run that stops before the
+    horizon raises :class:`RootNotFound`.
     """
     taus = list(tau_list)
     if any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
@@ -231,18 +180,21 @@ def convergence_order(
         steps = round(horizon / tau)
         if abs(steps * tau - horizon) > 1e-9 * max(1.0, horizon):
             raise ValueError(f"tau = {tau} does not divide the horizon {horizon}")
-        state = u0
-        for _ in range(steps):
-            state = resolvent(state, tau)
-        endpoints.append(state)
+        run = evolve(realization, [start], tau, steps)
+        if run.stops[0] is not None:
+            raise RootNotFound(f"the run at tau = {tau} stops at step {run.stops[0]}")
+        endpoints.append(run.basis.polys(run.states[-1].reshape(len(start), -1)))
+
+    interval = realization.ctx.interval
+
+    def distance(x, y) -> float:
+        return _quadrature_norm([f - g for f, g in zip(x, y)], interval)
 
     if exact_final is not None:
-        errors = [norm_of_difference(e, exact_final) for e in endpoints]
+        errors = [distance(e, exact_final) for e in endpoints]
         pairs = list(zip(taus, errors))
     else:
-        diffs = [
-            norm_of_difference(e1, e2) for e1, e2 in zip(endpoints, endpoints[1:])
-        ]
+        diffs = [distance(e1, e2) for e1, e2 in zip(endpoints, endpoints[1:])]
         pairs = list(zip(taus, diffs))
 
     rates = []

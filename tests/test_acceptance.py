@@ -30,14 +30,8 @@ from maccretive.derivative import (
     pi_zero,
     resolve,
 )
-from maccretive.errors import ContractionViolated, RootNotFound
-from maccretive.evolution import (
-    SchemeConfig,
-    contraction_report,
-    convergence_order,
-    evolve,
-    trajectory_postprocessor,
-)
+from maccretive.cli import _energy_run
+from maccretive.evolution import convergence_order, evolve
 from maccretive.funcspace import (
     ExpPoly,
     Interval,
@@ -118,10 +112,12 @@ def random_block_state(rng: np.random.Generator) -> BlockState:
     return BlockState(poly(), poly())
 
 
-def pair_distances(resolvent, u0, v0, cfg: SchemeConfig, dist) -> list[float]:
-    """Distances between the trajectories from ``u0`` and ``v0``."""
-    states = evolve(resolvent, u0, cfg, norm=lambda s: 0.0).states
-    return contraction_report(resolvent, states, v0, cfg, dist)
+def distances_fall(realization, starts, tau: float, steps: int) -> bool:
+    """Whether the runs from the two ``starts`` take every step and their
+    distance never rises by more than 1e-8."""
+    run = evolve(realization, starts, tau, steps)
+    gaps = run.distances
+    return run.stops == [None, None] and bool(np.all(gaps[1:] <= gaps[:-1] + 1e-8))
 
 
 # ----------------------------------------------------------------------
@@ -438,17 +434,13 @@ def test_criterion_10_impedance():
 def test_criterion_11_evolution():
     # (a) eigenfunction benchmark: exact geometric decay per step
     r0 = Realization1D(CTX, BoundaryFunction.constant(0.0))
-    resolvent = lambda s, t: resolve(r0, s, t)  # noqa: E731
     benchmark_ok = True
     worst_step = 0.0
     for tau in (0.1, 0.25):
-        record = evolve(
-            resolvent,
-            EP,
-            SchemeConfig(tau=tau, steps=20),
-            norm=lambda s: l2_norm(s, UNIT),
-        )
-        for k, state in enumerate(record.states):
+        run = evolve(r0, [(EP,)], tau, 20)
+        benchmark_ok &= run.stops == [None]
+        for k, x in enumerate(run.states):
+            (state,) = run.basis.polys(x)
             coeff = sum(c[0] for rate, c in state.terms if rate == 1.0)
             defect = abs(coeff - (1.0 + tau) ** (-k))
             worst_step = max(worst_step, defect / (k + 1))
@@ -456,54 +448,26 @@ def test_criterion_11_evolution():
                 benchmark_ok = False
 
     # (b) convergence order on the same benchmark
-    order = convergence_order(
-        resolvent,
-        EP,
-        [0.2, 0.1, 0.05, 0.025],
-        1.0,
-        lambda x, y: l2_norm(x - y, UNIT),
-    )
+    order = convergence_order(r0, (EP,), [0.2, 0.1, 0.05, 0.025], 1.0)
     order_ok = 0.8 <= order <= 1.2
 
     # (c) contraction monotone across admissible realizations
     rng = np.random.default_rng(1111)
     contraction_ok = True
-    try:
-        for g in (
-            BoundaryFunction.scaled_sin(0.9 * CTX.lipschitz_bound),
-            BoundaryFunction.linear(0.7 * CTX.lipschitz_bound),
-        ):
-            r = Realization1D(CTX, g)
-            pair_distances(
-                lambda s, t: resolve(r, s, t),
-                random_exppoly(rng, 2),
-                random_exppoly(rng, 2),
-                SchemeConfig(tau=0.3, steps=12),
-                lambda x, y: l2_norm(x - y, UNIT),
-            )
-        block_real = BlockRealization.from_f(CTX, random_bd_contraction(rng))
-        pair_distances(
-            lambda s, t: block_resolve(block_real, s, t),
-            random_block_state(rng),
-            random_block_state(rng),
-            SchemeConfig(tau=0.25, steps=10),
-            lambda x, y: state_l2_norm(x - y, UNIT),
-        )
-    except ContractionViolated:
-        contraction_ok = False
+    for g in (
+        BoundaryFunction.scaled_sin(0.9 * CTX.lipschitz_bound),
+        BoundaryFunction.linear(0.7 * CTX.lipschitz_bound),
+    ):
+        starts = [(random_exppoly(rng, 2),), (random_exppoly(rng, 2),)]
+        contraction_ok &= distances_fall(Realization1D(CTX, g), starts, 0.3, 12)
+    block_real = BlockRealization.from_f(CTX, random_bd_contraction(rng))
+    u0, v0 = random_block_state(rng), random_block_state(rng)
+    contraction_ok &= distances_fall(block_real, [(u0.u, u0.v), (v0.u, v0.v)], 0.25, 10)
 
-    # (d) energy increase detection for K = -identity within 50 steps
+    # (d) energy increase detection for K = -identity within 50 steps, by
+    # the energy run of wave-impedance
     real = impedance_realization(CTX, ImpedanceK.from_matrix(-np.eye(2)))
-    clean = trajectory_postprocessor(UNIT)
-    state = BlockState(EP + EM, ExpPoly.constant(0.5))
-    energies = [state_l2_norm(state, UNIT) ** 2]
-    first_increase = None
-    for step in range(1, 51):
-        state = clean(block_resolve(real, state, 0.2))
-        energies.append(state_l2_norm(state, UNIT) ** 2)
-        if energies[-1] > energies[-2] * (1 + 1e-10):
-            first_increase = step
-            break
+    _, first_increase, _ = _energy_run(real, BlockState(EP + EM, ExpPoly.constant(0.5)), 0.2, 50, UNIT)
     detection_ok = first_increase is not None and first_increase <= 50
 
     ok = benchmark_ok and order_ok and contraction_ok and detection_ok

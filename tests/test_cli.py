@@ -646,42 +646,49 @@ def test_named_stops_come_no_earlier(tmp_path, params, stop):
 
 def library_evolve(params: dict) -> tuple:
     """``(exit code, run_failed_at_step, distance_monotone, states kept,
-    distances reported)`` of an ``evolve`` spec with ``u0`` and ``v0`` by the
-    library: :func:`evolve` and :func:`contraction_report` on ExpPoly
-    states, each step a ``resolve`` or ``block_resolve``, which raise at a
-    non-member, pruned between steps as the CLI prunes."""
+    distances reported)`` of an ``evolve`` spec with ``u0`` and ``v0`` by a
+    loop of ``resolve`` or ``block_resolve`` on ExpPoly states, which raise
+    at a non-member, pruned between steps as the CLI prunes: ``u`` runs
+    until a step raises, ``v`` as many steps as ``u`` kept, and the
+    distances are read step by step up to the first that rises by more
+    than 1e-8."""
+    from composed_step import trajectory_postprocessor
+
     from maccretive.blockop import block_resolve, state_l2_norm
     from maccretive.cli import _block_realization, _block_state, _boundary_function, _exppoly
     from maccretive.derivative import DerivativeContext, Realization1D, resolve
-    from maccretive.errors import ContractionViolated, EvolutionStepFailed
-    from maccretive.evolution import SchemeConfig, contraction_report, evolve, trajectory_postprocessor
     from maccretive.funcspace import Interval, l2_norm
 
     iv = Interval(0.0, 1.0)
-    ctx, clean = DerivativeContext(iv), trajectory_postprocessor(iv)
+    ctx, clean, tau = DerivativeContext(iv), trajectory_postprocessor(iv), params["tau"]
     if params.get("kind", "derivative") == "derivative":
-        real, parse = Realization1D(ctx, _boundary_function(params["g"], "g")), _exppoly
-        step = lambda s, tau: clean(resolve(real, s, tau))  # noqa: E731
-        norm = lambda s: l2_norm(s, iv)  # noqa: E731
+        real = Realization1D(ctx, _boundary_function(params["g"], "g"))
+        parse, solve, norm = _exppoly, resolve, l2_norm
     else:
-        real, parse = _block_realization(ctx, params["realization"]), _block_state
-        step = lambda s, tau: clean(block_resolve(real, s, tau))  # noqa: E731
-        norm = lambda s: state_l2_norm(s, iv)  # noqa: E731
-    cfg = SchemeConfig(params["tau"], params["steps"])
-    failed = monotone = reported = None
-    try:
-        record = evolve(step, parse(params["u0"], "u0"), cfg, norm)
-    except EvolutionStepFailed as exc:
-        record, failed = exc.record, exc.step
-    try:
-        reported = len(contraction_report(step, record.states, parse(params["v0"], "v0"), cfg,
-                                          lambda x, y: norm(x - y)))
-        monotone = True
-    except ContractionViolated as exc:
-        monotone, reported = False, exc.step + 1
-    except EvolutionStepFailed as exc:
-        failed = exc.step
-    return int(failed is not None or monotone is False), failed, monotone, len(record), reported
+        real = _block_realization(ctx, params["realization"])
+        parse, solve, norm = _block_state, block_resolve, state_l2_norm
+
+    def run(state, steps: int) -> tuple:
+        states = [state]
+        for k in range(1, steps + 1):
+            try:
+                states.append(clean(solve(real, states[-1], tau)))
+            except Exception:  # noqa: BLE001 - any error stops a run, as in the CLI
+                return states, k
+        return states, None
+
+    us, failed = run(parse(params["u0"], "u0"), params["steps"])
+    vs, v_failed = run(parse(params["v0"], "v0"), len(us) - 1)
+    distances = [norm(u - v, iv) for u, v in zip(us, vs)]
+    rise = next((k for k in range(1, len(distances)) if distances[k] > distances[k - 1] + 1e-8), None)
+    monotone = reported = None
+    if rise is not None:
+        monotone, reported = False, rise + 1
+    elif v_failed is not None:
+        failed = v_failed
+    else:
+        monotone, reported = True, len(distances)
+    return int(failed is not None or monotone is False), failed, monotone, len(us), reported
 
 
 E_T = [{"rate": 1.0, "coeffs": [1.0]}]

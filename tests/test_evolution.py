@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from composed_step import trajectory_postprocessor
+
+from maccretive import cli
 from maccretive.blockop import (
     BlockRealization,
     BlockState,
     bd_space,
-    block_resolve,
     state_l2_norm,
 )
 from maccretive.derivative import (
@@ -17,57 +19,22 @@ from maccretive.derivative import (
     accretivity_witness,
     resolve,
 )
-from maccretive.errors import ContractionViolated, EvolutionStepFailed
-from maccretive.evolution import (
-    TERM_COUNT_CAP,
-    SchemeConfig,
-    contraction_report,
-    convergence_order,
-    evolve,
-    trajectory_postprocessor,
-)
+from maccretive.errors import RootNotFound
+from maccretive.evolution import TERM_COUNT_CAP, convergence_order, evolve
 from maccretive.funcspace import ExpPoly, Interval, l2_norm
 from maccretive.impedance1d import ImpedanceK, impedance_realization
-from maccretive.relations import LinearRelation
+from maccretive.relations import LinearRelation, OperatorPair
 
 CTX = DerivativeContext(Interval(0.0, 1.0))
 UNIT = CTX.interval
-
-
-def derivative_resolvent(realization: Realization1D):
-    return lambda state, tau: resolve(realization, state, tau)
-
-
-def block_resolvent(realization: BlockRealization):
-    return lambda state, tau: block_resolve(realization, state, tau)
-
-
-def l2_dist(x: ExpPoly, y: ExpPoly) -> float:
-    return l2_norm(x - y, UNIT)
 
 
 def state_dist(x: BlockState, y: BlockState) -> float:
     return state_l2_norm(x - y, UNIT)
 
 
-def pair_distances(resolvent, u0, v0, cfg: SchemeConfig, dist) -> list[float]:
-    """Distances between the trajectories from ``u0`` and ``v0``."""
-    states = evolve(resolvent, u0, cfg, norm=lambda s: 0.0).states
-    return contraction_report(resolvent, states, v0, cfg, dist)
-
-
-# ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-
-
-def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig(tau=0.0, steps=1)
-    with pytest.raises(ValueError):
-        SchemeConfig(tau=0.1, steps=0)
-    with pytest.raises(ValueError):
-        SchemeConfig(tau=0.1, steps=1, tol=0.0)
+def e_t_coefficient(f: ExpPoly) -> float:
+    return sum(c[0] for rate, c in f.terms if rate == 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -77,45 +44,24 @@ def test_scheme_config_validation():
 
 def test_eigenfunction_benchmark_exact_decay():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
-    cfg = SchemeConfig(tau=0.1, steps=10)
-    record = evolve(
-        derivative_resolvent(r),
-        ExpPoly.exponential(1.0),
-        cfg,
-        norm=lambda s: l2_norm(s, UNIT),
-    )
-    assert len(record) == 11
-    for k, state in enumerate(record.states):
-        expected = (1.1) ** (-k)
-        coeff = dict()
-        for rate, coeffs in state.terms:
-            coeff[rate] = coeffs[0]
-        assert coeff.get(1.0, 0.0) == pytest.approx(expected, abs=1e-12)
-    assert record.timestamps[-1] == pytest.approx(1.0)
+    run = evolve(r, [(ExpPoly.exponential(1.0),)], 0.1, 10)
+    assert run.stops == [None] and len(run.states) == len(run.norms) == 11
+    for k, x in enumerate(run.states):
+        (state,) = run.basis.polys(x)
+        assert e_t_coefficient(state) == pytest.approx(1.1 ** (-k), abs=1e-12)
 
 
 def test_zero_initial_state_stays_zero():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
-    record = evolve(
-        derivative_resolvent(r),
-        ExpPoly.zero(),
-        SchemeConfig(tau=0.2, steps=5),
-        norm=lambda s: l2_norm(s, UNIT),
-    )
-    assert all(n == 0.0 for n in record.norms)
+    run = evolve(r, [(ExpPoly.zero(),)], 0.2, 5)
+    assert run.stops == [None] and run.norms.tolist() == [0.0] * 6
 
 
 def test_single_step_is_one_resolvent_application():
     r = Realization1D(CTX, BoundaryFunction.linear(0.5))
     u0 = ExpPoly.polynomial([1.0, -0.5])
-    record = evolve(
-        derivative_resolvent(r),
-        u0,
-        SchemeConfig(tau=0.4, steps=1),
-        norm=lambda s: l2_norm(s, UNIT),
-    )
-    direct = resolve(r, u0, 0.4)
-    assert record.states[1] == direct  # identical stored coefficients
+    run = evolve(r, [(u0,)], 0.4, 1)
+    assert run.basis.polys(run.states[1]) == [resolve(r, u0, 0.4)]  # identical stored coefficients
 
 
 def test_block_eigenpair_benchmark():
@@ -124,41 +70,30 @@ def test_block_eigenpair_benchmark():
     real = BlockRealization.from_relation(CTX, LinearRelation(space, np.array(basis)))
     u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
     tau = 0.25
-    record = evolve(
-        block_resolvent(real),
-        u0,
-        SchemeConfig(tau=tau, steps=8),
-        norm=lambda s: state_l2_norm(s, UNIT),
-    )
-    for k, state in enumerate(record.states):
+    run = evolve(real, [(u0.u, u0.v)], tau, 8)
+    assert run.stops == [None]
+    for k, x in enumerate(run.states):
         scale = (1.0 + tau) ** (-k)
-        assert state_dist(state, scale * u0) <= 1e-10 * scale
+        assert state_dist(BlockState(*run.basis.polys(x.reshape(2, -1))), scale * u0) <= 1e-10 * scale
+        assert run.norms[k] == pytest.approx(scale * state_l2_norm(u0, UNIT), rel=1e-10)
 
 
-def test_evolution_step_failure_carries_index():
-    def broken(state, tau):
-        raise RuntimeError("boom")
+def test_evolve_stops_both_runs_at_step_one_without_a_resolvent_plan():
+    # S = T = diag(1, 0) is a relation of dimension 3: the plan raises RootNotFound
+    half = np.diag([1.0, 0.0])
+    real = BlockRealization.from_st(CTX, OperatorPair(bd_space(CTX), half, half))
+    u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
+    v0 = BlockState(ExpPoly.constant(0.5), ExpPoly.zero())
+    run = evolve(real, [(u0.u, u0.v), (v0.u, v0.v)], 0.5, 5)
+    assert run.basis is None and run.states == [] and run.stops == [1, 1]
+    assert run.norms.tolist() == [state_l2_norm(u0, UNIT)]
+    assert run.distances.tolist() == [state_dist(u0, v0)]
+    assert evolve(real, [(u0.u, u0.v)], 0.5, 5).distances is None
 
-    with pytest.raises(EvolutionStepFailed) as err:
-        evolve(broken, ExpPoly.zero(), SchemeConfig(tau=0.1, steps=3), norm=lambda s: 0.0)
-    assert err.value.step == 1
 
-
-def test_evolution_step_failure_carries_partial_record():
-    def fails_at_third(state, tau):
-        if state.terms[0][1][0] < 0.85:  # 1/1.1^2 = 0.83 enters step 3
-            raise RuntimeError("boom")
-        return (1.0 / (1.0 + tau)) * state
-
-    with pytest.raises(EvolutionStepFailed) as err:
-        evolve(
-            fails_at_third,
-            ExpPoly.constant(1.0),
-            SchemeConfig(tau=0.1, steps=5),
-            norm=lambda s: l2_norm(s, UNIT),
-        )
-    assert err.value.step == 3
-    assert len(err.value.record) == 3  # the initial state and two steps
+# ----------------------------------------------------------------------
+# the pruning hook of the reference runs
+# ----------------------------------------------------------------------
 
 
 def stored(state) -> int:
@@ -207,7 +142,7 @@ def test_postprocessor_on_zero_states():
 
 
 # ----------------------------------------------------------------------
-# contraction diagnostics
+# contraction
 # ----------------------------------------------------------------------
 
 
@@ -217,35 +152,24 @@ def test_contraction_report_monotone_for_admissible_g():
     for _ in range(3):
         u0 = ExpPoly(((float(rng.integers(-2, 3)), tuple(rng.uniform(-1, 1, 2))),))
         v0 = ExpPoly(((float(rng.integers(-2, 3)), tuple(rng.uniform(-1, 1, 2))),))
-        distances = pair_distances(
-            derivative_resolvent(r), u0, v0, SchemeConfig(tau=0.3, steps=12), l2_dist
-        )
-        assert all(b <= a + 1e-8 for a, b in zip(distances, distances[1:]))
+        run = evolve(r, [(u0,), (v0,)], 0.3, 12)
+        assert run.stops == [None, None] and len(run.distances) == 13
+        assert np.all(run.distances[1:] <= run.distances[:-1] + 1e-8)
 
 
 def test_contraction_report_identical_states():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u0 = ExpPoly.exponential(1.0)
-    distances = pair_distances(
-        derivative_resolvent(r), u0, u0, SchemeConfig(tau=0.5, steps=5), l2_dist
-    )
-    assert all(d <= 1e-13 for d in distances)
+    run = evolve(r, [(u0,), (u0,)], 0.5, 5)
+    assert run.distances.tolist() == [0.0] * 6
 
 
 def test_contraction_violated_for_witness_pair():
     # slope 3 > e on [0,1]: the witness pair must expand for small tau
     g = BoundaryFunction.linear(3.0)
     witness = accretivity_witness(CTX, g, 1.0, 0.0)
-    r = Realization1D(CTX, g)
-    with pytest.raises(ContractionViolated) as err:
-        pair_distances(
-            derivative_resolvent(r),
-            witness.u,
-            witness.v,
-            SchemeConfig(tau=0.02, steps=5),
-            l2_dist,
-        )
-    assert err.value.step == 1
+    run = evolve(Realization1D(CTX, g), [(witness.u,), (witness.v,)], 0.02, 5)
+    assert run.distances[1] > run.distances[0] + 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -258,12 +182,10 @@ def test_convergence_order_first_order_benchmark():
     u0 = ExpPoly.exponential(1.0)
     horizon = 1.0
     taus = [0.2, 0.1, 0.05, 0.025]
-    order = convergence_order(derivative_resolvent(r), u0, taus, horizon, l2_dist)
+    order = convergence_order(r, (u0,), taus, horizon)
     assert 0.8 <= order <= 1.2
     exact = ExpPoly.exponential(1.0, math.exp(-horizon))
-    order_exact = convergence_order(
-        derivative_resolvent(r), u0, taus, horizon, l2_dist, exact_final=exact
-    )
+    order_exact = convergence_order(r, (u0,), taus, horizon, exact_final=(exact,))
     assert 0.8 <= order_exact <= 1.2
 
 
@@ -278,8 +200,7 @@ def test_halving_tau_roughly_halves_error():
         for _ in range(round(horizon / tau)):
             state = resolve(r, state, tau)
         # the e^t coefficient: the solve also leaves a roundoff-size e^{-t/tau} term
-        coeff = sum(c[0] for rate, c in state.terms if rate == 1.0)
-        return abs(coeff - exact)
+        return abs(e_t_coefficient(state) - exact)
 
     e1, e2 = endpoint_error(0.1), endpoint_error(0.05)
     assert e1 / e2 == pytest.approx(2.0, rel=0.25)
@@ -287,64 +208,63 @@ def test_halving_tau_roughly_halves_error():
 
 def test_convergence_order_degenerate_zero_state():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
-    order = convergence_order(
-        derivative_resolvent(r), ExpPoly.zero(), [0.2, 0.1], 1.0, l2_dist
-    )
-    assert math.isnan(order)
-    record = evolve(
-        derivative_resolvent(r),
-        ExpPoly.zero(),
-        SchemeConfig(tau=0.1, steps=5),
-        norm=lambda s: l2_norm(s, UNIT),
-    )
-    assert all(n == 0.0 for n in record.norms)
+    assert math.isnan(convergence_order(r, (ExpPoly.zero(),), [0.2, 0.1], 1.0))
 
 
 def test_convergence_order_validates_inputs():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     with pytest.raises(ValueError):
-        convergence_order(derivative_resolvent(r), ExpPoly.zero(), [0.1, 0.2], 1.0, l2_dist)
+        convergence_order(r, (ExpPoly.zero(),), [0.1, 0.2], 1.0)
     with pytest.raises(ValueError):
-        convergence_order(derivative_resolvent(r), ExpPoly.zero(), [0.3], 1.0, l2_dist)
+        convergence_order(r, (ExpPoly.zero(),), [0.3], 1.0)
+
+
+def test_convergence_order_raises_where_a_run_stops():
+    # the resonant mode of g = 0.5 t at tau 0.01 passes the degree cap before t = 1
+    r = Realization1D(CTX, BoundaryFunction.linear(0.5))
+    with pytest.raises(RootNotFound, match="stops at step"):
+        convergence_order(r, (ExpPoly.exponential(1.0),), [0.02, 0.01], 1.0)
 
 
 # ----------------------------------------------------------------------
 # wave energy runs
 # ----------------------------------------------------------------------
 
-
-def wave_energy_history(
-    k_matrix, u0: BlockState, tau: float, steps: int, stop_on_increase: bool = False
-) -> list[float]:
-    """Stepwise energies; optionally stops at the first certified increase."""
-    real = impedance_realization(CTX, ImpedanceK.from_matrix(k_matrix))
-    resolvent = block_resolvent(real)
-    clean = trajectory_postprocessor(UNIT)
-    state = u0
-    energies = [state_l2_norm(state, UNIT) ** 2]
-    for _ in range(steps):
-        state = clean(resolvent(state, tau))
-        energies.append(state_l2_norm(state, UNIT) ** 2)
-        if stop_on_increase and energies[-1] > energies[-2] * (1 + 1e-10):
-            break
-    return energies
+WAVE_U0 = BlockState(ExpPoly.exponential(1.0) + ExpPoly.exponential(-1.0), ExpPoly.constant(0.5))
 
 
 def test_energy_decays_with_accretive_K():
-    u0 = BlockState(
-        ExpPoly.exponential(1.0) + ExpPoly.exponential(-1.0),
-        ExpPoly.constant(0.5),
-    )
     for k_matrix in (np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.5], [-0.5, 1.0]]):
-        energies = wave_energy_history(k_matrix, u0, tau=0.2, steps=20)
-        assert all(b <= a + 1e-8 for a, b in zip(energies, energies[1:]))
+        real = impedance_realization(CTX, ImpedanceK.from_matrix(k_matrix))
+        run = evolve(real, [(WAVE_U0.u, WAVE_U0.v)], 0.2, 20)
+        assert run.stops == [None]
+        energies = run.norms ** 2
+        assert np.all(energies[1:] <= energies[:-1] + 1e-8)
 
 
 def test_energy_increases_with_negated_identity_K():
-    u0 = BlockState(
-        ExpPoly.exponential(1.0) + ExpPoly.exponential(-1.0),
-        ExpPoly.constant(0.5),
-    )
-    energies = wave_energy_history(-np.eye(2), u0, tau=0.2, steps=50, stop_on_increase=True)
-    grew = [k for k in range(len(energies) - 1) if energies[k + 1] > energies[k] * (1 + 1e-10)]
-    assert grew and grew[0] < 50
+    real = impedance_realization(CTX, ImpedanceK.from_matrix(-np.eye(2)))
+    run = evolve(real, [(WAVE_U0.u, WAVE_U0.v)], 0.2, 50)
+    energies = run.norms ** 2
+    assert np.any(energies[1:] > energies[:-1] * (1 + 1e-10))
+
+
+def test_until_ends_an_energy_run_at_the_first_increase():
+    """K = -I: ``until``, given the norm of each step's state, ends the run
+    after the first step whose energy rises, as ``wave-impedance``'s energy
+    run does; the norms it was given are those the run returns."""
+    real = impedance_realization(CTX, ImpedanceK.from_matrix(-np.eye(2)))
+    start = (WAVE_U0.u, WAVE_U0.v)
+    full = evolve(real, [start], 0.2, 50)
+    energies = (full.norms ** 2).tolist()
+    rise = next(k for k in range(1, len(energies)) if energies[k] > energies[k - 1] * (1 + 1e-10))
+    seen = []
+
+    def rose(norm) -> bool:
+        seen.append(norm)
+        return len(seen) == rise
+
+    run = evolve(real, [start], 0.2, 50, until=rose)
+    assert run.stops == [None] and len(run.states) == rise + 1 < len(full.states)
+    assert run.norms.tolist() == full.norms[: rise + 1].tolist() and seen == run.norms[1:].tolist()
+    assert cli._energy_run(real, WAVE_U0, 0.2, 50, UNIT)[1:] == (rise, None)

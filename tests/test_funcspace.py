@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maccretive.evolution import TERM_COUNT_CAP, trajectory_postprocessor
+from composed_step import trajectory_postprocessor
+
+from maccretive.evolution import TERM_COUNT_CAP
 from maccretive.funcspace import (
     DEGREE_CAP,
     RATE_MERGE_TOL,

@@ -6,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from maccretive.blockop import BlockRealization, BlockState, bd_space, block_resolve, state_l2_norm
+from maccretive.blockop import BlockRealization, BlockState, bd_space, state_l2_norm
 from maccretive.derivative import DerivativeContext
-from maccretive.evolution import SchemeConfig, evolve, trajectory_postprocessor
+from maccretive.evolution import evolve
 from maccretive.funcspace import (
     DEGREE_CAP,
     ExpPoly,
@@ -93,25 +93,16 @@ def test_distances_of_a_block_run_match_a_60_digit_integral_and_fall():
     ctx = DerivativeContext(iv)
     f = np.array([[-0.07083839011789468, -0.1848587166434625], [0.2948940752420749, -0.039973863013080015]])
     realization = BlockRealization.from_f(ctx, ContractionMap.from_matrix(bd_space(ctx), f))
-    clean = trajectory_postprocessor(iv)
-
-    def resolvent(state, tau):
-        return clean(block_resolve(realization, state, tau))
-
     u0 = BlockState(ExpPoly.constant(1.1057279979275445),
                     ExpPoly.polynomial([0.36874368721373507, 0.6344140914699676, -1.3390119098589321]))
-    v = BlockState(ExpPoly.polynomial([1.1575684802903248, -0.9622678836754924]),
-                   ExpPoly.polynomial([1.2373566732852086, -0.8531462994515466]))
-    states = evolve(resolvent, u0, SchemeConfig(tau=0.1, steps=21), norm=lambda s: 0.0).states
-    distances = []
-    for step, u in enumerate(states[1:], start=1):
-        v = resolvent(v, 0.1)
-        if step >= 15:
-            diff = u - v
-            distance = state_l2_norm(diff, iv)
-            assert distance == pytest.approx(mp_norm([diff.u, diff.v], iv), rel=1e-9), step
-            distances.append(distance)
-    assert all(later < earlier for earlier, later in zip(distances, distances[1:]))
+    v0 = BlockState(ExpPoly.polynomial([1.1575684802903248, -0.9622678836754924]),
+                    ExpPoly.polynomial([1.2373566732852086, -0.8531462994515466]))
+    run = evolve(realization, [(u0.u, u0.v), (v0.u, v0.v)], 0.1, 21)
+    assert run.stops == [None, None]
+    for step in range(15, 22):
+        diff = run.basis.polys((run.states[step][0] - run.states[step][1]).reshape(2, -1))
+        assert run.distances[step] == pytest.approx(mp_norm(diff, iv), rel=1e-9), step
+    assert all(later < earlier for earlier, later in zip(run.distances[15:], run.distances[16:]))
 
 
 def test_squares_that_overflow_or_underflow_are_summed_rescaled():

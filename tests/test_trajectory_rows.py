@@ -1,13 +1,13 @@
 """Trajectories as coefficient rows over one basis.
 
-The CLI steps implicit-Euler trajectories as rows over one ``ExpBasis``
-(``_StepMap``), through one runner (``evolution.run_rows``) that prunes them
-by one rule (``evolution._row_postprocessor``, which the ExpPoly hook
-``trajectory_postprocessor`` applies too) and returns each row's stop;
-these tests compare such runs and the batched resolvents with the term
-algebra they replaced (``composed_step``), and check the stops the runner
-reads: a step that raises, a closing membership test that fails, and the
-caller's ``until``.
+``evolution.evolve`` steps implicit-Euler trajectories as rows over one
+``ExpBasis`` (``_StepMap``), through one loop (``evolution.run_rows``) that
+prunes them by one rule (``evolution._row_postprocessor``, which the
+ExpPoly hook ``composed_step.trajectory_postprocessor`` applies too) and
+returns each row's stop; these tests compare such runs and the batched
+resolvents with the term algebra they replaced (``composed_step``), and
+check the stops the loop reads: a step that raises, a closing membership
+test that fails, and the caller's ``until``.
 """
 
 import itertools
@@ -16,13 +16,13 @@ import math
 import numpy as np
 import pytest
 
-from composed_step import ROUNDING, composed_block_resolve, term_majorant
+from composed_step import ROUNDING, composed_block_resolve, term_majorant, trajectory_postprocessor
 
 from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
 from maccretive.derivative import DerivativeContext, Realization1D
 from maccretive.errors import RootNotFound
-from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, run_rows, trajectory_postprocessor
+from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, run_rows
 from maccretive.funcspace import ExpBasis, ExpPoly, Interval, _state_norms
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
