@@ -41,7 +41,6 @@ from .derivative import (
     DerivativeContext,
     Realization1D,
     _pi_coeffs,
-    _without_modes,
     boundary_function_from_jsonable,
     check_lipschitz_transfer,
     in_domain,
@@ -55,6 +54,7 @@ from .funcspace import (
     ExpPoly,
     Interval,
     _eval_pair,
+    _merge,
     _state_norms,
     differentiate,
     l2_norm,
@@ -367,12 +367,21 @@ def _block_realization(ctx: DerivativeContext, data) -> BlockRealization:
 
 
 def _random_exppoly(rng: np.random.Generator, max_degree: int = 4) -> ExpPoly:
+    """A random probe state: one to three terms, integer rates in [-2, 2],
+    degree up to ``max_degree``, coefficients uniform in [-2, 2).
+
+    The order of the draws is part of the seeded report contract: a report
+    is a function of its spec's ``seed``, so reordering, adding or dropping
+    a draw changes the reports of every suite that draws probes. The terms
+    are Python floats, so one :func:`_merge` gives the normal form
+    ``ExpPoly``'s constructor would.
+    """
     terms = []
     for _ in range(rng.integers(1, 4)):
         mu = float(rng.integers(-2, 3))
         deg = int(rng.integers(0, max_degree + 1))
-        terms.append((mu, tuple(rng.uniform(-2.0, 2.0, size=deg + 1))))
-    return ExpPoly(tuple(terms))
+        terms.append((mu, rng.uniform(-2.0, 2.0, size=deg + 1).tolist()))
+    return ExpPoly._trusted(_merge(terms))
 
 
 def _random_block_state(rng: np.random.Generator) -> BlockState:
@@ -405,6 +414,19 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     out, ends = step(rows)
     member = step.member(ends)
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
+
+
+def _rows_without_modes(basis: ExpBasis, rows: np.ndarray, c_plus, c_minus) -> np.ndarray:
+    """The rows of ``u - c_plus e^t - c_minus e^{-t}`` from the rows of ``u``
+    over a ``basis`` that holds ``e^t`` and ``e^{-t}``, one ``(c_plus,
+    c_minus)`` per row, bit for bit those of ``derivative._without_modes``:
+    ``x - c`` is its ``x + (-c)``, a zero ``c`` leaves ``x`` as it skips the
+    mode, and a term it drops reads ``0.0`` in both."""
+    out = rows.copy()
+    for rate, c in ((1.0, c_plus), (-1.0, c_minus)):
+        col = basis._starts[rate]  # the column of t^0 e^{rate t}
+        out[:, col] = np.where(c != 0.0, out[:, col] - c, out[:, col])
+    return out
 
 
 def _energy_run(realization, state: BlockState, tau: float, steps: int, iv: Interval):
@@ -442,15 +464,16 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
         for _ in range(size):
             u = _random_exppoly(rng, p["max_degree"])
             ua, ub = _eval_pair(u, iv.a, iv.b)
-            c1, cm = _pi_coeffs(ctx, ua, ub)
-            polys += (u, _without_modes(u, c1, cm))
-            ends.append((ua, ub, c1, cm))
+            polys.append(u)
+            ends.append((ua, ub, *_pi_coeffs(ctx, ua, ub)))
         ua, ub, c1, cm = np.array(ends).T
         polys += modes
         basis = ExpBasis.spanning(polys)
         rows = basis.rows(polys)
-        u_rows, p0_rows, mode_rows = rows[0:-2:2], rows[1:-2:2], rows[-2:]
-        # p0 + c1 e^t + cm e^{-t} - u, formed on the coefficient rows
+        u_rows, mode_rows = rows[:-2], rows[-2:]
+        # p0 = u - c1 e^t - cm e^{-t} and p0 + c1 e^t + cm e^{-t} - u,
+        # formed on the coefficient rows
+        p0_rows = _rows_without_modes(basis, u_rows, c1, cm)
         recon_rows = p0_rows + c1[:, None] * mode_rows[0] + cm[:, None] * mode_rows[1] - u_rows
         rows = np.vstack([u_rows, p0_rows, recon_rows, mode_rows])
         # Every pairing sums products of weighted values at the nodes of one

@@ -161,6 +161,85 @@ def test_check_decomposition_memory_does_not_grow_with_samples(tmp_path, monkeyp
     assert peaks[1] < 1.3 * peaks[0]
 
 
+def constructor_random_exppoly(rng: np.random.Generator, max_degree: int):
+    """``cli._random_exppoly``'s draws, normalised by ``ExpPoly``'s constructor."""
+    from maccretive.funcspace import ExpPoly
+
+    terms = []
+    for _ in range(rng.integers(1, 4)):
+        mu = float(rng.integers(-2, 3))
+        deg = int(rng.integers(0, max_degree + 1))
+        terms.append((mu, tuple(rng.uniform(-2.0, 2.0, size=deg + 1))))
+    return ExpPoly(tuple(terms))
+
+
+@pytest.mark.parametrize("max_degree", [0, 2, 4, 10])
+def test_probe_draws_have_the_constructors_terms_and_generator_state(max_degree):
+    from maccretive.cli import _random_exppoly
+
+    for seed in range(200):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = _random_exppoly(rng, max_degree)
+            want = constructor_random_exppoly(reference, max_degree)
+            assert repr(got.terms) == repr(want.terms), seed
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
+
+
+def crafted_probes():
+    """``u`` with and without ``e^{+-t}`` terms, and with ``-0.0`` coefficients
+    on them."""
+    from maccretive.funcspace import ExpPoly
+
+    return [
+        ExpPoly(((0.0, (1.5, -2.0)),)),
+        ExpPoly(((-1.0, (0.25,)), (1.0, (0.75, -1.0)), (2.0, (1.0,)))),
+        ExpPoly(((1.0, (0.7,)),)),
+        ExpPoly(((-1.0, (-0.0, 3.0)), (1.0, (-0.0, 1.0)))),
+        ExpPoly(((-2.0, (1.0,)), (-1.0, (0.3,)))),
+    ]
+
+
+#: Zero ``c`` of either sign, ``c`` that cancels a ``t^0`` coefficient of a
+#: crafted probe exactly (dropping its term, or not), and non-finite ``c``.
+CRAFTED_MODE_COEFFS = [0.0, -0.0, 0.3, -1.25, 0.7, 0.25, 0.75, math.inf, -math.inf, math.nan]
+
+
+def test_pi_zero_formed_on_rows_has_the_bits_of_without_modes():
+    from maccretive.cli import _rows_without_modes
+    from maccretive.derivative import _without_modes
+    from maccretive.funcspace import ExpBasis, ExpPoly
+
+    cases = [(u, c1, cm) for u in crafted_probes()
+             for c1 in CRAFTED_MODE_COEFFS for cm in CRAFTED_MODE_COEFFS]
+    modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
+    basis = ExpBasis.spanning([u for u, _, _ in cases] + modes)
+    c1, cm = np.array([(c1, cm) for _, c1, cm in cases]).T
+    with np.errstate(invalid="ignore"):  # inf - inf, as _merge adds it
+        got = _rows_without_modes(basis, basis.rows([u for u, _, _ in cases]), c1, cm)
+    want = basis.rows([_without_modes(u, c1, cm) for u, c1, cm in cases])
+    for case, row, ref in zip(cases, got.tolist(), want.tolist()):
+        assert repr(row) == repr(ref), case
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.6, -0.7), (-0.8, 2.3)])
+def test_pi_zero_formed_on_rows_has_the_bits_of_pi_zero(interval):
+    from maccretive.cli import _random_exppoly, _rows_without_modes
+    from maccretive.derivative import DerivativeContext, _projection_coeffs, pi_zero
+    from maccretive.funcspace import ExpBasis, ExpPoly, Interval
+
+    ctx = DerivativeContext(Interval(*interval))
+    rng = np.random.default_rng(7)
+    polys = crafted_probes()
+    polys += [_random_exppoly(rng, max_degree) for max_degree in (0, 2, 4, 10) for _ in range(50)]
+    modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
+    basis = ExpBasis.spanning(polys + modes)
+    c1, cm = np.array([_projection_coeffs(ctx, u) for u in polys]).T
+    got = _rows_without_modes(basis, basis.rows(polys), c1, cm)
+    want = basis.rows([pi_zero(ctx, u) for u in polys])
+    assert repr(got.tolist()) == repr(want.tolist())
+
+
 def test_reports_are_byte_identical(tmp_path):
     spec = {"command": "check-decomposition", "seed": 7, "params": {"samples": 40}}
     _, out1 = run_cli(tmp_path, spec, name="a.json")

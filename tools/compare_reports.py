@@ -3,17 +3,20 @@
 Run it from the root of a checkout:
 
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload trajectories --seed 1 --specs 200
+    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload decomposition block-membership --seed 1 2 3 --specs 400
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --spec-file specs.json
 
 Each tree is a checkout with the package under ``src/maccretive``. The
-specs are the first ``--specs`` of the stream that ``benchmarks/specgen.py``
-of this checkout draws for ``--workload`` and ``--seed`` (the module is
-imported, never written), or the JSON list of specs in ``--spec-file``.
-One subprocess per tree imports that tree's ``maccretive.cli`` afresh and
-runs every spec through ``cli.main(["--spec", ..., "--out", ...])``, the
-entry point the benchmark uses. The script prints the index of every spec
-whose exit code, ``report.json`` bytes or ``data.csv`` bytes differ
-between the trees, and exits 1 if there is one, 0 if there is none.
+specs are the first ``--specs`` of each stream that ``benchmarks/specgen.py``
+of this checkout draws, one stream per pairing of a ``--workload`` with a
+``--seed`` (the module is imported, never written), or the JSON list of
+specs in ``--spec-file``. One subprocess per tree imports that tree's
+``maccretive.cli`` afresh and runs every spec through
+``cli.main(["--spec", ..., "--out", ...])``, the entry point the benchmark
+uses. The script prints the index of every spec whose exit code,
+``report.json`` bytes or ``data.csv`` bytes differ between the trees and
+one total line per pairing, each line led by its pairing when there are
+several, and exits 1 if any spec differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -60,26 +63,30 @@ def run_tree(tree: str, specs: list, results: str) -> None:
     Path(results).write_bytes(pickle.dumps(outcomes))
 
 
-def load_specs(args) -> list:
+def load_specs(args) -> dict:
+    """The specs to run by pairing, ``{(workload, seed): specs}``, or
+    ``{None: specs}`` for ``--spec-file``."""
     if args.spec_file is not None:
-        return json.loads(Path(args.spec_file).read_text())
+        return {None: json.loads(Path(args.spec_file).read_text())}
     sys.dont_write_bytecode = True  # leave benchmarks/ as it is
     sys.path.insert(0, str(ROOT / "benchmarks"))
     specgen = importlib.import_module("specgen")
-    return specgen.make_specs(args.workload, args.seed, args.specs)
+    return {(workload, seed): specgen.make_specs(workload, seed, args.specs)
+            for workload in dict.fromkeys(args.workload) for seed in dict.fromkeys(args.seed)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="source tree of the parent commit")
     parser.add_argument("change", help="source tree of the change")
-    parser.add_argument("--workload", default="trajectories",
+    parser.add_argument("--workload", nargs="+", default=["trajectories"],
                         choices=["decomposition", "block-membership", "trajectories"])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--specs", type=int, default=200, help="how many specs of the stream")
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
+    parser.add_argument("--specs", type=int, default=200, help="how many specs of each stream")
     parser.add_argument("--spec-file", default=None, help="a JSON list of specs to run instead")
     args = parser.parse_args(argv)
-    specs = load_specs(args)
+    streams = load_specs(args)
+    specs = [spec for stream in streams.values() for spec in stream]
 
     spawn = multiprocessing.get_context("spawn")  # a fresh interpreter per tree
     with tempfile.TemporaryDirectory() as work:
@@ -95,12 +102,17 @@ def main(argv=None) -> int:
             return 2
         parent, change = (pickle.loads(Path(path).read_bytes()) for path in results)
 
-    differ = [i for i, (p, c) in enumerate(zip(parent, change)) if p != c]
-    for i in differ:
-        names = [name for name, p, c in zip(("exit code", *OUTPUTS), parent[i], change[i]) if p != c]
-        print(f"spec {i}: {', '.join(names)} differ (exit codes {parent[i][0]!r}, {change[i][0]!r})")
-    print(f"{len(differ)} of {len(specs)} specs differ")
-    return int(bool(differ))
+    any_differ, offset = False, 0
+    for pairing, stream in streams.items():
+        label = f"{pairing[0]} seed {pairing[1]}: " if len(streams) > 1 else ""
+        differ = [i for i in range(len(stream)) if parent[offset + i] != change[offset + i]]
+        for i in differ:
+            p, c = parent[offset + i], change[offset + i]
+            names = [name for name, x, y in zip(("exit code", *OUTPUTS), p, c) if x != y]
+            print(f"{label}spec {i}: {', '.join(names)} differ (exit codes {p[0]!r}, {c[0]!r})")
+        print(f"{label}{len(differ)} of {len(stream)} specs differ")
+        any_differ, offset = any_differ or bool(differ), offset + len(stream)
+    return int(any_differ)
 
 
 if __name__ == "__main__":
