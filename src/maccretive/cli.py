@@ -713,6 +713,8 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     failures = []
     if accretive_k != (accretive_sampled and solvable):
         failures.append("equivalence")
+    if run_failed_at is not None:
+        failures.append("run_failed")
     if accretive_k and first_increase is not None:
         failures.append("energy_monotonicity")
     if not accretive_k:

@@ -9,12 +9,12 @@ about higher-order accuracy.
 
 :func:`evolve` is the one trajectory runner. It steps one or two starts
 of a ``Realization1D`` or ``BlockRealization`` as coefficient rows over
-one basis, through :func:`run_rows`, which prunes every state by the
-rule of :func:`_row_postprocessor` and finds each row's stop: the first
-step that raised or failed the closing membership test. It returns the
-rows, the stops, the norms of the first run and the distances between
-the two runs. The CLI's ``evolve`` and ``wave-impedance`` suites judge
-what it returns, and :func:`convergence_order` runs on it.
+one basis, through :func:`run_rows`, which finds each row's stop: the
+first step that raised or failed the closing membership test. It
+returns the rows, the stops, the norms of the first run and the
+distances between the two runs. The CLI's ``evolve`` and
+``wave-impedance`` suites judge what it returns, and
+:func:`convergence_order` runs on it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import RootNotFound
-from .funcspace import ExpBasis, Interval, _quadrature_norm, _state_norms
+from .funcspace import ExpBasis, _quadrature_norm, _state_norms
 
 __all__ = ["Trajectory", "evolve", "convergence_order", "run_rows"]
-
-#: A state that stores more coefficients than this is pruned by :func:`_row_postprocessor`.
-TERM_COUNT_CAP = 64
 
 
 class Trajectory(NamedTuple):
@@ -54,42 +51,17 @@ class Trajectory(NamedTuple):
     distances: Optional[np.ndarray]
 
 
-def _row_postprocessor(interval: Interval, basis):
-    """The one pruning rule of a trajectory, for the states of a ``(states,
-    width)`` array, or one state as a flat row, each its functions'
-    coefficient rows over the ``ExpBasis`` ``basis`` side by side. A state
-    that stores more than ``TERM_COUNT_CAP`` coefficients, each block counted
-    to its last nonzero one, loses every coefficient ``c`` of ``t**k`` whose
-    ``|c| B**k``, ``B = max(1, |a|, |b|)``, is at most 1e-13 of the largest
-    of its function. When no state is over the cap, ``x`` itself comes back."""
-    degree, starts = basis.positions, basis._block_starts
-    weight = max(1.0, abs(interval.a), abs(interval.b)) ** degree
-
-    def clean(x: np.ndarray) -> np.ndarray:
-        rows = x.reshape(-1, x.shape[-1] // basis.dim, basis.dim)
-        counts = np.maximum.reduceat((rows != 0.0) * (degree + 1), starts, axis=2).sum(axis=(1, 2))
-        under = counts <= TERM_COUNT_CAP
-        if under.all():
-            return x
-        reach = np.abs(rows) * weight
-        keep = under[:, None, None] | (reach > 1e-13 * reach.max(axis=2, keepdims=True))
-        return np.where(keep, rows, 0.0).reshape(x.shape)
-
-    return clean
-
-
 def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarray], bool]] = None):
     """``(states, stops)`` of up to ``steps`` steps of the
     ``derivative._StepMap`` ``step`` from ``x``, at most two states, one row
     each, stepped stacked ``(rows, 1, width)`` with the bits of each row
-    alone and pruned by :func:`_row_postprocessor`. ``states[k]`` holds the
-    rows after step ``k`` (``states[0]`` is ``x``), and ``stops[r]`` is the
-    first step at which row ``r`` raised or failed the closing membership
-    test, or ``None``. When a batch raises, its last row leaves the run and
-    the rest step again; the run ends when no row is left, or after a step
-    whose rows ``until`` flags. Membership is tested once, after the loop,
-    on all of row 0's steps, then all of row 1's."""
-    clean = _row_postprocessor(step.interval, step.basis)
+    alone. ``states[k]`` holds the rows after step ``k`` (``states[0]`` is
+    ``x``), and ``stops[r]`` is the first step at which row ``r`` raised or
+    failed the closing membership test, or ``None``. When a batch raises,
+    its last row leaves the run and the rest step again; the run ends when
+    no row is left, or after a step whose rows ``until`` flags. Membership
+    is tested once, after the loop, on all of row 0's steps, then all of
+    row 1's."""
     states, ends, stops = [x], [], [None] * len(x)
     while len(states) <= steps and len(x):
         try:
@@ -99,7 +71,7 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
             stops[len(x) - 1] = len(states)
             x = x[:-1]
             continue
-        x = clean(y[:, 0])
+        x = y[:, 0]
         states.append(x)
         ends.append(x_ends)
         if until is not None and until(x):

@@ -25,9 +25,8 @@ of weighted node values ``V``, by the same rule, and its differentiation
 matrix ``D``: the values of the functions are ``rows @ V`` and those of
 their derivatives ``(rows @ D) @ V``. Their endpoint values are read by
 Horner's rule on each block, as :func:`_eval_pair` reads them. An
-implicit-Euler trajectory keeps its states as rows over one basis,
-takes their norms by :func:`_state_norms` and prunes them by the one rule
-of ``evolution._row_postprocessor``.
+implicit-Euler trajectory keeps its states as rows over one basis and
+takes their norms by :func:`_state_norms`.
 
 Results that are normal by construction (negation, scaling and
 differentiation) skip the public constructor's coercion and

@@ -6,9 +6,7 @@ solve per term, sums merged term by term, and endpoint values read by
 Horner's rule. They now apply one matrix per rate block to coefficient
 rows over a basis. The functions here are that term algebra, written with
 the public operations, so that tests can compare the two within a rounding
-bound. :func:`trajectory_postprocessor` prunes ExpPoly and BlockState
-states by the trajectories' one rule, for runs of ``resolve`` and
-``block_resolve`` that tests compare with ``evolution.evolve``.
+bound.
 """
 
 import math
@@ -18,11 +16,8 @@ import numpy as np
 
 from maccretive.blockop import BlockRealization, BlockState, _solve_boundary_coeffs, bd_project, g_bd
 from maccretive.derivative import Realization1D, _fixed_point, _pi_coeffs, in_domain
-from maccretive.evolution import _row_postprocessor
 from maccretive.funcspace import (
-    ExpBasis,
     ExpPoly,
-    Interval,
     _first_order_coeffs,
     absorb_rate_shift,
     differentiate,
@@ -142,21 +137,3 @@ def term_majorant(polys, interval, points: int = 65) -> float:
         for t in np.linspace(interval.a, interval.b, points)
     )
 
-
-def trajectory_postprocessor(interval: Interval):
-    """Between-step pruning hook for ExpPoly and BlockState states: the rule
-    of ``evolution._row_postprocessor`` on the state's rows over the basis
-    spanning its functions. A state it leaves as it is comes back as the
-    same object."""
-
-    def clean(state):
-        polys = (state.u, state.v) if isinstance(state, BlockState) else (state,)
-        basis = ExpBasis.spanning(polys)
-        x = basis.rows(polys).ravel()
-        y = _row_postprocessor(interval, basis)(x) if basis.dim else x  # dim 0: the zero state
-        if y is x:
-            return state
-        pruned = basis.polys(y.reshape(len(polys), -1))
-        return BlockState(*pruned) if isinstance(state, BlockState) else pruned[0]
-
-    return clean

@@ -343,6 +343,18 @@ def test_wave_impedance_identity_passes(tmp_path):
     assert report["energy_first_increase_step"] is None
 
 
+def test_wave_impedance_zero_k_runs_to_its_end(tmp_path):
+    # K = 0 is accretive: the energy run takes all 50 steps, each with a
+    # monotone energy
+    spec = {"command": "wave-impedance", "seed": 42,
+            "params": {"K": [[0.0, 0.0], [0.0, 0.0]], "tau": 0.2, "steps": 50}}
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert code == 0
+    assert report["energy_first_increase_step"] is None
+    assert report["run_failed_at_step"] is None
+
+
 def test_resolve_command_worked_example(tmp_path):
     spec = {
         "command": "resolve",
@@ -683,8 +695,8 @@ def test_accretive_impedance_is_solvable_far_from_zero(tmp_path, interval):
     # the modes' BD columns differ in size by up to 1e15 here; a least
     # squares boundary solve once dropped the small one and reported the
     # resolvent of K = I as unsolvable at step 1. The energy runs still
-    # stop after a few steps (ROADMAP items 2 and 6), so `passed` is not
-    # asserted.
+    # stop after a few steps (ROADMAP item 2), so `passed` is not
+    # asserted; a run that stops is a FAIL (on [5, 6], at step 9).
     a, b = interval
     spec = {"command": "wave-impedance", "seed": 42,
             "params": {"K": IDENTITY, "tau": 0.2, "interval": {"a": a, "b": b}}}
@@ -692,6 +704,7 @@ def test_accretive_impedance_is_solvable_far_from_zero(tmp_path, interval):
     report = load_report(out)
     assert report["resolvent_solvable"] is True
     assert report["first_failure"] != "equivalence"
+    assert report["run_failed_at_step"] is None or (code, report["first_failure"]) == (1, "run_failed")
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.01])
@@ -727,19 +740,16 @@ def library_evolve(params: dict) -> tuple:
     """``(exit code, run_failed_at_step, distance_monotone, states kept,
     distances reported)`` of an ``evolve`` spec with ``u0`` and ``v0`` by a
     loop of ``resolve`` or ``block_resolve`` on ExpPoly states, which raise
-    at a non-member, pruned between steps as the CLI prunes: ``u`` runs
-    until a step raises, ``v`` as many steps as ``u`` kept, and the
-    distances are read step by step up to the first that rises by more
-    than 1e-8."""
-    from composed_step import trajectory_postprocessor
-
+    at a non-member: ``u`` runs until a step raises, ``v`` as many steps
+    as ``u`` kept, and the distances are read step by step up to the
+    first that rises by more than 1e-8."""
     from maccretive.blockop import block_resolve, state_l2_norm
     from maccretive.cli import _block_realization, _block_state, _boundary_function, _exppoly
     from maccretive.derivative import DerivativeContext, Realization1D, resolve
     from maccretive.funcspace import Interval, l2_norm
 
     iv = Interval(0.0, 1.0)
-    ctx, clean, tau = DerivativeContext(iv), trajectory_postprocessor(iv), params["tau"]
+    ctx, tau = DerivativeContext(iv), params["tau"]
     if params.get("kind", "derivative") == "derivative":
         real = Realization1D(ctx, _boundary_function(params["g"], "g"))
         parse, solve, norm = _exppoly, resolve, l2_norm
@@ -751,7 +761,7 @@ def library_evolve(params: dict) -> tuple:
         states = [state]
         for k in range(1, steps + 1):
             try:
-                states.append(clean(solve(real, states[-1], tau)))
+                states.append(solve(real, states[-1], tau))
             except Exception:  # noqa: BLE001 - any error stops a run, as in the CLI
                 return states, k
         return states, None

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from composed_step import trajectory_postprocessor
-
 from maccretive import cli
 from maccretive.blockop import (
     BlockRealization,
@@ -20,8 +18,8 @@ from maccretive.derivative import (
     resolve,
 )
 from maccretive.errors import RootNotFound
-from maccretive.evolution import TERM_COUNT_CAP, convergence_order, evolve
-from maccretive.funcspace import ExpPoly, Interval, l2_norm
+from maccretive.evolution import convergence_order, evolve
+from maccretive.funcspace import ExpPoly, Interval
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import LinearRelation, OperatorPair
 
@@ -89,56 +87,6 @@ def test_evolve_stops_both_runs_at_step_one_without_a_resolvent_plan():
     assert run.norms.tolist() == [state_l2_norm(u0, UNIT)]
     assert run.distances.tolist() == [state_dist(u0, v0)]
     assert evolve(real, [(u0.u, u0.v)], 0.5, 5).distances is None
-
-
-# ----------------------------------------------------------------------
-# the pruning hook of the reference runs
-# ----------------------------------------------------------------------
-
-
-def stored(state) -> int:
-    """The coefficients a state stores, the count the prune is triggered by."""
-    polys = (state.u, state.v) if isinstance(state, BlockState) else (state,)
-    return sum(len(coeffs) for f in polys for _, coeffs in f.terms)
-
-
-def noisy(count: int) -> ExpPoly:
-    """``1 + t**k`` with ``1e-16 t**j`` between, plus ``e^t`` times a noise
-    polynomial: ``count`` stored coefficients, all but two below the prune's
-    cut, the first ``count // 2`` of them on rate 0."""
-    half = count // 2
-    return ExpPoly(((0.0, (1.0, *[1e-16] * (half - 2), 1.0)), (1.0, (1e-16,) * (count - half))))
-
-
-def test_postprocessor_prunes_only_above_cap():
-    clean = trajectory_postprocessor(UNIT)
-    small = ExpPoly.polynomial([1.0, 1e-16])
-    assert clean(small) is small
-    big = noisy(TERM_COUNT_CAP + 3)
-    cleaned = clean(big)
-    assert stored(cleaned) < stored(big)
-    assert cleaned == ExpPoly(((0.0, (1.0, *[0.0] * (stored(big) // 2 - 2), 1.0)),))
-    assert l2_norm(cleaned - big, UNIT) <= 1e-12
-
-
-def test_postprocessor_keeps_a_state_at_the_cap_as_it_is():
-    at_cap = noisy(TERM_COUNT_CAP)
-    assert stored(at_cap) == TERM_COUNT_CAP
-    assert trajectory_postprocessor(UNIT)(at_cap) is at_cap
-    assert stored(trajectory_postprocessor(UNIT)(noisy(TERM_COUNT_CAP + 1))) == TERM_COUNT_CAP // 2
-
-
-def test_postprocessor_on_zero_states():
-    clean, zero = trajectory_postprocessor(UNIT), ExpPoly.zero()
-    assert clean(zero) is zero
-    state = BlockState(zero, zero)
-    assert clean(state) is state
-    # a zero component leaves the other's count and cut as they are
-    big = noisy(TERM_COUNT_CAP + 3)
-    for state in (BlockState(big, zero), BlockState(zero, big)):
-        cleaned = clean(state)
-        assert cleaned.u == (clean(big) if state.u is big else zero)
-        assert cleaned.v == (clean(big) if state.v is big else zero)
 
 
 # ----------------------------------------------------------------------

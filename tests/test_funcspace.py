@@ -8,9 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed_step import trajectory_postprocessor
-
-from maccretive.evolution import TERM_COUNT_CAP
 from maccretive.funcspace import (
     DEGREE_CAP,
     RATE_MERGE_TOL,
@@ -237,7 +234,7 @@ def test_absorb_rate_shift_matches_exponential():
 
 
 # ----------------------------------------------------------------------
-# serialisation and pruning
+# serialisation
 # ----------------------------------------------------------------------
 
 
@@ -246,23 +243,6 @@ def test_json_roundtrip():
     assert ExpPoly.from_jsonable(f.to_jsonable()) == f
     iv = Interval(-1.0, 2.0)
     assert Interval.from_jsonable(iv.to_jsonable()) == iv
-
-
-# 64 stored coefficients: with it, a state of one more is over TERM_COUNT_CAP
-PAST_THE_CAP = ExpPoly(((3.0, (0.0,) * (TERM_COUNT_CAP - 1) + (0.5,)),))
-
-
-def test_prune_drops_noise_keeps_signal():
-    f = ExpPoly(((0.0, (1.0, 1e-16)), (1.0, (1e-16,))))
-    g = trajectory_postprocessor(UNIT)(f + PAST_THE_CAP)
-    assert g == ExpPoly.constant(1.0) + PAST_THE_CAP
-
-
-def test_prune_preserves_values():
-    f = ExpPoly(((2.0, (0.5, 0.25)), (-1.0, (1.0, 1e-17)))) + PAST_THE_CAP
-    g = trajectory_postprocessor(UNIT)(f)
-    assert g != f
-    assert l2_norm(f - g, UNIT) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -766,21 +746,6 @@ def test_merge_matches_its_earlier_form(terms):
     assert _outcome(_merge, tuple(terms)) == expected
 
 
-def reference_prune(f: ExpPoly, interval: Interval) -> ExpPoly:
-    base = max(1.0, abs(interval.a), abs(interval.b))
-    scale = 0.0
-    for _, coeffs in f.terms:
-        for k, c in enumerate(coeffs):
-            scale = max(scale, abs(c) * base**k)
-    if scale == 0.0:
-        return ExpPoly.zero()
-    cut = 1e-13 * scale
-    kept = []
-    for rate, coeffs in f.terms:
-        kept.append((rate, [c if abs(c) * base**k > cut else 0.0 for k, c in enumerate(coeffs)]))
-    return ExpPoly(tuple(kept))
-
-
 @st.composite
 def euler_exppolys(draw) -> ExpPoly:
     """Terms near rates 0 and +-2 (= +-1/tau at tau 0.5), within and just
@@ -795,28 +760,11 @@ def euler_exppolys(draw) -> ExpPoly:
     return ExpPoly(tuple(terms))
 
 
-@st.composite
-def with_states_past_the_cap(draw) -> tuple:
-    """``(f, g)``: ``f`` of :func:`euler_exppolys` or :func:`high_degree_exppolys`,
-    and ``g`` that ``f`` with as many degree-7 terms at rates 5, 6, ... as
-    take it past ``TERM_COUNT_CAP`` stored coefficients."""
-    f = draw(st.one_of(euler_exppolys(), high_degree_exppolys()))
-    missing = TERM_COUNT_CAP + 1 - sum(len(coeffs) for _, coeffs in f.terms)
-    pad = [
-        (5.0 + n, draw(st.lists(coeff_or_zero, min_size=7, max_size=7)) + [draw(coeff.filter(bool))])
-        for n in range(-(-missing // 8))
-    ]
-    return f, f + ExpPoly(tuple(pad))
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    states=with_states_past_the_cap(),
+    f=st.one_of(euler_exppolys(), high_degree_exppolys()),
     which=st.integers(min_value=0, max_value=len(KERNEL_INTERVALS) - 1),
 )
-def test_prune_and_endpoint_pairs_match_their_references(states, which):
-    f, g = states
+def test_endpoint_pairs_match_their_reference(f, which):
     iv = Interval(*KERNEL_INTERVALS[which])
-    assert sum(len(coeffs) for _, coeffs in g.terms) > TERM_COUNT_CAP
-    assert same(trajectory_postprocessor(iv)(g).terms, reference_prune(g, iv).terms)
     assert same(_eval_pair(f, iv.a, iv.b), (f(iv.a), f(iv.b)))

@@ -2,12 +2,11 @@
 
 ``evolution.evolve`` steps implicit-Euler trajectories as rows over one
 ``ExpBasis`` (``_StepMap``), through one loop (``evolution.run_rows``) that
-prunes them by one rule (``evolution._row_postprocessor``, which the
-ExpPoly hook ``composed_step.trajectory_postprocessor`` applies too) and
-returns each row's stop; these tests compare such runs and the batched
-resolvents with the term algebra they replaced (``composed_step``), and
-check the stops the loop reads: a step that raises, a closing membership
-test that fails, and the caller's ``until``.
+keeps every coefficient each step gives and returns each row's stop;
+these tests compare such runs and the batched resolvents with the term
+algebra they replaced (``composed_step``), and check the stops the loop
+reads: a step that raises, a closing membership test that fails, and the
+caller's ``until``.
 """
 
 import itertools
@@ -16,14 +15,14 @@ import math
 import numpy as np
 import pytest
 
-from composed_step import ROUNDING, composed_block_resolve, term_majorant, trajectory_postprocessor
+from composed_step import ROUNDING, composed_block_resolve, term_majorant
 
 from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
 from maccretive.derivative import DerivativeContext, Realization1D
 from maccretive.errors import RootNotFound
-from maccretive.evolution import TERM_COUNT_CAP, _row_postprocessor, run_rows
-from maccretive.funcspace import ExpBasis, ExpPoly, Interval, _state_norms
+from maccretive.evolution import run_rows
+from maccretive.funcspace import ExpPoly, Interval, _state_norms
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
 
@@ -53,7 +52,7 @@ def _realization(params: dict, ctx: DerivativeContext):
 
 @pytest.mark.parametrize("params", [BLOCK_EVOLVE, ACCRETIVE_WAVE], ids=["evolve-block", "wave-accretive"])
 def test_50_vector_steps_match_50_composed_steps(params):
-    """Each of 50 pruned steps on rows against the same steps in the term
+    """Each of 50 steps on rows against the same steps in the term
     algebra: within ``ROUNDING`` of the largest term majorant of the run so
     far, since each step is nonexpansive and adds its own rounding."""
     iv = Interval.from_jsonable(params["interval"])
@@ -61,37 +60,18 @@ def test_50_vector_steps_match_50_composed_steps(params):
     real = _realization(params, ctx)
     ref = cli._block_state(params["u0"], "u0")
     step = real._step_map(tau, (ref.u, ref.v), 50)
-    clean_rows, clean = _row_postprocessor(iv, step.basis), trajectory_postprocessor(iv)
     x, table, scale = step.basis.rows((ref.u, ref.v)).ravel(), step.basis.values(iv), 0.0
     for _ in range(50):
         y, ends = step(x)
         out, member = composed_block_resolve(real, ref, tau)
         assert member and step.member(ends)[0]
-        x, ref = clean_rows(y), clean(out)
+        x, ref = y, out
         state = BlockState(*step.basis.polys(x.reshape(2, -1)))
         scale = max(scale, term_majorant((ref.u, ref.v), iv))
         assert state_l2_norm(state - ref, iv) <= ROUNDING * scale
         # the norm from the basis's node table is the state's norm
         norm = state_l2_norm(state, iv)
         assert _state_norms(x[None], table)[0] == pytest.approx(norm, rel=1e-12, abs=1e-15 * scale)
-
-
-def test_row_postprocessor_cleans_each_state_of_a_batch_alone():
-    """A batch of two states, one over ``TERM_COUNT_CAP`` and one under it,
-    is cleaned to the bits of cleaning each state alone: the count and the
-    pruning are each state's own."""
-    iv = Interval(-0.4, 1.7)
-    basis = ExpBasis.merging({-2.0: 30, 0.0: 20})
-    rng = np.random.default_rng(11)
-    over = rng.standard_normal(2 * basis.dim) * 10.0 ** rng.uniform(-30, 0, 2 * basis.dim)
-    under = np.zeros(2 * basis.dim)
-    under[: 30 + 10] = over[:40]  # 40 terms of u, small ones among them, and none of v
-    clean = _row_postprocessor(iv, basis)
-    assert (over != 0).sum() > TERM_COUNT_CAP >= (under != 0).sum()
-    batch = clean(np.stack([over, under]))
-    alone = np.stack([clean(over), clean(under)])
-    assert repr(batch.tolist()) == repr(alone.tolist())
-    assert (batch[0] == 0).any() and batch[1].tolist() == under.tolist()
 
 
 def _raising_at(step, k: int):
@@ -103,7 +83,7 @@ def _raising_at(step, k: int):
             raise RuntimeError(f"step {k}")
         return step(x)
 
-    stepped.interval, stepped.basis, stepped.member = step.interval, step.basis, step.member
+    stepped.member = step.member
     return stepped
 
 
@@ -154,7 +134,7 @@ def test_until_ends_a_run_after_the_step_it_flags(j):
 
     states, stops = run_rows(step, x, 30, until)
     assert stops == [None, None] and len(states) == j + 1
-    # until reads each step's pruned rows, those the run keeps
+    # until reads each step's rows, those the run keeps
     assert all(y is state for y, state in zip(seen, states[1:], strict=True))
     assert _bits(states) == _bits(run_rows(step, x, 30)[0][: j + 1])
 
