@@ -32,7 +32,6 @@ import numpy as np
 from .blockop import (
     BlockRealization,
     BlockState,
-    bd_exppoly,
     bd_space,
     state_l2_norm,
 )
@@ -54,7 +53,9 @@ from .funcspace import (
     ExpPoly,
     Interval,
     _eval_pair,
+    _gauss_table,
     _merge,
+    _root_sum_square,
     _state_norms,
     differentiate,
     l2_norm,
@@ -416,6 +417,24 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
+def _bd_state_norms(coeffs: np.ndarray, iv: Interval) -> list:
+    """The norm of each state ``(u, v)`` of the rows ``(cp_u, cm_u, cp_v, cm_v)``
+    of BD coefficients ``coeffs``, bit for bit ``state_l2_norm`` of
+    ``BlockState(bd_exppoly(row[:2]), bd_exppoly(row[2:]))``: every such state
+    has the node table of one coefficient at rate 1, whose rows ``R_-1`` and
+    ``R_+1`` give each function's values ``cm R_-1 + cp R_+1``, summed by
+    :func:`_root_sum_square`."""
+    table = _gauss_table(iv, 1, 1.0)
+
+    def term(c: np.ndarray, rate: float) -> np.ndarray:
+        # a zero coefficient drops its term, whose node values may overflow
+        return np.where(c != 0.0, c * table.rate_rows(rate)[0], 0.0)
+
+    values = term(coeffs[:, 1::2, None], -1.0) + term(coeffs[:, 0::2, None], 1.0)
+    return [_root_sum_square(state) for state in values]
+
+
 def _rows_without_modes(basis: ExpBasis, rows: np.ndarray, c_plus, c_minus) -> np.ndarray:
     """The rows of ``u - c_plus e^t - c_minus e^{-t}`` from the rows of ``u``
     over a ``basis`` that holds ``e^t`` and ``e^{-t}``, one ``(c_plus,
@@ -695,9 +714,10 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     pairing = ends[:, 1] * ends[:, 3] - ends[:, 0] * ends[:, 2]
     accretive_sampled = True
     # the threshold is negative, so a pairing >= 0 needs no norm
-    for diff, pair in zip(diffs[pairing < 0.0], pairing[pairing < 0.0]):
-        size = state_l2_norm(BlockState(bd_exppoly(diff[:2]), bd_exppoly(diff[2:])), iv)
-        accretive_sampled &= not pair < -tol * (1 + size * size)
+    negative = pairing < 0.0
+    if negative.any():
+        for pair, size in zip(pairing[negative], _bd_state_norms(diffs[negative], iv)):
+            accretive_sampled &= not pair < -tol * (1 + size * size)
     # (b) solvability with nonexpansive differences
     basis, rows, out = _block_resolves(realization, [_random_block_state(rng) for _ in range(20)], tau)
     solvable = len(out) == 20

@@ -522,8 +522,11 @@ class _StepMap:
     arithmetic of :func:`_eval_pair`, with factors ``exps`` taken once per
     map, so ``member``, the closing membership test of a step's endpoint
     values, decides as :func:`in_domain` and ``domain_test`` decide on the
-    step's functions. A step past ``DEGREE_CAP`` raises :class:`ValueError`,
-    as :func:`~maccretive.funcspace._merge` does.
+    step's functions. A step is :meth:`advance`, which reads the particular
+    solution for the boundary solve, then :meth:`closing`, which reads the
+    result from the same heads: the modes change only the columns of
+    ``t**0``, which Horner's rule adds last. A step past ``DEGREE_CAP``
+    raises :class:`ValueError`, as :func:`~maccretive.funcspace._merge` does.
     """
 
     def __init__(self, basis, interval, particular, coeffs, modes, member, linear: bool) -> None:
@@ -540,11 +543,16 @@ class _StepMap:
         """``(y, ends)``: the step of each row of ``rows`` (or of one row) and
         the endpoint values of each ``y``, those of each of its functions side
         by side; rows stacked as ``(n, 1, width)`` step with the bits of each
-        row alone. The modes change only the columns of ``t**0``, which
-        Horner's rule adds last, so ``y`` shares the particular solution's heads."""
+        row alone."""
+        y, heads = self.advance(rows)
+        return y, self.closing(y, heads)
+
+    def advance(self, rows: np.ndarray):
+        """``(y, heads)``: the step of each row of ``rows``, as :meth:`__call__`
+        steps them, and the :meth:`ExpBasis.endpoint_heads` of their particular
+        solutions, which ``y`` shares, one endpoint read per step."""
         out = self.particular(rows)
-        a, b = self.interval.a, self.interval.b
-        heads = self.basis.endpoint_heads(out, a, b)
+        heads = self.basis.endpoint_heads(out, self.interval.a, self.interval.b)
         ends = self.basis.endpoint_values(out, self.exps, heads)
         if self.linear is None:
             coeffs = self.coeffs(ends.reshape(-1, self.width)) @ self.mode_rows
@@ -556,8 +564,14 @@ class _StepMap:
         if np.any(spilled):
             degree = int(self._degree[self._spill][spilled].max())
             raise ValueError(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
-        ends = self.basis.endpoint_values(states, self.exps, heads).reshape(-1, self.width)
-        return states.reshape(out.shape), ends
+        return states.reshape(out.shape), heads
+
+    def closing(self, y: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """The endpoint values of each state of ``y``, those of each of its
+        functions side by side, from the ``heads`` :meth:`advance` gave with
+        them, or any stack of steps' ``y`` and ``heads`` alike: the closing
+        read that ``member`` tests."""
+        return self.basis.endpoint_values(y, self.exps, heads).reshape(-1, self.width)
 
 
 def _fixed_point(step: Callable, x_0, rate: float, norm: Callable):

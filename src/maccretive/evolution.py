@@ -59,13 +59,15 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
     ``x``), and ``stops[r]`` is the first step at which row ``r`` raised or
     failed the closing membership test, or ``None``. When a batch raises,
     its last row leaves the run and the rest step again; the run ends when
-    no row is left, or after a step whose rows ``until`` flags. Membership
-    is tested once, after the loop, on all of row 0's steps, then all of
-    row 1's."""
-    states, ends, stops = [x], [], [None] * len(x)
+    no row is left, or after a step whose rows ``until`` flags. Each step
+    reads its endpoint values once, for the boundary solve
+    (``step.advance``), and keeps the heads it read; the closing read of
+    every step is formed after the loop, in one ``step.closing`` on the
+    rows of all steps, and membership is tested once on it."""
+    states, heads, stops = [x], [], [None] * len(x)
     while len(states) <= steps and len(x):
         try:
-            y, x_ends = step(x[:, None])
+            y, x_heads = step.advance(x[:, None])
         # a step past DEGREE_CAP raises ValueError, a nonlinear boundary solve RootNotFound
         except Exception:  # noqa: BLE001
             stops[len(x) - 1] = len(states)
@@ -73,16 +75,17 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
             continue
         x = y[:, 0]
         states.append(x)
-        ends.append(x_ends)
+        heads.append(x_heads)
         if until is not None and until(x):
             break
-    if ends:
-        member = step.member(np.vstack([e[r : r + 1] for r in range(len(stops)) for e in ends]))
+    if heads:
+        member = step.member(step.closing(np.concatenate(states[1:]), np.concatenate(heads)))
+        sizes = [len(y) for y in states[1:]]
+        firsts = np.cumsum([0, *sizes[:-1]])  # where each step's rows start
         for r in range(len(stops)):
-            taken = sum(len(e) > r for e in ends)
-            if not member[:taken].all():
-                stops[r] = int(np.argmin(member[:taken])) + 1
-            member = member[taken:]
+            verdicts = member[firsts[: sum(n > r for n in sizes)] + r]
+            if not verdicts.all():
+                stops[r] = int(np.argmin(verdicts)) + 1
     return states, stops
 
 

@@ -24,7 +24,8 @@ writes functions as coefficient rows over their shared basis
 of weighted node values ``V``, by the same rule, and its differentiation
 matrix ``D``: the values of the functions are ``rows @ V`` and those of
 their derivatives ``(rows @ D) @ V``. Their endpoint values are read by
-Horner's rule on each block, as :func:`_eval_pair` reads them. An
+Horner's rule on each block, as :func:`_eval_pair` reads them, and summed
+over the blocks in the same order. An
 implicit-Euler trajectory keeps its states as rows over one basis and
 takes their norms by :func:`_state_norms`.
 
@@ -517,18 +518,21 @@ class ExpBasis:
     rule for ``f`` and ``g`` alone.
     """
 
-    __slots__ = ("blocks", "dim", "_starts", "_block_starts")
+    __slots__ = ("blocks", "dim", "_starts", "_block_starts", "_head_spans")
 
     def __init__(self, blocks: Iterable[tuple[float, int]]) -> None:
         self.blocks = tuple(blocks)
         self._starts = {}  # the column of t**0 e^{mu t} by rate mu
-        self._block_starts = []  # the same, block by block
+        block_starts = []  # the same, block by block
         column = 0
         for rate, size in self.blocks:
             self._starts[rate] = column
-            self._block_starts.append(column)
+            block_starts.append(column)
             column += size
         self.dim = column
+        self._block_starts = np.array(block_starts, dtype=np.intp)
+        # the columns of each block's c_{n-1}, ..., c_1, as the slice row[last:start:-1]
+        self._head_spans = [(start + n - 1, start) for start, (_, n) in zip(block_starts, self.blocks)]
 
     @classmethod
     def spanning(cls, polys: Iterable[ExpPoly]) -> "ExpBasis":
@@ -605,44 +609,44 @@ class ExpBasis:
             for row in np.asarray(rows).tolist()
         ]
 
-    def endpoint_heads(self, rows: np.ndarray, a: float, b: float) -> list:
-        """For each function of coefficient ``rows``, the list over its blocks
-        ``c_0 + t q(t)`` of ``(q(a) a, q(b) b)`` by Horner's rule as
-        :func:`_eval_pair` runs it, whose last step adds ``c_0``."""
-        spans = [(start + 1, start + n) for start, (_, n) in zip(self._block_starts, self.blocks)]
+    def endpoint_heads(self, rows: np.ndarray, a: float, b: float) -> np.ndarray:
+        """``(F, blocks, 2)``: for each of the ``F`` functions of coefficient
+        ``rows`` and each block ``c_0 + t q(t)``, ``(q(a) a, q(b) b)`` by
+        Horner's rule as :func:`_eval_pair` runs it, whose last step adds
+        ``c_0``. The rows are read untrimmed: Horner's accumulator starts at
+        ``+0.0``, so the trailing zeros that :meth:`polys` trims keep it at
+        ``+-0.0`` and the first non-zero coefficient lands exactly, with the
+        bits of the trimmed read from there on."""
+        spans = self._head_spans
         out = []
         for row in rows.reshape(-1, self.dim).tolist():
-            heads = []
-            for start, stop in spans:
-                q = row[start:stop]
-                while q and q[-1] == 0.0:  # trailing zeros, which polys trims
-                    del q[-1]
+            for last, start in spans:
                 pa = pb = 0.0
-                for c in reversed(q):
+                for c in row[last:start:-1]:
                     pa = pa * a + c
                     pb = pb * b + c
-                heads.append((pa * a, pb * b))
-            out.append(heads)
-        return out
+                out += (pa * a, pb * b)
+        return np.array(out).reshape(-1, len(spans), 2)
 
-    def endpoint_exps(self, a: float, b: float) -> list:
+    def endpoint_exps(self, a: float, b: float) -> np.ndarray:
         """``(e^{mu a}, e^{mu b})`` of each block, the factors of :meth:`endpoint_values`."""
-        return [(math.exp(mu * a), math.exp(mu * b)) for mu, _ in self.blocks]
+        return np.array([(math.exp(mu * a), math.exp(mu * b)) for mu, _ in self.blocks]).reshape(-1, 2)
 
-    def endpoint_values(self, rows: np.ndarray, exps: list, heads: list) -> np.ndarray:
+    def endpoint_values(self, rows: np.ndarray, exps: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """``(f(a), f(b))``, one row per function of coefficient ``rows``, with
         the arithmetic of :func:`_eval_pair` on its :meth:`polys`: each block's
         ``q(t) t + c_0``, from the ``heads`` of :meth:`endpoint_heads` on these
         rows or on rows that differ only in their ``c_0``, times its factors of
-        :meth:`endpoint_exps` at ``a`` and ``b``, summed in rate order."""
-        out = []
-        for row, blocks in zip(rows.reshape(-1, self.dim).tolist(), heads):
-            fa = fb = 0.0
-            for start, (head_a, head_b), (exp_a, exp_b) in zip(self._block_starts, blocks, exps):
-                fa += (head_a + row[start]) * exp_a
-                fb += (head_b + row[start]) * exp_b
-            out.append((fa, fb))
-        return np.array(out).reshape(-1, 2)
+        :meth:`endpoint_exps` at ``a`` and ``b``, summed block by block in rate
+        order from ``+0.0``. A block of zeros, which :meth:`polys` drops, adds
+        ``+-0.0`` where its factors are finite, and a sum that starts at ``+0.0``
+        is never ``-0.0``, so that leaves it as it is."""
+        terms = rows.reshape(-1, self.dim).take(self._block_starts, axis=1)[:, :, None] + heads
+        terms *= exps
+        out = np.zeros((len(terms), 2))
+        for block in terms.transpose(1, 0, 2):
+            out += block
+        return out
 
     def derivative(self) -> np.ndarray:
         """``D``, the derivative of each basis function as a row over the basis.

@@ -355,6 +355,29 @@ def test_wave_impedance_zero_k_runs_to_its_end(tmp_path):
     assert report["run_failed_at_step"] is None
 
 
+@pytest.mark.parametrize("iv", [(-0.7, 1.3), (-3.0, -1.0), (2.0, 5.0), (600.0, 720.0)], ids=str)
+def test_wave_impedance_probe_sizes_are_the_states_norms_bit_for_bit(iv):
+    """The sampled-accretivity sizes from one node table against
+    ``state_l2_norm`` of each difference's ``bd_exppoly`` state, on
+    differences with a zero ``u``, a zero ``v``, zero coefficients, squares
+    past the float range, and, on [600, 720], node values of ``e^t`` that
+    overflow where no ``e^t`` term reads them."""
+    from maccretive.blockop import BlockState, bd_exppoly, state_l2_norm
+    from maccretive.cli import _bd_state_norms
+    from maccretive.funcspace import Interval
+
+    iv = Interval(*iv)
+    diffs = np.random.default_rng(7).uniform(-2.0, 2.0, size=(30, 4))
+    diffs[0, :2] = 0.0  # u = 0
+    diffs[1, 2:] = 0.0  # v = 0
+    diffs[2, 0::2] = -0.0  # no e^t term
+    diffs[3, 1::2] = 0.0  # no e^{-t} term
+    diffs[4] *= 1e200
+    diffs[5] = 0.0
+    want = [state_l2_norm(BlockState(bd_exppoly(d[:2]), bd_exppoly(d[2:])), iv) for d in diffs]
+    assert repr(_bd_state_norms(diffs, iv)) == repr(want)
+
+
 def test_resolve_command_worked_example(tmp_path):
     spec = {
         "command": "resolve",
@@ -493,16 +516,16 @@ def test_input_file_merging(tmp_path):
 def test_evolve_with_v0_solves_each_trajectory_once(tmp_path, monkeypatch):
     from maccretive.derivative import _StepMap
 
-    # both trajectories step as one batch of coefficient rows: one call per
-    # step, one row per trajectory
+    # both trajectories step as one batch of coefficient rows: one advance
+    # per step, one row per trajectory
     calls = []
-    step = _StepMap.__call__
+    step = _StepMap.advance
 
     def counting_step(self, rows):
         calls.append(rows.shape)
         return step(self, rows)
 
-    monkeypatch.setattr(_StepMap, "__call__", counting_step)
+    monkeypatch.setattr(_StepMap, "advance", counting_step)
     spec = {
         "command": "evolve",
         "params": {
@@ -1146,10 +1169,12 @@ def test_samples_beyond_the_float_range_are_a_schema_error(tmp_path, capsys, b):
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale, passed", [(1e300, True), (-1e300, False)])
 def test_wave_impedance_with_a_huge_k_gives_a_verdict(tmp_path, scale, passed):
     # the relation's basis is near 1e300; its normal equations used to
-    # overflow into a LinAlgError
+    # overflow into a LinAlgError. The sizes of its probes overflow
+    # without a warning, as the norms' do
     spec = {"command": "wave-impedance", "params": {"K": [[scale, 0.0], [0.0, scale]], "steps": 5}}
     code, out = run_cli(tmp_path, spec)
     report = load_report(out)

@@ -94,7 +94,7 @@ def test_evolve_stops_both_runs_at_step_one_without_a_resolvent_plan():
 # ----------------------------------------------------------------------
 
 
-def test_contraction_report_monotone_for_admissible_g():
+def test_evolve_distances_monotone_for_admissible_g():
     rng = np.random.default_rng(0)
     r = Realization1D(CTX, BoundaryFunction.scaled_sin(0.8 * CTX.lipschitz_bound))
     for _ in range(3):
@@ -105,7 +105,7 @@ def test_contraction_report_monotone_for_admissible_g():
         assert np.all(run.distances[1:] <= run.distances[:-1] + 1e-8)
 
 
-def test_contraction_report_identical_states():
+def test_evolve_distances_of_identical_states_are_zero():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u0 = ExpPoly.exponential(1.0)
     run = evolve(r, [(u0,), (u0,)], 0.5, 5)

@@ -760,11 +760,42 @@ def euler_exppolys(draw) -> ExpPoly:
     return ExpPoly(tuple(terms))
 
 
+@st.composite
+def basis_rows(draw):
+    """Coefficient rows over a basis of a few apart rates, each block a
+    run of coefficients and zeros of both signs, then zeros of both signs:
+    interior and trailing zeros, ``-0.0`` and blocks of zeros."""
+    rates = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=1, max_size=4, unique=True))
+    sizes = [draw(st.sampled_from([1, 2, 5, 13, DEGREE_CAP + 1])) for _ in rates]
+    basis = ExpBasis(zip(sorted(rates), sizes))
+    signed_zero = st.sampled_from([0.0, -0.0])
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        row = []
+        for n in sizes:
+            k = draw(st.integers(min_value=0, max_value=min(n, 13)))
+            row += draw(st.lists(coeff_or_zero, min_size=k, max_size=k))
+            row += draw(st.lists(signed_zero, min_size=n - k, max_size=n - k))
+        rows.append(row)
+    return basis, np.array(rows)
+
+
+# below, on, across and above 0
+ENDPOINT_INTERVALS = [*KERNEL_INTERVALS, (0.3, 1.7)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     f=st.one_of(euler_exppolys(), high_degree_exppolys()),
-    which=st.integers(min_value=0, max_value=len(KERNEL_INTERVALS) - 1),
+    padded=basis_rows(),
+    which=st.integers(min_value=0, max_value=len(ENDPOINT_INTERVALS) - 1),
 )
-def test_endpoint_pairs_match_their_reference(f, which):
-    iv = Interval(*KERNEL_INTERVALS[which])
+def test_endpoint_pairs_match_their_reference(f, padded, which):
+    iv = Interval(*ENDPOINT_INTERVALS[which])
     assert same(_eval_pair(f, iv.a, iv.b), (f(iv.a), f(iv.b)))
+    # the rows' endpoint values, from untrimmed Horner heads, are those of
+    # _eval_pair on the functions the rows stand for
+    basis, rows = padded
+    heads = basis.endpoint_heads(rows, iv.a, iv.b)
+    ends = basis.endpoint_values(rows, basis.endpoint_exps(iv.a, iv.b), heads)
+    assert same(ends.tolist(), [list(_eval_pair(g, iv.a, iv.b)) for g in basis.polys(rows)])

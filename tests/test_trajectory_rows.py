@@ -75,15 +75,20 @@ def test_50_vector_steps_match_50_composed_steps(params):
 
 
 def _raising_at(step, k: int):
-    """``step`` whose ``k``-th call raises."""
+    """``step`` whose ``k``-th step, a call or an ``advance``, raises."""
     calls = itertools.count(1)
 
-    def stepped(x):
-        if next(calls) == k:
-            raise RuntimeError(f"step {k}")
-        return step(x)
+    def raising(run):
+        def stepped(x):
+            if next(calls) == k:
+                raise RuntimeError(f"step {k}")
+            return run(x)
 
-    stepped.member = step.member
+        return stepped
+
+    stepped = raising(step)
+    stepped.advance = raising(step.advance)
+    stepped.closing, stepped.member = step.closing, step.member
     return stepped
 
 
@@ -95,6 +100,16 @@ def _two_runs(steps: int):
     v0 = BlockState(u0.v * -0.5, u0.u + ExpPoly.constant(0.25))
     step = _realization(BLOCK_EVOLVE, DerivativeContext(iv))._step_map(
         BLOCK_EVOLVE["tau"], (u0.u, u0.v, v0.u, v0.v), steps)
+    return step, step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
+
+
+def _growing_runs(steps: int):
+    """The step map of M = -2 I and rows from 1 and from 1e140, whose
+    second first fails the closing test at step 29."""
+    ctx = DerivativeContext(Interval(0.0, 1.0))
+    real = cli._block_realization(ctx, {"kind": "M", "matrix": [[-2.0, 0.0], [0.0, -2.0]]})
+    u0, v0 = (BlockState(ExpPoly.exponential(1.0, c), ExpPoly.exponential(1.0, c)) for c in (1.0, 1e140))
+    step = real._step_map(0.2, (u0.u, u0.v, v0.u, v0.v), steps)
     return step, step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
 
 
@@ -159,16 +174,65 @@ def test_a_non_member_of_the_second_row_leaves_the_first_running_to_its_end():
     closing test of the second row fails once its defect's squares
     overflow, at step 29, while the first row, from 1, passes all 40. A
     row that fails the test steps on; its stop is read after the loop."""
-    ctx = DerivativeContext(Interval(0.0, 1.0))
-    real = cli._block_realization(ctx, {"kind": "M", "matrix": [[-2.0, 0.0], [0.0, -2.0]]})
-    u0, v0 = (BlockState(ExpPoly.exponential(1.0, c), ExpPoly.exponential(1.0, c)) for c in (1.0, 1e140))
-    step = real._step_map(0.2, (u0.u, u0.v, v0.u, v0.v), 40)
-    x = step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
+    step, x = _growing_runs(40)
     states, stops = run_rows(step, x, 40)
     assert stops == [None, 29]
     assert [len(y) for y in states] == [2] * 41
     assert run_rows(step, x[1:], 40)[1] == [29]
     assert _bits(states) == _bits(run_rows(step, x[:1], 40)[0])
+
+
+def _stepwise_run(step, x: np.ndarray, steps: int, until=None):
+    """``run_rows`` as a loop that reads each step's closing endpoint values
+    by ``step(x)`` and tests them by ``member`` after every step: a row's
+    stop is its first non-member step, or the step at which it raised."""
+    states, stops = [x], [None] * len(x)
+    while len(states) <= steps and len(x):
+        try:
+            y, ends = step(x[:, None])
+        except Exception:  # noqa: BLE001
+            stops[len(x) - 1] = stops[len(x) - 1] or len(states)
+            x = x[:-1]
+            continue
+        x = y[:, 0]
+        states.append(x)
+        for r in np.flatnonzero(~step.member(ends)):
+            stops[r] = stops[r] or len(states) - 1
+        if until is not None and until(x):
+            break
+    return states, stops
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the defect's squares overflow
+@pytest.mark.parametrize("runs, raises_at, until_at, stops", [
+    (_two_runs, 7, None, [None, 7]),  # a batch of 2, then of 1
+    (_two_runs, None, 12, [None, None]),
+    (_growing_runs, None, None, [None, 29]),
+    (_growing_runs, 33, None, [None, 29]),  # a non-member, then a raise
+    (_growing_runs, 20, None, [None, 20]),  # a raise before the non-member
+    (_growing_runs, 33, 35, [None, 29]),
+], ids=["raise", "until", "non-member", "non-member-then-raise", "raise-first", "until-after-both"])
+def test_the_closing_read_once_per_run_gives_the_stops_of_a_test_per_step(runs, raises_at, until_at, stops):
+    """``run_rows`` forms every closing read of a run in one
+    ``step.closing`` after the loop; a loop that calls ``step(x)`` and
+    ``member`` after every step gives the same states and stops."""
+    step, x = runs(40)
+
+    def run(runner):
+        seen = []
+
+        def until(y):
+            seen.append(y)
+            return len(seen) == until_at
+
+        stepped = step if raises_at is None else _raising_at(step, raises_at)
+        return runner(stepped, x, 40, None if until_at is None else until)
+
+    states, got = run(run_rows)
+    ref_states, want = run(_stepwise_run)
+    assert got == want == stops
+    assert repr([y.tolist() for y in states]) == repr([y.tolist() for y in ref_states])
+    assert len(states) == len(ref_states) == (41 if until_at is None else until_at + 1)
 
 
 def test_batched_resolves_match_block_resolve():
