@@ -13,7 +13,8 @@ Every m-accretive realization admits four equivalent descriptions:
 a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
 operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. A realization stores
-one of them and derives the others on demand. Membership of a state
+``M`` or ``f`` and derives ``f``, the relation and ``h`` on demand; a
+given pair ``(S, T)`` is tested by :func:`st_domain`. Membership of a state
 ``(u, v)`` depends on it only through the four endpoint values
 ``u(a), u(b), v(a), v(b)``, and for a linear realization every
 description's defect is a fixed linear map of them: membership of N
@@ -109,13 +110,6 @@ class BlockState:
     @classmethod
     def zero(cls) -> "BlockState":
         return cls(ExpPoly.zero(), ExpPoly.zero())
-
-    def to_jsonable(self) -> dict:
-        return {"u": self.u.to_jsonable(), "v": self.v.to_jsonable()}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "BlockState":
-        return cls(ExpPoly.from_jsonable(data["u"]), ExpPoly.from_jsonable(data["v"]))
 
 
 def apply_block(state: BlockState) -> BlockState:
@@ -366,9 +360,10 @@ class BlockRealization:
     Membership tests and resolvents read that description alone. The
     other views are derived from it on first use, for
     :meth:`domain_test_many`: ``f`` (when ``M`` is m-accretive), the
-    relation (the Cayley relation of a nonlinear ``f``), the operator
-    pair ``(S, T)`` (linear case) and the deficiency map ``h``. Nothing
-    is sampled at construction.
+    relation (the Cayley relation of a nonlinear ``f``) and the
+    deficiency map ``h``. A realization made :meth:`from_st` stores the
+    pair's relation; the pair itself is tested by :func:`st_domain`.
+    Nothing is sampled at construction.
     """
 
     ctx: DerivativeContext
@@ -422,18 +417,6 @@ class BlockRealization:
         return cayley_to_relation(self.description)
 
     @cached_property
-    def pair(self) -> Optional[OperatorPair]:
-        """``Su = Tv`` with ``(S, -T)`` the column blocks of the projector
-        onto the complement of ``M``, in orthonormal coordinates of
-        ``X x X`` so that ``Y`` carries the Euclidean norm."""
-        if not isinstance(self.description, LinearRelation):
-            return None
-        space = bd_space(self.ctx)
-        d = space.dim
-        rows = np.kron(np.eye(2), space._chol.T) @ self._perp
-        return OperatorPair(space, rows[:, :d], -rows[:, d:])
-
-    @cached_property
     def _perp(self) -> np.ndarray:
         """Orthogonal projector onto the complement of a linear ``M``, in
         the product Gram metric."""
@@ -455,8 +438,6 @@ class BlockRealization:
             if isinstance(self.description, LinearRelation):
                 return np.kron(np.eye(2), space._chol.T) @ self._perp
             return lambda z: self.relation.defect(z[:2], z[2:])
-        if name == "pair":
-            return _pair_view(self.pair)
         if name == "f":
             return _cayley_view(space, self.f)
         return _cayley_view(space, self.f, around=_endpoint_maps(self.ctx)[1])
@@ -510,9 +491,7 @@ class BlockRealization:
 
     @cached_property
     def _views_kernel(self) -> _Kernel:
-        names = ["relation"] if self.pair is None else ["relation", "pair"]
-        if self.f is not None:
-            names = ["f", *names, "h"]
+        names = ["relation"] if self.f is None else ["f", "relation", "h"]
         return _Kernel.build(self.ctx, {name: self._view(name) for name in names})
 
     # -- membership -----------------------------------------------------
@@ -526,11 +505,13 @@ class BlockRealization:
         """Membership of each state under each available view.
 
         Returns one boolean array of length ``len(states)`` per view,
-        keyed by its name. Every view is a function of the four endpoint
-        values ``u(a), u(b), v(a), v(b)``, and for a linear realization
-        a linear one: the states' endpoint values make one ``(N, 4)``
-        array, one matrix product gives every residual, and only a
-        nonlinear ``f`` is applied row by row.
+        keyed by its name: ``f``, ``relation`` and ``h`` for an
+        m-accretive realization, ``relation`` alone otherwise. Every view
+        is a function of the four endpoint values ``u(a), u(b), v(a),
+        v(b)``, and for a linear realization a linear one: the states'
+        endpoint values make one ``(N, 4)`` array, one matrix product
+        gives every residual, and only a nonlinear ``f`` is applied row
+        by row.
         """
         kernel = self._views_kernel
         ok = kernel.verdicts(_endpoint_values(self.ctx, states), tol)

@@ -25,8 +25,9 @@ step (:class:`_StepMap`) is the particular solution's matrix, block-diagonal
 in the rates (:class:`_FirstOrderSolve`), and the boundary solve for the
 mode's coefficient. The per-rate blocks and the mode's projection
 coefficients depend only on the realization and ``tau``: they make a
-resolvent plan, built by the first step at that ``tau`` and kept on the
-realization, in a dict keyed by ``tau``, for as long as it lives.
+resolvent plan, which each 1-D step map builds for itself. Block plans
+(:mod:`maccretive.blockop`) are kept on the realization per ``tau``,
+because ``wave-impedance`` builds two step maps at one ``tau``.
 
 The resolvent pins the coefficient of its mode by the boundary identity.
 For the ``e^t`` coefficient ``x`` of the solution, that identity is the
@@ -199,29 +200,19 @@ class Realization1D:
     def is_admissible(self) -> bool:
         return self.g.admissible(self.ctx)
 
-    @cached_property
-    def _plans(self) -> dict:
-        """Resolvent plans keyed by ``tau``; they live as long as this object."""
-        return {}
-
     def _resolvent_plan(self, tau: float) -> tuple["_FirstOrderSolve", float, float]:
         """``(solve, beta_plus, beta_minus)``: the per-rate solves of ``u + tau*u' = f``
         and the projection coefficients of the mode ``e^{-t/tau}``, built by
-        the first step at this ``tau`` and reused by every later one. Raises
-        :class:`RootNotFound` when the mode overflows on the interval, or
-        underflows so far that its ``e^{-t}`` coefficient, which the boundary
-        solve divides by, is 0."""
-        plan = self._plans.get(tau)
-        if plan is None:
-            ctx = self.ctx
-            beta_plus, beta_minus = _mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau))
-            if beta_minus == 0.0:
-                raise RootNotFound(
-                    f"resolvent mode e^({-1.0 / tau} t) underflows on [{ctx.a}, {ctx.b}]"
-                )
-            solve = _FirstOrderSolve(tau, ctx.a, max(abs(ctx.a), abs(ctx.b)))
-            plan = self._plans[tau] = (solve, beta_plus, beta_minus)
-        return plan
+        each step map. Raises :class:`RootNotFound` when the mode overflows on
+        the interval, or underflows so far that its ``e^{-t}`` coefficient,
+        which the boundary solve divides by, is 0."""
+        ctx = self.ctx
+        beta_plus, beta_minus = _mode_coeffs(ctx, ExpPoly.exponential(-1.0 / tau))
+        if beta_minus == 0.0:
+            raise RootNotFound(
+                f"resolvent mode e^({-1.0 / tau} t) underflows on [{ctx.a}, {ctx.b}]"
+            )
+        return _FirstOrderSolve(tau, ctx.a, max(abs(ctx.a), abs(ctx.b))), beta_plus, beta_minus
 
     def _step_map(self, tau: float, polys, steps: int) -> "_StepMap":
         """The step of :func:`resolve` on the basis of ``steps`` steps from ``polys``."""
@@ -646,19 +637,14 @@ def resolve(realization: Realization1D, f: ExpPoly, tau: float) -> ExpPoly:
     return step.basis.polys(out)[0]
 
 
-def extract_h(
-    realization: Realization1D,
-    v_coeff: float,
-    resolvent: Optional[Callable[[ExpPoly, float], ExpPoly]] = None,
-) -> float:
+def extract_h(realization: Realization1D, v_coeff: float) -> float:
     """Recover the boundary map from resolvent data alone.
 
     Applies ``(1 + B)^{-1}`` to ``2 v e^t`` and reads off the
     ``e^{-t}`` projection; for a realization built from ``g`` this
     returns ``g(v_coeff)`` up to solver tolerance.
     """
-    apply = resolvent or (lambda rhs, tau: resolve(realization, rhs, tau))
-    u = apply(ExpPoly.exponential(1.0, 2.0 * v_coeff), 1.0)
+    u = resolve(realization, ExpPoly.exponential(1.0, 2.0 * v_coeff), 1.0)
     return pi_minus_coeff(realization.ctx, u)
 
 
@@ -745,10 +731,10 @@ def maximality_probe(
     Members (equality direction) are reported inconclusive.
     """
     ctx, g = realization.ctx, realization.g
-    ua, ub = _eval_pair(u, ctx.a, ctx.b)
-    c1, cm = _pi_coeffs(ctx, ua, ub)
-    if abs(cm - g(c1)) <= tol * (1.0 + abs(ua) + abs(ub)):
+    ends = np.array([_eval_pair(u, ctx.a, ctx.b)])
+    if _members(realization, ends, tol)[0]:
         return MaximalityProbe(u, 0.0, conclusive=False)
+    c1, cm = _pi_coeffs(ctx, *ends[0].tolist())
     v = _without_modes(u, c1, cm) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
     return MaximalityProbe(v, _self_pairing(ctx, u - v), conclusive=True)
 

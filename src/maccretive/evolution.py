@@ -112,23 +112,16 @@ def evolve(
         sizes = np.array([_quadrature_norm(polys, interval) for polys in [starts[0], *gaps]])
         return Trajectory(None, [], [1] * len(starts), sizes[:1], sizes[1:] if paired else None)
     table = step.basis.values(interval)
-    read = []  # the first run's norm after each step, when until needs it
-
-    def flag(y: np.ndarray) -> bool:
-        read.append(_state_norms(y[:1], table)[0])
-        return until(read[-1])
-
+    flag = None if until is None else (lambda y: until(_state_norms(y[:1], table)[0]))
     x = np.stack([step.basis.rows(start).ravel() for start in starts])
-    states, stops = run_rows(step, x, steps, None if until is None else flag)
+    states, stops = run_rows(step, x, steps, flag)
     # the first run's record ends before its stop; the second is measured on its states within it
     kept = stops[0] or len(states)
     pairs = min(kept, stops[1] or kept) if paired else 0
-    head = kept if until is None else 1  # the first run's norms not yet read
-    u = np.stack([y[0] for y in states[: max(head, pairs)]])
+    u = np.stack([y[0] for y in states[:kept]])
     v = np.stack([y[1] for y in states[:pairs]]) if pairs else u[:0]
-    sizes = _state_norms(np.vstack([u[:head], u[:pairs] - v]), table)
-    norms = np.concatenate([sizes[:head], read[: kept - head]])
-    return Trajectory(step.basis, states, stops, norms, sizes[head:] if paired else None)
+    sizes = _state_norms(np.vstack([u, u[:pairs] - v]), table)
+    return Trajectory(step.basis, states, stops, sizes[:kept], sizes[kept:] if paired else None)
 
 
 def convergence_order(

@@ -19,7 +19,7 @@ counterexample).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -93,13 +93,6 @@ class InnerSpace:
     def random_vectors(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, self.dim))
 
-    def to_jsonable(self) -> dict:
-        return {"dim": self.dim, "gram": self.gram.tolist()}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "InnerSpace":
-        return cls(int(data["dim"]), np.asarray(data["gram"], dtype=float))
-
 
 def operator_norm(space: InnerSpace, matrix: np.ndarray) -> float:
     """Exact operator norm of ``matrix: X -> X`` in the space's norm."""
@@ -162,14 +155,6 @@ class LinearRelation:
         coef, *_ = np.linalg.lstsq(cols, tw, rcond=None)
         resid = float(np.linalg.norm(cols @ coef - tw))
         return resid <= tol * scale
-
-    def to_jsonable(self) -> dict:
-        return {"space": self.space.to_jsonable(), "basis": self.basis.tolist()}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "LinearRelation":
-        space = InnerSpace.from_jsonable(data["space"])
-        return cls(space, np.asarray(data["basis"], dtype=float))
 
 
 def is_accretive_linear(relation: LinearRelation) -> bool:
@@ -299,7 +284,6 @@ class CayleyRelation:
     space: InnerSpace
     f: ContractionMap
     linear: Optional[LinearRelation] = None
-    tol: float = NORM_TOL
 
     def defect(self, u: np.ndarray, v: np.ndarray) -> float:
         """``|f((u+v)/2) - (u-v)/2|``, zero exactly on the relation."""
@@ -307,8 +291,7 @@ class CayleyRelation:
         v = np.asarray(v, dtype=float)
         return self.space.norm(self.f(0.5 * (u + v)) - 0.5 * (u - v))
 
-    def contains(self, u: np.ndarray, v: np.ndarray, tol: Optional[float] = None) -> bool:
-        tol = self.tol if tol is None else tol
+    def contains(self, u: np.ndarray, v: np.ndarray, tol: float = NORM_TOL) -> bool:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         return self.defect(u, v) <= tol * (1.0 + self.space.norm(u) + self.space.norm(v))
@@ -326,14 +309,14 @@ def _null_relation(space: InnerSpace, stacked: np.ndarray) -> LinearRelation:
     return LinearRelation(space, vh[rank:].reshape(-1, 2, space.dim))
 
 
-def cayley_to_relation(f: ContractionMap, tol: float = NORM_TOL) -> CayleyRelation:
+def cayley_to_relation(f: ContractionMap) -> CayleyRelation:
     """Relation ``M = 2(1+f)^{-1} - 1`` induced by a nonexpansive map."""
     linear = None
     if f.is_linear:
         # (u, v) in M  <=>  (F-1)u + (F+1)v = 0
         eye = np.eye(f.space.dim)
         linear = _null_relation(f.space, np.hstack([f.matrix - eye, f.matrix + eye]))
-    return CayleyRelation(f.space, f, linear=linear, tol=tol)
+    return CayleyRelation(f.space, f, linear=linear)
 
 
 def relation_to_cayley(

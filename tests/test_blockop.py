@@ -329,15 +329,15 @@ def test_zero_f_membership_example():
     assert real.domain_test(s)
 
 
-def test_four_descriptions_agree():
+def test_three_derived_views_agree():
     rng = np.random.default_rng(7)
     for _ in range(10):
         real = BlockRealization.from_f(CTX, random_contraction(rng))
-        assert real.pair is not None and real.relation is not None
+        assert real.relation is not None
         for _ in range(20):
             s = random_state(rng)
             views = real.domain_test_all(s)
-            assert set(views) == {"f", "relation", "pair", "h"}
+            assert set(views) == {"f", "relation", "h"}
             assert len(set(views.values())) == 1
         member = block_resolve(real, random_state(rng), 0.8)
         views = real.domain_test_all(member, tol=1e-7)
@@ -372,7 +372,7 @@ def test_views_agree_for_relation_and_st_realizations():
             real = BlockRealization.from_st(CTX, pair)
         accretive = real.is_m_accretive
         seen[accretive] += 1
-        expected = {"f", "relation", "pair", "h"} if accretive else {"relation", "pair"}
+        expected = {"f", "relation", "h"} if accretive else {"relation"}
         for _ in range(20):
             views = real.domain_test_all(random_state(rng))
             assert set(views) == expected
@@ -424,11 +424,6 @@ def _ref_views(real: BlockRealization, state: BlockState, tol: float = 1e-9) -> 
         perp = _ref_perp(real.description)
         resid = perp @ np.concatenate([u_bd, dv_bd])
         views["relation"] = _ref_product_norm(space, resid) <= bound
-        pair = OperatorPair(
-            space, perp[:, :2], -perp[:, 2:],
-            codomain_norm=lambda z: _ref_product_norm(space, z),
-        )
-        views["pair"] = _ref_pair_member(pair, u_bd, dv_bd, tol)
     else:
         views["relation"] = real.relation.contains(u_bd, dv_bd, tol)
     if real.f is not None:

@@ -24,7 +24,6 @@ from maccretive.derivative import (
     pi_minus_coeff,
     pi_plus_coeff,
     pi_zero,
-    _fixed_point,
     _pi_coeffs,
     _without_modes,
     resolve,
@@ -210,8 +209,6 @@ def test_boundary_formulas_evaluate_each_endpoint_once(monkeypatch):
         # u(a), u(b) of e^{-t/tau} for the new plan, of the particular part,
         # then of the solution for the membership test
         (lambda: resolve(realization, u, 0.5), 6),
-        # the plan for tau = 0.5 is kept on the realization
-        (lambda: resolve(realization, u, 0.5), 4),
     ]:
         calls.clear()
         fn()

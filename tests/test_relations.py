@@ -246,13 +246,6 @@ def test_codomain_norm_descriptors():
     assert st_criterion(pair_c).holds  # Y-norm does not affect the criterion
 
 
-def test_relation_json_roundtrip():
-    rel = graph_of(R2, np.array([[0.5, 0.1], [0.0, 0.25]]))
-    back = LinearRelation.from_jsonable(rel.to_jsonable())
-    assert np.allclose(back.basis, rel.basis)
-    assert np.allclose(back.space.gram, rel.space.gram)
-
-
 def test_operator_norm_respects_gram():
     space = InnerSpace(2, np.diag([4.0, 1.0]))
     matrix = np.array([[0.0, 1.0], [0.0, 0.0]])  # (x1,x2) -> (x2, 0)

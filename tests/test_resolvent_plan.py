@@ -1,4 +1,4 @@
-"""Per-tau resolvent plans and the per-rate blocks of the implicit-Euler step.
+"""Per-tau block resolvent plans and the per-rate blocks of the implicit-Euler step.
 
 Each block is compared with the term algebra it replaced
 (``composed_step``), and each plan with what a fresh realization
@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 from composed_step import ROUNDING, first_order_terms
 
 from maccretive.blockop import BlockRealization, BlockState, bd_space, block_resolve
-from maccretive.derivative import (
-    BoundaryFunction,
-    DerivativeContext,
-    Realization1D,
-    _FirstOrderSolve,
-    resolve,
-)
+from maccretive.derivative import DerivativeContext, _FirstOrderSolve
 from maccretive.funcspace import DEGREE_CAP, ExpPoly, Interval
 from maccretive.impedance1d import ImpedanceK, impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
@@ -115,14 +109,13 @@ def test_non_finite_resonant_data_give_non_finite_steps(interval, sign, coeffs):
 
 
 # ----------------------------------------------------------------------
-# Plans are per (realization, tau)
+# Block plans are per (realization, tau)
 # ----------------------------------------------------------------------
 
 BLOCK_U0 = BlockState(
     ExpPoly(((-1.0, (0.5,)), (0.0, (1.0, -0.25)), (1.0, (1.0,)))),
     ExpPoly(((0.0, (0.5, 0.0, 0.75)), (2.0, (-0.2,)))),
 )
-U0_1D = ExpPoly(((0.0, (1.0, -0.5, 0.25)), (1.0, (0.3,))))
 
 
 def _block_realizations(ctx: DerivativeContext) -> list:
@@ -145,10 +138,6 @@ def _fresh_block_step(real: BlockRealization, state: BlockState, tau: float) -> 
     return repr(block_resolve(BlockRealization(real.ctx, real.description), state, tau))
 
 
-def _fresh_1d_step(real: Realization1D, u: ExpPoly, tau: float) -> str:
-    return repr(resolve(Realization1D(real.ctx, real.g), u, tau))
-
-
 def test_block_plans_are_per_realization_and_tau():
     ctx = DerivativeContext(Interval(-0.5, 1.0))
     reals = _block_realizations(ctx)
@@ -167,26 +156,3 @@ def test_block_plans_are_per_realization_and_tau():
         state = out
     assert set(real._plans) == {0.2, 0.3, 0.5}
     assert real._resolvent_plan(0.2) is real._resolvent_plan(0.2)
-
-
-def test_1d_plans_are_per_realization_and_tau():
-    g_values = [BoundaryFunction.linear(0.5), BoundaryFunction.scaled_sin(0.4, 2.0)]
-    reals = [
-        Realization1D(DerivativeContext(Interval(a, b)), g)
-        for a, b in [(0.0, 1.0), (-0.7, 0.2)]
-        for g in g_values
-    ]
-    states = {id(r): U0_1D for r in reals}
-    # realizations on one interval and on two, interleaved at one tau
-    for _ in range(3):
-        for real in reals:
-            out = resolve(real, states[id(real)], 0.25)
-            assert repr(out) == _fresh_1d_step(real, states[id(real)], 0.25)
-            states[id(real)] = out
-    # one realization, alternating between two taus
-    real, u = reals[3], U0_1D
-    for tau in (0.1, 0.4, 0.1, 0.4, 1.0):
-        out = resolve(real, u, tau)
-        assert repr(out) == _fresh_1d_step(real, u, tau)
-        u = out
-    assert set(real._plans) == {0.1, 0.25, 0.4, 1.0}
