@@ -531,6 +531,33 @@ def test_st_domain_matches_per_state_reference():
             assert any(st_domain(ctx, pair, s) for s in states[5:])
 
 
+def test_a_pair_from_the_relation_projector_tests_as_the_relation_view():
+    # [S | -T], the projector off the relation measured in the product
+    # norm, is the pair a realization once derived beside its relation view;
+    # st_domain on it decides as the relation view
+    rng = np.random.default_rng(68)
+    counts = {True: 0, False: 0}
+    kinds = set()
+    for kind, real in _kernel_cases():
+        if not isinstance(real.relation, LinearRelation):
+            continue
+        kinds.add(kind)
+        ctx, space = real.ctx, bd_space(real.ctx)
+        perp = _ref_perp(real.relation)
+        pair = OperatorPair(
+            space, perp[:, :2], -perp[:, 2:],
+            codomain_norm=lambda z, space=space: _ref_product_norm(space, z),
+        )
+        states = [random_state(rng) for _ in range(6)]
+        states += [_kernel_member(real, rng) for _ in range(4)]
+        verdicts = real.domain_test_many(states)["relation"].tolist()
+        assert [st_domain(ctx, pair, s) for s in states] == verdicts
+        for v in verdicts:
+            counts[v] += 1
+    assert kinds == {"f", "M", "ST"}
+    assert counts[True] > 20 and counts[False] > 20
+
+
 def test_cayley_coherence_f_to_relation_to_f():
     rng = np.random.default_rng(8)
     for _ in range(10):

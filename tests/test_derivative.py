@@ -33,6 +33,7 @@ from maccretive.funcspace import (
     RATE_MERGE_TOL,
     ExpPoly,
     Interval,
+    _eval_pair,
     differentiate,
     graph_inner,
     graph_norm,
@@ -589,6 +590,40 @@ def test_maximality_probe_inconclusive_on_members():
     r = Realization1D(CTX, BoundaryFunction.constant(0.0))
     u = resolve(r, ExpPoly.constant(1.0), 1.0)
     assert not maximality_probe(r, u).conclusive
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)])
+def test_maximality_probe_decides_by_the_scalar_endpoint_rule(interval):
+    """The probe is conclusive exactly where the scalar rule on ``u(a), u(b)``,
+    ``|c_minus - g(c_plus)| <= tol (1 + |u(a)| + |u(b)|)``, fails, and its
+    competitor has the bits of ``_pi_coeffs`` on those two floats: on random
+    functions and on members pushed off the domain by ``d e^t`` for ``d``
+    around the tolerance."""
+    ctx = DerivativeContext(Interval(*interval))
+    rng = np.random.default_rng(31)
+    conclusive = {True: 0, False: 0}
+    bound = ctx.lipschitz_bound
+    for g in (BoundaryFunction.scaled_sin(0.7 * bound), BoundaryFunction.linear(0.5 * bound, 0.25)):
+        r = Realization1D(ctx, g)
+        assert r.is_admissible
+        us = [random_exppoly(rng) for _ in range(20)]
+        for _ in range(3):
+            member = resolve(r, random_exppoly(rng), 0.5)
+            us += [member + ExpPoly.exponential(1.0, d) for d in np.geomspace(1e-12, 1e-6, 13)]
+        for u in us:
+            ua, ub = _eval_pair(u, ctx.a, ctx.b)
+            c1, cm = _pi_coeffs(ctx, ua, ub)
+            outside = not abs(cm - g(c1)) <= 1e-9 * (1.0 + abs(ua) + abs(ub))
+            probe = maximality_probe(r, u)
+            assert probe.conclusive == outside == (not in_domain(r, u))
+            conclusive[outside] += 1
+            if outside:
+                v = _without_modes(u, c1, cm) + ExpPoly.exponential(1.0, c1) + ExpPoly.exponential(-1.0, g(c1))
+                assert repr(probe.competitor) == repr(v)
+                assert probe.pairing < 0.0
+            else:
+                assert probe.competitor is u and probe.pairing == 0.0
+    assert conclusive[True] > 10 and conclusive[False] > 10
 
 
 # ----------------------------------------------------------------------
