@@ -34,7 +34,6 @@ from .relations import (
 )
 from .derivative import (
     BoundaryFunction,
-    DerivativeContext,
     Realization1D,
     accretivity_witness,
     check_lipschitz_transfer,
@@ -63,7 +62,6 @@ from .blockop import (
     st_domain,
 )
 from .impedance1d import (
-    ImpedanceK,
     gamma0,
     gammaN,
     impedance_realization,

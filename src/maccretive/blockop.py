@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .derivative import (
-    DerivativeContext,
     _FirstOrderSolve,
     _StepMap,
     _fixed_point,
@@ -135,11 +134,11 @@ def state_graph_inner(s1: BlockState, s2: BlockState, interval: Interval) -> flo
 
 
 def _per_context(build):
-    """``build(ctx)``, made once per context object and kept on it, so that
-    it lives exactly as long as the context and its interval."""
+    """``build(ctx)``, made once per interval and kept on it, so that it
+    lives exactly as long as the interval."""
 
     @functools.wraps(build)
-    def cached(ctx: DerivativeContext):
+    def cached(ctx: Interval):
         memo = ctx._memo
         value = memo.get(build)
         if value is None:
@@ -150,7 +149,7 @@ def _per_context(build):
 
 
 @_per_context
-def bd_space(ctx: DerivativeContext) -> InnerSpace:
+def bd_space(ctx: Interval) -> InnerSpace:
     """BD coefficient space with its graph Gram matrix, the closed-form
     diagonal ``diag(e^{2b}-e^{2a}, e^{-2a}-e^{-2b})``.
 
@@ -166,7 +165,7 @@ def bd_exppoly(x) -> ExpPoly:
     return ExpPoly(((1.0, (x[0],)), (-1.0, (x[1],))))
 
 
-def bd_project(ctx: DerivativeContext, u: ExpPoly) -> np.ndarray:
+def bd_project(ctx: Interval, u: ExpPoly) -> np.ndarray:
     """Graph-orthogonal projection of ``u`` onto the BD span, as ``(cp, cm)``.
 
     The H1 pairings with the kernel elements are endpoint values,
@@ -187,7 +186,7 @@ def g_bd(x) -> np.ndarray:
     return np.array([x[0], -x[1]], dtype=float)
 
 
-def boundary_data(ctx: DerivativeContext, state: BlockState) -> tuple[np.ndarray, np.ndarray]:
+def boundary_data(ctx: Interval, state: BlockState) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``x = (u_BD + Dv_BD)/2``, ``y = (u_BD - Dv_BD)/2``.
 
     ``x`` and ``y`` are the BD coordinates of the two deficiency
@@ -205,13 +204,13 @@ def _deficiency_state(w, sign: float) -> BlockState:
     return BlockState(bd_exppoly(w), bd_exppoly(sign * g_bd(w)))
 
 
-def pi1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
+def pi1_block(ctx: Interval, state: BlockState) -> BlockState:
     """Projection onto ``ker(1 - A)``: ``(x, Gx)``; the second component
     is the derivative of the first."""
     return _deficiency_state(boundary_data(ctx, state)[0], 1.0)
 
 
-def pi_minus1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
+def pi_minus1_block(ctx: Interval, state: BlockState) -> BlockState:
     """Projection onto ``ker(1 + A)``: ``(y, -Gy)``."""
     return _deficiency_state(boundary_data(ctx, state)[1], -1.0)
 
@@ -223,7 +222,7 @@ def pi_minus1_block(ctx: DerivativeContext, state: BlockState) -> BlockState:
 BlockMap = Callable[[BlockState], BlockState]
 
 
-def lift_f_to_h(ctx: DerivativeContext, f: ContractionMap) -> BlockMap:
+def lift_f_to_h(ctx: Interval, f: ContractionMap) -> BlockMap:
     """Extend a BD map to the deficiency spaces: ``h(w, Gw) = (fw, -G fw)``."""
 
     def h(state: BlockState) -> BlockState:
@@ -232,9 +231,7 @@ def lift_f_to_h(ctx: DerivativeContext, f: ContractionMap) -> BlockMap:
     return h
 
 
-def reduce_h_to_f(
-    ctx: DerivativeContext, h: BlockMap, lipschitz_cert: float = 1.0
-) -> ContractionMap:
+def reduce_h_to_f(ctx: Interval, h: BlockMap, lipschitz_cert: float = 1.0) -> ContractionMap:
     """First component of ``h`` along ``w -> (w, Gw)``; certificates
     transfer unchanged because ``|(w, Gw)|_{L2 x L2} = |w|_BD``."""
 
@@ -255,7 +252,7 @@ View = Union[np.ndarray, Callable[[np.ndarray], float]]
 
 
 @_per_context
-def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_maps(ctx: Interval) -> tuple[np.ndarray, np.ndarray]:
     """``(to_z, P V)`` on BD coefficients.
 
     ``P`` takes endpoint values ``(w(a), w(b))`` to the coefficients of
@@ -272,7 +269,7 @@ def _endpoint_maps(ctx: DerivativeContext) -> tuple[np.ndarray, np.ndarray]:
     return to_z, p @ ctx.endpoint_matrix
 
 
-def _endpoint_values(ctx: DerivativeContext, states) -> np.ndarray:
+def _endpoint_values(ctx: Interval, states) -> np.ndarray:
     """``(N, 4)`` array of ``u(a), u(b), v(a), v(b)``, one row per state."""
     a, b = ctx.a, ctx.b
     rows = [(*_eval_pair(s.u, a, b), *_eval_pair(s.v, a, b)) for s in states]
@@ -295,7 +292,7 @@ class _Kernel(NamedTuple):
     rows: tuple[tuple[int, Callable[[np.ndarray], float]], ...]
 
     @classmethod
-    def build(cls, ctx: DerivativeContext, views: dict) -> "_Kernel":
+    def build(cls, ctx: Interval, views: dict) -> "_Kernel":
         to_z = _endpoint_maps(ctx)[0]
         matrix = np.vstack([to_z] + [v @ to_z for v in views.values() if not callable(v)]).T
         weights = np.zeros((matrix.shape[1], 2 + len(views)))
@@ -366,25 +363,21 @@ class BlockRealization:
     Nothing is sampled at construction.
     """
 
-    ctx: DerivativeContext
+    ctx: Interval
     description: Union[LinearRelation, ContractionMap]
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_f(cls, ctx: DerivativeContext, f: ContractionMap) -> "BlockRealization":
+    def from_f(cls, ctx: Interval, f: ContractionMap) -> "BlockRealization":
         return cls(ctx, cayley_to_relation(f).linear if f.is_linear else f)
 
     @classmethod
-    def from_relation(
-        cls, ctx: DerivativeContext, relation: LinearRelation
-    ) -> "BlockRealization":
+    def from_relation(cls, ctx: Interval, relation: LinearRelation) -> "BlockRealization":
         return cls(ctx, relation)
 
     @classmethod
-    def from_st(
-        cls, ctx: DerivativeContext, pair: OperatorPair
-    ) -> "BlockRealization":
+    def from_st(cls, ctx: Interval, pair: OperatorPair) -> "BlockRealization":
         return cls(ctx, st_relation(pair))
 
     # -- derived views ----------------------------------------------------
@@ -479,7 +472,7 @@ class BlockRealization:
             return _solve_boundary_coeffs(self, plan, z[:, :2], z[:, 2:])
 
         return _StepMap(
-            basis, self.ctx.interval, particular, coeffs, np.hstack([modes, -tau * (modes @ d)]),
+            basis, self.ctx, particular, coeffs, np.hstack([modes, -tau * (modes @ d)]),
             lambda ends: kernel.verdicts(ends, 1e-8)[:, 0],
             linear=isinstance(self.description, LinearRelation),
         )
@@ -524,7 +517,7 @@ class BlockRealization:
 
 
 def st_domain(
-    ctx: DerivativeContext,
+    ctx: Interval,
     pair: OperatorPair,
     state: BlockState,
     tol: float = 1e-9,

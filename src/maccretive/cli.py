@@ -37,7 +37,6 @@ from .blockop import (
 )
 from .derivative import (
     BoundaryFunction,
-    DerivativeContext,
     Realization1D,
     _pi_coeffs,
     boundary_function_from_jsonable,
@@ -61,7 +60,6 @@ from .funcspace import (
     l2_norm,
 )
 from .impedance1d import (
-    ImpedanceK,
     impedance_realization,
     is_K_accretive,
 )
@@ -202,9 +200,8 @@ def _interval(data, name: str) -> Interval:
     if not (math.isfinite(iv.a) and math.isfinite(iv.b)):
         raise SchemaError(f"bad {name}: endpoints must be finite")
     # every boundary formula divides by the entries of the BD Gram matrix
-    ctx = DerivativeContext(iv)
     try:
-        gram_ok = all(math.isfinite(g) and g > 0.0 for g in (ctx.denom_plus, ctx.denom_minus))
+        gram_ok = all(math.isfinite(g) and g > 0.0 for g in (iv.denom_plus, iv.denom_minus))
     except OverflowError:
         gram_ok = False
     if not gram_ok:
@@ -330,11 +327,11 @@ def _matrix(data, name: str, shape=None) -> np.ndarray:
     return m
 
 
-def _impedance_k(data, name: str) -> ImpedanceK:
+def _impedance_k(data, name: str) -> np.ndarray:
     m = _matrix(data, name, (2, 2))
     if np.max(np.abs(m)) > 0.5 * sys.float_info.max:
         raise SchemaError(f"bad {name}: K + K^T overflows")
-    return ImpedanceK.from_matrix(m)
+    return m
 
 
 def _space(p: dict) -> InnerSpace:
@@ -347,21 +344,21 @@ def _space(p: dict) -> InnerSpace:
         raise SchemaError(f"bad gram: {exc}") from exc
 
 
-def _block_realization(ctx: DerivativeContext, data) -> BlockRealization:
-    space = bd_space(ctx)
+def _block_realization(iv: Interval, data) -> BlockRealization:
+    space = bd_space(iv)
     try:
         kind = data.get("kind")
         if kind == "f":
             matrix = _matrix(data["matrix"], "f matrix", (2, 2))
-            return BlockRealization.from_f(ctx, ContractionMap.from_matrix(space, matrix))
+            return BlockRealization.from_f(iv, ContractionMap.from_matrix(space, matrix))
         if kind == "M":
             matrix = _matrix(data["matrix"], "relation matrix", (2, 2))
             basis = np.array([np.stack([e, matrix @ e]) for e in np.eye(2)])
-            return BlockRealization.from_relation(ctx, LinearRelation(space, basis))
+            return BlockRealization.from_relation(iv, LinearRelation(space, basis))
         if kind == "ST":
             s_mat = _matrix(data["S"], "S", (2, 2))
             t_mat = _matrix(data["T"], "T", (2, 2))
-            return BlockRealization.from_st(ctx, OperatorPair(space, s_mat, t_mat))
+            return BlockRealization.from_st(iv, OperatorPair(space, s_mat, t_mat))
     except (AttributeError, KeyError, ValueError) as exc:
         raise SchemaError(f"bad realization: {exc!r}") from exc
     raise SchemaError(f"unknown block realization kind: {kind!r}")
@@ -468,7 +465,6 @@ def _energy_run(realization, state: BlockState, tau: float, steps: int, iv: Inte
 @np.errstate(over="ignore", invalid="ignore")  # a pairing that overflows raises below
 def _suite_check_decomposition(p: dict, seed: int, tol: float):
     iv = p["interval"]
-    ctx = DerivativeContext(iv)
     rng = np.random.default_rng(seed)
     modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
 
@@ -484,7 +480,7 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
             u = _random_exppoly(rng, p["max_degree"])
             ua, ub = _eval_pair(u, iv.a, iv.b)
             polys.append(u)
-            ends.append((ua, ub, *_pi_coeffs(ctx, ua, ub)))
+            ends.append((ua, ub, *_pi_coeffs(iv, ua, ub)))
         ua, ub, c1, cm = np.array(ends).T
         polys += modes
         basis = ExpBasis.spanning(polys)
@@ -511,7 +507,7 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
         scale = 1.0 + np.sqrt(u_sq)
         sq = scale**2
         recon = np.sqrt(recon_sq)
-        mid = c1**2 * ctx.denom_plus / 2.0 - cm**2 * ctx.denom_minus / 2.0
+        mid = c1**2 * iv.denom_plus / 2.0 - cm**2 * iv.denom_minus / 2.0
         rhs = (ub**2 - ua**2) / 2.0
         # independent Gram-projection oracle
         oracle_p, oracle_m = u_exp[:, 0] / gram_pp, u_exp[:, 1] / gram_mm
@@ -533,11 +529,10 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
 
 
 def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
-    ctx = DerivativeContext(p["interval"])
-    g = p["g"]
+    iv, g = p["interval"], p["g"]
     rng = np.random.default_rng(seed)
     pairs = [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(p["samples"])]
-    report_data = check_lipschitz_transfer(ctx, g, pairs, tol=tol)
+    report_data = check_lipschitz_transfer(iv, g, pairs, tol=tol)
     failures = []
     if report_data.max_identity_defect >= tol:
         failures.append("distance_identities")
@@ -548,7 +543,7 @@ def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
     body = {
         "g": g.descriptor,
         "lipschitz_cert": g.lipschitz_cert,
-        "admissible_bound": ctx.lipschitz_bound,
+        "admissible_bound": iv.lipschitz_bound,
         "tolerances": {"identity": tol},
         "result": report_data.to_jsonable(),
     }
@@ -562,7 +557,7 @@ def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
 def _suite_resolve(p: dict, seed: int, tol: float):
     iv = p["interval"]
     rhs, tau = _finite_on(iv, p["rhs"], "rhs"), p["tau"]
-    realization = Realization1D(DerivativeContext(iv), p["g"])
+    realization = Realization1D(iv, p["g"])
     failures = []
     solution = residual = None
     try:
@@ -646,15 +641,14 @@ def _suite_st_criterion(p: dict, seed: int, tol: None):
 
 def _suite_block_equivalence(p: dict, seed: int, tol: float):
     iv = p["interval"]
-    ctx = DerivativeContext(iv)
     rng = np.random.default_rng(seed)
     if "realization" in p:
-        realization = _block_realization(ctx, p["realization"])
+        realization = _block_realization(iv, p["realization"])
     else:
         raw = rng.standard_normal((2, 2))
-        space = bd_space(ctx)
+        space = bd_space(iv)
         realization = BlockRealization.from_f(
-            ctx, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
+            iv, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
         )
     tau = p["tau"]
     disagreements = 0
@@ -696,9 +690,8 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     iv = p["interval"]
     k, tau, steps = p["K"], p["tau"], p["steps"]
     rng = np.random.default_rng(seed)
-    ctx = DerivativeContext(iv)
     try:
-        realization = impedance_realization(ctx, k)
+        realization = impedance_realization(iv, k)
     except ValueError as exc:
         raise SchemaError(f"bad K on this interval: {exc}") from exc
     accretive_k = is_K_accretive(k)
@@ -709,7 +702,7 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     coeffs = rng.uniform(-2.0, 2.0, size=(60, 2))
     members = np.hstack([coeffs @ w[:, 0, :], (coeffs @ w[:, 1, :]) * [1.0, -1.0]])
     diffs = members[0::2] - members[1::2]
-    ends = np.hstack([diffs[:, :2] @ ctx.endpoint_matrix.T, diffs[:, 2:] @ ctx.endpoint_matrix.T])
+    ends = np.hstack([diffs[:, :2] @ iv.endpoint_matrix.T, diffs[:, 2:] @ iv.endpoint_matrix.T])
     # <A diff, diff> = int (u v)' = u(b) v(b) - u(a) v(a)
     pairing = ends[:, 1] * ends[:, 3] - ends[:, 0] * ends[:, 2]
     accretive_sampled = True
@@ -742,7 +735,7 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
             failures.append("expected_energy_increase_not_detected")
         failures.append("K_not_accretive")
     body = {
-        "K": k.to_jsonable(),
+        "K": k.tolist(),
         "tau": tau,
         "steps_requested": steps,
         "tolerances": {"pairing": tol, "energy_increase_rtol": 1e-10},
@@ -759,20 +752,19 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
 
 def _suite_evolve(p: dict, seed: int, tol: float):
     iv = p["interval"]
-    ctx = DerivativeContext(iv)
     kind, tau, steps = p["kind"], p["tau"], p["steps"]
 
     # the state type, the default u0 and the needed parameter depend on kind
     if kind == "derivative":
         if "g" not in p:
             raise SchemaError("evolve: derivative kind needs 'g'")
-        realization = Realization1D(ctx, p["g"])
+        realization = Realization1D(iv, p["g"])
         parse_state, parts = _exppoly, lambda s: (s,)
         u0 = ExpPoly.exponential(1.0)
     elif kind == "block":
         if "realization" not in p:
             raise SchemaError("evolve: block kind needs 'realization'")
-        realization = _block_realization(ctx, p["realization"])
+        realization = _block_realization(iv, p["realization"])
         parse_state, parts = _block_state, lambda s: (s.u, s.v)
         u0 = BlockState(ExpPoly.exponential(1.0), ExpPoly.exponential(1.0))
     else:

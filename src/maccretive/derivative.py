@@ -13,8 +13,12 @@ alone:
     pi_plus(u)  = (u(b) e^b  - u(a) e^a)  / (e^{2b}  - e^{2a}),
     pi_minus(u) = (u(a) e^{-a} - u(b) e^{-b}) / (e^{-2a} - e^{-2b}).
 
-Admissibility of ``g`` is the Lipschitz bound ``e^{a+b}``; the module
-also builds explicit non-accretivity witnesses when that bound fails.
+These constants depend on the interval alone, so every formula takes the
+:class:`~maccretive.funcspace.Interval` itself (as ``ctx``), which keeps
+them: ``denom_plus``, ``denom_minus``, ``endpoint_matrix`` and
+``lipschitz_bound``. Admissibility of ``g`` is the Lipschitz bound
+``e^{a+b}``; the module also builds explicit non-accretivity witnesses
+when that bound fails.
 Endpoint values are read in one Horner pass per function
 (``funcspace._eval_pair``, the arithmetic of evaluation at each point).
 
@@ -44,7 +48,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,7 +65,6 @@ from .funcspace import (
 )
 
 __all__ = [
-    "DerivativeContext",
     "BoundaryFunction",
     "Realization1D",
     "kernel_element",
@@ -82,49 +84,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DerivativeContext:
-    """An interval plus the endpoint exponentials every formula reuses."""
-
-    interval: Interval
-
-    @property
-    def a(self) -> float:
-        return self.interval.a
-
-    @property
-    def b(self) -> float:
-        return self.interval.b
-
-    @cached_property
-    def denom_plus(self) -> float:
-        """``e^{2b} - e^{2a}``, positive since ``a < b``."""
-        return self.interval.exp_b**2 - self.interval.exp_a**2
-
-    @cached_property
-    def denom_minus(self) -> float:
-        """``e^{-2a} - e^{-2b}``, positive since ``a < b``."""
-        return self.interval.exp_neg_a**2 - self.interval.exp_neg_b**2
-
-    @cached_property
-    def endpoint_matrix(self) -> np.ndarray:
-        """``[[e^a, e^{-a}], [e^b, e^{-b}]]``: takes coefficients ``(cp, cm)``
-        to the endpoint values of ``cp e^t + cm e^{-t}``."""
-        iv = self.interval
-        return np.array([[iv.exp_a, iv.exp_neg_a], [iv.exp_b, iv.exp_neg_b]])
-
-    @cached_property
-    def lipschitz_bound(self) -> float:
-        """``e^{a+b}``, the admissibility bound for boundary functions."""
-        return math.exp(self.a + self.b)
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Values of functions of this context alone, keyed by the function:
-        made by the first call and freed with the context."""
-        return {}
-
-
-@dataclass(frozen=True)
 class BoundaryFunction:
     """Scalar boundary map with a caller-supplied Lipschitz certificate."""
 
@@ -135,8 +94,9 @@ class BoundaryFunction:
     def __call__(self, c: float) -> float:
         return float(self.func(c))
 
-    def admissible(self, ctx: DerivativeContext) -> bool:
-        return self.lipschitz_cert <= ctx.lipschitz_bound + 1e-12
+    def admissible(self, ctx: Interval) -> bool:
+        """``cert <= e^{a+b}``, with the relative slack of :func:`linear_reduce`."""
+        return self.lipschitz_cert <= ctx.lipschitz_bound * (1.0 + 1e-12)
 
     @classmethod
     def constant(cls, value: float) -> "BoundaryFunction":
@@ -193,7 +153,7 @@ class Realization1D:
     falsification experiments; such realizations are not accretive.
     """
 
-    ctx: DerivativeContext
+    ctx: Interval
     g: BoundaryFunction
 
     @property
@@ -231,13 +191,13 @@ class Realization1D:
             return out
 
         return _StepMap(
-            basis, ctx.interval, lambda rows: rows @ particular, coeffs,
+            basis, ctx, lambda rows: rows @ particular, coeffs,
             basis.rows((ExpPoly.exponential(-1.0 / tau),)),
             lambda ends: _members(self, ends, 1e-9), linear=False,
         )
 
 
-def kernel_element(ctx: DerivativeContext, sign: int, c: float) -> ExpPoly:
+def kernel_element(ctx: Interval, sign: int, c: float) -> ExpPoly:
     """Generator ``c * e^{-sign*t}`` of ``ker(1 + sign*d/dt)``.
 
     ``sign=-1`` gives ``c e^{t}`` (kernel of ``1 - d/dt``), ``sign=+1``
@@ -250,21 +210,20 @@ def kernel_element(ctx: DerivativeContext, sign: int, c: float) -> ExpPoly:
     return ExpPoly.exponential(-float(sign), c)
 
 
-def _pi_coeffs(ctx: DerivativeContext, ua: float, ub: float) -> tuple[float, float]:
+def _pi_coeffs(ctx: Interval, ua: float, ub: float) -> tuple[float, float]:
     """``(pi_plus, pi_minus)`` coefficients from the endpoint values ``u(a), u(b)``."""
-    iv = ctx.interval
     return (
-        (ub * iv.exp_b - ua * iv.exp_a) / ctx.denom_plus,
-        (ua * iv.exp_neg_a - ub * iv.exp_neg_b) / ctx.denom_minus,
+        (ub * ctx.exp_b - ua * ctx.exp_a) / ctx.denom_plus,
+        (ua * ctx.exp_neg_a - ub * ctx.exp_neg_b) / ctx.denom_minus,
     )
 
 
-def _projection_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, float]:
+def _projection_coeffs(ctx: Interval, u: ExpPoly) -> tuple[float, float]:
     """``(pi_plus, pi_minus)`` coefficients of ``u``, from one pass over its terms."""
     return _pi_coeffs(ctx, *_eval_pair(u, ctx.a, ctx.b))
 
 
-def _mode_coeffs(ctx: DerivativeContext, mode: ExpPoly) -> tuple[float, float]:
+def _mode_coeffs(ctx: Interval, mode: ExpPoly) -> tuple[float, float]:
     """``_projection_coeffs`` of a homogeneous resolvent mode; raises
     :class:`RootNotFound` when they overflow on the interval."""
     try:
@@ -277,17 +236,17 @@ def _mode_coeffs(ctx: DerivativeContext, mode: ExpPoly) -> tuple[float, float]:
     return coeffs
 
 
-def pi_plus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
+def pi_plus_coeff(ctx: Interval, u: ExpPoly) -> float:
     """Coefficient of ``e^t`` in the projection onto ``ker(1 - d/dt)``."""
     return _projection_coeffs(ctx, u)[0]
 
 
-def pi_minus_coeff(ctx: DerivativeContext, u: ExpPoly) -> float:
+def pi_minus_coeff(ctx: Interval, u: ExpPoly) -> float:
     """Coefficient of ``e^{-t}`` in the projection onto ``ker(1 + d/dt)``."""
     return _projection_coeffs(ctx, u)[1]
 
 
-def pi_zero(ctx: DerivativeContext, u: ExpPoly) -> ExpPoly:
+def pi_zero(ctx: Interval, u: ExpPoly) -> ExpPoly:
     """Component with vanishing endpoint values (the minimal-domain part)."""
     return _without_modes(u, *_projection_coeffs(ctx, u))
 
@@ -344,7 +303,7 @@ class LipschitzTransferReport:
 
 
 def check_lipschitz_transfer(
-    ctx: DerivativeContext,
+    ctx: Interval,
     g: BoundaryFunction,
     samples: Iterable[tuple[float, float]],
     tol: float = 1e-11,
@@ -361,15 +320,14 @@ def check_lipschitz_transfer(
     so nonexpansiveness of the induced map is equivalent to
     ``|g(c) - g(d)| <= e^{a+b} |c - d|``.
     """
-    iv = ctx.interval
     rows = []
     worst = 0.0
     violations = []
     for c, d in samples:
         x = ExpPoly.exponential(1.0, c) - ExpPoly.exponential(1.0, d)
         hx = ExpPoly.exponential(-1.0, g(c)) - ExpPoly.exponential(-1.0, g(d))
-        x_dist = l2_norm(x, iv)
-        h_dist = l2_norm(hx, iv)
+        x_dist = l2_norm(x, ctx)
+        h_dist = l2_norm(hx, ctx)
         g_gap = abs(g(c) - g(d))
         bound_rhs = ctx.lipschitz_bound * abs(c - d)
 
@@ -653,22 +611,22 @@ def extract_h(realization: Realization1D, v_coeff: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def linear_reduce(ctx: DerivativeContext, g_scalar: float) -> float:
+def linear_reduce(ctx: Interval, g_scalar: float) -> float:
     """Map a linear boundary slope to the ``c`` of ``c u(b) = u(a)``.
 
     Bijective from ``[-e^{a+b}, e^{a+b}]`` onto ``[-1, 1]``.
     """
     if abs(g_scalar) > ctx.lipschitz_bound * (1.0 + 1e-12):
         raise OutOfRange(f"|g| = {abs(g_scalar)} exceeds {ctx.lipschitz_bound}")
-    ea, eb = ctx.interval.exp_a, ctx.interval.exp_b
+    ea, eb = ctx.exp_a, ctx.exp_b
     return (eb / ea) * (ea**2 + g_scalar) / (eb**2 + g_scalar)
 
 
-def linear_unreduce(ctx: DerivativeContext, c: float) -> float:
+def linear_unreduce(ctx: Interval, c: float) -> float:
     """Inverse of :func:`linear_reduce`."""
     if abs(c) > 1.0 + 1e-12:
         raise OutOfRange(f"|c| = {abs(c)} exceeds 1")
-    ea, eb = ctx.interval.exp_a, ctx.interval.exp_b
+    ea, eb = ctx.exp_a, ctx.exp_b
     return (ea * eb - c * eb**2) / (c - eb / ea)
 
 
@@ -677,7 +635,7 @@ def linear_unreduce(ctx: DerivativeContext, c: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _self_pairing(ctx: DerivativeContext, d: ExpPoly) -> float:
+def _self_pairing(ctx: Interval, d: ExpPoly) -> float:
     """``<d', d> = (d(b)^2 - d(a)^2)/2``, from one pass over ``d``'s terms."""
     da, db = _eval_pair(d, ctx.a, ctx.b)
     return 0.5 * (db * db - da * da)
@@ -691,7 +649,7 @@ class AccretivityWitness:
 
 
 def accretivity_witness(
-    ctx: DerivativeContext, g: BoundaryFunction, c: float, d: float
+    ctx: Interval, g: BoundaryFunction, c: float, d: float
 ) -> AccretivityWitness:
     """Explicit member pair certifying non-accretivity.
 

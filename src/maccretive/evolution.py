@@ -57,9 +57,13 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
     each, stepped stacked ``(rows, 1, width)`` with the bits of each row
     alone. ``states[k]`` holds the rows after step ``k`` (``states[0]`` is
     ``x``), and ``stops[r]`` is the first step at which row ``r`` raised or
-    failed the closing membership test, or ``None``. When a batch raises,
-    its last row leaves the run and the rest step again; the run ends when
-    no row is left, or after a step whose rows ``until`` flags. Each step
+    failed the closing membership test, or ``None``. A step may raise
+    ``ValueError`` (a step past ``DEGREE_CAP``, or a domain error in the
+    boundary function), ``ArithmeticError`` (an overflow) or
+    :class:`RootNotFound` (a boundary solve that does not converge): then
+    the batch's last row leaves the run and the rest step again. Any other
+    error is a fault of the step and propagates. The run ends when no row
+    is left, or after a step whose rows ``until`` flags. Each step
     reads its endpoint values once, for the boundary solve
     (``step.advance``), and keeps the heads it read; the closing read of
     every step is formed after the loop, in one ``step.closing`` on the
@@ -68,8 +72,7 @@ def run_rows(step, x: np.ndarray, steps: int, until: Optional[Callable[[np.ndarr
     while len(states) <= steps and len(x):
         try:
             y, x_heads = step.advance(x[:, None])
-        # a step past DEGREE_CAP raises ValueError, a nonlinear boundary solve RootNotFound
-        except Exception:  # noqa: BLE001
+        except (ValueError, ArithmeticError, RootNotFound):
             stops[len(x) - 1] = len(states)
             x = x[:-1]
             continue
@@ -102,9 +105,11 @@ def evolve(
     the block. The runs step as one batch of rows over one basis, each
     with the bits of its run alone (:func:`run_rows`); ``until``, given
     the first run's norm after each step, ends the runs after a step it
-    flags. See :class:`Trajectory` for what comes back.
+    flags. A step that raises ``ValueError``, ``ArithmeticError`` or
+    :class:`RootNotFound` stops its run, as :func:`run_rows` says; any
+    other error propagates. See :class:`Trajectory` for what comes back.
     """
-    interval, paired = realization.ctx.interval, len(starts) == 2
+    interval, paired = realization.ctx, len(starts) == 2
     try:
         step = realization._step_map(tau, [f for start in starts for f in start], steps)
     except RootNotFound:  # no resolvent plan at tau: the first step fails
@@ -153,7 +158,7 @@ def convergence_order(
             raise RootNotFound(f"the run at tau = {tau} stops at step {run.stops[0]}")
         endpoints.append(run.basis.polys(run.states[-1].reshape(len(start), -1)))
 
-    interval = realization.ctx.interval
+    interval = realization.ctx
 
     def distance(x, y) -> float:
         return _quadrature_norm([f - g for f, g in zip(x, y)], interval)

@@ -89,9 +89,9 @@ class Interval:
     def length(self) -> float:
         return self.b - self.a
 
-    # The four endpoint exponentials recur in every boundary formula;
-    # computing them once per interval keeps constants bit-identical
-    # across call sites.
+    # The four endpoint exponentials, and the boundary constants made of
+    # them, recur in every boundary formula; computing them once per
+    # interval keeps constants bit-identical across call sites.
     @cached_property
     def exp_a(self) -> float:
         return math.exp(self.a)
@@ -107,6 +107,33 @@ class Interval:
     @cached_property
     def exp_neg_b(self) -> float:
         return math.exp(-self.b)
+
+    @cached_property
+    def denom_plus(self) -> float:
+        """``e^{2b} - e^{2a}``, positive since ``a < b``."""
+        return self.exp_b**2 - self.exp_a**2
+
+    @cached_property
+    def denom_minus(self) -> float:
+        """``e^{-2a} - e^{-2b}``, positive since ``a < b``."""
+        return self.exp_neg_a**2 - self.exp_neg_b**2
+
+    @cached_property
+    def endpoint_matrix(self) -> np.ndarray:
+        """``[[e^a, e^{-a}], [e^b, e^{-b}]]``: takes coefficients ``(cp, cm)``
+        to the endpoint values of ``cp e^t + cm e^{-t}``."""
+        return np.array([[self.exp_a, self.exp_neg_a], [self.exp_b, self.exp_neg_b]])
+
+    @cached_property
+    def lipschitz_bound(self) -> float:
+        """``e^{a+b}``, the admissibility bound for boundary functions."""
+        return math.exp(self.a + self.b)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Values of functions of this interval alone, keyed by the function:
+        made by the first call and freed with the interval."""
+        return {}
 
     # Gauss-Legendre tables of the integrals (see :func:`l2_norm`), by the
     # shape they were chosen for, ``(coefficients, largest |rate|)``, and

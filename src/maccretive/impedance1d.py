@@ -9,24 +9,23 @@ matrix identity on boundary data,
     g_bd(Phi_BD) = kappa^* K kappa (f_BD),
 
 so the induced block realization is m-accretive exactly when
-``K + K^T`` is positive semidefinite. Boundary data are ``(cp, cm)``
-arrays in ``bd_space(ctx)``, as in :mod:`maccretive.blockop`, and traces
-are ``(at a, at b)`` arrays.
+``K + K^T`` is positive semidefinite. ``K``, the boundary operator on
+the two-point pivot space (counting measure), is a ``(2, 2)`` float
+array. Boundary data are ``(cp, cm)`` arrays in ``bd_space(ctx)``, as in
+:mod:`maccretive.blockop`, with ``ctx`` the interval, and traces are
+``(at a, at b)`` arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockop import BlockRealization, bd_space
-from .derivative import DerivativeContext, _pi_coeffs
-from .funcspace import ExpPoly, _eval_pair
+from .derivative import _pi_coeffs
+from .funcspace import ExpPoly, Interval, _eval_pair
 from .relations import LinearRelation, _is_psd
 
 __all__ = [
-    "ImpedanceK",
     "gamma0",
     "gammaN",
     "kappa",
@@ -39,72 +38,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImpedanceK:
-    """Boundary operator on the two-point pivot space (counting measure)."""
-
-    entries: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("K must be a 2x2 matrix")
-        object.__setattr__(
-            self, "entries", tuple(tuple(float(x) for x in row) for row in m)
-        )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "ImpedanceK":
-        m = np.asarray(matrix, dtype=float)
-        return cls(tuple(tuple(row) for row in m))
-
-    def to_jsonable(self) -> list:
-        return [list(row) for row in self.entries]
-
-
-def gamma0(ctx: DerivativeContext, f: ExpPoly) -> np.ndarray:
+def gamma0(ctx: Interval, f: ExpPoly) -> np.ndarray:
     """Dirichlet trace ``(f(a), f(b))``."""
     return np.array(_eval_pair(f, ctx.a, ctx.b))
 
 
-def gammaN(ctx: DerivativeContext, phi: ExpPoly) -> np.ndarray:
+def gammaN(ctx: Interval, phi: ExpPoly) -> np.ndarray:
     """Normal trace ``(-phi(a), phi(b))``."""
     at_a, at_b = _eval_pair(phi, ctx.a, ctx.b)
     return np.array([-at_a, at_b])
 
 
-def kappa_adjoint_matrix(ctx: DerivativeContext) -> np.ndarray:
+def kappa_adjoint_matrix(ctx: Interval) -> np.ndarray:
     """Adjoint of endpoint evaluation, solved through the BD Gram matrix."""
     return np.linalg.solve(bd_space(ctx).gram, ctx.endpoint_matrix.T)
 
 
-def kappa(ctx: DerivativeContext, x) -> np.ndarray:
+def kappa(ctx: Interval, x) -> np.ndarray:
     """Embed boundary data into the pivot space by endpoint evaluation."""
     return ctx.endpoint_matrix @ x
 
 
-def kappa_adjoint(ctx: DerivativeContext, y) -> np.ndarray:
+def kappa_adjoint(ctx: Interval, y) -> np.ndarray:
     """The unique ``x`` with ``<kappa x', y> = <x', x>_BD`` for all ``x'``."""
     return kappa_adjoint_matrix(ctx) @ y
 
 
-def trace_norm(ctx: DerivativeContext, y) -> float:
+def trace_norm(ctx: Interval, y) -> float:
     """Renormed trace norm: the H1 norm of the boundary-data function
     with these endpoint values, whose coefficients are the deficiency
     projection coefficients read off those values."""
     return bd_space(ctx).norm(_pi_coeffs(ctx, *y))
 
 
-def impedance_map_matrix(ctx: DerivativeContext, k: ImpedanceK) -> np.ndarray:
+def impedance_map_matrix(ctx: Interval, k: np.ndarray) -> np.ndarray:
     """``kappa^* K kappa`` as a matrix on BD coefficients."""
-    return kappa_adjoint_matrix(ctx) @ k.matrix @ ctx.endpoint_matrix
+    return kappa_adjoint_matrix(ctx) @ k @ ctx.endpoint_matrix
 
 
-def impedance_realization(ctx: DerivativeContext, k: ImpedanceK) -> BlockRealization:
+def impedance_realization(ctx: Interval, k: np.ndarray) -> BlockRealization:
     """Block realization with domain ``{(f, Phi): K gamma0 f = gammaN Phi}``.
 
     Stored as its one description, the graph relation
@@ -119,6 +91,6 @@ def impedance_realization(ctx: DerivativeContext, k: ImpedanceK) -> BlockRealiza
     )
 
 
-def is_K_accretive(k: ImpedanceK) -> bool:
+def is_K_accretive(k: np.ndarray) -> bool:
     """Positive semidefiniteness of ``K + K^T`` (relative threshold)."""
-    return _is_psd(k.matrix + k.matrix.T)
+    return _is_psd(k + k.T)

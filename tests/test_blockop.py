@@ -35,7 +35,7 @@ from maccretive.blockop import (
     state_graph_inner,
     state_l2_norm,
 )
-from maccretive.derivative import DerivativeContext, _mode_coeffs
+from maccretive.derivative import _mode_coeffs
 from maccretive.errors import RootNotFound
 from maccretive.funcspace import (
     RATE_MERGE_TOL,
@@ -47,7 +47,7 @@ from maccretive.funcspace import (
     graph_inner,
     l2_norm,
 )
-from maccretive.impedance1d import ImpedanceK, impedance_realization
+from maccretive.impedance1d import impedance_realization
 from maccretive.relations import (
     ContractionMap,
     InnerSpace,
@@ -60,8 +60,8 @@ from maccretive.relations import (
 )
 
 E = math.e
-CTX = DerivativeContext(Interval(0.0, 1.0))
-UNIT = CTX.interval
+CTX = Interval(0.0, 1.0)
+UNIT = CTX
 SPACE = bd_space(CTX)
 IMPEDANCE_I = ((1.0, 0.0), (0.0, 1.0))
 IMPEDANCE_SKEW = ((1.0, 0.3), (-0.3, 1.0))
@@ -122,11 +122,11 @@ def test_bd_project_matches_graph_gram_solve():
     rng = np.random.default_rng(13)
     kernel = (ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0))
     for a, b in ((0.0, 1.0), (0.4, 2.1), (-0.8, 0.6), (-1.5, 0.2), (-2.3, -0.4)):
-        ctx = DerivativeContext(Interval(a, b))
-        gram = np.array([[graph_inner(p, q, ctx.interval) for q in kernel] for p in kernel])
+        ctx = Interval(a, b)
+        gram = np.array([[graph_inner(p, q, ctx) for q in kernel] for p in kernel])
         for _ in range(200):
             u = random_state(rng).u
-            rhs = [graph_inner(u, q, ctx.interval) for q in kernel]
+            rhs = [graph_inner(u, q, ctx) for q in kernel]
             expected = np.linalg.solve(gram, rhs)
             got = bd_project(ctx, u)
             assert np.abs(got - expected).max() <= 1e-11 * (1.0 + np.abs(expected).max())
@@ -138,13 +138,13 @@ def test_bd_space_is_its_closed_form_diagonal():
     rng = np.random.default_rng(21)
     for _ in range(500):
         a = float(rng.uniform(-6.0, 6.0))
-        ctx = DerivativeContext(Interval(a, a + float(rng.uniform(1e-3, 6.0))))
+        ctx = Interval(a, a + float(rng.uniform(1e-3, 6.0)))
         space = bd_space(ctx)
         gram = np.diag([ctx.denom_plus, ctx.denom_minus])
         assert np.array_equal(space.gram, gram)
         assert np.array_equal(space._chol, np.linalg.cholesky(gram))
     for a, b in ((7.0, 8.0), (-8.0, -6.0), (0.0, 15.0)):
-        ctx = DerivativeContext(Interval(a, b))
+        ctx = Interval(a, b)
         with pytest.raises(ValueError, match="not positive definite"):
             InnerSpace(2, np.diag([ctx.denom_plus, ctx.denom_minus]))
         chol = bd_space(ctx)._chol
@@ -440,7 +440,7 @@ def _ref_description_view(real: BlockRealization, state: BlockState, tol: float)
 def _kernel_cases():
     """Realizations of every kind on intervals on, across and below 0."""
     for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
-        ctx = DerivativeContext(Interval(a, b))
+        ctx = Interval(a, b)
         space = bd_space(ctx)
         rng = np.random.default_rng(int(100 * (b - a)))
         for _ in range(3):
@@ -514,7 +514,7 @@ def test_domain_test_many_matches_per_state_views():
 def test_st_domain_matches_per_state_reference():
     rng = np.random.default_rng(67)
     for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
-        ctx = DerivativeContext(Interval(a, b))
+        ctx = Interval(a, b)
         space = bd_space(ctx)
         for norm in ("euclidean", 2.0 * np.eye(2), lambda z: float(np.abs(z).sum())):
             pair = OperatorPair(
@@ -663,7 +663,7 @@ def test_block_resolve_nonlinear_f():
 # ----------------------------------------------------------------------
 
 
-def _boundary_contraction(ctx: DerivativeContext, tau: float) -> np.ndarray:
+def _boundary_contraction(ctx: Interval, tau: float) -> np.ndarray:
     """``C = L N^{-1}`` of the boundary equation, from a realization's plan."""
     squash = ContractionMap(bd_space(ctx), np.tanh, lipschitz_cert=1.0)
     return BlockRealization.from_f(ctx, squash)._resolvent_plan(tau).comp
@@ -676,7 +676,7 @@ def _boundary_contraction(ctx: DerivativeContext, tau: float) -> np.ndarray:
     tau=st.floats(0.02, 300.0),
 )
 def test_boundary_contraction_norm_is_the_sinh_ratio(a, length, tau):
-    ctx = DerivativeContext(Interval(a, a + length))
+    ctx = Interval(a, a + length)
     length = ctx.b - ctx.a
     norm = operator_norm(bd_space(ctx), _boundary_contraction(ctx, tau))
     ratio = sinh_ratio(tau, length)
@@ -708,8 +708,8 @@ def _counting(f: ContractionMap, calls: list) -> ContractionMap:
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, -0.69)])
 @pytest.mark.parametrize("tau", [0.02, 1.0, 50.0, 300.0])
 def test_block_resolve_picard_certificate_one(interval, tau):
-    ctx = DerivativeContext(Interval(*interval))
-    iv, space = ctx.interval, bd_space(ctx)
+    ctx = Interval(*interval)
+    iv, space = ctx, bd_space(ctx)
     rotation = _gram_isometry(space, 0.9)
     maps = (
         ContractionMap(space, np.tanh, lipschitz_cert=1.0),
@@ -736,8 +736,8 @@ def test_block_resolve_picard_certificate_one(interval, tau):
 def test_block_resolve_near_rate_one_stops_on_the_backward_error():
     # q = 0.9996: the distance stop gap q / (1 - q) <= 1e-12 lay below the
     # roundoff floor of the steps, so the solve raised after 61,867 steps
-    ctx = DerivativeContext(Interval(-0.7, -0.69))
-    iv, space = ctx.interval, bd_space(ctx)
+    ctx = Interval(-0.7, -0.69)
+    iv, space = ctx, bd_space(ctx)
     rotation = _gram_isometry(space, 0.9)
     f = ContractionMap(space, lambda z: rotation @ np.tanh(z), lipschitz_cert=1.0)
     real = BlockRealization.from_f(ctx, f)
@@ -838,7 +838,7 @@ def _lstsq_boundary_coeffs(real: BlockRealization, tau: float, u_bd0, dv_bd0):
     return coeffs, h_u, h_dv
 
 
-def _particular_bd(ctx: DerivativeContext, rhs: BlockState, tau: float):
+def _particular_bd(ctx: Interval, rhs: BlockState, tau: float):
     """``(u_BD, Dv_BD)`` of the particular solution of a block step."""
     u_part = particular_second_order(rhs.u - tau * differentiate(rhs.v), tau, ctx)
     v_part = rhs.v - tau * differentiate(u_part)
@@ -852,8 +852,8 @@ def _linear_cases():
             yield kind, real
     for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
         for k in (IMPEDANCE_I, IMPEDANCE_SKEW, ((0.3, 2.0), (-1.5, 0.2))):
-            ctx = DerivativeContext(Interval(a, b))
-            yield "impedance", impedance_realization(ctx, ImpedanceK(k))
+            ctx = Interval(a, b)
+            yield "impedance", impedance_realization(ctx, np.asarray(k, dtype=float))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 5.0])
@@ -906,14 +906,14 @@ def test_block_resolve_raises_on_a_singular_boundary_equation():
 def test_accretive_impedance_resolvent_far_from_zero(k, start):
     # the modes' BD columns are up to 1e15 apart in size here; a least
     # squares solve on them once dropped the small one as singular
-    ctx = DerivativeContext(Interval(start, start + 1.0))
-    real = impedance_realization(ctx, ImpedanceK(k))
+    ctx = Interval(start, start + 1.0)
+    real = impedance_realization(ctx, np.asarray(k, dtype=float))
     rng = np.random.default_rng(start + 10)
     for tau in (0.05, 0.1, 0.2, 0.3):
         rhs = random_state(rng)
         out = block_resolve(real, rhs, tau)
         assert real.domain_test(out, tol=1e-9)
-        assert state_l2_norm(out, ctx.interval) <= state_l2_norm(rhs, ctx.interval)
+        assert state_l2_norm(out, ctx) <= state_l2_norm(rhs, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -921,7 +921,7 @@ def test_accretive_impedance_resolvent_far_from_zero(k, start):
 # ----------------------------------------------------------------------
 
 
-def _green_kernel_second_order(w: ExpPoly, tau: float, ctx: DerivativeContext) -> ExpPoly:
+def _green_kernel_second_order(w: ExpPoly, tau: float, ctx: Interval) -> ExpPoly:
     """Reference solution of ``u - tau^2 u'' = w``: a coefficient
     recursion away from ``+-1/tau`` and the mirrored Green-kernel
     responses anchored at ``a`` and ``b`` near it."""
@@ -1023,8 +1023,8 @@ def test_block_resolve_resonance_band(interval, degree, tau_mu):
     edges its recursion builds terms up to 1e8 times its result, loses
     that many digits, and can fail its own membership test.
     """
-    ctx = DerivativeContext(Interval(*interval))
-    iv = ctx.interval
+    ctx = Interval(*interval)
+    iv = ctx
     space = bd_space(ctx)
     tau = BAND_TAU
     mu = tau_mu / tau
@@ -1106,7 +1106,7 @@ def test_block_resolve_matches_composed_step(interval, tau_mu):
     pinned it bit for bit. Where the term algebra's result fails the 1e-8
     test, the step, which sums in another order, raises or lands within
     that bound of it; past the degree cap both raise the same error."""
-    ctx = DerivativeContext(Interval(*interval))
+    ctx = Interval(*interval)
     space = bd_space(ctx)
     rng = np.random.default_rng([round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))])
     raw = rng.standard_normal((2, 2))
@@ -1128,8 +1128,8 @@ def test_block_resolve_matches_composed_step(interval, tau_mu):
             except RootNotFound:
                 assert not member
                 break
-            scale = term_majorant((state.u, state.v, ref.u, ref.v), ctx.interval)
-            assert state_l2_norm(out - ref, ctx.interval) <= ROUNDING * scale
+            scale = term_majorant((state.u, state.v, ref.u, ref.v), ctx)
+            assert state_l2_norm(out - ref, ctx) <= ROUNDING * scale
             ends = [[s.u(ctx.a), s.u(ctx.b), s.v(ctx.a), s.v(ctx.b)] for s in (state, out)]
             assert repr(blockop._endpoint_values(ctx, (state, out)).tolist()) == repr(ends)
             if not member:

@@ -43,10 +43,10 @@ def reference_decomposition_checks(iv, samples: int, max_degree: int, seed: int)
     """The checks of ``check-decomposition`` with one scalar pairing per
     sample and per check, on the suite's samples."""
     from maccretive.cli import _random_exppoly
-    from maccretive.derivative import DerivativeContext, _pi_coeffs, pi_zero
+    from maccretive.derivative import _pi_coeffs, pi_zero
     from maccretive.funcspace import ExpPoly, differentiate, graph_inner, graph_norm, l2_inner
 
-    ctx = DerivativeContext(iv)
+    ctx = iv
     rng = np.random.default_rng(seed)
     ep = ExpPoly.exponential(1.0)
     em = ExpPoly.exponential(-1.0)
@@ -225,10 +225,10 @@ def test_pi_zero_formed_on_rows_has_the_bits_of_without_modes():
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.6, -0.7), (-0.8, 2.3)])
 def test_pi_zero_formed_on_rows_has_the_bits_of_pi_zero(interval):
     from maccretive.cli import _random_exppoly, _rows_without_modes
-    from maccretive.derivative import DerivativeContext, _projection_coeffs, pi_zero
+    from maccretive.derivative import _projection_coeffs, pi_zero
     from maccretive.funcspace import ExpBasis, ExpPoly, Interval
 
-    ctx = DerivativeContext(Interval(*interval))
+    ctx = Interval(*interval)
     rng = np.random.default_rng(7)
     polys = crafted_probes()
     polys += [_random_exppoly(rng, max_degree) for max_degree in (0, 2, 4, 10) for _ in range(50)]
@@ -768,11 +768,11 @@ def library_evolve(params: dict) -> tuple:
     first that rises by more than 1e-8."""
     from maccretive.blockop import block_resolve, state_l2_norm
     from maccretive.cli import _block_realization, _block_state, _boundary_function, _exppoly
-    from maccretive.derivative import DerivativeContext, Realization1D, resolve
+    from maccretive.derivative import Realization1D, resolve
     from maccretive.funcspace import Interval, l2_norm
 
     iv = Interval(0.0, 1.0)
-    ctx, tau = DerivativeContext(iv), params["tau"]
+    ctx, tau = iv, params["tau"]
     if params.get("kind", "derivative") == "derivative":
         real = Realization1D(ctx, _boundary_function(params["g"], "g"))
         parse, solve, norm = _exppoly, resolve, l2_norm

@@ -11,7 +11,6 @@ from contraction_rates import a_priori_calls, sinh_ratio
 
 from maccretive.derivative import (
     BoundaryFunction,
-    DerivativeContext,
     Realization1D,
     accretivity_witness,
     check_lipschitz_transfer,
@@ -42,8 +41,8 @@ from maccretive.funcspace import (
 )
 
 E = math.e
-CTX = DerivativeContext(Interval(0.0, 1.0))
-UNIT = CTX.interval
+CTX = Interval(0.0, 1.0)
+UNIT = CTX
 
 
 def random_exppoly(rng: np.random.Generator, max_degree: int = 4) -> ExpPoly:
@@ -55,11 +54,11 @@ def random_exppoly(rng: np.random.Generator, max_degree: int = 4) -> ExpPoly:
     return ExpPoly(tuple(terms))
 
 
-def gram_projection_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, float]:
+def gram_projection_coeffs(ctx: Interval, u: ExpPoly) -> tuple[float, float]:
     """Independent oracle: 2x2 graph-Gram solve onto span{e^t, e^{-t}}."""
     ep = ExpPoly.exponential(1.0)
     em = ExpPoly.exponential(-1.0)
-    iv = ctx.interval
+    iv = ctx
     gram = np.array(
         [
             [graph_inner(ep, ep, iv), graph_inner(ep, em, iv)],
@@ -70,17 +69,17 @@ def gram_projection_coeffs(ctx: DerivativeContext, u: ExpPoly) -> tuple[float, f
     return tuple(np.linalg.solve(gram, rhs))
 
 
-def l2_projection_plus(ctx: DerivativeContext, u: ExpPoly) -> float:
+def l2_projection_plus(ctx: Interval, u: ExpPoly) -> float:
     """Second oracle: 1/2 P_{ker(1-d/dt)} (1 + d/dt) u via plain L2 Gram."""
     ep = ExpPoly.exponential(1.0)
-    iv = ctx.interval
+    iv = ctx
     w = u + differentiate(u)
     return 0.5 * l2_inner(w, ep, iv) / l2_inner(ep, ep, iv)
 
 
-def l2_projection_minus(ctx: DerivativeContext, u: ExpPoly) -> float:
+def l2_projection_minus(ctx: Interval, u: ExpPoly) -> float:
     em = ExpPoly.exponential(-1.0)
-    iv = ctx.interval
+    iv = ctx
     w = u - differentiate(u)
     return 0.5 * l2_inner(w, em, iv) / l2_inner(em, em, iv)
 
@@ -405,7 +404,7 @@ def test_resolve_inadmissible_g_fails():
     tau=st.floats(0.02, 300.0),
 )
 def test_resolve_contraction_rate_is_the_sinh_ratio(a, length, tau):
-    ctx = DerivativeContext(Interval(a, a + length))
+    ctx = Interval(a, a + length)
     length = ctx.b - ctx.a
     realization = Realization1D(ctx, BoundaryFunction.constant(0.0))
     _, beta_plus, beta_minus = realization._resolvent_plan(tau)
@@ -422,8 +421,8 @@ def test_resolve_contraction_rate_is_the_sinh_ratio(a, length, tau):
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, -0.69)])
 @pytest.mark.parametrize("tau", [0.02, 1.0, 50.0, 300.0])
 def test_resolve_picard_at_the_lipschitz_bound(interval, tau):
-    ctx = DerivativeContext(Interval(*interval))
-    iv, bound = ctx.interval, ctx.lipschitz_bound
+    ctx = Interval(*interval)
+    iv, bound = ctx, ctx.lipschitz_bound
     calls = []
 
     def g(c: float) -> float:
@@ -518,6 +517,21 @@ def test_linear_reduce_roundtrip_and_range():
         linear_unreduce(CTX, 1.01)
 
 
+def test_admissible_has_the_relative_slack_of_linear_reduce():
+    """On [-16, -14] the bound e^{a+b} is 9.36e-14, below an absolute slack
+    of 1e-12: a slope of 5e-13 is out of range for ``linear_reduce`` and
+    has a witness of negative pairing, so it is not admissible."""
+    ctx = Interval(-16.0, -14.0)
+    steep, flat = BoundaryFunction.linear(5e-13), BoundaryFunction.linear(4.5e-14)
+    assert not steep.admissible(ctx)
+    assert not Realization1D(ctx, steep).is_admissible
+    with pytest.raises(OutOfRange):
+        linear_reduce(ctx, 5e-13)
+    assert accretivity_witness(ctx, steep, 1.0, 0.0).pairing < 0.0
+    assert flat.admissible(ctx) and Realization1D(ctx, flat).is_admissible
+    assert -1.0 <= linear_reduce(ctx, 4.5e-14) <= 1.0
+
+
 def test_reduced_condition_matches_domain():
     # members of a linear realization satisfy c u(b) = u(a)
     g_val = 0.6
@@ -572,7 +586,7 @@ def test_maximality_probe_defeats_outsiders():
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)])
 def test_falsification_pairings_match_the_l2_inner_product(interval):
     # both helpers read <d', d> as (d(b)^2 - d(a)^2)/2 from endpoint values
-    ctx = DerivativeContext(Interval(*interval))
+    ctx = Interval(*interval)
     rng = np.random.default_rng(13)
     r = Realization1D(ctx, BoundaryFunction.scaled_sin(0.7))
     witness = accretivity_witness(ctx, BoundaryFunction.linear(3.0 * ctx.lipschitz_bound), 1.0, -0.5)
@@ -582,7 +596,7 @@ def test_falsification_pairings_match_the_l2_inner_product(interval):
         probe = maximality_probe(r, u)
         pairs.append((probe.pairing, u - probe.competitor))
     for pairing, diff in pairs:
-        ref = l2_inner(differentiate(diff), diff, ctx.interval)
+        ref = l2_inner(differentiate(diff), diff, ctx)
         assert abs(pairing - ref) <= 1e-12 * abs(ref)
 
 
@@ -599,7 +613,7 @@ def test_maximality_probe_decides_by_the_scalar_endpoint_rule(interval):
     competitor has the bits of ``_pi_coeffs`` on those two floats: on random
     functions and on members pushed off the domain by ``d e^t`` for ``d``
     around the tolerance."""
-    ctx = DerivativeContext(Interval(*interval))
+    ctx = Interval(*interval)
     rng = np.random.default_rng(31)
     conclusive = {True: 0, False: 0}
     bound = ctx.lipschitz_bound
@@ -642,7 +656,7 @@ def test_resolve_matches_composed_solve(interval, tau_mu):
     pinned it bit for bit. Where the term algebra's result fails the 1e-9
     test, the step, which sums in another order, raises or lands within
     that bound of it; past the degree cap both raise the same error."""
-    ctx = DerivativeContext(Interval(*interval))
+    ctx = Interval(*interval)
     rng = np.random.default_rng([round(1000 * tau_mu) % 10_000, round(10 * (interval[0] + 3))])
     shift = 0.6 * RATE_MERGE_TOL
 
@@ -678,7 +692,7 @@ def test_resolve_matches_composed_solve(interval, tau_mu):
             except RootNotFound:
                 assert not member
                 break
-            assert l2_norm(out - ref, ctx.interval) <= ROUNDING * term_majorant((f, ref), ctx.interval)
+            assert l2_norm(out - ref, ctx) <= ROUNDING * term_majorant((f, ref), ctx)
             if not member:
                 break
             f = out

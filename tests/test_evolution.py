@@ -12,7 +12,6 @@ from maccretive.blockop import (
 )
 from maccretive.derivative import (
     BoundaryFunction,
-    DerivativeContext,
     Realization1D,
     accretivity_witness,
     resolve,
@@ -20,11 +19,11 @@ from maccretive.derivative import (
 from maccretive.errors import RootNotFound
 from maccretive.evolution import convergence_order, evolve
 from maccretive.funcspace import ExpPoly, Interval
-from maccretive.impedance1d import ImpedanceK, impedance_realization
+from maccretive.impedance1d import impedance_realization
 from maccretive.relations import LinearRelation, OperatorPair
 
-CTX = DerivativeContext(Interval(0.0, 1.0))
-UNIT = CTX.interval
+CTX = Interval(0.0, 1.0)
+UNIT = CTX
 
 
 def state_dist(x: BlockState, y: BlockState) -> float:
@@ -183,7 +182,7 @@ WAVE_U0 = BlockState(ExpPoly.exponential(1.0) + ExpPoly.exponential(-1.0), ExpPo
 
 def test_energy_decays_with_accretive_K():
     for k_matrix in (np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.5], [-0.5, 1.0]]):
-        real = impedance_realization(CTX, ImpedanceK.from_matrix(k_matrix))
+        real = impedance_realization(CTX, np.asarray(k_matrix, dtype=float))
         run = evolve(real, [(WAVE_U0.u, WAVE_U0.v)], 0.2, 20)
         assert run.stops == [None]
         energies = run.norms ** 2
@@ -191,7 +190,7 @@ def test_energy_decays_with_accretive_K():
 
 
 def test_energy_increases_with_negated_identity_K():
-    real = impedance_realization(CTX, ImpedanceK.from_matrix(-np.eye(2)))
+    real = impedance_realization(CTX, -np.eye(2))
     run = evolve(real, [(WAVE_U0.u, WAVE_U0.v)], 0.2, 50)
     energies = run.norms ** 2
     assert np.any(energies[1:] > energies[:-1] * (1 + 1e-10))
@@ -201,7 +200,7 @@ def test_until_ends_an_energy_run_at_the_first_increase():
     """K = -I: ``until``, given the norm of each step's state, ends the run
     after the first step whose energy rises, as ``wave-impedance``'s energy
     run does; the norms it was given are those the run returns."""
-    real = impedance_realization(CTX, ImpedanceK.from_matrix(-np.eye(2)))
+    real = impedance_realization(CTX, -np.eye(2))
     start = (WAVE_U0.u, WAVE_U0.v)
     full = evolve(real, [start], 0.2, 50)
     energies = (full.norms ** 2).tolist()

@@ -13,11 +13,9 @@ from maccretive.blockop import (
     state_l2_inner,
     state_l2_norm,
 )
-from maccretive.derivative import DerivativeContext
 from maccretive.errors import RootNotFound
 from maccretive.funcspace import ExpPoly, Interval, differentiate, graph_norm, l2_inner
 from maccretive.impedance1d import (
-    ImpedanceK,
     gamma0,
     gammaN,
     impedance_map_matrix,
@@ -30,8 +28,8 @@ from maccretive.impedance1d import (
 )
 
 E = math.e
-CTX = DerivativeContext(Interval(0.0, 1.0))
-UNIT = CTX.interval
+CTX = Interval(0.0, 1.0)
+UNIT = CTX
 
 
 def random_poly(rng: np.random.Generator) -> ExpPoly:
@@ -43,7 +41,7 @@ def random_poly(rng: np.random.Generator) -> ExpPoly:
     return ExpPoly(tuple(terms))
 
 
-def member_state(ctx, k: ImpedanceK, rng: np.random.Generator) -> BlockState:
+def member_state(ctx, k: np.ndarray, rng: np.random.Generator) -> BlockState:
     """Member built directly from the boundary-data description."""
     w = impedance_map_matrix(ctx, k)
     u = random_poly(rng)
@@ -143,11 +141,11 @@ def test_trace_norm_matches_h1_norm():
 
 
 def test_is_K_accretive_examples():
-    assert is_K_accretive(ImpedanceK.from_matrix(np.eye(2)))
-    assert not is_K_accretive(ImpedanceK.from_matrix([[1.0, 3.0], [0.0, 1.0]]))
-    assert is_K_accretive(ImpedanceK.from_matrix([[1.0, 1.0], [-1.0, 1.0]]))
-    assert is_K_accretive(ImpedanceK.from_matrix([[0.0, 1.0], [-1.0, 0.0]]))
-    assert not is_K_accretive(ImpedanceK.from_matrix(-np.eye(2)))
+    assert is_K_accretive(np.eye(2))
+    assert not is_K_accretive(np.asarray([[1.0, 3.0], [0.0, 1.0]], dtype=float))
+    assert is_K_accretive(np.asarray([[1.0, 1.0], [-1.0, 1.0]], dtype=float))
+    assert is_K_accretive(np.asarray([[0.0, 1.0], [-1.0, 0.0]], dtype=float))
+    assert not is_K_accretive(-np.eye(2))
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +154,7 @@ def test_is_K_accretive_examples():
 
 
 def test_zero_K_is_neumann():
-    real = impedance_realization(CTX, ImpedanceK.from_matrix(np.zeros((2, 2))))
+    real = impedance_realization(CTX, np.zeros((2, 2)))
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
         ExpPoly.constant(1.0) - ExpPoly.polynomial([0.0, 1.0])
     )
@@ -166,12 +164,12 @@ def test_zero_K_is_neumann():
 
 
 def test_skew_K_is_m_accretive():
-    real = impedance_realization(CTX, ImpedanceK.from_matrix([[0.0, 1.0], [-1.0, 0.0]]))
+    real = impedance_realization(CTX, np.asarray([[0.0, 1.0], [-1.0, 0.0]], dtype=float))
     assert real.is_m_accretive
 
 
 def test_negated_identity_K_not_m_accretive():
-    k = ImpedanceK.from_matrix(-np.eye(2))
+    k = -np.eye(2)
     assert not is_K_accretive(k)
     real = impedance_realization(CTX, k)
     assert not real.is_m_accretive
@@ -179,11 +177,11 @@ def test_negated_identity_K_not_m_accretive():
 
 def test_membership_matches_trace_condition():
     rng = np.random.default_rng(3)
-    k = ImpedanceK.from_matrix([[1.0, 0.3], [-0.2, 0.8]])
+    k = np.asarray([[1.0, 0.3], [-0.2, 0.8]], dtype=float)
     real = impedance_realization(CTX, k)
     for _ in range(10):
         s = member_state(CTX, k, rng)
-        defect = k.matrix @ gamma0(CTX, s.u) - gammaN(CTX, s.v)
+        defect = k @ gamma0(CTX, s.u) - gammaN(CTX, s.v)
         assert np.abs(defect).max() <= 1e-9
         assert real.domain_test(s, tol=1e-8)
 
@@ -191,12 +189,12 @@ def test_membership_matches_trace_condition():
 def test_energy_identity_on_members():
     rng = np.random.default_rng(4)
     for k_mat in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, 1.0], [-1.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]):
-        k = ImpedanceK.from_matrix(k_mat)
+        k = np.asarray(k_mat, dtype=float)
         for _ in range(10):
             s = member_state(CTX, k, rng)
             lhs = state_l2_inner(apply_block(s), s, UNIT)
             tr = gamma0(CTX, s.u)
-            rhs = float((k.matrix @ tr) @ tr)
+            rhs = float((k @ tr) @ tr)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
@@ -204,15 +202,15 @@ def test_trace_and_boundary_data_defects_agree():
     # K gamma0 u - gammaN phi, lifted by kappa^*, is the boundary-data
     # defect W u_BD - Dphi_BD of the stored relation
     rng = np.random.default_rng(6)
-    for ctx in (CTX, DerivativeContext(Interval(-2.0, -0.5))):
+    for ctx in (CTX, Interval(-2.0, -0.5)):
         adj = kappa_adjoint_matrix(ctx)
         for k_mat in (np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], -np.eye(2), [[0.5, 2.0], [0.0, -1.0]]):
-            k = ImpedanceK.from_matrix(k_mat)
+            k = np.asarray(k_mat, dtype=float)
             w = impedance_map_matrix(ctx, k)
             real = impedance_realization(ctx, k)
             for _ in range(20):
                 u, phi = random_poly(rng), random_poly(rng)
-                trace_defect = k.matrix @ gamma0(ctx, u) - gammaN(ctx, phi)
+                trace_defect = k @ gamma0(ctx, u) - gammaN(ctx, phi)
                 lifted = adj @ trace_defect
                 bd_defect = w @ bd_project(ctx, u) - g_bd(bd_project(ctx, phi))
                 assert np.abs(lifted).max() > 1e-6
@@ -224,7 +222,7 @@ def test_equivalence_accretive_K_sampled():
     rng = np.random.default_rng(5)
     agreements = 0
     for _ in range(50):
-        k = ImpedanceK.from_matrix(rng.standard_normal((2, 2)))
+        k = rng.standard_normal((2, 2))
         real = impedance_realization(CTX, k)
         verdict_k = is_K_accretive(k)
 

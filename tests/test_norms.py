@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from maccretive.blockop import BlockRealization, BlockState, bd_space, state_l2_norm
-from maccretive.derivative import DerivativeContext
 from maccretive.evolution import evolve
 from maccretive.funcspace import (
     DEGREE_CAP,
@@ -90,7 +89,7 @@ def test_distances_of_a_block_run_match_a_60_digit_integral_and_fall():
     # seed-1 trajectories spec 9: block evolve with f, tau 0.1, on [0, 0.935];
     # its distances once rose at step 18 and read 0 at step 21
     iv = Interval(0.0, 0.935398449672983)
-    ctx = DerivativeContext(iv)
+    ctx = iv
     f = np.array([[-0.07083839011789468, -0.1848587166434625], [0.2948940752420749, -0.039973863013080015]])
     realization = BlockRealization.from_f(ctx, ContractionMap.from_matrix(bd_space(ctx), f))
     u0 = BlockState(ExpPoly.constant(1.1057279979275445),

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from composed_step import ROUNDING, first_order_terms
 
 from maccretive.blockop import BlockRealization, BlockState, bd_space, block_resolve
-from maccretive.derivative import DerivativeContext, _FirstOrderSolve
+from maccretive.derivative import _FirstOrderSolve
 from maccretive.funcspace import DEGREE_CAP, ExpPoly, Interval
-from maccretive.impedance1d import ImpedanceK, impedance_realization
+from maccretive.impedance1d import impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
 
 # ----------------------------------------------------------------------
@@ -118,13 +118,13 @@ BLOCK_U0 = BlockState(
 )
 
 
-def _block_realizations(ctx: DerivativeContext) -> list:
+def _block_realizations(ctx: Interval) -> list:
     space = bd_space(ctx)
     rng = np.random.default_rng(5)
     maps = [rng.standard_normal((2, 2)) for _ in range(2)]
     return [
-        impedance_realization(ctx, ImpedanceK(((1.0, 0.0), (0.0, 1.0)))),
-        impedance_realization(ctx, ImpedanceK(((2.0, 0.5), (-0.5, 0.3)))),
+        impedance_realization(ctx, np.asarray(((1.0, 0.0), (0.0, 1.0)), dtype=float)),
+        impedance_realization(ctx, np.asarray(((2.0, 0.5), (-0.5, 0.3)), dtype=float)),
         *(BlockRealization.from_f(
             ctx, ContractionMap.from_matrix(space, 0.9 * m / operator_norm(space, m))
         ) for m in maps),
@@ -139,7 +139,7 @@ def _fresh_block_step(real: BlockRealization, state: BlockState, tau: float) -> 
 
 
 def test_block_plans_are_per_realization_and_tau():
-    ctx = DerivativeContext(Interval(-0.5, 1.0))
+    ctx = Interval(-0.5, 1.0)
     reals = _block_realizations(ctx)
     states = {id(r): BLOCK_U0 for r in reals}
     # several realizations on one interval, interleaved at one tau

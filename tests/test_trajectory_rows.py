@@ -19,11 +19,11 @@ from composed_step import ROUNDING, composed_block_resolve, term_majorant
 
 from maccretive import cli
 from maccretive.blockop import BlockState, block_resolve, state_l2_norm
-from maccretive.derivative import DerivativeContext, Realization1D
+from maccretive.derivative import Realization1D, _StepMap
 from maccretive.errors import RootNotFound
-from maccretive.evolution import run_rows
+from maccretive.evolution import evolve, run_rows
 from maccretive.funcspace import ExpPoly, Interval, _state_norms
-from maccretive.impedance1d import ImpedanceK, impedance_realization
+from maccretive.impedance1d import impedance_realization
 from maccretive.relations import ContractionMap, operator_norm
 
 # seed-1 trajectories spec 19 (block evolve) and spec 30 (accretive
@@ -44,9 +44,9 @@ ACCRETIVE_WAVE = {
 }
 
 
-def _realization(params: dict, ctx: DerivativeContext):
+def _realization(params: dict, ctx: Interval):
     if "K" in params:
-        return impedance_realization(ctx, ImpedanceK.from_matrix(params["K"]))
+        return impedance_realization(ctx, np.asarray(params["K"], dtype=float))
     return cli._block_realization(ctx, params["realization"])
 
 
@@ -56,7 +56,7 @@ def test_50_vector_steps_match_50_composed_steps(params):
     algebra: within ``ROUNDING`` of the largest term majorant of the run so
     far, since each step is nonexpansive and adds its own rounding."""
     iv = Interval.from_jsonable(params["interval"])
-    ctx, tau = DerivativeContext(iv), params["tau"]
+    ctx, tau = iv, params["tau"]
     real = _realization(params, ctx)
     ref = cli._block_state(params["u0"], "u0")
     step = real._step_map(tau, (ref.u, ref.v), 50)
@@ -74,14 +74,15 @@ def test_50_vector_steps_match_50_composed_steps(params):
         assert _state_norms(x[None], table)[0] == pytest.approx(norm, rel=1e-12, abs=1e-15 * scale)
 
 
-def _raising_at(step, k: int):
-    """``step`` whose ``k``-th step, a call or an ``advance``, raises."""
+def _raising_at(step, k: int, error=RootNotFound):
+    """``step`` whose ``k``-th step, a call or an ``advance``, raises
+    ``error``: by default a boundary solve that does not converge."""
     calls = itertools.count(1)
 
     def raising(run):
         def stepped(x):
             if next(calls) == k:
-                raise RuntimeError(f"step {k}")
+                raise error(f"step {k}")
             return run(x)
 
         return stepped
@@ -98,7 +99,7 @@ def _two_runs(steps: int):
     iv = Interval.from_jsonable(BLOCK_EVOLVE["interval"])
     u0 = cli._block_state(BLOCK_EVOLVE["u0"], "u0")
     v0 = BlockState(u0.v * -0.5, u0.u + ExpPoly.constant(0.25))
-    step = _realization(BLOCK_EVOLVE, DerivativeContext(iv))._step_map(
+    step = _realization(BLOCK_EVOLVE, iv)._step_map(
         BLOCK_EVOLVE["tau"], (u0.u, u0.v, v0.u, v0.v), steps)
     return step, step.basis.rows((u0.u, u0.v, v0.u, v0.v)).reshape(2, -1)
 
@@ -106,7 +107,7 @@ def _two_runs(steps: int):
 def _growing_runs(steps: int):
     """The step map of M = -2 I and rows from 1 and from 1e140, whose
     second first fails the closing test at step 29."""
-    ctx = DerivativeContext(Interval(0.0, 1.0))
+    ctx = Interval(0.0, 1.0)
     real = cli._block_realization(ctx, {"kind": "M", "matrix": [[-2.0, 0.0], [0.0, -2.0]]})
     u0, v0 = (BlockState(ExpPoly.exponential(1.0, c), ExpPoly.exponential(1.0, c)) for c in (1.0, 1e140))
     step = real._step_map(0.2, (u0.u, u0.v, v0.u, v0.v), steps)
@@ -138,6 +139,29 @@ def test_a_run_of_one_row_that_raises_stops_there(k):
     assert _bits(states) == _bits(run_rows(step, x[:1], k - 1)[0])
 
 
+def test_a_step_that_raises_a_fault_propagates(monkeypatch):
+    """A step that raises what no step documents, here ``TypeError``, is a
+    fault of the step: it leaves ``run_rows`` and ``evolve`` as it is,
+    instead of stopping the run."""
+    step, x = _two_runs(30)
+    with pytest.raises(TypeError, match="step 3"):
+        run_rows(_raising_at(step, 3, TypeError), x, 30)
+
+    def advance(self, rows):
+        raise TypeError("a fault")
+
+    monkeypatch.setattr(_StepMap, "advance", advance)
+    iv = Interval.from_jsonable(BLOCK_EVOLVE["interval"])
+    u0 = cli._block_state(BLOCK_EVOLVE["u0"], "u0")
+    runs = [
+        (_realization(BLOCK_EVOLVE, iv), (u0.u, u0.v)),
+        (Realization1D(iv, cli._boundary_function({"kind": "linear", "slope": 0.5}, "g")), (u0.u,)),
+    ]
+    for real, start in runs:
+        with pytest.raises(TypeError, match="a fault"):
+            evolve(real, [start], BLOCK_EVOLVE["tau"], 5)
+
+
 @pytest.mark.parametrize("j", [1, 7, 30])
 def test_until_ends_a_run_after_the_step_it_flags(j):
     step, x = _two_runs(30)
@@ -158,7 +182,7 @@ def test_a_one_row_run_past_the_degree_cap_stops_at_that_step():
     """The resonant mode of ``g = 0.5 t`` at tau 0.01 gains a degree per
     step: the step past ``DEGREE_CAP`` raises ``ValueError``, which ends
     the run of its one row there instead of escaping."""
-    ctx = DerivativeContext(Interval(0.0, 1.0))
+    ctx = Interval(0.0, 1.0)
     real = Realization1D(ctx, cli._boundary_function({"kind": "linear", "slope": 0.5}, "g"))
     u0 = ExpPoly.exponential(1.0)
     step = real._step_map(0.01, (u0,), 80)
@@ -190,7 +214,7 @@ def _stepwise_run(step, x: np.ndarray, steps: int, until=None):
     while len(states) <= steps and len(x):
         try:
             y, ends = step(x[:, None])
-        except Exception:  # noqa: BLE001
+        except (ValueError, ArithmeticError, RootNotFound):
             stops[len(x) - 1] = stops[len(x) - 1] or len(states)
             x = x[:-1]
             continue
@@ -238,7 +262,7 @@ def test_the_closing_read_once_per_run_gives_the_stops_of_a_test_per_step(runs, 
 def test_batched_resolves_match_block_resolve():
     """One batch of rows, as the solvability checks make it, against one
     ``block_resolve`` per right-hand side."""
-    ctx = DerivativeContext(Interval(-0.7, 1.3))
+    ctx = Interval(-0.7, 1.3)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((2, 2))
     space = cli.bd_space(ctx)
@@ -249,14 +273,14 @@ def test_batched_resolves_match_block_resolve():
     for rhs, x in zip(rhss, out):
         state = BlockState(*basis.polys(x.reshape(2, -1)))
         ref = block_resolve(real, rhs, 0.5)
-        scale = term_majorant((ref.u, ref.v, rhs.u, rhs.v), ctx.interval)
-        assert state_l2_norm(state - ref, ctx.interval) <= ROUNDING * scale
+        scale = term_majorant((ref.u, ref.v, rhs.u, rhs.v), ctx)
+        assert state_l2_norm(state - ref, ctx) <= ROUNDING * scale
 
 
 def test_batched_resolves_stop_where_block_resolve_raises():
     # S = T = diag(1, 0) is a relation of dimension 3: no resolvent plan
     half = np.diag([1.0, 0.0])
-    ctx = DerivativeContext(Interval(0.0, 1.0))
+    ctx = Interval(0.0, 1.0)
     real = cli._block_realization(ctx, {"kind": "ST", "S": half.tolist(), "T": half.tolist()})
     rhss = [BlockState(ExpPoly.constant(1.0), ExpPoly.exponential(1.0))]
     with pytest.raises(RootNotFound):
@@ -276,7 +300,7 @@ def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     and the same rows stepped one at a time, each a one-step run of
     ``run_rows`` as a trajectory suite steps them, stop at the third and
     the fifth, where a loop of ``block_resolve`` raises."""
-    ctx = DerivativeContext(Interval(0.0, 1.0))
+    ctx = Interval(0.0, 1.0)
     real = cli._block_realization(ctx, {"kind": "M", "matrix": [[0.0, 0.5], [-0.5, 0.0]]})
     rng = np.random.default_rng(5)
     rhss = [cli._random_block_state(rng) for _ in range(2)] + [bad, cli._random_block_state(rng), bad]
