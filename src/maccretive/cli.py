@@ -364,26 +364,34 @@ def _block_realization(iv: Interval, data) -> BlockRealization:
     raise SchemaError(f"unknown block realization kind: {kind!r}")
 
 
-def _random_exppoly(rng: np.random.Generator, max_degree: int = 4) -> ExpPoly:
-    """A random probe state: one to three terms, integer rates in [-2, 2],
-    degree up to ``max_degree``, coefficients uniform in [-2, 2).
+def _random_exppolys(rng: np.random.Generator, count: int, max_degree: int) -> list:
+    """``count`` random probe states: each of one to three terms, integer
+    rates in [-2, 2], degree uniform in 0..``max_degree``, coefficients
+    uniform in [-2, 2); terms of equal rate merge.
 
-    The order of the draws is part of the seeded report contract: a report
-    is a function of its spec's ``seed``, so reordering, adding or dropping
-    a draw changes the reports of every suite that draws probes. The terms
+    The draw layout is part of the seeded report contract: a report is a
+    function of its spec's ``seed``, so any change to these four array
+    draws (term counts, rates, coefficient counts, then coefficients, each
+    drawn for three terms of the largest degree and cut to what a function
+    uses) changes the reports of every suite that draws probes. The terms
     are Python floats, so one :func:`_merge` gives the normal form
     ``ExpPoly``'s constructor would.
     """
-    terms = []
-    for _ in range(rng.integers(1, 4)):
-        mu = float(rng.integers(-2, 3))
-        deg = int(rng.integers(0, max_degree + 1))
-        terms.append((mu, rng.uniform(-2.0, 2.0, size=deg + 1).tolist()))
-    return ExpPoly._trusted(_merge(terms))
+    n_terms = rng.integers(1, 4, count).tolist()
+    rates = rng.integers(-2, 3, (count, 3)).astype(float).tolist()
+    lengths = rng.integers(1, max_degree + 2, (count, 3)).tolist()
+    coeffs = rng.uniform(-2.0, 2.0, (count, 3, max_degree + 1)).tolist()
+    return [
+        ExpPoly._trusted(_merge([(mu[j], c[j][: n[j]]) for j in range(k)]))
+        for k, mu, n, c in zip(n_terms, rates, lengths, coeffs)
+    ]
 
 
-def _random_block_state(rng: np.random.Generator) -> BlockState:
-    return BlockState(_random_exppoly(rng, 2), _random_exppoly(rng, 2))
+def _random_block_states(rng: np.random.Generator, count: int) -> list:
+    """``count`` random states ``(u, v)``, paired from ``2 count`` draws of
+    :func:`_random_exppolys` of degree up to 2."""
+    polys = _random_exppolys(rng, 2 * count, 2)
+    return [BlockState(u, v) for u, v in zip(polys[0::2], polys[1::2])]
 
 
 # ----------------------------------------------------------------------
@@ -475,11 +483,10 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
     )
     for start in range(0, p["samples"], STATE_CHUNK):
         size = min(STATE_CHUNK, p["samples"] - start)
-        polys, ends = [], []
-        for _ in range(size):
-            u = _random_exppoly(rng, p["max_degree"])
+        polys = _random_exppolys(rng, size, p["max_degree"])
+        ends = []
+        for u in polys:
             ua, ub = _eval_pair(u, iv.a, iv.b)
-            polys.append(u)
             ends.append((ua, ub, *_pi_coeffs(iv, ua, ub)))
         ua, ub, c1, cm = np.array(ends).T
         polys += modes
@@ -531,7 +538,7 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
 def _suite_lipschitz_transfer(p: dict, seed: int, tol: float):
     iv, g = p["interval"], p["g"]
     rng = np.random.default_rng(seed)
-    pairs = [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(p["samples"])]
+    pairs = rng.uniform(-3.0, 3.0, (p["samples"], 2))
     report_data = check_lipschitz_transfer(iv, g, pairs, tol=tol)
     failures = []
     if report_data.max_identity_defect >= tol:
@@ -654,13 +661,13 @@ def _suite_block_equivalence(p: dict, seed: int, tol: float):
     disagreements = 0
     for start in range(0, p["states"], STATE_CHUNK):
         size = min(STATE_CHUNK, p["states"] - start)
-        chunk = [_random_block_state(rng) for _ in range(size)]
+        chunk = _random_block_states(rng, size)
         verdicts = np.array(list(realization.domain_test_many(chunk, tol).values()))
         disagreements += int(np.count_nonzero(verdicts.any(axis=0) & ~verdicts.all(axis=0)))
     max_residual = 0.0
     solved = True
     if realization.is_m_accretive:
-        basis, rows, out = _block_resolves(realization, [_random_block_state(rng) for _ in range(10)], tau)
+        basis, rows, out = _block_resolves(realization, _random_block_states(rng, 10), tau)
         solved = len(out) == 10
         if len(out):
             n, d, table = basis.dim, basis.derivative(), basis.values(iv)
@@ -712,7 +719,7 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
         for pair, size in zip(pairing[negative], _bd_state_norms(diffs[negative], iv)):
             accretive_sampled &= not pair < -tol * (1 + size * size)
     # (b) solvability with nonexpansive differences
-    basis, rows, out = _block_resolves(realization, [_random_block_state(rng) for _ in range(20)], tau)
+    basis, rows, out = _block_resolves(realization, _random_block_states(rng, 20), tau)
     solvable = len(out) == 20
     if solvable:
         table = basis.values(iv)

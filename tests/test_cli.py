@@ -41,8 +41,8 @@ def test_check_decomposition_default_passes(tmp_path):
 
 def reference_decomposition_checks(iv, samples: int, max_degree: int, seed: int) -> dict:
     """The checks of ``check-decomposition`` with one scalar pairing per
-    sample and per check, on the suite's samples."""
-    from maccretive.cli import _random_exppoly
+    sample and per check, on the suite's samples, drawn a chunk at a time."""
+    from maccretive.cli import STATE_CHUNK, _random_exppolys
     from maccretive.derivative import _pi_coeffs, pi_zero
     from maccretive.funcspace import ExpPoly, differentiate, graph_inner, graph_norm, l2_inner
 
@@ -53,8 +53,9 @@ def reference_decomposition_checks(iv, samples: int, max_degree: int, seed: int)
     gram_pp = graph_inner(ep, ep, iv)
     gram_mm = graph_inner(em, em, iv)
     max_recon = max_ortho = max_identity = max_oracle = 0.0
-    for _ in range(samples):
-        u = _random_exppoly(rng, max_degree)
+    probes = [u for start in range(0, samples, STATE_CHUNK)
+              for u in _random_exppolys(rng, min(STATE_CHUNK, samples - start), max_degree)]
+    for u in probes:
         ua, ub = u(iv.a), u(iv.b)
         c1, cm = _pi_coeffs(ctx, ua, ub)
         p0 = pi_zero(ctx, u)
@@ -161,29 +162,58 @@ def test_check_decomposition_memory_does_not_grow_with_samples(tmp_path, monkeyp
     assert peaks[1] < 1.3 * peaks[0]
 
 
-def constructor_random_exppoly(rng: np.random.Generator, max_degree: int):
-    """``cli._random_exppoly``'s draws, normalised by ``ExpPoly``'s constructor."""
+def constructor_random_exppolys(rng: np.random.Generator, count: int, max_degree: int):
+    """``cli._random_exppolys``'s draws, one array per draw, each function
+    cut from them term by term and normalised by ``ExpPoly``'s constructor."""
     from maccretive.funcspace import ExpPoly
 
-    terms = []
-    for _ in range(rng.integers(1, 4)):
-        mu = float(rng.integers(-2, 3))
-        deg = int(rng.integers(0, max_degree + 1))
-        terms.append((mu, tuple(rng.uniform(-2.0, 2.0, size=deg + 1))))
-    return ExpPoly(tuple(terms))
+    n_terms = rng.integers(1, 4, count)
+    rates = rng.integers(-2, 3, (count, 3))
+    lengths = rng.integers(1, max_degree + 2, (count, 3))
+    coeffs = rng.uniform(-2.0, 2.0, (count, 3, max_degree + 1))
+    return [
+        ExpPoly(tuple((rates[i, j], tuple(coeffs[i, j, : lengths[i, j]])) for j in range(n_terms[i])))
+        for i in range(count)
+    ]
 
 
 @pytest.mark.parametrize("max_degree", [0, 2, 4, 10])
 def test_probe_draws_have_the_constructors_terms_and_generator_state(max_degree):
-    from maccretive.cli import _random_exppoly
+    from maccretive.cli import _random_exppolys
 
     for seed in range(200):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            got = _random_exppoly(rng, max_degree)
-            want = constructor_random_exppoly(reference, max_degree)
-            assert repr(got.terms) == repr(want.terms), seed
+        for count in (1, 3, 8):
+            got = _random_exppolys(rng, count, max_degree)
+            want = constructor_random_exppolys(reference, count, max_degree)
+            assert repr([u.terms for u in got]) == repr([u.terms for u in want]), seed
             assert rng.bit_generator.state == reference.bit_generator.state, seed
+
+
+def test_probe_draws_follow_the_probe_law(monkeypatch):
+    """On 2,000 probes of degree up to 4, the terms handed to ``_merge``:
+    every term count 1-3, every rate -2..2 and every degree 0-4 occurs, every
+    coefficient lies in [-2, 2), and all are Python floats; the probes are
+    those terms merged."""
+    from maccretive import cli
+    from maccretive.funcspace import _merge
+
+    drawn = []
+
+    def recording_merge(terms):
+        drawn.append(terms)
+        return _merge(terms)
+
+    monkeypatch.setattr(cli, "_merge", recording_merge)
+    probes = cli._random_exppolys(np.random.default_rng(2024), 2000, 4)
+    assert len(probes) == len(drawn) == 2000
+    assert {len(terms) for terms in drawn} == {1, 2, 3}
+    pieces = [piece for terms in drawn for piece in terms]
+    assert {rate for rate, _ in pieces} == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    assert {len(coeffs) - 1 for _, coeffs in pieces} == {0, 1, 2, 3, 4}
+    assert all(type(rate) is float and all(type(c) is float for c in coeffs) for rate, coeffs in pieces)
+    assert all(-2.0 <= c < 2.0 for _, coeffs in pieces for c in coeffs)
+    assert [u.terms for u in probes] == [_merge(terms) for terms in drawn]
 
 
 def crafted_probes():
@@ -224,14 +254,14 @@ def test_pi_zero_formed_on_rows_has_the_bits_of_without_modes():
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.6, -0.7), (-0.8, 2.3)])
 def test_pi_zero_formed_on_rows_has_the_bits_of_pi_zero(interval):
-    from maccretive.cli import _random_exppoly, _rows_without_modes
+    from maccretive.cli import _random_exppolys, _rows_without_modes
     from maccretive.derivative import _projection_coeffs, pi_zero
     from maccretive.funcspace import ExpBasis, ExpPoly, Interval
 
     ctx = Interval(*interval)
     rng = np.random.default_rng(7)
     polys = crafted_probes()
-    polys += [_random_exppoly(rng, max_degree) for max_degree in (0, 2, 4, 10) for _ in range(50)]
+    polys += [u for max_degree in (0, 2, 4, 10) for u in _random_exppolys(rng, 50, max_degree)]
     modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
     basis = ExpBasis.spanning(polys + modes)
     c1, cm = np.array([_projection_coeffs(ctx, u) for u in polys]).T
@@ -437,6 +467,39 @@ def test_lipschitz_transfer_equality_case_passes(tmp_path):
     code, out = run_cli(tmp_path, spec)
     assert code == 0
     assert (out / "data.csv").exists()
+
+
+def test_lipschitz_transfer_flags_a_slope_twice_a_tiny_bound(tmp_path):
+    """On [-16, -14] the bound e^{a+b} is 9.36e-14, far below an absolute
+    slack of ``tol``: a slope of twice the bound must still be flagged."""
+    spec = {
+        "command": "lipschitz-transfer",
+        "params": {"interval": {"a": -16.0, "b": -14.0},
+                   "g": {"kind": "linear", "slope": 1.9e-13}, "samples": 16},
+    }
+    code, out = run_cli(tmp_path, spec)
+    report = load_report(out)
+    assert code == 1
+    assert report["result"]["bound_holds"] is False
+    assert report["result"]["contraction_holds"] is False
+    assert report["result"]["violations"]
+    assert report["first_failure"] == "bound_holds"
+
+
+@pytest.mark.parametrize("seed, samples", [(0, 1), (2, 3), (42, 64), (7, 100)])
+def test_lipschitz_transfer_pairs_are_the_per_pair_draws(tmp_path, seed, samples):
+    """The suite's pairs, as its CSV prints them, are the values of one
+    ``uniform(-3, 3, size=2)`` draw per pair from the spec's seed."""
+    from maccretive.cli import _format_float
+
+    spec = {"command": "lipschitz-transfer", "seed": seed,
+            "params": {"g": {"kind": "linear", "slope": 0.5}, "samples": samples}}
+    run_cli(tmp_path, spec)
+    lines = (tmp_path / "out" / "data.csv").read_text().splitlines()
+    got = [line.split(",")[1:3] for line in lines[1:]]
+    rng = np.random.default_rng(seed)
+    want = [[_format_float(x) for x in rng.uniform(-3.0, 3.0, size=2)] for _ in range(samples)]
+    assert got == want
 
 
 def test_cayley_command(tmp_path):

@@ -267,7 +267,7 @@ def test_batched_resolves_match_block_resolve():
     raw = rng.standard_normal((2, 2))
     space = cli.bd_space(ctx)
     real = cli.BlockRealization.from_f(ctx, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw)))
-    rhss = [cli._random_block_state(rng) for _ in range(12)]
+    rhss = cli._random_block_states(rng, 12)
     basis, rows, out = cli._block_resolves(real, rhss, 0.5)
     assert len(out) == len(rhss)
     for rhs, x in zip(rhss, out):
@@ -303,7 +303,8 @@ def test_batches_stop_where_a_loop_of_block_resolve_stops(bad):
     ctx = Interval(0.0, 1.0)
     real = cli._block_realization(ctx, {"kind": "M", "matrix": [[0.0, 0.5], [-0.5, 0.0]]})
     rng = np.random.default_rng(5)
-    rhss = [cli._random_block_state(rng) for _ in range(2)] + [bad, cli._random_block_state(rng), bad]
+    first, second, fourth = cli._random_block_states(rng, 3)
+    rhss = [first, second, bad, fourth, bad]
     raised = []
     for n, rhs in enumerate(rhss, 1):
         try:

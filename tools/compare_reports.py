@@ -5,6 +5,7 @@ Run it from the root of a checkout:
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload trajectories --seed 1 --specs 200
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload decomposition block-membership --seed 1 2 3 --specs 400
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --spec-file specs.json
+    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --verdicts --workload trajectories --seed 1 2 3 --specs 300
 
 Each tree is a checkout with the package under ``src/maccretive``. The
 specs are the first ``--specs`` of each stream that ``benchmarks/specgen.py``
@@ -17,6 +18,11 @@ uses. The script prints the index of every spec whose exit code,
 ``report.json`` bytes or ``data.csv`` bytes differ between the trees and
 one total line per pairing, each line led by its pairing when there are
 several, and exits 1 if any spec differs, 0 if none does.
+
+With ``--verdicts`` it compares only each spec's verdict: its exit code
+and the ``passed`` and ``first_failure`` of its report. That is the check
+for a change that moves report values on purpose, such as a new draw
+layout of the seeded probes.
 """
 
 from __future__ import annotations
@@ -63,6 +69,14 @@ def run_tree(tree: str, specs: list, results: str) -> None:
     Path(results).write_bytes(pickle.dumps(outcomes))
 
 
+def verdict(outcome: tuple) -> tuple:
+    """The exit code, ``passed`` and ``first_failure`` of a spec's outcome;
+    without a report, both of the latter are ``None``."""
+    code, report = outcome[0], outcome[1]
+    body = json.loads(report) if report is not None else {}
+    return code, body.get("passed"), body.get("first_failure")
+
+
 def load_specs(args) -> dict:
     """The specs to run by pairing, ``{(workload, seed): specs}``, or
     ``{None: specs}`` for ``--spec-file``."""
@@ -84,6 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--specs", type=int, default=200, help="how many specs of each stream")
     parser.add_argument("--spec-file", default=None, help="a JSON list of specs to run instead")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="compare only exit codes, passed and first_failure")
     args = parser.parse_args(argv)
     streams = load_specs(args)
     specs = [spec for stream in streams.values() for spec in stream]
@@ -101,6 +117,10 @@ def main(argv=None) -> int:
             print("error: a tree's run did not finish", file=sys.stderr)
             return 2
         parent, change = (pickle.loads(Path(path).read_bytes()) for path in results)
+    fields = ("exit code", *OUTPUTS)
+    if args.verdicts:
+        parent, change = ([verdict(o) for o in outcomes] for outcomes in (parent, change))
+        fields = ("exit code", "passed", "first_failure")
 
     any_differ, offset = False, 0
     for pairing, stream in streams.items():
@@ -108,8 +128,11 @@ def main(argv=None) -> int:
         differ = [i for i in range(len(stream)) if parent[offset + i] != change[offset + i]]
         for i in differ:
             p, c = parent[offset + i], change[offset + i]
-            names = [name for name, x, y in zip(("exit code", *OUTPUTS), p, c) if x != y]
-            print(f"{label}spec {i}: {', '.join(names)} differ (exit codes {p[0]!r}, {c[0]!r})")
+            names = [name for name, x, y in zip(fields, p, c) if x != y]
+            detail = f"exit codes {p[0]!r}, {c[0]!r}"
+            if args.verdicts:
+                detail += f"; first failures {p[2]!r}, {c[2]!r}"
+            print(f"{label}spec {i}: {', '.join(names)} differ ({detail})")
         print(f"{label}{len(differ)} of {len(stream)} specs differ")
         any_differ, offset = any_differ or bool(differ), offset + len(stream)
     return int(any_differ)
