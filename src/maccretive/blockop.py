@@ -12,11 +12,11 @@ BD of :mod:`maccretive.relations` act on the same arrays.
 Every m-accretive realization admits four equivalent descriptions:
 a nonexpansive map ``f`` on BD, a map ``h`` between the deficiency
 spaces, an m-accretive relation ``M`` on BD, and (in the linear case) an
-operator pair ``(S, T)`` with ``S u_BD = T Dv_BD``. A realization stores
-``M`` or ``f`` and derives ``f``, the relation and ``h`` on demand; a
-given pair ``(S, T)`` is tested by :func:`st_domain`. Membership of a state
-``(u, v)`` depends on it only through the four endpoint values
-``u(a), u(b), v(a), v(b)``, and for a linear realization every
+operator pair ``(S, T)`` with ``S u_BD = T Dv_BD`` in a Euclidean ``Y``.
+A realization stores ``M`` or ``f`` and derives ``f``, the relation and
+``h`` on demand; a given pair ``(S, T)`` is tested by :func:`st_domain`.
+Membership of a state ``(u, v)`` depends on it only through the four
+endpoint values ``u(a), u(b), v(a), v(b)``, and for a linear realization every
 description's defect is a fixed linear map of them: membership of N
 states is one matrix product on an ``(N, 4)`` array. The resolvent,
 ``u - tau^2 u'' = w`` split by partial fractions,
@@ -25,8 +25,8 @@ of the kind the 1-D resolvent uses, is a step on coefficient rows
 (:meth:`BlockRealization._step_map`). The boundary equation of every
 description is ``x = x_0 + C y`` in deficiency coordinates; ``C``, its
 solution map (a 2x2 matrix for a linear relation, a Picard rate for a
-nonlinear ``f``) and the solves' per-rate blocks make a resolvent plan,
-built by the first step at a ``tau`` and kept on the realization.
+nonlinear ``f``) and the two first-order solves make a resolvent plan,
+which each step map builds for itself.
 """
 
 from __future__ import annotations
@@ -335,12 +335,9 @@ def _cayley_view(
     return lambda z: space.norm(g(to_x @ z) - to_y @ z)
 
 
-def _pair_view(pair: OperatorPair) -> View:
-    """Defect of ``S u_BD = T Dv_BD`` in the pair's codomain norm."""
-    s_minus_t = np.hstack([pair.S, -pair.T])
-    if isinstance(pair.codomain_norm, str):
-        return s_minus_t
-    return lambda z: pair.codomain_norm_of(s_minus_t @ z)
+def _pair_view(pair: OperatorPair) -> np.ndarray:
+    """Defect of ``S u_BD = T Dv_BD``: the Euclidean norm of ``[S, -T] z``."""
+    return np.hstack([pair.S, -pair.T])
 
 
 # ----------------------------------------------------------------------
@@ -395,12 +392,13 @@ class BlockRealization:
             return self.description
         if not self.is_m_accretive:
             return None
-        # f = 2 (1 + M)^{-1} - 1; an m-accretive M has dim X basis pairs
+        # f = 2 (1 + M)^{-1} - 1, nonexpansive because M is m-accretive; an
+        # m-accretive M has dim X basis pairs
         space = bd_space(self.ctx)
         basis = self.description.basis
         sums = (basis[:, 0, :] + basis[:, 1, :]).T
         resolvent = basis[:, 0, :].T @ np.linalg.solve(sums, np.eye(space.dim))
-        return ContractionMap.from_matrix(space, 2.0 * resolvent - np.eye(2))
+        return ContractionMap.from_matrix(space, 2.0 * resolvent - np.eye(2), 1.0)
 
     @cached_property
     def relation(self):
@@ -435,27 +433,15 @@ class BlockRealization:
             return _cayley_view(space, self.f)
         return _cayley_view(space, self.f, around=_endpoint_maps(self.ctx)[1])
 
-    @cached_property
-    def _plans(self) -> dict:
-        """Resolvent plans keyed by ``tau``; they live as long as this object."""
-        return {}
-
-    def _resolvent_plan(self, tau: float) -> "_Plan":
-        """The plan for ``tau``, built by the first step at this ``tau`` and
-        reused by every later one (see :class:`_Plan`)."""
-        plan = self._plans.get(tau)
-        if plan is None:
-            plan = self._plans[tau] = _Plan.build(self, tau)
-        return plan
-
     def _step_map(self, tau: float, polys, steps: int) -> _StepMap:
         """The step of :func:`block_resolve` on rows ``(u, v)`` over the basis of
         ``steps`` steps from ``polys``: ``u = (f1 - tau f2') R``, ``v = f2 - tau u'``,
         with ``R`` half the sum of the plan's first-order solves, the bounded
         Green kernels of ``(1 + tau D)^{-1}`` from ``a`` and ``(1 - tau D)^{-1}``
         from ``b``, which keep every term on its own rate; then the modes
-        ``e^{+-t/tau}`` take the coefficients of :func:`_solve_boundary_coeffs`."""
-        plan = self._resolvent_plan(tau)
+        ``e^{+-t/tau}`` take the coefficients of :func:`_solve_boundary_coeffs`.
+        The plan for ``tau`` (:class:`_Plan`) is built here, once per step map."""
+        plan = _Plan.build(self, tau)
         basis = _trajectory_basis(plan.solves, polys, steps)
         n, d = basis.dim, basis.derivative()
         solve = 0.5 * (plan.solves[0].matrix(basis) + plan.solves[1].matrix(basis))
@@ -522,7 +508,9 @@ def st_domain(
     state: BlockState,
     tol: float = 1e-9,
 ) -> bool:
-    """Membership test ``S u_BD = T Dv_BD`` in the declared Y norm."""
+    """Membership test ``S u_BD = T Dv_BD``, the defect measured in the
+    Euclidean norm of ``Y``. A Gram-normed ``Y`` with Cholesky factor ``L``
+    is the pair ``(L^T S, L^T T)``."""
     kernel = _Kernel.build(ctx, {"pair": _pair_view(pair)})
     return bool(kernel.verdicts(_endpoint_values(ctx, (state,)), tol)[0, 0])
 
@@ -556,10 +544,12 @@ def block_resolve(
 
 
 class _Plan(NamedTuple):
-    """What every block step at one ``tau`` shares (see
+    """What the block step at one ``tau`` needs of the realization (see
     :func:`_solve_boundary_coeffs`): ``C``, the diagonal of ``N``,
     ``Y (X - C Y)^{-1}`` for a linear relation or ``cert |C|`` for ``f``, and
-    the first-order solves of ``(1 +- tau D)^{-1}`` anchored at ``a`` and ``b``."""
+    the first-order solves of ``(1 +- tau D)^{-1}`` anchored at ``a`` and ``b``.
+    Built by :meth:`BlockRealization._step_map`; it raises
+    :class:`RootNotFound` where the resolvent has no unique solution."""
 
     comp: np.ndarray
     n_diag: np.ndarray
@@ -597,8 +587,8 @@ def _solve_boundary_coeffs(
 ) -> np.ndarray:
     """The two homogeneous coefficients that put the solution in the realization.
 
-    ``plan`` is the realization's resolvent plan for the step's ``tau``
-    (see :class:`_Plan`). With ``(p1, m1)`` and ``(p2, m2)`` the BD
+    ``plan`` is the resolvent plan of the step's ``tau`` (see
+    :class:`_Plan`). With ``(p1, m1)`` and ``(p2, m2)`` the BD
     coefficients of the modes ``e^{t/tau}`` and ``e^{-t/tau}``, coefficients
     ``c`` of the modes add ``L c`` to ``x = (u_BD + Dv_BD)/2`` and ``N c`` to
     ``y = (u_BD - Dv_BD)/2``, ``L = [[0, p2], [m1, 0]]``, ``N = diag(p1, m2)``.

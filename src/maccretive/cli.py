@@ -598,7 +598,7 @@ def _suite_cayley(p: dict, seed: int, tol: float):
             raise SchemaError(f"f_matrix is not a contraction: {exc}") from exc
     else:
         raw = rng.standard_normal((dim, dim))
-        f = ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
+        f = ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw), 0.9)
     relation = cayley_to_relation(f)
     back = relation_to_cayley(space, relation.resolvent)
     worst = 0.0
@@ -655,7 +655,7 @@ def _suite_block_equivalence(p: dict, seed: int, tol: float):
         raw = rng.standard_normal((2, 2))
         space = bd_space(iv)
         realization = BlockRealization.from_f(
-            iv, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw))
+            iv, ContractionMap.from_matrix(space, 0.9 * raw / operator_norm(space, raw), 0.9)
         )
     tau = p["tau"]
     disagreements = 0

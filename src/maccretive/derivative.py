@@ -29,9 +29,8 @@ step (:class:`_StepMap`) is the particular solution's matrix, block-diagonal
 in the rates (:class:`_FirstOrderSolve`), and the boundary solve for the
 mode's coefficient. The per-rate blocks and the mode's projection
 coefficients depend only on the realization and ``tau``: they make a
-resolvent plan, which each 1-D step map builds for itself. Block plans
-(:mod:`maccretive.blockop`) are kept on the realization per ``tau``,
-because ``wave-impedance`` builds two step maps at one ``tau``.
+resolvent plan, which each step map, 1-D or block
+(:mod:`maccretive.blockop`), builds for itself.
 
 The resolvent pins the coefficient of its mode by the boundary identity.
 For the ``e^t`` coefficient ``x`` of the solution, that identity is the
@@ -384,8 +383,8 @@ def _members(realization: Realization1D, ends: np.ndarray, tol: float) -> np.nda
 
 class _FirstOrderSolve:
     """One solution of ``u + tau*u' = f`` on each rate's block ``t^k e^{mu t}``:
-    the matrix whose row ``j`` solves for ``t^j e^{mu t}``, kept by rate at
-    the largest size asked for, whose leading corners are the smaller ones.
+    the matrix whose row ``j`` solves for ``t^j e^{mu t}``, built for each
+    block asked for. A block is the leading corner of every larger one.
 
     Away from resonance it is the recursion
     ``q_k = (p_k - tau (k+1) q_{k+1}) / (1 + tau*mu)``. Where ``1 + tau*mu``
@@ -400,20 +399,13 @@ class _FirstOrderSolve:
 
     def __init__(self, tau: float, anchor: float, t_scale: float) -> None:
         self.tau, self.anchor, self.t_scale = tau, anchor, t_scale
-        self._blocks: dict = {}
-
-    def block(self, mu: float, n: int) -> np.ndarray:
-        """The rows for degrees below ``n``, each with the columns it reaches."""
-        block = self._blocks.get(mu)
-        if block is None or len(block) < n:
-            block = self._blocks[mu] = self._make(mu, n)
-        return block[:n, : n + block.shape[1] - len(block)]
 
     def growth(self, mu: float) -> int:
         """The degrees one solve adds on rate ``mu``."""
         return 0 if abs(1.0 + self.tau * mu) > 0.1 else self.block(mu, 1).shape[1] - 1
 
-    def _make(self, mu: float, n: int) -> np.ndarray:
+    def block(self, mu: float, n: int) -> np.ndarray:
+        """The rows for degrees below ``n``, each with the columns it reaches."""
         tau = self.tau
         alpha = 1.0 + tau * mu
         eye = np.eye(n)
@@ -421,7 +413,7 @@ class _FirstOrderSolve:
             q = np.zeros((n, n + 1))
             for k in range(n - 1, -1, -1):
                 q[:, k] = (eye[:, k] - tau * (k + 1) * q[:, k + 1]) / alpha
-            return q[:, :n] + 0.0  # no -0.0, so that a block is its larger ones' corner
+            return q[:, :n] + 0.0  # + 0.0 turns -0.0 into 0.0: no block holds a signed zero
         beta = mu + 1.0 / tau
         lifted = _taylor_product(eye, beta, self.t_scale)
         width = lifted.shape[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -320,47 +320,35 @@ def cayley_to_relation(f: ContractionMap) -> CayleyRelation:
 
 
 def relation_to_cayley(
-    space: InnerSpace,
-    resolvent: Callable[[np.ndarray], np.ndarray],
-    rng: Optional[np.random.Generator] = None,
-    samples: int = 200,
-    tol: float = 1e-8,
+    space: InnerSpace, resolvent: Callable[[np.ndarray], np.ndarray]
 ) -> ContractionMap:
     """Recover ``f = (1/2 (M+1))^{-1} - 1`` from a resolvent of ``M``.
 
-    When ``rng`` is given, sampled pairs that expand by more than
-    ``tol`` raise, signalling that the callable is not the resolvent of
-    an m-accretive relation.
+    The certificate 1 holds when ``M`` is m-accretive; for a callable of
+    unknown origin, :meth:`ContractionMap.sampled_check` can falsify it.
     """
 
     def f(u: np.ndarray) -> np.ndarray:
         return np.asarray(resolvent(2.0 * u), dtype=float) - u
 
-    cmap = ContractionMap(space, f, lipschitz_cert=1.0)
-    if rng is not None:
-        cmap.sampled_check(rng, samples, tol)
-    return cmap
+    return ContractionMap(space, f, lipschitz_cert=1.0)
 
 
 # ----------------------------------------------------------------------
 # (S, T) descriptions of linear relations
 # ----------------------------------------------------------------------
 
-CodomainNorm = Union[str, np.ndarray, Callable[[np.ndarray], float]]
-
-
 @dataclass(eq=False)
 class OperatorPair:
     """Bounded operators ``S, T: X -> Y`` defining ``{(u,v): Su = Tv}``.
 
-    ``codomain_norm`` describes the norm on ``Y``: ``"euclidean"``, a
-    Gram matrix, or an arbitrary norm callable.
+    ``Y`` is Euclidean. The relation does not depend on the norm of ``Y``;
+    a ``Y`` with Gram matrix ``L L^T`` is the pair ``(L^T S, L^T T)``.
     """
 
     domain_space: InnerSpace
     S: np.ndarray
     T: np.ndarray
-    codomain_norm: CodomainNorm = "euclidean"
 
     def __post_init__(self) -> None:
         self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
@@ -369,15 +357,6 @@ class OperatorPair:
             raise ValueError("S and T must have identical shapes")
         if self.S.shape[1] != self.domain_space.dim:
             raise ValueError("operator width does not match domain dimension")
-
-    def codomain_norm_of(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float)
-        if isinstance(self.codomain_norm, str):
-            return float(np.linalg.norm(y))
-        if callable(self.codomain_norm):
-            return float(self.codomain_norm(y))
-        g = np.asarray(self.codomain_norm, dtype=float)
-        return math.sqrt(max(float(y @ g @ y), 0.0))
 
 
 @dataclass(frozen=True)

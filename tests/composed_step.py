@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from maccretive.blockop import BlockRealization, BlockState, _solve_boundary_coeffs, bd_project, g_bd
+from maccretive.blockop import BlockRealization, BlockState, _Plan, _solve_boundary_coeffs, bd_project, g_bd
 from maccretive.derivative import Realization1D, _fixed_point, _pi_coeffs, in_domain
 from maccretive.funcspace import (
     ExpPoly,
@@ -100,7 +100,7 @@ def composed_block_resolve(
     v_part = rhs.v + (-(tau * differentiate(u_part)))
     u_bd0 = bd_project(ctx, u_part)
     dv_bd0 = g_bd(bd_project(ctx, v_part))
-    coeffs = _solve_boundary_coeffs(real, real._resolvent_plan(tau), u_bd0, dv_bd0)
+    coeffs = _solve_boundary_coeffs(real, _Plan.build(real, tau), u_bd0, dv_bd0)
     u = ExpPoly(u_part.terms + ((sigma, (float(coeffs[0]),)), (-sigma, (float(coeffs[1]),))))
     v = rhs.v + (-(tau * differentiate(u)))
     ends = np.array([[u(ctx.a), u(ctx.b), v(ctx.a), v(ctx.b)]])

@@ -312,6 +312,22 @@ def test_dirichlet_from_negated_identity():
     )
 
 
+def test_f_of_an_m_accretive_relation_has_the_theorems_certificate():
+    # M = diag(-1e-11, 1) is m-accretive within SPECTRAL_RTOL; the operator
+    # norm of its Cayley map measures 1 + 2e-11, which a certificate measured
+    # again would reject as no contraction
+    matrix = np.diag([-1e-11, 1.0])
+    basis = np.array([np.stack([e, matrix @ e]) for e in np.eye(2)])
+    real = BlockRealization.from_relation(CTX, LinearRelation(SPACE, basis))
+    u, v = basis[:, 0, :].T, basis[:, 1, :].T
+    cayley = 2.0 * u @ np.linalg.inv(u + v) - np.eye(2)
+    assert real.is_m_accretive and operator_norm(SPACE, cayley) > 1.0 + 1e-12
+    f = real.f
+    assert f.lipschitz_cert == 1.0
+    np.testing.assert_allclose(f.matrix, cayley, rtol=0.0, atol=1e-15)
+    assert list(real.domain_test_many([])) == ["f", "relation", "h"]
+
+
 def test_neumann_from_identity():
     real = BlockRealization.from_f(CTX, ContractionMap.identity(SPACE))
     bump = ExpPoly.polynomial([0.0, 1.0]) * (
@@ -405,9 +421,10 @@ def _ref_product_norm(space, z: np.ndarray) -> float:
     return math.sqrt(max(space.inner(z[:d], z[:d]) + space.inner(z[d:], z[d:]), 0.0))
 
 
-def _ref_pair_member(pair: OperatorPair, u_bd: np.ndarray, dv_bd: np.ndarray, tol: float) -> bool:
-    space = pair.domain_space
-    defect = pair.codomain_norm_of(pair.S @ u_bd - pair.T @ dv_bd)
+def _ref_pair_member(space, s_mat, t_mat, gram, u_bd: np.ndarray, dv_bd: np.ndarray, tol: float) -> bool:
+    """``S u_BD = T Dv_BD`` with the defect in the norm of ``Y`` of Gram matrix ``gram``."""
+    resid = s_mat @ u_bd - t_mat @ dv_bd
+    defect = math.sqrt(max(float(resid @ gram @ resid), 0.0))
     return defect <= tol * (1.0 + space.norm(u_bd) + space.norm(dv_bd))
 
 
@@ -516,17 +533,17 @@ def test_st_domain_matches_per_state_reference():
     for a, b in ((0.0, 1.0), (-0.7, 1.3), (-2.0, -0.5)):
         ctx = Interval(a, b)
         space = bd_space(ctx)
-        for norm in ("euclidean", 2.0 * np.eye(2), lambda z: float(np.abs(z).sum())):
-            pair = OperatorPair(
-                space, rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
-                codomain_norm=norm,
-            )
+        # a Gram-normed Y is the pair premultiplied by L^T, L its Cholesky factor
+        for gram in (np.eye(2), 2.0 * np.eye(2)):
+            s_mat, t_mat = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            chol_t = np.linalg.cholesky(gram).T
+            pair = OperatorPair(space, chol_t @ s_mat, chol_t @ t_mat)
             real = BlockRealization.from_st(ctx, pair)
             states = [random_state(rng) for _ in range(5)]
             states += [_kernel_member(real, rng) for _ in range(5)]
             for s in states:
-                u_bd = bd_project(ctx, s.u)
-                expected = _ref_pair_member(pair, u_bd, g_bd(bd_project(ctx, s.v)), 1e-9)
+                u_bd, dv_bd = bd_project(ctx, s.u), g_bd(bd_project(ctx, s.v))
+                expected = _ref_pair_member(space, s_mat, t_mat, gram, u_bd, dv_bd, 1e-9)
                 assert st_domain(ctx, pair, s) == expected
             assert any(st_domain(ctx, pair, s) for s in states[5:])
 
@@ -534,7 +551,8 @@ def test_st_domain_matches_per_state_reference():
 def test_a_pair_from_the_relation_projector_tests_as_the_relation_view():
     # [S | -T], the projector off the relation measured in the product
     # norm, is the pair a realization once derived beside its relation view;
-    # st_domain on it decides as the relation view
+    # st_domain on it, premultiplied by the product norm's Cholesky factor,
+    # decides as the relation view
     rng = np.random.default_rng(68)
     counts = {True: 0, False: 0}
     kinds = set()
@@ -543,11 +561,8 @@ def test_a_pair_from_the_relation_projector_tests_as_the_relation_view():
             continue
         kinds.add(kind)
         ctx, space = real.ctx, bd_space(real.ctx)
-        perp = _ref_perp(real.relation)
-        pair = OperatorPair(
-            space, perp[:, :2], -perp[:, 2:],
-            codomain_norm=lambda z, space=space: _ref_product_norm(space, z),
-        )
+        perp = np.kron(np.eye(2), np.linalg.cholesky(space.gram).T) @ _ref_perp(real.relation)
+        pair = OperatorPair(space, perp[:, :2], -perp[:, 2:])
         states = [random_state(rng) for _ in range(6)]
         states += [_kernel_member(real, rng) for _ in range(4)]
         verdicts = real.domain_test_many(states)["relation"].tolist()
@@ -666,7 +681,7 @@ def test_block_resolve_nonlinear_f():
 def _boundary_contraction(ctx: Interval, tau: float) -> np.ndarray:
     """``C = L N^{-1}`` of the boundary equation, from a realization's plan."""
     squash = ContractionMap(bd_space(ctx), np.tanh, lipschitz_cert=1.0)
-    return BlockRealization.from_f(ctx, squash)._resolvent_plan(tau).comp
+    return blockop._Plan.build(BlockRealization.from_f(ctx, squash), tau).comp
 
 
 @settings(max_examples=300, deadline=None)
@@ -787,7 +802,6 @@ def test_st_criterion_predicts_solvability_and_accretivity():
             SPACE,
             rng.standard_normal((2, 2)),
             rng.standard_normal((2, 2)),
-            codomain_norm="euclidean",
         )
         report = st_criterion(pair)
         real = BlockRealization.from_st(CTX, pair)
@@ -861,7 +875,7 @@ def test_linear_boundary_solve_matches_least_squares(tau):
     rng = np.random.default_rng(round(10 * tau))
     for kind, real in _linear_cases():
         space = bd_space(real.ctx)
-        plan = real._resolvent_plan(tau)
+        plan = blockop._Plan.build(real, tau)
         # a relation that is not m-accretive can make the 2x2 system
         # X - C Y ill-conditioned; both solves then lose digits in
         # proportion to its condition number in orthonormal coordinates
@@ -891,7 +905,7 @@ def test_block_resolve_needs_a_relation_of_dimension_two():
 
 def test_block_resolve_raises_on_a_singular_boundary_equation():
     tau = 0.5
-    comp = BlockRealization.from_relation(CTX, identity_relation())._resolvent_plan(tau).comp
+    comp = blockop._Plan.build(BlockRealization.from_relation(CTX, identity_relation()), tau).comp
     e1, e2 = np.eye(2)
     # the first pair has deficiency coordinates (X, Y) = (C e1, e1), so
     # X - C Y has a zero column

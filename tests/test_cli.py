@@ -1042,6 +1042,9 @@ def test_st_criterion_reports_library_tolerances_and_takes_no_tol(tmp_path):
 # ----------------------------------------------------------------------
 
 STATE = {"u": [{"rate": 0.0, "coeffs": [1.0, 0.5]}], "v": [{"rate": 1.0, "coeffs": [0.5]}]}
+# m-accretive within SPECTRAL_RTOL, with a Cayley map whose norm measures 1 + 2e-11
+NEAR_BOUNDARY_M = {"command": "block-equivalence", "seed": 6,
+                   "params": {"realization": {"kind": "M", "matrix": [[-1e-11, 0], [0, 1]]}, "states": 20}}
 VALID_SPECS = [
     {"command": "check-decomposition", "seed": 1, "tol": 1e-10,
      "params": {"interval": {"a": -1.0, "b": 0.5}, "samples": 2, "max_degree": 3}},
@@ -1059,6 +1062,7 @@ VALID_SPECS = [
     {"command": "block-equivalence", "seed": 4, "tol": 1e-9,
      "params": {"interval": {"a": 0.0, "b": 1.0}, "states": 2, "tau": 0.8,
                 "realization": {"kind": "ST", "S": IDENTITY, "T": [[2.0, 0.0], [0.0, 2.0]]}}},
+    NEAR_BOUNDARY_M,
     {"command": "wave-impedance", "seed": 5,
      "params": {"interval": {"a": 0.0, "b": 1.0}, "K": [[1.0, 0.5], [-0.5, 1.0]],
                 "tau": 0.2, "steps": 2, "u0": STATE}},
@@ -1099,7 +1103,9 @@ def mutated_specs(draw, base):
     return spec
 
 
-@pytest.mark.parametrize("base", VALID_SPECS, ids=lambda s: s["command"])
+@pytest.mark.parametrize(
+    "base", VALID_SPECS, ids=lambda s: "near-boundary-M" if s is NEAR_BOUNDARY_M else s["command"]
+)
 def test_fuzzed_specs_keep_the_cli_contract(base):
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(spec=mutated_specs(base))
@@ -1114,6 +1120,25 @@ def test_fuzzed_specs_keep_the_cli_contract(base):
                 assert (report["first_failure"] is None) == report["passed"]
 
     check()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        NEAR_BOUNDARY_M["params"],
+        {"realization": {"kind": "ST", "S": [[-1e-11, 0], [0, 1]], "T": IDENTITY}, "states": 20},
+        {"realization": {"kind": "M", "matrix": [[-1e-12, 0], [0, 1]]}, "states": 20,
+         "interval": {"a": -3.0, "b": 2.0}},
+    ],
+)
+def test_block_equivalence_near_the_accretivity_boundary_writes_a_report(tmp_path, params):
+    # M is m-accretive within SPECTRAL_RTOL, and its Cayley map measures a
+    # norm just above 1; the map takes the theorem's certificate 1
+    code, out = run_cli(tmp_path, {"command": "block-equivalence", "params": params})
+    assert code in (0, 1)
+    report = load_report(out)
+    assert report["passed"] is (code == 0)
+    assert report["m_accretive"] is True
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Per-tau block resolvent plans and the per-rate blocks of the implicit-Euler step.
+"""The per-rate blocks of the implicit-Euler step.
 
 Each block is compared with the term algebra it replaced
-(``composed_step``), and each plan with what a fresh realization
-computes.
+(``composed_step``).
 """
 
 import math
@@ -14,11 +13,8 @@ from hypothesis import strategies as st
 
 from composed_step import ROUNDING, first_order_terms
 
-from maccretive.blockop import BlockRealization, BlockState, bd_space, block_resolve
 from maccretive.derivative import _FirstOrderSolve
-from maccretive.funcspace import DEGREE_CAP, ExpPoly, Interval
-from maccretive.impedance1d import impedance_realization
-from maccretive.relations import ContractionMap, operator_norm
+from maccretive.funcspace import DEGREE_CAP, ExpPoly
 
 # ----------------------------------------------------------------------
 # The per-rate blocks of the first-order solve
@@ -106,53 +102,3 @@ def test_non_finite_resonant_data_give_non_finite_steps(interval, sign, coeffs):
     with np.errstate(over="ignore", invalid="ignore"):
         got = np.array(coeffs) @ solve.block(-(1.0 / tau), len(coeffs))
     assert not np.isfinite(got).all()
-
-
-# ----------------------------------------------------------------------
-# Block plans are per (realization, tau)
-# ----------------------------------------------------------------------
-
-BLOCK_U0 = BlockState(
-    ExpPoly(((-1.0, (0.5,)), (0.0, (1.0, -0.25)), (1.0, (1.0,)))),
-    ExpPoly(((0.0, (0.5, 0.0, 0.75)), (2.0, (-0.2,)))),
-)
-
-
-def _block_realizations(ctx: Interval) -> list:
-    space = bd_space(ctx)
-    rng = np.random.default_rng(5)
-    maps = [rng.standard_normal((2, 2)) for _ in range(2)]
-    return [
-        impedance_realization(ctx, np.asarray(((1.0, 0.0), (0.0, 1.0)), dtype=float)),
-        impedance_realization(ctx, np.asarray(((2.0, 0.5), (-0.5, 0.3)), dtype=float)),
-        *(BlockRealization.from_f(
-            ctx, ContractionMap.from_matrix(space, 0.9 * m / operator_norm(space, m))
-        ) for m in maps),
-        BlockRealization.from_f(
-            ctx, ContractionMap(space, lambda z: 0.7 * np.tanh(z), lipschitz_cert=0.7)
-        ),
-    ]
-
-
-def _fresh_block_step(real: BlockRealization, state: BlockState, tau: float) -> str:
-    return repr(block_resolve(BlockRealization(real.ctx, real.description), state, tau))
-
-
-def test_block_plans_are_per_realization_and_tau():
-    ctx = Interval(-0.5, 1.0)
-    reals = _block_realizations(ctx)
-    states = {id(r): BLOCK_U0 for r in reals}
-    # several realizations on one interval, interleaved at one tau
-    for _ in range(3):
-        for real in reals:
-            out = block_resolve(real, states[id(real)], 0.3)
-            assert repr(out) == _fresh_block_step(real, states[id(real)], 0.3)
-            states[id(real)] = out
-    # one realization, alternating between two taus
-    real, state = reals[1], BLOCK_U0
-    for tau in (0.2, 0.5, 0.2, 0.5, 0.2):
-        out = block_resolve(real, state, tau)
-        assert repr(out) == _fresh_block_step(real, state, tau)
-        state = out
-    assert set(real._plans) == {0.2, 0.3, 0.5}
-    assert real._resolvent_plan(0.2) is real._resolvent_plan(0.2)
