@@ -52,9 +52,7 @@ from .funcspace import (
     ExpPoly,
     Interval,
     _eval_pair,
-    _gauss_table,
     _merge,
-    _root_sum_square,
     _state_norms,
     differentiate,
     l2_norm,
@@ -422,37 +420,6 @@ def _block_resolves(realization: BlockRealization, rhss: list, tau: float):
     return step.basis, rows, out[: len(out) if member.all() else int(np.argmin(member))]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow reads as inf
-def _bd_state_norms(coeffs: np.ndarray, iv: Interval) -> list:
-    """The norm of each state ``(u, v)`` of the rows ``(cp_u, cm_u, cp_v, cm_v)``
-    of BD coefficients ``coeffs``, bit for bit ``state_l2_norm`` of
-    ``BlockState(bd_exppoly(row[:2]), bd_exppoly(row[2:]))``: every such state
-    has the node table of one coefficient at rate 1, whose rows ``R_-1`` and
-    ``R_+1`` give each function's values ``cm R_-1 + cp R_+1``, summed by
-    :func:`_root_sum_square`."""
-    table = _gauss_table(iv, 1, 1.0)
-
-    def term(c: np.ndarray, rate: float) -> np.ndarray:
-        # a zero coefficient drops its term, whose node values may overflow
-        return np.where(c != 0.0, c * table.rate_rows(rate)[0], 0.0)
-
-    values = term(coeffs[:, 1::2, None], -1.0) + term(coeffs[:, 0::2, None], 1.0)
-    return [_root_sum_square(state) for state in values]
-
-
-def _rows_without_modes(basis: ExpBasis, rows: np.ndarray, c_plus, c_minus) -> np.ndarray:
-    """The rows of ``u - c_plus e^t - c_minus e^{-t}`` from the rows of ``u``
-    over a ``basis`` that holds ``e^t`` and ``e^{-t}``, one ``(c_plus,
-    c_minus)`` per row, bit for bit those of ``derivative._without_modes``:
-    ``x - c`` is its ``x + (-c)``, a zero ``c`` leaves ``x`` as it skips the
-    mode, and a term it drops reads ``0.0`` in both."""
-    out = rows.copy()
-    for rate, c in ((1.0, c_plus), (-1.0, c_minus)):
-        col = basis._starts[rate]  # the column of t^0 e^{rate t}
-        out[:, col] = np.where(c != 0.0, out[:, col] - c, out[:, col])
-    return out
-
-
 def _energy_run(realization, state: BlockState, tau: float, steps: int, iv: Interval):
     """``(energies, first increase, stop)`` of the energy run from ``state``:
     :func:`evolve` with ``until`` the first step whose energy exceeds the
@@ -484,18 +451,15 @@ def _suite_check_decomposition(p: dict, seed: int, tol: float):
     for start in range(0, p["samples"], STATE_CHUNK):
         size = min(STATE_CHUNK, p["samples"] - start)
         polys = _random_exppolys(rng, size, p["max_degree"])
-        ends = []
-        for u in polys:
-            ua, ub = _eval_pair(u, iv.a, iv.b)
-            ends.append((ua, ub, *_pi_coeffs(iv, ua, ub)))
-        ua, ub, c1, cm = np.array(ends).T
+        ua, ub = np.array([_eval_pair(u, iv.a, iv.b) for u in polys]).T
+        c1, cm = _pi_coeffs(iv, ua, ub)
         polys += modes
         basis = ExpBasis.spanning(polys)
         rows = basis.rows(polys)
         u_rows, mode_rows = rows[:-2], rows[-2:]
         # p0 = u - c1 e^t - cm e^{-t} and p0 + c1 e^t + cm e^{-t} - u,
         # formed on the coefficient rows
-        p0_rows = _rows_without_modes(basis, u_rows, c1, cm)
+        p0_rows = u_rows - c1[:, None] * mode_rows[0] - cm[:, None] * mode_rows[1]
         recon_rows = p0_rows + c1[:, None] * mode_rows[0] + cm[:, None] * mode_rows[1] - u_rows
         rows = np.vstack([u_rows, p0_rows, recon_rows, mode_rows])
         # Every pairing sums products of weighted values at the nodes of one
@@ -712,12 +676,10 @@ def _suite_wave_impedance(p: dict, seed: int, tol: float):
     ends = np.hstack([diffs[:, :2] @ iv.endpoint_matrix.T, diffs[:, 2:] @ iv.endpoint_matrix.T])
     # <A diff, diff> = int (u v)' = u(b) v(b) - u(a) v(a)
     pairing = ends[:, 1] * ends[:, 3] - ends[:, 0] * ends[:, 2]
-    accretive_sampled = True
-    # the threshold is negative, so a pairing >= 0 needs no norm
-    negative = pairing < 0.0
-    if negative.any():
-        for pair, size in zip(pairing[negative], _bd_state_norms(diffs[negative], iv)):
-            accretive_sampled &= not pair < -tol * (1 + size * size)
+    # each difference's norm, its columns (cm, cp) per function over e^{-t}, e^t
+    sizes = _state_norms(diffs[:, [1, 0, 3, 2]], ExpBasis(((-1.0, 1), (1.0, 1))).values(iv))
+    with np.errstate(over="ignore"):  # a size past the float range reads as inf
+        accretive_sampled = not np.any(pairing < -tol * (1 + sizes * sizes))
     # (b) solvability with nonexpansive differences
     basis, rows, out = _block_resolves(realization, _random_block_states(rng, 20), tau)
     solvable = len(out) == 20

@@ -196,7 +196,7 @@ class Realization1D:
         )
 
 
-def kernel_element(ctx: Interval, sign: int, c: float) -> ExpPoly:
+def kernel_element(sign: int, c: float) -> ExpPoly:
     """Generator ``c * e^{-sign*t}`` of ``ker(1 + sign*d/dt)``.
 
     ``sign=-1`` gives ``c e^{t}`` (kernel of ``1 - d/dt``), ``sign=+1``

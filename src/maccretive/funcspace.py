@@ -375,14 +375,19 @@ def _eval_pair(f: ExpPoly, a: float, b: float) -> tuple[float, float]:
     return fa, fb
 
 
-def absorb_rate_shift(
-    coeffs: Sequence[float], nu: float, t_scale: float, tol: float = 1e-18
-) -> tuple[float, ...]:
+#: :func:`absorb_rate_shift` truncates its Taylor series below this.
+_TAYLOR_TOL = 1e-18
+
+#: :func:`antiderivative` integrates rates at most this in magnitude as 0.
+_POWER_RULE_RATE = 1e-10
+
+
+def absorb_rate_shift(coeffs: Sequence[float], nu: float, t_scale: float) -> tuple[float, ...]:
     """Coefficients of ``p(t) * e^{nu*t}`` as a plain polynomial.
 
     Multiplies by the Taylor series of ``e^{nu*t}`` truncated once its
-    terms fall below ``tol`` on ``|t| <= t_scale``. Used to merge a rate
-    that sits within a small window of a resonant rate into the
+    terms fall below ``_TAYLOR_TOL`` on ``|t| <= t_scale``. Used to merge
+    a rate that sits within a small window of a resonant rate into the
     resonant term, where the lifted solve is stable; the truncation
     error is machine-negligible by construction.
     """
@@ -390,7 +395,7 @@ def absorb_rate_shift(
     term = 1.0
     k = 0
     scale = max(t_scale, 1e-30)
-    while abs(term) * scale ** k > tol:
+    while abs(term) * scale ** k > _TAYLOR_TOL:
         k += 1
         term *= nu / k
         taylor.append(term)
@@ -399,15 +404,15 @@ def absorb_rate_shift(
     return _conv(tuple(coeffs), tuple(taylor))
 
 
-def antiderivative(f: ExpPoly, rate_tol: float = 1e-10) -> ExpPoly:
+def antiderivative(f: ExpPoly) -> ExpPoly:
     """One antiderivative of ``f`` (integration constants set to zero).
 
-    Terms whose rate is below ``rate_tol`` in magnitude integrate by the
-    power rule; the rest solve ``nu*q + q' = p`` coefficient-wise.
+    Terms whose rate is at most ``_POWER_RULE_RATE`` in magnitude integrate
+    by the power rule; the rest solve ``nu*q + q' = p`` coefficient-wise.
     """
     out = []
     for nu, p in f.terms:
-        if abs(nu) <= rate_tol:
+        if abs(nu) <= _POWER_RULE_RATE:
             out.append((0.0, _poly_integral(p)))
         else:
             out.append((nu, _first_order_coeffs(p, 1.0, nu)))

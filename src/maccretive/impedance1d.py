@@ -76,6 +76,7 @@ def impedance_map_matrix(ctx: Interval, k: np.ndarray) -> np.ndarray:
     return kappa_adjoint_matrix(ctx) @ k @ ctx.endpoint_matrix
 
 
+@np.errstate(over="ignore", invalid="ignore")  # LinearRelation rejects a non-finite basis
 def impedance_realization(ctx: Interval, k: np.ndarray) -> BlockRealization:
     """Block realization with domain ``{(f, Phi): K gamma0 f = gammaN Phi}``.
 

@@ -216,58 +216,23 @@ def test_probe_draws_follow_the_probe_law(monkeypatch):
     assert [u.terms for u in probes] == [_merge(terms) for terms in drawn]
 
 
-def crafted_probes():
-    """``u`` with and without ``e^{+-t}`` terms, and with ``-0.0`` coefficients
-    on them."""
-    from maccretive.funcspace import ExpPoly
-
-    return [
-        ExpPoly(((0.0, (1.5, -2.0)),)),
-        ExpPoly(((-1.0, (0.25,)), (1.0, (0.75, -1.0)), (2.0, (1.0,)))),
-        ExpPoly(((1.0, (0.7,)),)),
-        ExpPoly(((-1.0, (-0.0, 3.0)), (1.0, (-0.0, 1.0)))),
-        ExpPoly(((-2.0, (1.0,)), (-1.0, (0.3,)))),
-    ]
+EDGE_SPECS = json.loads((Path(__file__).resolve().parent.parent / "tools" / "edge_specs.json").read_text())
 
 
-#: Zero ``c`` of either sign, ``c`` that cancels a ``t^0`` coefficient of a
-#: crafted probe exactly (dropping its term, or not), and non-finite ``c``.
-CRAFTED_MODE_COEFFS = [0.0, -0.0, 0.3, -1.25, 0.7, 0.25, 0.75, math.inf, -math.inf, math.nan]
-
-
-def test_pi_zero_formed_on_rows_has_the_bits_of_without_modes():
-    from maccretive.cli import _rows_without_modes
-    from maccretive.derivative import _without_modes
-    from maccretive.funcspace import ExpBasis, ExpPoly
-
-    cases = [(u, c1, cm) for u in crafted_probes()
-             for c1 in CRAFTED_MODE_COEFFS for cm in CRAFTED_MODE_COEFFS]
-    modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
-    basis = ExpBasis.spanning([u for u, _, _ in cases] + modes)
-    c1, cm = np.array([(c1, cm) for _, c1, cm in cases]).T
-    with np.errstate(invalid="ignore"):  # inf - inf, as _merge adds it
-        got = _rows_without_modes(basis, basis.rows([u for u, _, _ in cases]), c1, cm)
-    want = basis.rows([_without_modes(u, c1, cm) for u, c1, cm in cases])
-    for case, row, ref in zip(cases, got.tolist(), want.tolist()):
-        assert repr(row) == repr(ref), case
-
-
-@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.6, -0.7), (-0.8, 2.3)])
-def test_pi_zero_formed_on_rows_has_the_bits_of_pi_zero(interval):
-    from maccretive.cli import _random_exppolys, _rows_without_modes
-    from maccretive.derivative import _projection_coeffs, pi_zero
-    from maccretive.funcspace import ExpBasis, ExpPoly, Interval
-
-    ctx = Interval(*interval)
-    rng = np.random.default_rng(7)
-    polys = crafted_probes()
-    polys += [u for max_degree in (0, 2, 4, 10) for u in _random_exppolys(rng, 50, max_degree)]
-    modes = [ExpPoly.exponential(1.0), ExpPoly.exponential(-1.0)]
-    basis = ExpBasis.spanning(polys + modes)
-    c1, cm = np.array([_projection_coeffs(ctx, u) for u in polys]).T
-    got = _rows_without_modes(basis, basis.rows(polys), c1, cm)
-    want = basis.rows([pi_zero(ctx, u) for u in polys])
-    assert repr(got.tolist()) == repr(want.tolist())
+def test_edge_specs_give_a_verdict_or_a_schema_error(tmp_path, capsys):
+    """Every spec of ``tools/edge_specs.json``, the hand-written edge cases of
+    the byte check of ``tools/compare_reports.py``, exits 0 or 1 with a
+    report, or 2 without one, and prints no traceback."""
+    codes = set()
+    for n, spec in enumerate(EDGE_SPECS):
+        spec_path, out = tmp_path / f"{n}.json", tmp_path / f"out{n}"
+        spec_path.write_text(json.dumps(spec))
+        code = main(["--spec", str(spec_path), "--out", str(out)])
+        assert code in (0, 1, 2), n
+        assert (out / "report.json").is_file() == (code != 2), n
+        codes.add(code)
+    assert codes == {0, 1, 2}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -385,27 +350,52 @@ def test_wave_impedance_zero_k_runs_to_its_end(tmp_path):
     assert report["run_failed_at_step"] is None
 
 
-@pytest.mark.parametrize("iv", [(-0.7, 1.3), (-3.0, -1.0), (2.0, 5.0), (600.0, 720.0)], ids=str)
-def test_wave_impedance_probe_sizes_are_the_states_norms_bit_for_bit(iv):
-    """The sampled-accretivity sizes from one node table against
-    ``state_l2_norm`` of each difference's ``bd_exppoly`` state, on
-    differences with a zero ``u``, a zero ``v``, zero coefficients, squares
-    past the float range, and, on [600, 720], node values of ``e^t`` that
-    overflow where no ``e^t`` term reads them."""
+def reference_accretive_sampled(iv, k, seed: int, tol: float) -> bool:
+    """The sampled accretivity of the impedance realization of ``k``, pair by
+    pair: the suite's 60 boundary draws, each difference as a state of
+    ``bd_exppoly`` functions sized by ``state_l2_norm``, and its pairing
+    ``u(b) v(b) - u(a) v(a)`` from ``_eval_pair``."""
     from maccretive.blockop import BlockState, bd_exppoly, state_l2_norm
-    from maccretive.cli import _bd_state_norms
+    from maccretive.funcspace import _eval_pair
+    from maccretive.impedance1d import impedance_realization
+
+    w = impedance_realization(iv, np.array(k)).relation.basis
+    draws = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, 2))
+    members = [(c @ w[:, 0, :], (c @ w[:, 1, :]) * [1.0, -1.0]) for c in draws]
+    accretive = True
+    for (u1, v1), (u2, v2) in zip(members[0::2], members[1::2]):
+        u, v = bd_exppoly(u1 - u2), bd_exppoly(v1 - v2)
+        (ua, ub), (va, vb) = _eval_pair(u, iv.a, iv.b), _eval_pair(v, iv.a, iv.b)
+        size = state_l2_norm(BlockState(u, v), iv)
+        accretive &= not ub * vb - ua * va < -tol * (1 + size * size)
+    return accretive
+
+
+#: An accretive ``K`` on each interval, and a non-accretive one, indefinite on
+#: the endpoint values, that some draw of seed 5 finds.
+SAMPLED_ACCRETIVITY_CASES = [
+    (interval, k, accretive)
+    for interval, negative_k in [
+        ((0.0, 1.0), [[0.5, 0.0], [0.0, -0.2]]),
+        ((-0.7, 1.3), [[0.5, 0.0], [0.0, -0.2]]),
+        ((-3.0, -1.0), [[-0.2, 0.0], [0.0, 0.5]]),
+        ((2.0, 5.0), [[0.5, 0.0], [0.0, -0.2]]),
+    ]
+    for k, accretive in [([[1.0, 2.0], [-2.0, 0.5]], True), (negative_k, False)]
+]
+
+
+@pytest.mark.parametrize("interval, k, accretive", SAMPLED_ACCRETIVITY_CASES, ids=str)
+def test_wave_impedance_sampled_accretivity_matches_a_per_pair_reference(tmp_path, interval, k, accretive):
     from maccretive.funcspace import Interval
 
-    iv = Interval(*iv)
-    diffs = np.random.default_rng(7).uniform(-2.0, 2.0, size=(30, 4))
-    diffs[0, :2] = 0.0  # u = 0
-    diffs[1, 2:] = 0.0  # v = 0
-    diffs[2, 0::2] = -0.0  # no e^t term
-    diffs[3, 1::2] = 0.0  # no e^{-t} term
-    diffs[4] *= 1e200
-    diffs[5] = 0.0
-    want = [state_l2_norm(BlockState(bd_exppoly(d[:2]), bd_exppoly(d[2:])), iv) for d in diffs]
-    assert repr(_bd_state_norms(diffs, iv)) == repr(want)
+    iv = Interval(*interval)
+    spec = {"command": "wave-impedance", "seed": 5, "params": {
+        "interval": iv.to_jsonable(), "K": k, "steps": 3}}
+    run_cli(tmp_path, spec)
+    report = load_report(tmp_path / "out")
+    assert reference_accretive_sampled(iv, k, 5, report["tolerances"]["pairing"]) is accretive
+    assert report["realisation_accretive_sampled"] is accretive
 
 
 def test_resolve_command_worked_example(tmp_path):

@@ -90,15 +90,15 @@ def l2_projection_minus(ctx: Interval, u: ExpPoly) -> float:
 
 
 def test_kernel_elements():
-    k_plus = kernel_element(CTX, -1, 1.0)
+    k_plus = kernel_element(-1, 1.0)
     assert k_plus == ExpPoly.exponential(1.0)
     assert differentiate(k_plus) == k_plus  # (1 - d/dt) kills it
-    k_minus = kernel_element(CTX, +1, 2.0)
+    k_minus = kernel_element(+1, 2.0)
     assert k_minus == ExpPoly.exponential(-1.0, 2.0)
     assert differentiate(k_minus) == -1.0 * k_minus
-    assert kernel_element(CTX, +1, 0.0).is_zero
+    assert kernel_element(+1, 0.0).is_zero
     with pytest.raises(ValueError):
-        kernel_element(CTX, 2, 1.0)
+        kernel_element(2, 1.0)
 
 
 def test_projection_coefficients_of_constant():

@@ -4,14 +4,17 @@ Run it from the root of a checkout:
 
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload trajectories --seed 1 --specs 200
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --workload decomposition block-membership --seed 1 2 3 --specs 400
-    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --spec-file specs.json
+    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --spec-file tools/edge_specs.json
     python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE --verdicts --workload trajectories --seed 1 2 3 --specs 300
 
 Each tree is a checkout with the package under ``src/maccretive``. The
 specs are the first ``--specs`` of each stream that ``benchmarks/specgen.py``
 of this checkout draws, one stream per pairing of a ``--workload`` with a
 ``--seed`` (the module is imported, never written), or the JSON list of
-specs in ``--spec-file``. One subprocess per tree imports that tree's
+specs in ``--spec-file``; ``tools/edge_specs.json`` holds hand-written
+``wave-impedance`` and ``check-decomposition`` specs at edges the
+streams rarely reach (huge and near-boundary ``K``, tiny, far and wide
+intervals). One subprocess per tree imports that tree's
 ``maccretive.cli`` afresh and runs every spec through
 ``cli.main(["--spec", ..., "--out", ...])``, the entry point the benchmark
 uses. The script prints the index of every spec whose exit code,
